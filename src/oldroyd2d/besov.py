@@ -22,27 +22,26 @@ import numpy as np
 from .fields import ScalarField, SymTensorField, VectorField
 from .grid import Grid
 
-PAD_REFINE = 2
+
+def pad_coeffs(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
+    """Embed coefficients into a 2n grid (trigonometric interpolation) by
+    copying each quadrant into a corner; the Nyquist row and column stay at
+    frequency -n/2."""
+    h = grid.n // 2
+    big = np.zeros((4 * h, 4 * h), dtype=np.complex128)
+    big[:h, :h] = coeffs[:h, :h]
+    big[:h, -h:] = coeffs[:h, h:]
+    big[-h:, :h] = coeffs[h:, :h]
+    big[-h:, -h:] = coeffs[h:, h:]
+    return big
 
 
-def pad_coeffs(grid: Grid, coeffs: np.ndarray, refine: int = PAD_REFINE) -> np.ndarray:
-    """Embed coefficients into a refine*n grid (trigonometric interpolation)."""
-    if refine == 1:
-        return coeffs
-    n = grid.n
-    big_n = refine * n
-    big = np.zeros((big_n, big_n), dtype=np.complex128)
-    lo = (big_n - n) // 2
-    big[lo : lo + n, lo : lo + n] = np.fft.fftshift(coeffs)
-    return np.fft.ifftshift(big)
+def refined_physical(f: ScalarField) -> np.ndarray:
+    return np.fft.ifft2(pad_coeffs(f.grid, f.coeffs), norm="forward").real
 
 
-def refined_physical(f: ScalarField, refine: int = PAD_REFINE) -> np.ndarray:
-    return np.fft.ifft2(pad_coeffs(f.grid, f.coeffs, refine), norm="forward").real
-
-
-def linf_norm(f: ScalarField, refine: int = PAD_REFINE) -> float:
-    return float(np.max(np.abs(refined_physical(f, refine))))
+def linf_norm(f: ScalarField) -> float:
+    return float(np.max(np.abs(refined_physical(f))))
 
 
 def lebesgue_norm(f: ScalarField, p) -> float:
@@ -165,17 +164,11 @@ def besov_norm(f: ScalarField, s: float, p, r) -> float:
 # --- vector / tensor aggregates used by diagnostics ---
 
 
-def vector_linf(v: VectorField, refine: int = PAD_REFINE) -> float:
-    a = refined_physical(v.u1, refine)
-    b = refined_physical(v.u2, refine)
-    return float(np.max(np.hypot(a, b)))
-
-
-def tensor_linf(tau: SymTensorField, refine: int = PAD_REFINE) -> float:
+def tensor_linf(tau: SymTensorField) -> float:
     """Padded max of the pointwise Frobenius magnitude."""
-    a = refined_physical(tau.t11, refine)
-    b = refined_physical(tau.t12, refine)
-    c = refined_physical(tau.t22, refine)
+    a = refined_physical(tau.t11)
+    b = refined_physical(tau.t12)
+    c = refined_physical(tau.t22)
     return float(np.max(np.sqrt(a * a + 2.0 * b * b + c * c)))
 
 

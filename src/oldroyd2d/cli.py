@@ -82,7 +82,7 @@ NORMS = {
     "tau_h2": lambda s, p, o: besov.tensor_sobolev(s.tau, 2.0),
     "u_h1": lambda s, p, o: besov.vector_sobolev(s.u, 1.0),
     "u_h2": lambda s, p, o: besov.vector_sobolev(s.u, 2.0),
-    "grad_u_l2": lambda s, p, o: s.omega.l2(),
+    "grad_u_l2": lambda s, p, o: diag.grad_u_l2(s),
     "energy_weighted": lambda s, p, o: diag.energy_weighted(s, p),
     "n_value": lambda s, p, o: diag.n_functional(s, p, o.n_functional_m),
 }

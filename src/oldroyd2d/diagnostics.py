@@ -38,6 +38,11 @@ def _grad_sq(f: ScalarField) -> float:
     return float(np.sum(g.ksq * np.abs(f.coeffs) ** 2)) * g.length**2
 
 
+def _grad_u_sq(u: VectorField) -> float:
+    """||grad u||_{L2}^2 via Parseval."""
+    return _grad_sq(u.u1) + _grad_sq(u.u2)
+
+
 def _lap_sq(f: ScalarField) -> float:
     g = f.grid
     return float(np.sum(g.ksq**2 * np.abs(f.coeffs) ** 2)) * g.length**2
@@ -65,16 +70,17 @@ def energy_weighted(state: SimState, params: ModelParams) -> float:
     )
 
 
-def n_functional(state: SimState, params: ModelParams, M: float) -> float:
+def n_functional(state: SimState, params: ModelParams, M: float,
+                 gamma: ScalarField | None = None) -> float:
     """M (alpha||u||^2 + K||tau||^2) + M (alpha||grad u||^2 + K||grad tau||^2)
     + ||Gamma||^2."""
     if not M > 0.0:
         raise ValueError(f"M must be positive, got {M}")
     u_sq = state.u.l2() ** 2
     tau_sq = state.tau.l2() ** 2
-    gu_sq = _grad_sq(state.u.u1) + _grad_sq(state.u.u2)
+    gu_sq = _grad_u_sq(state.u)
     gt_sq = tensor_grad_sq(state.tau)
-    gamma = gamma_of(state, params)
+    gamma = gamma if gamma is not None else gamma_of(state, params)
     return (
         M * (params.alpha * u_sq + params.K * tau_sq)
         + M * (params.alpha * gu_sq + params.K * gt_sq)
@@ -82,25 +88,19 @@ def n_functional(state: SimState, params: ModelParams, M: float) -> float:
     )
 
 
-def _require_q_off(params: ModelParams, what: str) -> None:
-    if params.q_enabled:
-        raise ValueError(f"{what} requires Q disabled")
-    if params.variant == "stokes_toy":
-        raise ValueError(f"{what} is undefined for the Stokes toy variant")
-
-
 def energy_identity_residual(state: SimState, params: ModelParams,
                              deriv: StateDerivative | None = None) -> float:
     """Relative residual of d/dt E + mu K ||grad tau||^2 + beta K ||tau||^2
     + nu alpha ||grad u||^2 = 0, with d/dt E assembled from the rhs."""
-    _require_q_off(params, "energy identity")
+    if not params.energy_law:
+        raise ValueError("energy identity requires Q disabled and no Stokes toy")
     d = deriv if deriv is not None else rhs(state, params)
     de = params.alpha * velocity_inner_from_vorticity(state.omega, d.omega_full) \
         + params.K * frobenius_inner(state.tau, d.tau_full)
     dissipation = (
         params.mu * params.K * tensor_grad_sq(state.tau)
         + params.beta * params.K * state.tau.l2() ** 2
-        + params.nu * params.alpha * (_grad_sq(state.u.u1) + _grad_sq(state.u.u2))
+        + params.nu * params.alpha * _grad_u_sq(state.u)
     )
     scale = max(abs(de), abs(dissipation), _TINY)
     return abs(de + dissipation) / scale
@@ -115,27 +115,29 @@ class EnstrophyBalance(NamedTuple):
 
 def enstrophy_balance(state: SimState, params: ModelParams,
                       deriv: StateDerivative | None = None) -> EnstrophyBalance:
-    _require_q_off(params, "enstrophy balance")
+    if not params.energy_law:
+        raise ValueError("enstrophy balance requires Q disabled and no Stokes toy")
     d = deriv if deriv is not None else rhs(state, params)
     d_grad_u_sq = 2.0 * scalar_inner(state.omega, d.omega_full)
     lap_tau = state.tau.map(ops.laplacian)
     d_grad_tau_sq = -2.0 * frobenius_inner(lap_tau, d.tau_full)
     lhs = d_grad_u_sq + d_grad_tau_sq + 0.5 * tensor_lap_sq(state.tau)
-    gu_sq = _grad_sq(state.u.u1) + _grad_sq(state.u.u2)
-    return EnstrophyBalance(lhs=lhs, majorant=gu_sq * tensor_grad_sq(state.tau))
+    return EnstrophyBalance(lhs=lhs, majorant=_grad_u_sq(state.u) * tensor_grad_sq(state.tau))
 
 
 def gamma_residual(state: SimState, params: ModelParams,
-                   deriv: StateDerivative | None = None) -> float:
+                   deriv: StateDerivative | None = None,
+                   gamma: ScalarField | None = None,
+                   interior: ScalarField | None = None) -> float:
     """Relative L2 mismatch between d/dt Gamma assembled from the rhs and the
-    transformed-equation prediction. Requires nu = 0."""
-    if params.nu != 0.0:
-        raise ValueError("Gamma residual requires nu = 0")
+    transformed-equation prediction. Requires nu = 0 and no Stokes toy."""
+    if not params.gamma_law:
+        raise ValueError("Gamma residual requires nu = 0 and no Stokes toy")
     d = deriv if deriv is not None else rhs(state, params)
     dgamma = params.mu * d.omega_full - params.K * ops.riesz_r(d.tau_full)
-    gamma = gamma_of(state, params)
+    gamma = gamma if gamma is not None else gamma_of(state, params)
     adv = ops.advect(state.u, gamma)
-    interior = gamma_interior(state, params)
+    interior = interior if interior is not None else gamma_interior(state, params)
     res = dgamma + adv - interior
     scale = max(dgamma.l2(), adv.l2(), interior.l2(), _TINY)
     return res.l2() / scale
@@ -206,8 +208,8 @@ class DiagnosticsOptions:
 class DiagnosticsRecord:
     """One time-stamped row of every monitored quantity.
 
-    Residual fields are None when the model variant makes them undefined
-    (Q on, nu != 0, or the Stokes toy).
+    Residual fields are None where undefined: the energy residual unless
+    ModelParams.energy_law, the Gamma fields unless ModelParams.gamma_law.
     """
 
     t: float
@@ -237,34 +239,43 @@ class DiagnosticsRecord:
         return dict(self.__dict__)
 
 
+def grad_u_l2(state: SimState) -> float:
+    """||grad u||_{L2} from the four velocity-gradient components."""
+    g = state.grad_u
+    return math.sqrt(sum(c.l2() ** 2 for c in (g.g11, g.g12, g.g21, g.g22)))
+
+
 def compute_record(state: SimState, params: ModelParams,
                    opts: DiagnosticsOptions = DiagnosticsOptions(),
-                   bkm_accum: float = 0.0) -> DiagnosticsRecord:
-    d = rhs(state, params)
+                   bkm_accum: float = 0.0,
+                   deriv: StateDerivative | None = None) -> DiagnosticsRecord:
+    """One observation; rhs (only where a residual is defined), Gamma, the
+    commutator and the Gamma interior terms are each evaluated once."""
     g = state.grad_u
     gamma = gamma_of(state, params)
+    commutator = commutator_r_advect(state.u, state.tau)
+    if deriv is None and (params.energy_law or params.gamma_law):
+        deriv = rhs(state, params)
 
-    grad_u_l2 = math.sqrt(
-        g.g11.l2() ** 2 + g.g12.l2() ** 2 + g.g21.l2() ** 2 + g.g22.l2() ** 2
-    )
     grad_mag = np.sqrt(
         sum(besov.refined_physical(c) ** 2 for c in (g.g11, g.g12, g.g21, g.g22))
     )
 
     energy_res = None
-    if not params.q_enabled and params.variant != "stokes_toy":
-        energy_res = energy_identity_residual(state, params, d)
+    if params.energy_law:
+        energy_res = energy_identity_residual(state, params, deriv)
     gamma_res = None
     gamma_rhs_linf = None
-    if params.nu == 0.0 and params.variant != "stokes_toy":
-        gamma_res = gamma_residual(state, params, d)
-        gamma_rhs_linf = besov.linf_norm(gamma_interior(state, params))
+    if params.gamma_law:
+        interior = gamma_interior(state, params, commutator)
+        gamma_res = gamma_residual(state, params, deriv, gamma, interior)
+        gamma_rhs_linf = besov.linf_norm(interior)
 
     rec = DiagnosticsRecord(
         t=state.t,
         u_l2=state.u.l2(),
         tau_l2=state.tau.l2(),
-        grad_u_l2=grad_u_l2,
+        grad_u_l2=grad_u_l2(state),
         grad_tau_l2=math.sqrt(tensor_grad_sq(state.tau)),
         lap_tau_l2=math.sqrt(tensor_lap_sq(state.tau)),
         omega_linf=besov.linf_norm(state.omega),
@@ -276,12 +287,10 @@ def compute_record(state: SimState, params: ModelParams,
         grad_u_linf=float(np.max(grad_mag)),
         bkm_accum=bkm_accum,
         energy_weighted=energy_weighted(state, params),
-        n_value=n_functional(state, params, opts.n_functional_m),
+        n_value=n_functional(state, params, opts.n_functional_m, gamma),
         energy_identity_residual=energy_res,
         gamma_residual=gamma_res,
-        commutator_norm=besov.besov_norm(
-            commutator_r_advect(state.u, state.tau), 0.0, math.inf, 1
-        ),
+        commutator_norm=besov.besov_norm(commutator, 0.0, math.inf, 1),
         gamma_rhs_linf=gamma_rhs_linf,
     )
     for s in opts.hs:

@@ -175,7 +175,3 @@ def frobenius_inner(a: SymTensorField, b: SymTensorField) -> float:
 def scalar_inner(a: ScalarField, b: ScalarField) -> float:
     """L2 inner product via Parseval."""
     return float(np.vdot(a.coeffs, b.coeffs).real) * a.grid.length**2
-
-
-def vector_inner(a: VectorField, b: VectorField) -> float:
-    return scalar_inner(a.u1, b.u1) + scalar_inner(a.u2, b.u2)

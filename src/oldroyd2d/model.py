@@ -70,6 +70,16 @@ class ModelParams:
             raise ConfigError(f"b must lie in [-1, 1], got {self.b}")
 
     @property
+    def energy_law(self) -> bool:
+        """Energy identity and enstrophy ledger hold: Q off, not the Stokes toy."""
+        return not self.q_enabled and self.variant != "stokes_toy"
+
+    @property
+    def gamma_law(self) -> bool:
+        """The Gamma equation holds: nu = 0, not the Stokes toy."""
+        return self.nu == 0.0 and self.variant != "stokes_toy"
+
+    @property
     def gamma_damping_rate(self) -> float:
         """lambda = K alpha / (2 mu), the hidden damping rate of Gamma."""
         return self.K * self.alpha / (2.0 * self.mu)
@@ -243,12 +253,14 @@ def commutator_r_advect(u: VectorField, tau: SymTensorField) -> ScalarField:
     return term1 - term2
 
 
-def gamma_interior(state: SimState, params: ModelParams) -> ScalarField:
+def gamma_interior(state: SimState, params: ModelParams,
+                   commutator: ScalarField | None = None) -> ScalarField:
     """Gamma-equation source terms other than transport and damping."""
+    commutator = commutator if commutator is not None else commutator_r_advect(state.u, state.tau)
     interior = (
         params.K * params.beta * ops.riesz_r(state.tau)
         - (params.K * params.alpha / 2.0) * state.omega
-        + params.K * commutator_r_advect(state.u, state.tau)
+        + params.K * commutator
     )
     if params.q_enabled:
         q = q_form(state.grad_u, state.tau, params.b)
@@ -265,8 +277,8 @@ def gamma_rhs_theoretical(state: SimState, params: ModelParams,
     form="damped":    same value regrouped around the damping term
                       -lambda Gamma with lambda = K alpha / (2 mu).
     """
-    if params.nu != 0.0:
-        raise ValueError("Gamma equation requires nu = 0")
+    if not params.gamma_law:
+        raise ValueError("Gamma equation requires nu = 0 and no Stokes toy")
     if form not in ("transport", "damped"):
         raise ValueError(f"unknown form {form!r}")
 

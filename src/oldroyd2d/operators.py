@@ -100,16 +100,19 @@ def velocity_gradient(u: VectorField) -> VelocityGradient:
 
 def sym_grad(u: VectorField) -> SymTensorField:
     """Symmetric velocity gradient Du = (grad u + grad u^T) / 2."""
-    g = velocity_gradient(u)
-    return SymTensorField(
-        t11=g.g11,
-        t12=0.5 * (g.g12 + g.g21),
-        t22=g.g22,
-    )
+    return sym_grad_of(velocity_gradient(u))
 
 
 def sym_grad_of(g: VelocityGradient) -> SymTensorField:
     return SymTensorField(t11=g.g11, t12=0.5 * (g.g12 + g.g21), t22=g.g22)
+
+
+def _r_numerator(tau: SymTensorField) -> np.ndarray:
+    """Per mode (k1^2 - k2^2) t12 + k1 k2 (t22 - t11), shared by R and curl div."""
+    g = tau.grid
+    return (g.k1**2 - g.k2**2) * tau.t12.coeffs + g.k1 * g.k2 * (
+        tau.t22.coeffs - tau.t11.coeffs
+    )
 
 
 def riesz_r(tau: SymTensorField) -> ScalarField:
@@ -117,11 +120,7 @@ def riesz_r(tau: SymTensorField) -> ScalarField:
 
     Per mode [(k1^2 - k2^2) t12 + k1 k2 (t22 - t11)] / |k|^2; zero mode -> 0.
     """
-    g = tau.grid
-    num = (g.k1**2 - g.k2**2) * tau.t12.coeffs + g.k1 * g.k2 * (
-        tau.t22.coeffs - tau.t11.coeffs
-    )
-    return ScalarField(g, num * g.inv_ksq)
+    return ScalarField(tau.grid, _r_numerator(tau) * tau.grid.inv_ksq)
 
 
 def curl_div(tau: SymTensorField) -> ScalarField:
@@ -129,11 +128,7 @@ def curl_div(tau: SymTensorField) -> ScalarField:
 
     Equals Laplace(R(tau)) exactly at the multiplier level.
     """
-    g = tau.grid
-    num = (g.k1**2 - g.k2**2) * tau.t12.coeffs + g.k1 * g.k2 * (
-        tau.t22.coeffs - tau.t11.coeffs
-    )
-    return ScalarField(g, -num)
+    return ScalarField(tau.grid, -_r_numerator(tau))
 
 
 def riesz_component(f: ScalarField, i: int) -> ScalarField:
@@ -160,12 +155,6 @@ def dealias(field):
     if isinstance(field, SymTensorField):
         return field.map(dealias_scalar)
     raise TypeError(f"cannot dealias {type(field).__name__}")
-
-
-def multiply(f: ScalarField, g: ScalarField) -> ScalarField:
-    """Pointwise product, dealiased."""
-    prod = ScalarField.from_physical(f.grid, f.physical * g.physical)
-    return dealias_scalar(prod)
 
 
 def multiply_physical(grid: Grid, values: np.ndarray) -> ScalarField:

@@ -3,13 +3,16 @@
 Diagnostics are written as NDJSON, one object per observation, with field
 names exactly as in DiagnosticsRecord; a final line holds a single
 "summary" object (or "failure" when integration aborts, with partial
-output preserved). Reruns of the same config are byte-identical.
+output preserved). Every line is strict JSON: a non-finite float is written
+as null and its dotted key is listed under "nonfinite" on that line. Reruns
+of the same config are byte-identical.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -17,6 +20,7 @@ from . import diagnostics as diag
 from .config import ExperimentConfig, with_override
 from .errors import IntegrationError
 from .initial_data import make_initial_data
+from .model import rhs
 from .snapshots import save_snapshot
 from .stepping import integrate
 
@@ -30,6 +34,25 @@ class RunResult:
     summary: dict
     out_dir: Path
     error: str | None = None
+
+
+def _json_line(obj: dict) -> str:
+    """One strict-JSON NDJSON line; non-finite floats become null and their
+    dotted keys (e.g. "u_hs.3") are listed under "nonfinite"."""
+    nonfinite: list[str] = []
+
+    def finite(value, key):
+        if isinstance(value, dict):
+            return {k: finite(v, f"{key}.{k}" if key else k) for k, v in value.items()}
+        if isinstance(value, float) and not math.isfinite(value):
+            nonfinite.append(key)
+            return None
+        return value
+
+    line = finite(obj, "")
+    if nonfinite:
+        line["nonfinite"] = nonfinite
+    return json.dumps(line, allow_nan=False) + "\n"
 
 
 class _Observer:
@@ -49,7 +72,7 @@ class _Observer:
     def __call__(self, state) -> None:
         rec = self._record(state)
         self.records.append(rec)
-        self.stream.write(json.dumps(rec.to_dict()) + "\n")
+        self.stream.write(_json_line(rec.to_dict()))
         self.stream.flush()
 
         eps = 1e-9 * max(1.0, abs(state.t))
@@ -61,16 +84,16 @@ class _Observer:
 
     def _record(self, state) -> diag.DiagnosticsRecord:
         params = self.config.params
-        rec = diag.compute_record(state, params, self.config.diag, self.bkm_accum)
+        deriv = rhs(state, params) if params.energy_law else None
+        rec = diag.compute_record(state, params, self.config.diag, self.bkm_accum, deriv)
         if self._last is not None:
             t0, v0 = self._last
             if state.t > t0:
                 self.bkm_accum += 0.5 * (v0 + rec.grad_u_linf) * (state.t - t0)
                 rec.bkm_accum = self.bkm_accum
         self._last = (state.t, rec.grad_u_linf)
-        if not params.q_enabled and params.variant != "stokes_toy":
-            bal = diag.enstrophy_balance(state, params)
-            self.enstrophy_ledger.append(bal)
+        if params.energy_law:
+            self.enstrophy_ledger.append(diag.enstrophy_balance(state, params, deriv))
         return rec
 
 
@@ -129,13 +152,13 @@ def run(config: ExperimentConfig) -> RunResult:
                 land_times=config.output.snapshot_times,
             )
         except IntegrationError as exc:
-            stream.write(json.dumps({"failure": {"t": exc.t, "error": str(exc)}}) + "\n")
+            stream.write(_json_line({"failure": {"t": exc.t, "error": str(exc)}}))
             return RunResult(
                 ok=False, records=obs.records, summary={}, out_dir=out_dir,
                 error=str(exc),
             )
         summary = _summarize(config, obs)
-        stream.write(json.dumps({"summary": summary}) + "\n")
+        stream.write(_json_line({"summary": summary}))
     return RunResult(ok=True, records=obs.records, summary=summary, out_dir=out_dir)
 
 

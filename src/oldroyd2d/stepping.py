@@ -91,7 +91,6 @@ def step(state: SimState, dt: float, params: ModelParams, config: StepConfig,
     grid = state.grid
     sym_w, sym_t = stiff_symbols(grid, params)
     exps = [np.exp(dt * sym_w)] + [np.exp(dt * sym_t)] * 3
-    halfs = [np.exp(0.5 * dt * sym_w)] + [np.exp(0.5 * dt * sym_t)] * 3
 
     t = state.t
     y = _coeff_vec(state)
@@ -106,6 +105,7 @@ def step(state: SimState, dt: float, params: ModelParams, config: StepConfig,
             for e, a, b, c in zip(exps, y, k1, k2)
         ]
     else:
+        halfs = [np.exp(0.5 * dt * sym_w)] + [np.exp(0.5 * dt * sym_t)] * 3
         y2 = [h * (a + 0.5 * dt * b) for h, a, b in zip(halfs, y, k1)]
         k2 = n_of(t + 0.5 * dt, y2)
         y3 = [h * a + 0.5 * dt * b for h, a, b in zip(halfs, y, k2)]

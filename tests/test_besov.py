@@ -127,6 +127,19 @@ class TestLebesgueSobolev:
         f = field_from(grid16, lambda x, y: np.sin(x))
         assert abs(besov.linf_norm(f) - 1.0) < 1e-12
 
+    def test_pad_matches_centred_embedding(self):
+        # reference: centre the spectrum, embed it in the 2n grid, shift back
+        rng = np.random.default_rng(3)
+        for n in (8, 32, 64):
+            coeffs = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            assert np.all(coeffs[n // 2] != 0) and np.all(coeffs[:, n // 2] != 0)
+            big = np.zeros((2 * n, 2 * n), dtype=np.complex128)
+            big[n // 2 : 3 * n // 2, n // 2 : 3 * n // 2] = np.fft.fftshift(coeffs)
+            want = np.fft.ifftshift(big)
+            got = besov.pad_coeffs(Grid(n), coeffs)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
     def test_unsupported_p(self, grid16):
         with pytest.raises(ValueError):
             besov.lebesgue_norm(ScalarField.zeros(grid16), 3)

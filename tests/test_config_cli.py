@@ -1,9 +1,13 @@
 """Config parsing, CLI subcommands, determinism, sweep, mutation check."""
 
+import json
+import sys
+
 import numpy as np
 import pytest
 
-from oldroyd2d import checks, cli
+from oldroyd2d import checks, cli, model
+from oldroyd2d import diagnostics as diag
 from oldroyd2d import operators as ops
 from oldroyd2d.config import parse_config, with_override
 from oldroyd2d.errors import ConfigError
@@ -66,6 +70,63 @@ snapshot_times = 0.15
 eps = 0.5
 hs = 3
 """
+
+
+# Forced blow-up: IFRK4 pinned at dt = 0.5 on large data. The t = 1.5 record
+# holds overflowed and NaN values; integration fails at t = 2.
+BLOWUP = """
+[grid]
+n = 32
+
+[model]
+nu = 0.0
+mu = 1.0
+k = 1.0
+alpha = 1.0
+variant = q_zero
+
+[stepping]
+scheme = ifrk4
+dt_min = 0.5
+dt_max = 0.5
+t_end = 5.0
+
+[initial]
+kind = random_band_limited
+amplitude = 30.0
+band_lo = 1
+band_hi = 8
+seed = 2
+
+[initial_tau]
+kind = zero
+
+[output]
+dir = {out}
+observe_every = 0.5
+"""
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-strict JSON token {token}")
+
+
+def _count_model_calls(monkeypatch, names):
+    """Wrap model functions in every package module that holds them; the
+    returned dict counts their calls."""
+    counts = dict.fromkeys(names, 0)
+    modules = [m for key, m in list(sys.modules.items()) if key.startswith("oldroyd2d")]
+    for name in names:
+        original = getattr(model, name)
+
+        def counted(*args, _name=name, _fn=original, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        for module in modules:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    return counts
 
 
 class TestParseConfig:
@@ -162,6 +223,41 @@ class TestRunner:
         assert "t" in lines[0]  # the initial record was still written
 
 
+    def test_blowup_writes_strict_json(self, tmp_path):
+        path = tmp_path / "blowup.cfg"
+        path.write_text(BLOWUP.format(out=tmp_path / "blowup"))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert cli.main(["run", str(path)]) == 1
+        text = (tmp_path / "blowup" / "diagnostics.ndjson").read_text()
+        lines = [json.loads(line, parse_constant=_reject_constant)
+                 for line in text.splitlines()]
+        assert lines[-1]["failure"]["t"] == 2.0
+        records = {line["t"]: line for line in lines[:-1]}
+        assert list(records) == [0.0, 0.5, 1.0, 1.5]
+        assert all("nonfinite" not in records[t] for t in (0.0, 0.5, 1.0))
+        bad = records[1.5]["nonfinite"]
+        assert {"u_l2", "tau_l2", "gamma_residual", "n_value", "u_hs.3"} <= set(bad)
+        for key in bad:
+            top, _, sub = key.partition(".")
+            assert (records[1.5][top][sub] if sub else records[1.5][top]) is None
+        assert records[1.5]["omega_linf"] is not None
+
+    @pytest.mark.parametrize("model_text, want_rhs, want_gamma", [
+        ("variant = q_zero", 1, 1),
+        ("variant = full", 1, 1),
+        ("variant = full\nnu = 0.1", 0, 0),
+        ("variant = stokes_toy", 0, 0),
+    ], ids=["q_zero", "full", "full_viscous", "stokes_toy"])
+    def test_one_observation_evaluates_shared_terms_once(
+            self, tmp_path, monkeypatch, model_text, want_rhs, want_gamma):
+        counts = _count_model_calls(
+            monkeypatch, ("rhs", "gamma_interior", "commutator_r_advect"))
+        cfg = parse_config(MINIMAL.format(out=tmp_path / "one") + "[model]\n" + model_text)
+        assert len(run(cfg).records) == 1
+        assert counts == {"rhs": want_rhs, "gamma_interior": want_gamma,
+                          "commutator_r_advect": 1}
+
+
 class TestSweep:
     def test_single_value_sweep_matches_run(self, tmp_path):
         cfg = parse_config(SMALL_RUN.format(out=tmp_path / "plain"))
@@ -220,6 +316,24 @@ class TestCli:
         assert cli.main(["norms", str(snap), "--norm", "u_l2,tau_l2,omega_linf"]) == 0
         out = capsys.readouterr().out
         assert "0.0" in out
+
+
+    def test_norms_match_record_fields(self, tmp_path):
+        from oldroyd2d.grid import Grid
+        from oldroyd2d.initial_data import random_state
+        from oldroyd2d.model import ModelParams
+        from oldroyd2d.snapshots import load_snapshot, save_snapshot
+
+        snap = tmp_path / "state.bin"
+        params = ModelParams(beta=0.2, b=0.3)
+        save_snapshot(random_state(Grid(32), (1, 8), [0]), params, snap)
+        state, params = load_snapshot(snap)
+        opts = diag.DiagnosticsOptions()
+        record = diag.compute_record(state, params, opts).to_dict()
+        shared = [name for name in cli.NORMS if name in record]
+        assert "grad_u_l2" in shared
+        for name in shared:
+            assert cli.NORMS[name](state, params, opts) == record[name], name
 
 
 class TestMutationSensitivity:
