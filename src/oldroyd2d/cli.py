@@ -60,7 +60,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_sweep(args) -> int:
     config = load_config(args.config)
-    values = [float(v) for v in args.values.split(",") if v.strip()]
+    values = [v.strip() for v in args.values.split(",") if v.strip()]
     if not values:
         raise ConfigError("sweep needs at least one value")
     ok, csv_path = run_sweep(config, args.param, values)
@@ -94,6 +94,7 @@ DEFAULT_NORMS = (
 
 
 def _cmd_norms(args) -> int:
+    opts = diag.DiagnosticsOptions(eps=args.eps)
     state, params = load_snapshot(args.snapshot)
     names = (
         [n.strip() for n in args.norm.split(",") if n.strip()]
@@ -105,7 +106,6 @@ def _cmd_norms(args) -> int:
         raise ConfigError(
             [f"unknown norm name {n!r} (known: {', '.join(sorted(NORMS))})" for n in unknown]
         )
-    opts = diag.DiagnosticsOptions(eps=args.eps)
     print(f"t = {state.t:.6g}, n = {state.grid.n}, L = {state.grid.length:.6g}")
     width = max(len(n) for n in names)
     for name in names:
@@ -138,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_norms = sub.add_parser("norms", help="print norms of a snapshot file")
     p_norms.add_argument("snapshot")
     p_norms.add_argument("--norm", default=None, help="comma-separated norm names")
-    p_norms.add_argument("--eps", type=float, default=0.5,
+    p_norms.add_argument("--eps", type=float, default=diag.DiagnosticsOptions.eps,
                          help="regularity for the tau Besov norm")
     p_norms.set_defaults(fn=_cmd_norms)
     return parser

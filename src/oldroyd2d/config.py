@@ -18,6 +18,14 @@ Sections and keys (defaults in parentheses):
     [initial_tau] kind (zero), amplitude (1), band_lo (1), band_hi (8), seed
     [output]      dir (out), observe_every (0.1), snapshot_times ()
     [diagnostics] eps (0.5), hs (3), n_functional_m (10)
+
+Each section builds one spec type (`_SECTIONS`), whose constructor checks
+the values: among others `observe_every > 0`, `eps` in (0, 1),
+`n_functional_m > 0`, and `hs` holding finite exponents, one above 2 (the
+Beale-Kato-Majda check needs an H^s norm with s > 2). Random or single-mode
+initial data must fit under the grid's dealias cutoff. Overrides
+(`with_override`), `oldroyd2d sweep` values and `oldroyd2d norms --eps`
+pass the same conversions and checks as a config file.
 """
 
 from __future__ import annotations
@@ -25,6 +33,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import NamedTuple
 
 from .diagnostics import DiagnosticsOptions
 from .errors import ConfigError
@@ -41,6 +50,10 @@ class OutputSpec:
     directory: str = "out"
     observe_every: float = 0.1
     snapshot_times: tuple = ()
+
+    def __post_init__(self):
+        if not self.observe_every > 0.0:
+            raise ConfigError(f"observe_every must be > 0, got {self.observe_every}")
 
     def resolved_dir(self) -> Path:
         root = os.environ.get(OUTPUT_ROOT_ENV)
@@ -76,45 +89,58 @@ def _parse_float_list(raw: str) -> tuple:
     return tuple(float(part) for part in raw.split(","))
 
 
-_SCHEMA = {
-    "grid": {"n": int, "length": float},
-    "model": {
+class _Section(NamedTuple):
+    attr: str             # ExperimentConfig attribute
+    spec: type            # built from the section; its constructor checks the values
+    keys: dict            # config key -> converter from the raw string
+    fields: dict = {}     # config key -> spec field, where the names differ
+    defaults: dict = {}   # spec fields whose config default differs from the spec's
+
+    def field(self, key: str) -> str:
+        return self.fields.get(key, key)
+
+
+_SECTIONS = {
+    "grid": _Section("grid", Grid, {"n": int, "length": float}, defaults={"n": 128}),
+    "model": _Section("params", ModelParams, {
         "nu": float, "mu": float, "k": float, "alpha": float, "beta": float,
         "b": float, "q_enabled": _parse_bool, "variant": str,
-    },
-    "stepping": {
+    }, fields={"k": "K"}),
+    "stepping": _Section("step", StepConfig, {
         "scheme": str, "cfl": float, "dt_min": float, "dt_max": float, "t_end": float,
-    },
-    "initial": {
+    }),
+    "initial": _Section("initial", InitialSpec, {
         "kind": str, "amplitude": float, "band_lo": int, "band_hi": int,
         "seed": int, "delta": float, "snapshot": str,
-    },
-    "initial_tau": {
+    }),
+    "initial_tau": _Section("tau_initial", TauInitialSpec, {
         "kind": str, "amplitude": float, "band_lo": int, "band_hi": int, "seed": int,
-    },
-    "output": {
+    }),
+    "output": _Section("output", OutputSpec, {
         "dir": str, "observe_every": float, "snapshot_times": _parse_float_list,
-    },
-    "diagnostics": {"eps": float, "hs": _parse_float_list, "n_functional_m": float},
+    }, fields={"dir": "directory"}),
+    "diagnostics": _Section("diag", DiagnosticsOptions, {
+        "eps": float, "hs": _parse_float_list, "n_functional_m": float,
+    }),
 }
 
 
 def _scan(text: str):
-    """First pass: {section: {key: (value, lineno)}} plus syntax errors."""
+    """First pass: {section: {key: (raw value, lineno)}} plus syntax errors."""
     sections: dict[str, dict] = {}
     errors: list[str] = []
-    current = None
+    current = None  # name of the section being read; None outside a known one
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
         if stripped.startswith("[") and stripped.endswith("]"):
-            name = stripped[1:-1].strip()
-            if name not in _SCHEMA:
-                errors.append(f"line {lineno}: unknown section [{name}]")
-                current = None
+            current = stripped[1:-1].strip()
+            if current in _SECTIONS:
+                sections.setdefault(current, {})
             else:
-                current = sections.setdefault(name, {})
+                errors.append(f"line {lineno}: unknown section [{current}]")
+                current = None
             continue
         if "=" not in stripped:
             errors.append(f"line {lineno}: expected 'key = value', got {stripped!r}")
@@ -123,146 +149,100 @@ def _scan(text: str):
             errors.append(f"line {lineno}: key outside of a known section")
             continue
         key, raw = (part.strip() for part in stripped.split("=", 1))
-        section_name = next(n for n, d in sections.items() if d is current)
-        if key not in _SCHEMA[section_name]:
-            errors.append(f"line {lineno}: unknown key {key!r} in [{section_name}]")
+        entries = sections[current]
+        if key not in _SECTIONS[current].keys:
+            errors.append(f"line {lineno}: unknown key {key!r} in [{current}]")
             continue
-        if key in current:
+        if key in entries:
             errors.append(
-                f"line {lineno}: duplicate key {key!r} in [{section_name}] "
-                f"(first set on line {current[key][1]})"
+                f"line {lineno}: duplicate key {key!r} in [{current}] "
+                f"(first set on line {entries[key][1]})"
             )
             continue
-        current[key] = (raw, lineno)
+        entries[key] = (raw, lineno)
     return sections, errors
 
 
-def _convert(sections, errors) -> dict[str, dict]:
-    """Second pass: typed values, remembering line numbers per key."""
-    out: dict[str, dict] = {}
-    lines: dict[tuple[str, str], int] = {}
-    for section, entries in sections.items():
-        values = {}
-        for key, (raw, lineno) in entries.items():
-            conv = _SCHEMA[section][key]
-            try:
-                values[key] = conv(raw)
-            except ValueError as exc:
-                errors.append(f"line {lineno}: bad value for {key!r}: {exc}")
-                continue
-            lines[(section, key)] = lineno
-        out[section] = values
-    out["__lines__"] = lines
-    return out
-
-
-def _build(cls, section: str, values: dict, rename: dict, lines, errors):
-    kwargs = {rename.get(k, k): v for k, v in values.items()}
+def _build(name: str, entries: dict, errors: list):
+    """Second pass: the section's spec from its entries, or None on an error."""
+    section = _SECTIONS[name]
+    kwargs = dict(section.defaults)
+    for key, (raw, lineno) in entries.items():
+        try:
+            kwargs[section.field(key)] = section.keys[key](raw)
+        except ValueError as exc:
+            errors.append(f"line {lineno}: bad value for {key!r}: {exc}")
     try:
-        return cls(**kwargs)
+        return section.spec(**kwargs)
     except ConfigError as exc:
-        # attribute the constraint violation to the section's first listed line
-        linenos = sorted(l for (sec, _), l in lines.items() if sec == section)
-        where = f"line {linenos[0]}" if linenos else f"section [{section}]"
-        errors.append(f"{where}: {exc.messages[0]}")
+        # the line of the key the message starts with, else the section's first
+        message = exc.messages[0]
+        named = [lineno for key, (_, lineno) in entries.items()
+                 if section.field(key) == message.split()[0]]
+        linenos = named or [lineno for _, lineno in entries.values()]
+        where = f"line {linenos[0]}" if linenos else f"section [{name}]"
+        errors.append(f"{where}: {message}")
         return None
+
+
+def _band_errors(config: ExperimentConfig) -> list[tuple[str, str]]:
+    """(section, message) for initial data the grid's dealias cutoff would cut."""
+    grid = config.grid
+    errors = []
+    for name, what, spec in (("initial", "initial", config.initial),
+                             ("initial_tau", "tau", config.tau_initial)):
+        need = {"random_band_limited": spec.band_hi, "single_mode": spec.band_lo}.get(spec.kind)
+        if need is not None and need > grid.dealias_cutoff:
+            errors.append((name, f"{what} band exceeds dealias cutoff "
+                                 f"{grid.dealias_cutoff} at n={grid.n}"))
+    return errors
 
 
 def parse_config(text: str) -> ExperimentConfig:
     sections, errors = _scan(text)
-    values = _convert(sections, errors)
-    lines = values.pop("__lines__")
-
-    def line_of(section, key, default=None):
-        return lines.get((section, key), default)
-
-    grid_vals = {"n": 128, **values.get("grid", {})}
-    grid = _build(Grid, "grid", grid_vals, {}, lines, errors)
-    params = _build(ModelParams, "model", values.get("model", {}), {"k": "K"}, lines, errors)
-    step = _build(StepConfig, "stepping", values.get("stepping", {}), {}, lines, errors)
-    initial = _build(InitialSpec, "initial", values.get("initial", {}), {}, lines, errors)
-    tau_initial = _build(
-        TauInitialSpec, "initial_tau", values.get("initial_tau", {}), {}, lines, errors
-    )
-    output_vals = values.get("output", {})
-    output = OutputSpec(
-        directory=output_vals.get("dir", "out"),
-        observe_every=output_vals.get("observe_every", 0.1),
-        snapshot_times=tuple(output_vals.get("snapshot_times", ())),
-    )
-    if output.observe_every <= 0:
-        errors.append(
-            f"line {line_of('output', 'observe_every', '?')}: observe_every must be > 0"
-        )
-    diag_vals = values.get("diagnostics", {})
-    diag = DiagnosticsOptions(
-        eps=diag_vals.get("eps", 0.5),
-        hs=tuple(diag_vals.get("hs", (3.0,))),
-        n_functional_m=diag_vals.get("n_functional_m", 10.0),
-    )
-    if not (0.0 < diag.eps < 1.0):
-        errors.append(f"line {line_of('diagnostics', 'eps', '?')}: eps must lie in (0, 1)")
-
-    def band_needed(spec):
-        if spec.kind == "random_band_limited":
-            return spec.band_hi
-        if spec.kind == "single_mode":
-            return spec.band_lo
-        return None
-
-    if not errors and initial is not None and grid is not None:
-        need = band_needed(initial)
-        if need is not None and need > grid.dealias_cutoff:
-            errors.append(
-                f"line {line_of('initial', 'band_hi', '?')}: initial band exceeds "
-                f"dealias cutoff {grid.dealias_cutoff} at n={grid.n}"
-            )
-        if tau_initial is not None:
-            need = band_needed(tau_initial)
-            if need is not None and need > grid.dealias_cutoff:
-                errors.append(
-                    f"line {line_of('initial_tau', 'band_hi', '?')}: tau band exceeds "
-                    f"dealias cutoff {grid.dealias_cutoff} at n={grid.n}"
-                )
-
+    specs = {section.attr: _build(name, sections.get(name, {}), errors)
+             for name, section in _SECTIONS.items()}
+    if not errors:
+        config = ExperimentConfig(**specs)
+        for name, message in _band_errors(config):
+            lineno = sections.get(name, {}).get("band_hi", (None, "?"))[1]
+            errors.append(f"line {lineno}: {message}")
     if errors:
         raise ConfigError(errors)
-    return ExperimentConfig(
-        grid=grid, params=params, step=step, initial=initial,
-        tau_initial=tau_initial, output=output, diag=diag,
-    )
+    return config
 
 
 def load_config(path) -> ExperimentConfig:
     return parse_config(Path(path).read_text(encoding="utf-8"))
 
 
-_OVERRIDE_SECTIONS = {
-    "grid": "grid",
-    "model": "params",
-    "stepping": "step",
-    "initial": "initial",
-    "initial_tau": "tau_initial",
-    "output": "output",
-    "diagnostics": "diag",
-}
+def _target(name: str) -> tuple[_Section, str]:
+    section, _, key = name.partition(".")
+    if section not in _SECTIONS or key not in _SECTIONS[section].keys:
+        raise ConfigError(f"unknown override target {name!r} (expected section.key)")
+    return _SECTIONS[section], key
 
 
 def with_override(config: ExperimentConfig, name: str, value) -> ExperimentConfig:
-    """Return a copy of the config with `section.key` replaced.
+    """Return a copy of the config with `section.key` set to `value`.
 
-    Used by parameter sweeps; `value` is converted with the schema type.
+    A string value is converted by the key's converter, as in a config file,
+    and the new config passes the file's checks; ConfigError otherwise.
     """
-    if "." not in name:
-        raise ConfigError(f"override {name!r} must look like section.key")
-    section, key = name.split(".", 1)
-    if section not in _OVERRIDE_SECTIONS or key not in _SCHEMA.get(section, {}):
-        raise ConfigError(f"unknown override target {name!r}")
-    conv = _SCHEMA[section][key]
-    typed = conv(value) if isinstance(value, str) else value
-    attr = _OVERRIDE_SECTIONS[section]
-    field_name = {"k": "K"}.get(key, key) if section == "model" else key
-    if section == "output" and key == "dir":
-        field_name = "directory"
-    target = getattr(config, attr)
-    return replace(config, **{attr: replace(target, **{field_name: typed})})
+    section, key = _target(name)
+    try:
+        typed = section.keys[key](value) if isinstance(value, str) else value
+        spec = replace(getattr(config, section.attr), **{section.field(key): typed})
+        new = replace(config, **{section.attr: spec})
+        band = _band_errors(new)
+        if band:
+            raise ConfigError([message for _, message in band])
+    except ValueError as exc:  # from a converter, a spec or the band check
+        raise ConfigError(f"{name} = {value!r}: {exc}") from None
+    return new
+
+
+def override_value(config: ExperimentConfig, name: str):
+    """The value that `section.key` holds in the config."""
+    section, key = _target(name)
+    return getattr(getattr(config, section.attr), section.field(key))

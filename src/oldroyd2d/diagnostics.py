@@ -18,6 +18,7 @@ import numpy as np
 
 from . import besov
 from . import operators as ops
+from .errors import ConfigError
 from .fields import ScalarField, SymTensorField, VectorField, frobenius_inner, scalar_inner
 from .model import (
     ModelParams,
@@ -202,6 +203,14 @@ class DiagnosticsOptions:
     eps: float = 0.5                  # regularity of the tau Besov ledger norm
     hs: tuple = (3.0,)                # Sobolev exponents recorded for (u, tau)
     n_functional_m: float = 10.0
+
+    def __post_init__(self):
+        if not 0.0 < self.eps < 1.0:
+            raise ConfigError(f"eps must lie in (0, 1), got {self.eps}")
+        if not self.n_functional_m > 0.0:
+            raise ConfigError(f"n_functional_m must be > 0, got {self.n_functional_m}")
+        if not (all(map(math.isfinite, self.hs)) and any(s > 2.0 for s in self.hs)):
+            raise ConfigError(f"hs must hold finite exponents, one above 2, got {self.hs}")
 
 
 @dataclass

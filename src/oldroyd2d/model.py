@@ -207,7 +207,6 @@ def rhs(state: SimState, params: ModelParams, forcing: Forcing | None = None) ->
 
     if params.variant == "stokes_toy":
         omega_explicit = ScalarField.zeros(grid)
-        omega_stiff = ScalarField.zeros(grid)
     else:
         adv_omega = ops.advect(u, state.omega)
         omega_coeffs = -adv_omega.coeffs
@@ -215,7 +214,6 @@ def rhs(state: SimState, params: ModelParams, forcing: Forcing | None = None) ->
             omega_coeffs = omega_coeffs + params.K * ops.curl_div(tau).coeffs
         omega_coeffs[0, 0] = 0.0
         omega_explicit = ScalarField(grid, omega_coeffs)
-        omega_stiff = ScalarField(grid, -params.nu * grid.ksq * state.omega.coeffs)
 
     adv_tau = ops.advect_tensor(u, tau)
     tau_explicit = -1.0 * adv_tau
@@ -224,7 +222,9 @@ def rhs(state: SimState, params: ModelParams, forcing: Forcing | None = None) ->
     if params.q_enabled:
         tau_explicit = tau_explicit + q_form(state.grad_u, tau, params.b)
 
-    sym_tau = -(params.beta + params.mu * grid.ksq)
+    sym_omega, sym_tau = stiff_symbols(grid, params)
+    omega_stiff = (ScalarField.zeros(grid) if params.variant == "stokes_toy"
+                   else ScalarField(grid, sym_omega * state.omega.coeffs))
     tau_stiff = tau.map(lambda c: ScalarField(grid, sym_tau * c.coeffs))
 
     if forcing is not None:

@@ -16,8 +16,10 @@ import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
+import numpy as np
+
 from . import diagnostics as diag
-from .config import ExperimentConfig, with_override
+from .config import ExperimentConfig, override_value, with_override
 from .errors import IntegrationError
 from .initial_data import make_initial_data
 from .model import rhs
@@ -142,7 +144,10 @@ def run(config: ExperimentConfig) -> RunResult:
                               config.params)
 
     path = out_dir / DIAGNOSTICS_FILE
-    with open(path, "w", encoding="utf-8") as stream:
+    # A blow-up is reported by the failure line and the nonfinite keys, not
+    # by numpy's overflow warnings.
+    with open(path, "w", encoding="utf-8") as stream, \
+            np.errstate(over="ignore", invalid="ignore"):
         obs = _Observer(config, out_dir, stream)
         try:
             integrate(
@@ -168,8 +173,11 @@ SWEEP_FILE = "sweep.csv"
 def sweep(config: ExperimentConfig, param: str, values) -> tuple[bool, Path]:
     """Run the experiment once per parameter value; emit a CSV of summaries.
 
-    Individual run failures are recorded and the sweep continues.
+    Every member's config is built first, so an invalid value raises
+    ConfigError before anything runs. Individual run failures are recorded
+    and the sweep continues.
     """
+    members = [with_override(config, param, value) for value in values]
     base_dir = config.output.resolved_dir()
     base_dir.mkdir(parents=True, exist_ok=True)
     csv_path = base_dir / SWEEP_FILE
@@ -180,21 +188,22 @@ def sweep(config: ExperimentConfig, param: str, values) -> tuple[bool, Path]:
             ["value", "status", "final_n_value", "decay_rate", "decay_r2",
              "max_gamma_b0inf1", "lambda_theory"]
         )
-        for value in values:
-            sub = with_override(config, param, value)
-            slug = f"{param.replace('.', '_')}_{value:g}"
+        for sub in members:
+            value = override_value(sub, param)
+            label = f"{value:g}" if isinstance(value, float) else str(value)
+            slug = f"{param.replace('.', '_')}_{label}"
             sub = replace(
                 sub, output=replace(sub.output, directory=str(base_dir / slug))
             )
             result = run(sub)
             if not result.ok:
                 all_ok = False
-                writer.writerow([f"{value:g}", "failed", "", "", "", "", ""])
+                writer.writerow([label, "failed", "", "", "", "", ""])
                 continue
             s = result.summary
             fit = s.get("decay_grad_u_l2") or {}
             writer.writerow([
-                f"{value:g}", "ok",
+                label, "ok",
                 _fmt(s.get("final_n_value")),
                 _fmt(fit.get("rate")),
                 _fmt(fit.get("r_squared")),

@@ -8,11 +8,14 @@ n^2 each. q_code encodes the variant: 0 = q_zero, 1 = full with Q on,
 
 Physical space is stored for portability; the spectral cache is rebuilt on
 load, and the loaded physical arrays are kept verbatim so that
-save(load(path)) reproduces the file byte for byte.
+save(load(path)) reproduces the file byte for byte. A file is outside
+input: a header that Grid or ModelParams rejects, a non-finite value or a
+vorticity with nonzero mean raises SnapshotError naming the file.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -80,9 +83,8 @@ def load_snapshot(path) -> tuple[SimState, ModelParams]:
         raise SnapshotError(f"snapshot {path} is truncated")
     if data[: len(MAGIC)] != MAGIC:
         raise SnapshotError(f"bad magic in {path}")
-    version, n, length, t, nu, mu, K, alpha, beta, b, q_code = _HEADER.unpack_from(
-        data, len(MAGIC)
-    )
+    version, n, *header = _HEADER.unpack_from(data, len(MAGIC))
+    length, t, nu, mu, K, alpha, beta, b, q_code = header
     if version != VERSION:
         raise SnapshotError(f"unsupported snapshot version {version}")
     expected = len(MAGIC) + _HEADER.size + 4 * n * n * 8
@@ -90,14 +92,16 @@ def load_snapshot(path) -> tuple[SimState, ModelParams]:
         raise SnapshotError(
             f"snapshot {path} has {len(data)} bytes, expected {expected}"
         )
-    grid = Grid(n=n, length=length)
-    offset = len(MAGIC) + _HEADER.size
-    fields = []
-    for _ in range(4):
-        arr = np.frombuffer(data, dtype="<f8", count=n * n, offset=offset).reshape(n, n)
-        fields.append(_scalar_from_exact_physical(grid, arr))
-        offset += n * n * 8
-    params = _params_from_code(q_code, nu, mu, K, alpha, beta, b)
-    omega, t11, t12, t22 = fields
-    state = SimState(t=t, omega=omega, tau=SymTensorField(t11, t12, t22))
+    arrays = np.frombuffer(data, dtype="<f8", offset=len(MAGIC) + _HEADER.size)
+    if not (all(map(math.isfinite, header)) and np.isfinite(arrays).all()):
+        raise SnapshotError(f"snapshot {path} holds a non-finite value")
+    try:  # the grid, the parameters and the state check what the header holds
+        grid = Grid(n=n, length=length)
+        params = _params_from_code(q_code, nu, mu, K, alpha, beta, b)
+        omega, t11, t12, t22 = (
+            _scalar_from_exact_physical(grid, arr) for arr in arrays.reshape(4, n, n)
+        )
+        state = SimState(t=t, omega=omega, tau=SymTensorField(t11, t12, t22))
+    except ValueError as exc:  # ConfigError included
+        raise SnapshotError(f"snapshot {path}: {exc}") from None
     return state, params

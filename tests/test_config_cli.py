@@ -2,6 +2,7 @@
 
 import json
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -350,3 +351,119 @@ class TestMutationSensitivity:
 
     def test_unpatched_passes(self):
         assert checks.check_cancellation(quick=True).passed
+
+
+class TestValueRules:
+    """One set of rules for config files, overrides, sweep values and the CLI."""
+
+    # (target, rejected value, accepted value)
+    BAD_VALUES = [
+        ("output.observe_every", "0", "0.1"),
+        ("output.observe_every", "-1", "0.1"),
+        ("diagnostics.eps", "1.5", "0.4"),
+        ("diagnostics.eps", "5", "0.4"),
+        ("diagnostics.eps", "0", "0.4"),
+        ("diagnostics.n_functional_m", "0", "10"),
+        ("diagnostics.hs", "1", "3"),
+        ("diagnostics.hs", "2", "3"),
+        ("diagnostics.hs", "inf", "3"),
+    ]
+
+    @pytest.mark.parametrize("target, bad, good", BAD_VALUES)
+    def test_bad_value_rejected_everywhere(self, tmp_path, capsys, target, bad, good):
+        section, key = target.split(".")
+        text = MINIMAL.format(out=tmp_path / "p") + f"\n[{section}]\n{key} = {bad}\n"
+        with pytest.raises(ConfigError) as exc:
+            parse_config(text)
+        assert exc.value.messages[0].startswith(f"line {len(text.splitlines())}: ")
+
+        cfg = parse_config(SMALL_RUN.format(out=tmp_path / "sw"))
+        assert with_override(cfg, target, good) is not None
+        with pytest.raises(ConfigError):
+            with_override(cfg, target, bad)
+
+        path = tmp_path / "sweep.cfg"
+        path.write_text(SMALL_RUN.format(out=tmp_path / "sw"))
+        argv = ["sweep", str(path), "--param", target, "--values", f"{good},{bad}"]
+        assert cli.main(argv) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "sw").exists()
+
+    def test_empty_hs_rejected(self, tmp_path):
+        text = MINIMAL.format(out=tmp_path) + "\n[diagnostics]\nhs =\n"
+        with pytest.raises(ConfigError, match=f"line {len(text.splitlines())}: hs"):
+            parse_config(text)
+        with pytest.raises(ConfigError):
+            with_override(parse_config(MINIMAL.format(out=tmp_path)), "diagnostics.hs", "")
+
+    def test_override_converts_by_key_type(self, tmp_path):
+        cfg = parse_config(MINIMAL.format(out=tmp_path))
+        assert with_override(cfg, "grid.n", "32").grid.n == 32
+        assert with_override(cfg, "initial.seed", "3").initial.seed == 3
+        assert with_override(cfg, "stepping.scheme", "IFRK2").step.scheme == "ifrk2"
+        assert with_override(cfg, "model.q_enabled", "off").params.q_enabled is False
+        assert with_override(cfg, "model.k", "2").params.K == 2.0
+        assert with_override(cfg, "output.dir", "x").output.directory == "x"
+        assert with_override(cfg, "diagnostics.hs", "2.5").diag.hs == (2.5,)
+        for target, value in (("grid.n", "pony"), ("grid.n", "7"), ("model.mu", "-1"),
+                              ("stepping.scheme", "euler"), ("grid", "32")):
+            with pytest.raises(ConfigError):
+                with_override(cfg, target, value)
+
+    def test_override_checks_band_against_grid(self, tmp_path):
+        cfg = parse_config(SMALL_RUN.format(out=tmp_path))
+        with pytest.raises(ConfigError, match="cutoff"):
+            with_override(cfg, "grid.n", "8")
+
+    @pytest.mark.parametrize("target, value, slug", [
+        ("grid.n", "16", "grid_n_16"),
+        ("initial.seed", "3", "initial_seed_3"),
+        ("stepping.scheme", "ifrk4", "stepping_scheme_ifrk4"),
+    ])
+    def test_cli_sweep_over_non_float_keys(self, tmp_path, target, value, slug):
+        path = tmp_path / "sweep.cfg"
+        path.write_text(SMALL_RUN.format(out=tmp_path / "sw"))
+        assert cli.main(["sweep", str(path), "--param", target, "--values", value]) == 0
+        rows = (tmp_path / "sw" / "sweep.csv").read_text().strip().splitlines()
+        assert rows[1].startswith(f"{value},ok,")
+        assert "summary" in read_ndjson(tmp_path / "sw" / slug / "diagnostics.ndjson")[-1]
+
+    def test_float_sweep_keeps_names_and_csv_values(self, tmp_path):
+        path = tmp_path / "sweep.cfg"
+        path.write_text(SMALL_RUN.format(out=tmp_path / "cli"))
+        assert cli.main(["sweep", str(path), "--param", "initial.delta",
+                         "--values", "0.02, 1e-1"]) == 0
+        cfg = parse_config(SMALL_RUN.format(out=tmp_path / "api"))
+        assert sweep(cfg, "initial.delta", [0.02, 0.1])[0]
+        for sub in ("cli", "api"):
+            out = tmp_path / sub
+            assert sorted(p.name for p in out.iterdir() if p.is_dir()) == [
+                "initial_delta_0.02", "initial_delta_0.1"]
+            rows = (out / "sweep.csv").read_text().strip().splitlines()
+            assert [row.split(",")[0] for row in rows] == ["value", "0.02", "0.1"]
+        assert ((tmp_path / "cli" / "initial_delta_0.1" / "diagnostics.ndjson").read_bytes()
+                == (tmp_path / "api" / "initial_delta_0.1" / "diagnostics.ndjson").read_bytes())
+
+    @pytest.mark.parametrize("eps", ["1.5", "5", "0"])
+    def test_norms_rejects_eps_outside_unit_interval(self, tmp_path, capsys, eps):
+        from oldroyd2d.grid import Grid
+        from oldroyd2d.initial_data import random_state
+        from oldroyd2d.model import ModelParams
+        from oldroyd2d.snapshots import save_snapshot
+
+        snap = tmp_path / "state.bin"
+        save_snapshot(random_state(Grid(16), (1, 4), [0]), ModelParams(), snap)
+        assert cli.main(["norms", str(snap), "--eps", eps]) == 2
+        assert "eps must lie in (0, 1)" in capsys.readouterr().err
+        assert cli.main(["norms", str(snap), "--eps", "0.25", "--norm", "tau_bepsinf1"]) == 0
+
+
+class TestBlowupQuiet:
+    def test_blowup_emits_no_runtime_warning(self, tmp_path, capsys):
+        path = tmp_path / "blowup.cfg"
+        path.write_text(BLOWUP.format(out=tmp_path / "blowup"))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(["run", str(path)]) == 1
+        assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        assert capsys.readouterr().err.startswith("run failed: integration failed at t=2")

@@ -15,7 +15,7 @@ from oldroyd2d.initial_data import (
     taylor_green_vorticity,
 )
 from oldroyd2d.model import ModelParams
-from oldroyd2d.snapshots import MAGIC, load_snapshot, save_snapshot
+from oldroyd2d.snapshots import _HEADER, MAGIC, load_snapshot, save_snapshot
 
 from conftest import rand_state
 
@@ -161,3 +161,48 @@ class TestSnapshots:
         spec = InitialSpec(kind="from_snapshot", snapshot=str(path))
         loaded = make_initial_data(spec, TAU_ZERO, grid32)
         assert np.array_equal(loaded.omega.physical, state.omega.physical)
+
+
+class TestMalformedSnapshots:
+    """Outside input the loader must refuse with SnapshotError naming the file."""
+
+    @staticmethod
+    def _crafted(tmp_path, name, n=16, poke=None):
+        values = np.zeros(4 * n * n)
+        if poke is not None:
+            values[n * n + 5] = poke  # one tau11 value
+        path = tmp_path / name
+        path.write_bytes(MAGIC + _HEADER.pack(1, n, 2 * np.pi, 0.0, 0.0, 1.0, 1.0, 1.0,
+                                              0.0, 0.0, 1.0)
+                         + values.astype("<f8").tobytes())
+        return path
+
+    @pytest.mark.parametrize("name, n, poke, match", [
+        ("odd_n.bin", 7, None, "even"),
+        ("nan.bin", 16, np.nan, "non-finite"),
+        ("inf.bin", 16, np.inf, "non-finite"),
+    ])
+    def test_rejected_with_snapshot_error(self, tmp_path, capsys, name, n, poke, match):
+        from oldroyd2d import cli
+
+        path = self._crafted(tmp_path, name, n, poke)
+        with pytest.raises(SnapshotError, match=match) as exc:
+            load_snapshot(path)
+        assert name in str(exc.value)
+        assert cli.main(["norms", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: snapshot {path}")
+
+    def test_crafted_finite_file_loads(self, tmp_path):
+        state, params = load_snapshot(self._crafted(tmp_path, "ok.bin"))
+        assert state.grid.n == 16 and params.variant == "full"
+
+    def test_nonzero_mean_vorticity_rejected(self, tmp_path, grid16):
+        path = tmp_path / "mean.bin"
+        save_snapshot(rand_state(grid16, 28, band=(1, 4)), ModelParams(), path)
+        data = bytearray(path.read_bytes())
+        start = len(MAGIC) + _HEADER.size
+        omega = np.frombuffer(bytes(data[start:start + 16 * 16 * 8]), dtype="<f8") + 1.0
+        data[start:start + 16 * 16 * 8] = omega.tobytes()
+        path.write_bytes(bytes(data))
+        with pytest.raises(SnapshotError, match="zero mean"):
+            load_snapshot(path)
