@@ -4,7 +4,7 @@ monitors."""
 
 from .fields import ScalarField, SymTensorField, VectorField
 from .grid import Grid
-from .model import ModelParams, SimState, StateDerivative, make_state
+from .model import ModelParams, SimState, make_state
 from .stepping import StepConfig
 
 __all__ = [
@@ -14,7 +14,6 @@ __all__ = [
     "SymTensorField",
     "ModelParams",
     "SimState",
-    "StateDerivative",
     "make_state",
     "StepConfig",
 ]

@@ -25,11 +25,13 @@ the values: among others `observe_every > 0`, `eps` in (0, 1),
 Beale-Kato-Majda check needs an H^s norm with s > 2). Random or single-mode
 initial data must fit under the grid's dealias cutoff. Overrides
 (`with_override`), `oldroyd2d sweep` values and `oldroyd2d norms --eps`
-pass the same conversions and checks as a config file.
+pass the same conversions and checks as a config file; a non-string
+override value must have the key's type.
 """
 
 from __future__ import annotations
 
+import numbers
 import os
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -123,6 +125,27 @@ _SECTIONS = {
         "eps": float, "hs": _parse_float_list, "n_functional_m": float,
     }),
 }
+
+
+# What a non-string override value must be, by the key's converter
+_VALUE_TYPES = {
+    int: (numbers.Integral, "an integer"),
+    float: (numbers.Real, "a real number"),
+    str: (str, "a string"),
+    _parse_bool: (bool, "a boolean"),
+    _parse_float_list: (tuple, "a tuple"),
+}
+
+
+def _typed(convert, value):
+    """The value a key holds: a string converted as in a config file, or a
+    value of the key's type (an int counts as a real number)."""
+    if isinstance(value, str):
+        return convert(value)
+    kind, what = _VALUE_TYPES[convert]
+    if not isinstance(value, kind) or isinstance(value, bool) != (convert is _parse_bool):
+        raise ValueError(f"expected {what}, got {type(value).__name__}")
+    return convert(value) if convert in (int, float) else value
 
 
 def _scan(text: str):
@@ -226,12 +249,13 @@ def _target(name: str) -> tuple[_Section, str]:
 def with_override(config: ExperimentConfig, name: str, value) -> ExperimentConfig:
     """Return a copy of the config with `section.key` set to `value`.
 
-    A string value is converted by the key's converter, as in a config file,
-    and the new config passes the file's checks; ConfigError otherwise.
+    A string value is converted by the key's converter, as in a config file;
+    any other value must have the key's type (a float for an integer key is
+    rejected). The new config passes the file's checks; ConfigError otherwise.
     """
     section, key = _target(name)
     try:
-        typed = section.keys[key](value) if isinstance(value, str) else value
+        typed = _typed(section.keys[key], value)
         spec = replace(getattr(config, section.attr), **{section.field(key): typed})
         new = replace(config, **{section.attr: spec})
         band = _band_errors(new)

@@ -23,14 +23,15 @@ from .fields import ScalarField, SymTensorField, VectorField, frobenius_inner, s
 from .model import (
     ModelParams,
     SimState,
-    StateDerivative,
     gamma_interior,
     commutator_r_advect,
     gamma_of,
-    rhs,
+    time_derivative,
 )
 
 _TINY = 1e-30
+
+Derivative = tuple[ScalarField, SymTensorField]  # d/dt (omega, tau), from time_derivative
 
 
 def _grad_sq(f: ScalarField) -> float:
@@ -90,14 +91,14 @@ def n_functional(state: SimState, params: ModelParams, M: float,
 
 
 def energy_identity_residual(state: SimState, params: ModelParams,
-                             deriv: StateDerivative | None = None) -> float:
+                             deriv: Derivative | None = None) -> float:
     """Relative residual of d/dt E + mu K ||grad tau||^2 + beta K ||tau||^2
-    + nu alpha ||grad u||^2 = 0, with d/dt E assembled from the rhs."""
+    + nu alpha ||grad u||^2 = 0, with d/dt E from time_derivative."""
     if not params.energy_law:
         raise ValueError("energy identity requires Q disabled and no Stokes toy")
-    d = deriv if deriv is not None else rhs(state, params)
-    de = params.alpha * velocity_inner_from_vorticity(state.omega, d.omega_full) \
-        + params.K * frobenius_inner(state.tau, d.tau_full)
+    d_omega, d_tau = deriv if deriv is not None else time_derivative(state, params)
+    de = params.alpha * velocity_inner_from_vorticity(state.omega, d_omega) \
+        + params.K * frobenius_inner(state.tau, d_tau)
     dissipation = (
         params.mu * params.K * tensor_grad_sq(state.tau)
         + params.beta * params.K * state.tau.l2() ** 2
@@ -115,27 +116,27 @@ class EnstrophyBalance(NamedTuple):
 
 
 def enstrophy_balance(state: SimState, params: ModelParams,
-                      deriv: StateDerivative | None = None) -> EnstrophyBalance:
+                      deriv: Derivative | None = None) -> EnstrophyBalance:
     if not params.energy_law:
         raise ValueError("enstrophy balance requires Q disabled and no Stokes toy")
-    d = deriv if deriv is not None else rhs(state, params)
-    d_grad_u_sq = 2.0 * scalar_inner(state.omega, d.omega_full)
+    d_omega, d_tau = deriv if deriv is not None else time_derivative(state, params)
+    d_grad_u_sq = 2.0 * scalar_inner(state.omega, d_omega)
     lap_tau = state.tau.map(ops.laplacian)
-    d_grad_tau_sq = -2.0 * frobenius_inner(lap_tau, d.tau_full)
+    d_grad_tau_sq = -2.0 * frobenius_inner(lap_tau, d_tau)
     lhs = d_grad_u_sq + d_grad_tau_sq + 0.5 * tensor_lap_sq(state.tau)
     return EnstrophyBalance(lhs=lhs, majorant=_grad_u_sq(state.u) * tensor_grad_sq(state.tau))
 
 
 def gamma_residual(state: SimState, params: ModelParams,
-                   deriv: StateDerivative | None = None,
+                   deriv: Derivative | None = None,
                    gamma: ScalarField | None = None,
                    interior: ScalarField | None = None) -> float:
-    """Relative L2 mismatch between d/dt Gamma assembled from the rhs and the
+    """Relative L2 mismatch between d/dt Gamma from time_derivative and the
     transformed-equation prediction. Requires nu = 0 and no Stokes toy."""
     if not params.gamma_law:
         raise ValueError("Gamma residual requires nu = 0 and no Stokes toy")
-    d = deriv if deriv is not None else rhs(state, params)
-    dgamma = params.mu * d.omega_full - params.K * ops.riesz_r(d.tau_full)
+    d_omega, d_tau = deriv if deriv is not None else time_derivative(state, params)
+    dgamma = params.mu * d_omega - params.K * ops.riesz_r(d_tau)
     gamma = gamma if gamma is not None else gamma_of(state, params)
     adv = ops.advect(state.u, gamma)
     interior = interior if interior is not None else gamma_interior(state, params)
@@ -257,14 +258,14 @@ def grad_u_l2(state: SimState) -> float:
 def compute_record(state: SimState, params: ModelParams,
                    opts: DiagnosticsOptions = DiagnosticsOptions(),
                    bkm_accum: float = 0.0,
-                   deriv: StateDerivative | None = None) -> DiagnosticsRecord:
-    """One observation; rhs (only where a residual is defined), Gamma, the
-    commutator and the Gamma interior terms are each evaluated once."""
+                   deriv: Derivative | None = None) -> DiagnosticsRecord:
+    """One observation; time_derivative (only where a residual is defined),
+    Gamma, the commutator and the Gamma interior terms are each evaluated once."""
     g = state.grad_u
     gamma = gamma_of(state, params)
     commutator = commutator_r_advect(state.u, state.tau)
     if deriv is None and (params.energy_law or params.gamma_law):
-        deriv = rhs(state, params)
+        deriv = time_derivative(state, params)
 
     grad_mag = np.sqrt(
         sum(besov.refined_physical(c) ** 2 for c in (g.g11, g.g12, g.g21, g.g22))

@@ -43,10 +43,6 @@ class ScalarField:
         return cls(grid, np.fft.fft2(values, norm="forward"))
 
     @classmethod
-    def from_coeffs(cls, grid: Grid, coeffs: np.ndarray) -> "ScalarField":
-        return cls(grid, np.ascontiguousarray(coeffs, dtype=np.complex128))
-
-    @classmethod
     def zeros(cls, grid: Grid) -> "ScalarField":
         return cls(grid, np.zeros((grid.n, grid.n), dtype=np.complex128))
 

@@ -1,6 +1,7 @@
-"""Oldroyd-type model: parameters, state, right-hand sides in vorticity form,
-the bilinear form Q, the transformed variable Gamma and its evolution
-equation, and the Stokes toy variant.
+"""Oldroyd-type model: parameters, state, the right-hand side in vorticity form
+(an explicit tendency plus a stiff symbol diagonal in Fourier), the bilinear
+form Q, the transformed variable Gamma and its evolution equation, and the
+Stokes toy variant.
 
 The system integrated is
 
@@ -123,31 +124,26 @@ def make_state(t: float, omega: ScalarField, tau: SymTensorField,
     return SimState(t=t, omega=omega, tau=tau)
 
 
-@dataclass(frozen=True)
-class StateDerivative:
-    """RHS split into a stiff part (diagonal in Fourier) and the remainder.
+def stack(omega: ScalarField, tau: SymTensorField) -> np.ndarray:
+    """The (4, n, n) coefficient stack (omega, tau11, tau12, tau22)."""
+    return np.stack([omega.coeffs] + [c.coeffs for c in tau.components])
 
-    full = explicit + stiff, where stiff is nu*Laplace(omega) for the
-    vorticity and mu*Laplace(tau) - beta*tau for the stress.
+
+def unstack(grid: Grid, y: np.ndarray) -> tuple[ScalarField, SymTensorField]:
+    """(omega, tau) as views of the rows of a coefficient stack."""
+    return ScalarField(grid, y[0]), SymTensorField(*(ScalarField(grid, c) for c in y[1:]))
+
+
+def linear_symbol(grid: Grid, params: ModelParams) -> np.ndarray:
+    """Stiff part of d/dt of the stack, diagonal in Fourier, as (4, n, n).
+
+    -nu |k|^2 for omega and -beta - mu |k|^2 for each tau component. The
+    vorticity row is 0 for the Stokes toy, whose omega is diagnosed from tau.
     """
-
-    omega_explicit: ScalarField
-    tau_explicit: SymTensorField
-    omega_stiff: ScalarField
-    tau_stiff: SymTensorField
-
-    @property
-    def omega_full(self) -> ScalarField:
-        return self.omega_explicit + self.omega_stiff
-
-    @property
-    def tau_full(self) -> SymTensorField:
-        return self.tau_explicit + self.tau_stiff
-
-
-def stiff_symbols(grid: Grid, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
-    """Per-mode linear coefficients (-nu |k|^2, -beta - mu |k|^2)."""
-    return -params.nu * grid.ksq, -(params.beta + params.mu * grid.ksq)
+    sym = np.empty((4, grid.n, grid.n))
+    sym[0] = 0.0 if params.variant == "stokes_toy" else -params.nu * grid.ksq
+    sym[1:] = -(params.beta + params.mu * grid.ksq)
+    return sym
 
 
 def q_form(grad_u: ops.VelocityGradient, tau: SymTensorField, b: float) -> SymTensorField:
@@ -191,15 +187,16 @@ def stokes_toy_velocity(tau: SymTensorField) -> VectorField:
     return ops.leray_project(unprojected)
 
 
-Forcing = tuple[ScalarField, SymTensorField]
+def rhs(state: SimState, params: ModelParams,
+        forcing: np.ndarray | None = None) -> np.ndarray:
+    """Explicit tendency of (omega, tau11, tau12, tau22) as one (4, n, n) stack.
 
-
-def rhs(state: SimState, params: ModelParams, forcing: Forcing | None = None) -> StateDerivative:
-    """Assemble the split right-hand side at the given state.
-
-    Every quadratic product is dealiased. For the Stokes toy variant the
-    vorticity equation is dropped (d omega = 0) and the advecting velocity
-    is state.u, which make_state keeps consistent with tau.
+    This is d/dt of the state without the stiff part linear_symbol * stack,
+    which the integrating factor carries; time_derivative gives the full
+    d/dt. Every quadratic product is dealiased. For the Stokes toy variant
+    the vorticity equation is dropped (its row is 0) and the advecting
+    velocity is state.u, which make_state keeps consistent with tau. A
+    forcing stack is added as it is.
     """
     grid = state.grid
     u = state.u
@@ -222,23 +219,19 @@ def rhs(state: SimState, params: ModelParams, forcing: Forcing | None = None) ->
     if params.q_enabled:
         tau_explicit = tau_explicit + q_form(state.grad_u, tau, params.b)
 
-    sym_omega, sym_tau = stiff_symbols(grid, params)
-    omega_stiff = (ScalarField.zeros(grid) if params.variant == "stokes_toy"
-                   else ScalarField(grid, sym_omega * state.omega.coeffs))
-    tau_stiff = tau.map(lambda c: ScalarField(grid, sym_tau * c.coeffs))
-
+    out = stack(omega_explicit, tau_explicit)
     if forcing is not None:
-        f_omega, f_tau = forcing
-        if params.variant != "stokes_toy":
-            omega_explicit = omega_explicit + f_omega
-        tau_explicit = tau_explicit + f_tau
+        out += forcing
+    return out
 
-    return StateDerivative(
-        omega_explicit=omega_explicit,
-        tau_explicit=tau_explicit,
-        omega_stiff=omega_stiff,
-        tau_stiff=tau_stiff,
-    )
+
+def time_derivative(state: SimState,
+                    params: ModelParams) -> tuple[ScalarField, SymTensorField]:
+    """d/dt (omega, tau) at the state: rhs plus linear_symbol * stack, the one
+    place where the explicit/stiff split is undone."""
+    grid = state.grid
+    d = rhs(state, params) + linear_symbol(grid, params) * stack(state.omega, state.tau)
+    return unstack(grid, d)
 
 
 def gamma_of(state: SimState, params: ModelParams) -> ScalarField:

@@ -20,9 +20,9 @@ import numpy as np
 
 from . import diagnostics as diag
 from .config import ExperimentConfig, override_value, with_override
-from .errors import IntegrationError
+from .errors import ConfigError, IntegrationError
 from .initial_data import make_initial_data
-from .model import rhs
+from .model import time_derivative
 from .snapshots import save_snapshot
 from .stepping import integrate
 
@@ -86,7 +86,7 @@ class _Observer:
 
     def _record(self, state) -> diag.DiagnosticsRecord:
         params = self.config.params
-        deriv = rhs(state, params) if params.energy_law else None
+        deriv = time_derivative(state, params) if params.energy_law else None
         rec = diag.compute_record(state, params, self.config.diag, self.bkm_accum, deriv)
         if self._last is not None:
             t0, v0 = self._last
@@ -173,12 +173,23 @@ SWEEP_FILE = "sweep.csv"
 def sweep(config: ExperimentConfig, param: str, values) -> tuple[bool, Path]:
     """Run the experiment once per parameter value; emit a CSV of summaries.
 
-    Every member's config is built first, so an invalid value raises
-    ConfigError before anything runs. Individual run failures are recorded
-    and the sweep continues.
+    Every member's config is built first, so an invalid value, or two values
+    that name the same member directory (0.1 and 1e-1), raise ConfigError
+    before anything runs. Individual run failures are recorded and the sweep
+    continues.
     """
-    members = [with_override(config, param, value) for value in values]
     base_dir = config.output.resolved_dir()
+    members = {}  # member directory -> (value as given, CSV label, config)
+    for value in values:
+        sub = with_override(config, param, value)
+        held = override_value(sub, param)
+        label = f"{held:g}" if isinstance(held, float) else str(held)
+        directory = base_dir / f"{param.replace('.', '_')}_{label}"
+        if directory in members:
+            raise ConfigError(f"sweep values {members[directory][0]} and {value} "
+                              f"both name member directory {directory}")
+        output = replace(sub.output, directory=str(directory))
+        members[directory] = (value, label, replace(sub, output=output))
     base_dir.mkdir(parents=True, exist_ok=True)
     csv_path = base_dir / SWEEP_FILE
     all_ok = True
@@ -188,13 +199,7 @@ def sweep(config: ExperimentConfig, param: str, values) -> tuple[bool, Path]:
             ["value", "status", "final_n_value", "decay_rate", "decay_r2",
              "max_gamma_b0inf1", "lambda_theory"]
         )
-        for sub in members:
-            value = override_value(sub, param)
-            label = f"{value:g}" if isinstance(value, float) else str(value)
-            slug = f"{param.replace('.', '_')}_{label}"
-            sub = replace(
-                sub, output=replace(sub.output, directory=str(base_dir / slug))
-            )
+        for _, label, sub in members.values():
             result = run(sub)
             if not result.ok:
                 all_ok = False

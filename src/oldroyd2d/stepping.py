@@ -14,8 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, IntegrationError
-from .fields import ScalarField, SymTensorField
-from .model import Forcing, ModelParams, SimState, make_state, rhs, stiff_symbols
+from .model import ModelParams, SimState, linear_symbol, make_state, rhs, stack, unstack
 
 SCHEMES = ("ifrk2", "ifrk4")
 
@@ -56,66 +55,38 @@ def cfl_dt(state: SimState, config: StepConfig) -> float:
     return min(max(dt, config.dt_min), config.dt_max)
 
 
-def _coeff_vec(state: SimState) -> list[np.ndarray]:
-    return [
-        state.omega.coeffs,
-        state.tau.t11.coeffs,
-        state.tau.t12.coeffs,
-        state.tau.t22.coeffs,
-    ]
-
-
-def _as_state(t: float, y: list[np.ndarray], grid, params: ModelParams) -> SimState:
-    omega = ScalarField(grid, y[0])
-    tau = SymTensorField(
-        ScalarField(grid, y[1]), ScalarField(grid, y[2]), ScalarField(grid, y[3])
-    )
-    return make_state(t, omega, tau, params)
-
-
-def _explicit(t, y, grid, params, forcing) -> list[np.ndarray]:
-    d = rhs(_as_state(t, y, grid, params), params, forcing)
-    return [
-        d.omega_explicit.coeffs,
-        d.tau_explicit.t11.coeffs,
-        d.tau_explicit.t12.coeffs,
-        d.tau_explicit.t22.coeffs,
-    ]
+def _as_state(t: float, y: np.ndarray, grid, params: ModelParams) -> SimState:
+    return make_state(t, *unstack(grid, y), params)
 
 
 def step(state: SimState, dt: float, params: ModelParams, config: StepConfig,
-         forcing: Forcing | None = None) -> SimState:
-    """Advance one step of size dt > 0."""
+         forcing: np.ndarray | None = None) -> SimState:
+    """Advance one step of size dt > 0.
+
+    The state is stacked once as (omega, tau11, tau12, tau22). Each stage
+    is one whole-array expression in that stack, the integrating factors
+    exp(c dt L) of the linear symbol L and the explicit tendencies from rhs.
+    """
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
     grid = state.grid
-    sym_w, sym_t = stiff_symbols(grid, params)
-    exps = [np.exp(dt * sym_w)] + [np.exp(dt * sym_t)] * 3
+    sym = linear_symbol(grid, params)
+    e = np.exp(dt * sym)
 
     t = state.t
-    y = _coeff_vec(state)
-    n_of = lambda tt, yy: _explicit(tt, yy, grid, params, forcing)
+    y = stack(state.omega, state.tau)
+    n_of = lambda tt, yy: rhs(_as_state(tt, yy, grid, params), params, forcing)
 
     k1 = n_of(t, y)
     if config.scheme == "ifrk2":
-        y2 = [e * (a + dt * b) for e, a, b in zip(exps, y, k1)]
-        k2 = n_of(t + dt, y2)
-        ynew = [
-            e * a + 0.5 * dt * (e * b + c)
-            for e, a, b, c in zip(exps, y, k1, k2)
-        ]
+        k2 = n_of(t + dt, e * (y + dt * k1))
+        ynew = e * y + 0.5 * dt * (e * k1 + k2)
     else:
-        halfs = [np.exp(0.5 * dt * sym_w)] + [np.exp(0.5 * dt * sym_t)] * 3
-        y2 = [h * (a + 0.5 * dt * b) for h, a, b in zip(halfs, y, k1)]
-        k2 = n_of(t + 0.5 * dt, y2)
-        y3 = [h * a + 0.5 * dt * b for h, a, b in zip(halfs, y, k2)]
-        k3 = n_of(t + 0.5 * dt, y3)
-        y4 = [e * a + dt * h * b for e, h, a, b in zip(exps, halfs, y, k3)]
-        k4 = n_of(t + dt, y4)
-        ynew = [
-            e * a + (dt / 6.0) * (e * b1 + 2.0 * h * (b2 + b3) + b4)
-            for e, h, a, b1, b2, b3, b4 in zip(exps, halfs, y, k1, k2, k3, k4)
-        ]
+        h = np.exp(0.5 * dt * sym)
+        k2 = n_of(t + 0.5 * dt, h * (y + 0.5 * dt * k1))
+        k3 = n_of(t + 0.5 * dt, h * y + 0.5 * dt * k2)
+        k4 = n_of(t + dt, e * y + dt * h * k3)
+        ynew = e * y + (dt / 6.0) * (e * k1 + 2.0 * h * (k2 + k3) + k4)
 
     out = _as_state(t + dt, ynew, grid, params)
     if not out.is_finite():
@@ -125,7 +96,7 @@ def step(state: SimState, dt: float, params: ModelParams, config: StepConfig,
 
 def integrate(state0: SimState, params: ModelParams, config: StepConfig,
               observer=None, observe_every: float | None = None,
-              forcing: Forcing | None = None, land_times=()) -> SimState:
+              forcing: np.ndarray | None = None, land_times=()) -> SimState:
     """Advance from state0.t to config.t_end under CFL step control.
 
     The observer, if given, is called with the state at t0, at every

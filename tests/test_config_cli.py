@@ -410,6 +410,24 @@ class TestValueRules:
             with pytest.raises(ConfigError):
                 with_override(cfg, target, value)
 
+    def test_override_checks_non_string_values_by_key_type(self, tmp_path):
+        cfg = parse_config(MINIMAL.format(out=tmp_path))
+        for target, value in (("grid.n", 64.0), ("initial.seed", 3.7), ("initial.seed", 3.0),
+                              ("grid.n", True), ("model.mu", None),
+                              ("model.q_enabled", 1), ("stepping.scheme", 4)):
+            with pytest.raises(ConfigError, match=f"^{target} = {value!r}: expected"):
+                with_override(cfg, target, value)
+        assert with_override(cfg, "grid.n", 64).grid.n == 64
+        assert with_override(cfg, "initial.seed", np.int64(3)).initial.seed == 3
+        assert with_override(cfg, "model.q_enabled", False).params.q_enabled is False
+
+    def test_override_keeps_numbers_for_float_keys(self, tmp_path):
+        cfg = parse_config(MINIMAL.format(out=tmp_path))
+        assert with_override(cfg, "initial.delta", 0.1).initial.delta == 0.1
+        mu = with_override(cfg, "model.mu", 2).params.mu
+        assert mu == 2.0 and isinstance(mu, float)
+        assert with_override(cfg, "stepping.t_end", np.float64(0.5)).step.t_end == 0.5
+
     def test_override_checks_band_against_grid(self, tmp_path):
         cfg = parse_config(SMALL_RUN.format(out=tmp_path))
         with pytest.raises(ConfigError, match="cutoff"):
@@ -443,6 +461,21 @@ class TestValueRules:
             assert [row.split(",")[0] for row in rows] == ["value", "0.02", "0.1"]
         assert ((tmp_path / "cli" / "initial_delta_0.1" / "diagnostics.ndjson").read_bytes()
                 == (tmp_path / "api" / "initial_delta_0.1" / "diagnostics.ndjson").read_bytes())
+
+    def test_sweep_rejects_values_naming_one_member(self, tmp_path, capsys):
+        path = tmp_path / "sweep.cfg"
+        path.write_text(SMALL_RUN.format(out=tmp_path / "sw"))
+        argv = ["sweep", str(path), "--param", "initial.delta",
+                "--values", "0.02,1e-1,0.10"]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err
+        assert "1e-1 and 0.10" in err and "initial_delta_0.1" in err
+        assert not (tmp_path / "sw").exists()
+        cfg = parse_config(SMALL_RUN.format(out=tmp_path / "api"))
+        with pytest.raises(ConfigError, match="initial_delta_0.1"):
+            sweep(cfg, "initial.delta", [0.1, 0.1000001])
+        assert not (tmp_path / "api").exists()
 
     @pytest.mark.parametrize("eps", ["1.5", "5", "0"])
     def test_norms_rejects_eps_outside_unit_interval(self, tmp_path, capsys, eps):

@@ -15,10 +15,13 @@ from oldroyd2d.model import (
     commutator_r_advect,
     gamma_of,
     gamma_rhs_theoretical,
+    linear_symbol,
     make_state,
     q_form,
     rhs,
+    stack,
     stokes_toy_velocity,
+    time_derivative,
 )
 from oldroyd2d.stepping import StepConfig, step
 
@@ -117,9 +120,9 @@ class TestQForm:
 class TestRhs:
     def test_zero_state(self, grid16):
         state = make_state(0.0, ScalarField.zeros(grid16), SymTensorField.zeros(grid16))
-        d = rhs(state, ModelParams())
-        assert d.omega_full.l2() == 0.0
-        assert all(c.l2() == 0.0 for c in d.tau_full.components)
+        d_omega, d_tau = time_derivative(state, ModelParams())
+        assert d_omega.l2() == 0.0
+        assert all(c.l2() == 0.0 for c in d_tau.components)
 
     def test_diagonal_decay_example(self, grid16):
         # u = 0, tau = cos(x) I: d tau = -(beta + mu) cos(x) I, d omega = 0
@@ -128,36 +131,44 @@ class TestRhs:
         c = field_from(grid16, lambda x, y: np.cos(x))
         z = ScalarField.zeros(grid16)
         state = make_state(0.0, ScalarField.zeros(grid16), SymTensorField(c, z, c))
-        d = rhs(state, params)
+        d_omega, d_tau = time_derivative(state, params)
         want = -(params.beta + params.mu) * np.cos(grid16.x)
-        assert rel_err(d.tau_full.t11.physical, want) < 1e-12
-        assert rel_err(d.tau_full.t22.physical, want) < 1e-12
-        assert np.max(np.abs(d.tau_full.t12.coeffs)) < 1e-14
-        assert d.omega_full.l2() < 1e-14
+        assert rel_err(d_tau.t11.physical, want) < 1e-12
+        assert rel_err(d_tau.t22.physical, want) < 1e-12
+        assert np.max(np.abs(d_tau.t12.coeffs)) < 1e-14
+        assert d_omega.l2() < 1e-14
 
     def test_single_mode_vorticity_with_zero_tau(self, grid16):
         params = ModelParams(nu=0.35, mu=1.0, K=1.0, alpha=0.8,
                              q_enabled=False, variant="q_zero")
         omega = field_from(grid16, lambda x, y: np.sin(x))
         state = make_state(0.0, omega, SymTensorField.zeros(grid16))
-        d = rhs(state, params)
+        d_omega, d_tau = time_derivative(state, params)
         du = ops.sym_grad(state.u)
-        for got, want in zip(d.tau_full.components, du.components):
+        for got, want in zip(d_tau.components, du.components):
             assert np.max(np.abs(got.coeffs - params.alpha * want.coeffs)) < 1e-13
         lap = ops.laplacian(omega)
-        assert np.max(np.abs(d.omega_full.coeffs - params.nu * lap.coeffs)) < 1e-13
+        assert np.max(np.abs(d_omega.coeffs - params.nu * lap.coeffs)) < 1e-13
 
     def test_stiff_plus_explicit_is_full(self, grid32):
         params = ModelParams(nu=0.1, mu=0.5, K=1.2, alpha=0.9, beta=0.4, b=0.3)
         state = rand_state(grid32, 6)
-        d = rhs(state, params)
-        re1 = d.omega_explicit + d.omega_stiff
-        assert np.max(np.abs(re1.coeffs - d.omega_full.coeffs)) < 1e-12
+        full = stack(*time_derivative(state, params))
+        stiff = linear_symbol(grid32, params) * stack(state.omega, state.tau)
+        assert np.max(np.abs(full - rhs(state, params) - stiff)) < 1e-12
+
+        # u = 0, K = alpha = 0, Q off: only diffusion and relaxation act on
+        # tau, and rhs, which holds no stiff part, is exactly zero
+        relax = ModelParams(nu=0.1, mu=0.5, K=0.0, alpha=0.0, beta=0.4,
+                            q_enabled=False, variant="q_zero")
+        still = make_state(0.0, ScalarField.zeros(grid32), state.tau)
+        assert not np.any(rhs(still, relax))
+        assert np.any(stack(*time_derivative(still, relax)))
 
     def test_vorticity_rhs_zero_mean(self, grid32):
         state = rand_state(grid32, 7)
-        d = rhs(state, ModelParams(b=0.5))
-        assert abs(d.omega_full.coeffs[0, 0]) < 1e-14
+        d_omega, _ = time_derivative(state, ModelParams(b=0.5))
+        assert abs(d_omega.coeffs[0, 0]) < 1e-14
 
     def test_tensor_advection_skew_symmetry(self, grid32):
         from oldroyd2d.fields import frobenius_inner
@@ -321,9 +332,9 @@ class TestStokesToy:
         state = make_state(0.0, ScalarField.zeros(grid32), tau, params)
         want = stokes_toy_velocity(tau)
         assert (state.u.u1 - want.u1).l2() < 1e-12
-        d = rhs(state, params)
-        assert d.omega_full.l2() == 0.0  # vorticity equation dropped
+        d_omega, d_tau = time_derivative(state, params)
+        assert d_omega.l2() == 0.0  # vorticity equation dropped
         du = ops.sym_grad(state.u)
         adv = ops.advect_tensor(state.u, tau)
-        for got, a, b_ in zip(d.tau_full.components, adv.components, du.components):
+        for got, a, b_ in zip(d_tau.components, adv.components, du.components):
             assert np.max(np.abs(got.coeffs - (-a.coeffs + b_.coeffs))) < 1e-12
