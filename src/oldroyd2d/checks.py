@@ -15,13 +15,7 @@ import numpy as np
 
 from . import diagnostics as diag
 from . import operators as ops
-from .fields import (
-    ScalarField,
-    SymTensorField,
-    VectorField,
-    frobenius_inner,
-    scalar_inner,
-)
+from .fields import ScalarField, SymTensorField, VectorField, inner
 from .grid import Grid
 from .initial_data import random_scalar, random_state
 from .model import (ModelParams, SimState, commutator_r_advect, make_state, stack,
@@ -114,8 +108,8 @@ def check_cross_term(quick: bool = False) -> CheckResult:
         u, tau = st.u, st.tau
         div1 = ops.deriv(tau.t11, 1) + ops.deriv(tau.t12, 2)
         div2 = ops.deriv(tau.t12, 1) + ops.deriv(tau.t22, 2)
-        i1 = scalar_inner(div1, u.u1) + scalar_inner(div2, u.u2)
-        i2 = frobenius_inner(ops.sym_grad(u), tau)
+        i1 = inner(div1, u.u1) + inner(div2, u.u2)
+        i2 = inner(ops.sym_grad(u), tau)
         rel = abs(i1 + i2) / max(abs(i1), abs(i2), 1e-30)
         worst = max(worst, rel)
     return CheckResult(

@@ -68,29 +68,19 @@ def _cmd_sweep(args) -> int:
     return EXIT_OK if ok else EXIT_RUN_FAILURE
 
 
-NORMS = {
-    "u_l2": lambda s, p, o: s.u.l2(),
-    "tau_l2": lambda s, p, o: s.tau.l2(),
-    "omega_l2": lambda s, p, o: s.omega.l2(),
-    "omega_linf": lambda s, p, o: besov.linf_norm(s.omega),
-    "gamma_l2": lambda s, p, o: gamma_of(s, p).l2(),
-    "gamma_linf": lambda s, p, o: besov.linf_norm(gamma_of(s, p)),
-    "gamma_b0inf1": lambda s, p, o: besov.besov_norm(gamma_of(s, p), 0.0, math.inf, 1),
-    "omega_b0inf1": lambda s, p, o: besov.besov_norm(s.omega, 0.0, math.inf, 1),
-    "tau_bepsinf1": lambda s, p, o: besov.tensor_besov_norm(s.tau, o.eps, math.inf, 1),
-    "tau_h1": lambda s, p, o: besov.tensor_sobolev(s.tau, 1.0),
-    "tau_h2": lambda s, p, o: besov.tensor_sobolev(s.tau, 2.0),
-    "u_h1": lambda s, p, o: besov.vector_sobolev(s.u, 1.0),
-    "u_h2": lambda s, p, o: besov.vector_sobolev(s.u, 2.0),
-    "grad_u_l2": lambda s, p, o: diag.grad_u_l2(s),
-    "energy_weighted": lambda s, p, o: diag.energy_weighted(s, p),
-    "n_value": lambda s, p, o: diag.n_functional(s, p, o.n_functional_m),
-}
-
 DEFAULT_NORMS = (
     "u_l2", "tau_l2", "omega_l2", "omega_linf", "gamma_linf",
     "gamma_b0inf1", "tau_bepsinf1", "tau_h2", "energy_weighted",
 )
+RECORD_NORMS = DEFAULT_NORMS + ("grad_u_l2", "n_value")  # read from compute_record
+
+NORMS = {  # the names a diagnostics record lacks
+    "gamma_l2": lambda s, p: gamma_of(s, p).l2(),
+    "omega_b0inf1": lambda s, p: besov.besov_norm(s.omega, 0.0, math.inf, 1),
+    "tau_h1": lambda s, p: besov.sobolev_norm(s.tau, 1.0),
+    "u_h1": lambda s, p: besov.sobolev_norm(s.u, 1.0),
+    "u_h2": lambda s, p: besov.sobolev_norm(s.u, 2.0),
+}
 
 
 def _cmd_norms(args) -> int:
@@ -101,15 +91,19 @@ def _cmd_norms(args) -> int:
         if args.norm
         else list(DEFAULT_NORMS)
     )
-    unknown = [n for n in names if n not in NORMS]
+    known = RECORD_NORMS + tuple(NORMS)
+    unknown = [n for n in names if n not in known]
     if unknown:
         raise ConfigError(
-            [f"unknown norm name {n!r} (known: {', '.join(sorted(NORMS))})" for n in unknown]
+            [f"unknown norm name {n!r} (known: {', '.join(sorted(known))})" for n in unknown]
         )
+    record = {}
+    if any(n in RECORD_NORMS for n in names):
+        record = diag.compute_record(state, params, opts).to_dict()
     print(f"t = {state.t:.6g}, n = {state.grid.n}, L = {state.grid.length:.6g}")
     width = max(len(n) for n in names)
     for name in names:
-        value = NORMS[name](state, params, opts)
+        value = record[name] if name in RECORD_NORMS else NORMS[name](state, params)
         print(f"{name:<{width}}  {value!r}")
     return EXIT_OK
 

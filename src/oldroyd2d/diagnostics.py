@@ -19,7 +19,7 @@ import numpy as np
 from . import besov
 from . import operators as ops
 from .errors import ConfigError
-from .fields import ScalarField, SymTensorField, VectorField, frobenius_inner, scalar_inner
+from .fields import ScalarField, SymTensorField, VectorField, inner, sq_norm
 from .model import (
     ModelParams,
     SimState,
@@ -32,30 +32,6 @@ from .model import (
 _TINY = 1e-30
 
 Derivative = tuple[ScalarField, SymTensorField]  # d/dt (omega, tau), from time_derivative
-
-
-def _grad_sq(f: ScalarField) -> float:
-    """||grad f||_{L2}^2 via Parseval."""
-    g = f.grid
-    return float(np.sum(g.ksq * np.abs(f.coeffs) ** 2)) * g.length**2
-
-
-def _grad_u_sq(u: VectorField) -> float:
-    """||grad u||_{L2}^2 via Parseval."""
-    return _grad_sq(u.u1) + _grad_sq(u.u2)
-
-
-def _lap_sq(f: ScalarField) -> float:
-    g = f.grid
-    return float(np.sum(g.ksq**2 * np.abs(f.coeffs) ** 2)) * g.length**2
-
-
-def tensor_grad_sq(tau: SymTensorField) -> float:
-    return _grad_sq(tau.t11) + 2.0 * _grad_sq(tau.t12) + _grad_sq(tau.t22)
-
-
-def tensor_lap_sq(tau: SymTensorField) -> float:
-    return _lap_sq(tau.t11) + 2.0 * _lap_sq(tau.t12) + _lap_sq(tau.t22)
 
 
 def velocity_inner_from_vorticity(omega: ScalarField, domega: ScalarField) -> float:
@@ -80,8 +56,8 @@ def n_functional(state: SimState, params: ModelParams, M: float,
         raise ValueError(f"M must be positive, got {M}")
     u_sq = state.u.l2() ** 2
     tau_sq = state.tau.l2() ** 2
-    gu_sq = _grad_u_sq(state.u)
-    gt_sq = tensor_grad_sq(state.tau)
+    gu_sq = sq_norm(state.u, state.grid.ksq)
+    gt_sq = sq_norm(state.tau, state.grid.ksq)
     gamma = gamma if gamma is not None else gamma_of(state, params)
     return (
         M * (params.alpha * u_sq + params.K * tau_sq)
@@ -98,11 +74,11 @@ def energy_identity_residual(state: SimState, params: ModelParams,
         raise ValueError("energy identity requires Q disabled and no Stokes toy")
     d_omega, d_tau = deriv if deriv is not None else time_derivative(state, params)
     de = params.alpha * velocity_inner_from_vorticity(state.omega, d_omega) \
-        + params.K * frobenius_inner(state.tau, d_tau)
+        + params.K * inner(state.tau, d_tau)
     dissipation = (
-        params.mu * params.K * tensor_grad_sq(state.tau)
+        params.mu * params.K * sq_norm(state.tau, state.grid.ksq)
         + params.beta * params.K * state.tau.l2() ** 2
-        + params.nu * params.alpha * _grad_u_sq(state.u)
+        + params.nu * params.alpha * sq_norm(state.u, state.grid.ksq)
     )
     scale = max(abs(de), abs(dissipation), _TINY)
     return abs(de + dissipation) / scale
@@ -120,11 +96,13 @@ def enstrophy_balance(state: SimState, params: ModelParams,
     if not params.energy_law:
         raise ValueError("enstrophy balance requires Q disabled and no Stokes toy")
     d_omega, d_tau = deriv if deriv is not None else time_derivative(state, params)
-    d_grad_u_sq = 2.0 * scalar_inner(state.omega, d_omega)
+    ksq = state.grid.ksq
+    d_grad_u_sq = 2.0 * inner(state.omega, d_omega)
     lap_tau = state.tau.map(ops.laplacian)
-    d_grad_tau_sq = -2.0 * frobenius_inner(lap_tau, d_tau)
-    lhs = d_grad_u_sq + d_grad_tau_sq + 0.5 * tensor_lap_sq(state.tau)
-    return EnstrophyBalance(lhs=lhs, majorant=_grad_u_sq(state.u) * tensor_grad_sq(state.tau))
+    d_grad_tau_sq = -2.0 * inner(lap_tau, d_tau)
+    lhs = d_grad_u_sq + d_grad_tau_sq + 0.5 * sq_norm(state.tau, ksq**2)
+    return EnstrophyBalance(lhs=lhs,
+                            majorant=sq_norm(state.u, ksq) * sq_norm(state.tau, ksq))
 
 
 def gamma_residual(state: SimState, params: ModelParams,
@@ -249,27 +227,17 @@ class DiagnosticsRecord:
         return dict(self.__dict__)
 
 
-def grad_u_l2(state: SimState) -> float:
-    """||grad u||_{L2} from the four velocity-gradient components."""
-    g = state.grad_u
-    return math.sqrt(sum(c.l2() ** 2 for c in (g.g11, g.g12, g.g21, g.g22)))
-
-
 def compute_record(state: SimState, params: ModelParams,
                    opts: DiagnosticsOptions = DiagnosticsOptions(),
-                   bkm_accum: float = 0.0,
                    deriv: Derivative | None = None) -> DiagnosticsRecord:
     """One observation; time_derivative (only where a residual is defined),
-    Gamma, the commutator and the Gamma interior terms are each evaluated once."""
-    g = state.grad_u
+    Gamma, the commutator and the Gamma interior terms are each evaluated once.
+    bkm_accum is left 0: it accumulates over records, which the caller holds."""
+    ksq = state.grid.ksq
     gamma = gamma_of(state, params)
     commutator = commutator_r_advect(state.u, state.tau)
     if deriv is None and (params.energy_law or params.gamma_law):
         deriv = time_derivative(state, params)
-
-    grad_mag = np.sqrt(
-        sum(besov.refined_physical(c) ** 2 for c in (g.g11, g.g12, g.g21, g.g22))
-    )
 
     energy_res = None
     if params.energy_law:
@@ -285,17 +253,17 @@ def compute_record(state: SimState, params: ModelParams,
         t=state.t,
         u_l2=state.u.l2(),
         tau_l2=state.tau.l2(),
-        grad_u_l2=grad_u_l2(state),
-        grad_tau_l2=math.sqrt(tensor_grad_sq(state.tau)),
-        lap_tau_l2=math.sqrt(tensor_lap_sq(state.tau)),
+        grad_u_l2=state.grad_u.l2(),
+        grad_tau_l2=math.sqrt(sq_norm(state.tau, ksq)),
+        lap_tau_l2=math.sqrt(sq_norm(state.tau, ksq**2)),
         omega_linf=besov.linf_norm(state.omega),
         omega_l2=state.omega.l2(),
         gamma_linf=besov.linf_norm(gamma),
         gamma_b0inf1=besov.besov_norm(gamma, 0.0, math.inf, 1),
         tau_bepsinf1=besov.tensor_besov_norm(state.tau, opts.eps, math.inf, 1),
-        tau_h2=besov.tensor_sobolev(state.tau, 2.0),
-        grad_u_linf=float(np.max(grad_mag)),
-        bkm_accum=bkm_accum,
+        tau_h2=besov.sobolev_norm(state.tau, 2.0),
+        grad_u_linf=besov.linf_norm(state.grad_u),
+        bkm_accum=0.0,
         energy_weighted=energy_weighted(state, params),
         n_value=n_functional(state, params, opts.n_functional_m, gamma),
         energy_identity_residual=energy_res,
@@ -305,8 +273,8 @@ def compute_record(state: SimState, params: ModelParams,
     )
     for s in opts.hs:
         key = f"{s:g}"
-        rec.u_hs[key] = besov.vector_sobolev(state.u, s)
-        rec.tau_hs[key] = besov.tensor_sobolev(state.tau, s)
+        rec.u_hs[key] = besov.sobolev_norm(state.u, s)
+        rec.tau_hs[key] = besov.sobolev_norm(state.tau, s)
     return rec
 
 

@@ -4,13 +4,16 @@ A ScalarField holds the complex coefficient array of a real field; vector
 and symmetric-tensor fields are built from scalar components. The tensor
 stores only (t11, t12, t22); symmetry is structural.
 
-L2 norms of tensors use the Frobenius weight (t11^2 + 2 t12^2 + t22^2),
-i.e. the off-diagonal component is counted twice, so that quadratic energy
+Every field kind states its scalar `components`, their Frobenius `weights`
+and a `map` over them, and every norm goes through those: the pointwise
+square is sum_c w_c c^2. The tensor weights are (1, 2, 1), i.e. the
+off-diagonal component is counted twice, so that quadratic energy
 identities close exactly.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -27,10 +30,74 @@ def _check_shape(grid: Grid, arr: np.ndarray) -> None:
         )
 
 
+class FieldKind:
+    """Base of every field kind: subclasses give `grid`, `components` (scalar
+    fields) and their Frobenius `weights`, one per component."""
+
+    weights: tuple[float, ...]
+
+    @classmethod
+    def zeros(cls, grid: Grid):
+        return cls(*[ScalarField.zeros(grid)] * len(cls.weights))
+
+    def map(self, fn):
+        """The same kind with fn applied to every component."""
+        return type(self)(*(fn(c) for c in self.components))
+
+    def __add__(self, other):
+        return type(self)(*(a + b for a, b in zip(self.components, other.components)))
+
+    def __sub__(self, other):
+        return type(self)(*(a - b for a, b in zip(self.components, other.components)))
+
+    def __mul__(self, c: float):
+        return self.map(lambda f: c * f)
+
+    __rmul__ = __mul__
+
+    def l2(self) -> float:
+        """Physical L2 norm with the Frobenius weights."""
+        return norm(self)
+
+
+def _parseval_sums(f: FieldKind, mult: np.ndarray | None):
+    """(w_c, sum_k mult_k |c_k|^2) for each component c of f; mult = 1 when None."""
+    for c, w in zip(f.components, f.weights):
+        sq = np.abs(c.coeffs) ** 2
+        yield w, float(np.sum(sq if mult is None else mult * sq))
+
+
+def norm(f: FieldKind, mult: np.ndarray | None = None) -> float:
+    """sqrt(sum_c w_c ||m(D) c||_{L2}^2) for the multiplier with |m|^2 = mult
+    per mode (m = 1 when None), each ||m(D) c|| = L * sqrt(sum_k mult_k |c_k|^2)
+    by Parseval: the L2 norm, or an H^s norm, of any field kind. Taking each
+    component's norm first keeps a scalar's norm exactly L * sqrt(sum)."""
+    length = f.grid.length
+    return math.sqrt(sum(w * (length * math.sqrt(s)) ** 2 for w, s in _parseval_sums(f, mult)))
+
+
+def sq_norm(f: FieldKind, mult: np.ndarray) -> float:
+    """sum_c w_c ||m(D) c||_{L2}^2 with |m|^2 = mult per mode, each term
+    L^2 sum_k mult_k |c_k|^2 by Parseval: mult = |k|^2 gives ||grad f||^2 and
+    |k|^4 gives ||Laplace f||^2."""
+    area = f.grid.length**2
+    return sum(w * (s * area) for w, s in _parseval_sums(f, mult))
+
+
+def inner(a: FieldKind, b: FieldKind) -> float:
+    """L2 inner product with the Frobenius weights (a : b for tensors), by
+    Parseval."""
+    s = sum(w * np.vdot(x.coeffs, y.coeffs)
+            for x, y, w in zip(a.components, b.components, a.weights))
+    return float(s.real) * a.grid.length**2
+
+
 @dataclass(frozen=True)
-class ScalarField:
+class ScalarField(FieldKind):
     grid: Grid
     coeffs: np.ndarray  # complex128, conjugate-symmetric
+
+    weights = (1.0,)
 
     def __post_init__(self):
         _check_shape(self.grid, self.coeffs)
@@ -56,9 +123,12 @@ class ScalarField:
     def mean(self) -> float:
         return float(self.coeffs[0, 0].real)
 
-    def l2(self) -> float:
-        """Physical L2 norm; equals L * sqrt(sum |c|^2) by Parseval."""
-        return self.grid.length * float(np.sqrt(np.sum(np.abs(self.coeffs) ** 2)))
+    @property
+    def components(self) -> tuple["ScalarField"]:
+        return (self,)
+
+    def map(self, fn) -> "ScalarField":
+        return fn(self)
 
     def max_abs_coeff(self) -> float:
         return float(np.max(np.abs(self.coeffs)))
@@ -79,20 +149,19 @@ class ScalarField:
 
 
 @dataclass(frozen=True)
-class VectorField:
+class VectorField(FieldKind):
     u1: ScalarField
     u2: ScalarField
+
+    weights = (1.0, 1.0)
 
     @property
     def grid(self) -> Grid:
         return self.u1.grid
 
-    @classmethod
-    def zeros(cls, grid: Grid) -> "VectorField":
-        return cls(ScalarField.zeros(grid), ScalarField.zeros(grid))
-
-    def l2(self) -> float:
-        return float(np.hypot(self.u1.l2(), self.u2.l2()))
+    @property
+    def components(self) -> tuple[ScalarField, ScalarField]:
+        return (self.u1, self.u2)
 
     def max_divergence(self) -> float:
         """max over modes of |k . u_hat| (0 for divergence-free fields)."""
@@ -101,73 +170,20 @@ class VectorField:
             np.max(np.abs(g.k1 * self.u1.coeffs + g.k2 * self.u2.coeffs))
         )
 
-    def __add__(self, other: "VectorField") -> "VectorField":
-        return VectorField(self.u1 + other.u1, self.u2 + other.u2)
-
-    def __sub__(self, other: "VectorField") -> "VectorField":
-        return VectorField(self.u1 - other.u1, self.u2 - other.u2)
-
-    def __mul__(self, c: float) -> "VectorField":
-        return VectorField(c * self.u1, c * self.u2)
-
-    __rmul__ = __mul__
-
 
 @dataclass(frozen=True)
-class SymTensorField:
+class SymTensorField(FieldKind):
     t11: ScalarField
     t12: ScalarField
     t22: ScalarField
+
+    weights = (1.0, 2.0, 1.0)
 
     @property
     def grid(self) -> Grid:
         return self.t11.grid
 
-    @classmethod
-    def zeros(cls, grid: Grid) -> "SymTensorField":
-        z = ScalarField.zeros(grid)
-        return cls(z, z, z)
-
     @property
     def components(self) -> tuple[ScalarField, ScalarField, ScalarField]:
         return (self.t11, self.t12, self.t22)
 
-    def l2(self) -> float:
-        """Frobenius L2 norm: sqrt(||t11||^2 + 2 ||t12||^2 + ||t22||^2)."""
-        return float(
-            np.sqrt(self.t11.l2() ** 2 + 2.0 * self.t12.l2() ** 2 + self.t22.l2() ** 2)
-        )
-
-    def map(self, fn) -> "SymTensorField":
-        return SymTensorField(fn(self.t11), fn(self.t12), fn(self.t22))
-
-    def __add__(self, other: "SymTensorField") -> "SymTensorField":
-        return SymTensorField(
-            self.t11 + other.t11, self.t12 + other.t12, self.t22 + other.t22
-        )
-
-    def __sub__(self, other: "SymTensorField") -> "SymTensorField":
-        return SymTensorField(
-            self.t11 - other.t11, self.t12 - other.t12, self.t22 - other.t22
-        )
-
-    def __mul__(self, c: float) -> "SymTensorField":
-        return SymTensorField(c * self.t11, c * self.t12, c * self.t22)
-
-    __rmul__ = __mul__
-
-
-def frobenius_inner(a: SymTensorField, b: SymTensorField) -> float:
-    """Quadrature of the full tensor contraction a : b (off-diagonal twice)."""
-    g = a.grid
-    s = (
-        np.vdot(a.t11.coeffs, b.t11.coeffs)
-        + 2.0 * np.vdot(a.t12.coeffs, b.t12.coeffs)
-        + np.vdot(a.t22.coeffs, b.t22.coeffs)
-    )
-    return float(s.real) * g.length**2
-
-
-def scalar_inner(a: ScalarField, b: ScalarField) -> float:
-    """L2 inner product via Parseval."""
-    return float(np.vdot(a.coeffs, b.coeffs).real) * a.grid.length**2

@@ -138,7 +138,7 @@ def single_mode_scalar(grid: Grid, mode: int, amplitude: float) -> ScalarField:
 def smallness_norm(state: SimState) -> float:
     """||(u, tau)||_{H1} + ||(omega, tau)||_{B^0_{inf,1}}."""
     h1 = math.sqrt(
-        besov.vector_sobolev(state.u, 1.0) ** 2 + besov.tensor_sobolev(state.tau, 1.0) ** 2
+        besov.sobolev_norm(state.u, 1.0) ** 2 + besov.sobolev_norm(state.tau, 1.0) ** 2
     )
     b0 = besov.besov_norm(state.omega, 0.0, math.inf, 1) + besov.tensor_besov_norm(
         state.tau, 0.0, math.inf, 1

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import ScalarField, SymTensorField, VectorField
+from .fields import FieldKind, ScalarField, SymTensorField, VectorField
 from .grid import Grid
 
 
@@ -76,17 +76,24 @@ def biot_savart(omega: ScalarField) -> VectorField:
 
 
 @dataclass(frozen=True)
-class VelocityGradient:
-    """The four fields g_{ij} = d_i u_j."""
+class VelocityGradient(FieldKind):
+    """The four fields g_{ij} = d_i u_j; its norms are those of the full
+    matrix, each entry weighted 1."""
 
     g11: ScalarField
     g12: ScalarField
     g21: ScalarField
     g22: ScalarField
 
+    weights = (1.0, 1.0, 1.0, 1.0)
+
     @property
     def grid(self) -> Grid:
         return self.g11.grid
+
+    @property
+    def components(self) -> tuple[ScalarField, ...]:
+        return (self.g11, self.g12, self.g21, self.g22)
 
 
 def velocity_gradient(u: VectorField) -> VelocityGradient:
@@ -142,24 +149,14 @@ def riesz_component(f: ScalarField, i: int) -> ScalarField:
     return ScalarField(g, 1j * mult * f.coeffs)
 
 
-def dealias_scalar(f: ScalarField) -> ScalarField:
-    return ScalarField(f.grid, f.coeffs * f.grid.dealias_mask)
-
-
-def dealias(field):
-    """Two-thirds-rule mask on any field type."""
-    if isinstance(field, ScalarField):
-        return dealias_scalar(field)
-    if isinstance(field, VectorField):
-        return VectorField(dealias_scalar(field.u1), dealias_scalar(field.u2))
-    if isinstance(field, SymTensorField):
-        return field.map(dealias_scalar)
-    raise TypeError(f"cannot dealias {type(field).__name__}")
+def dealias(field: FieldKind) -> FieldKind:
+    """Two-thirds-rule mask on every component of any field kind."""
+    return field.map(lambda f: ScalarField(f.grid, f.coeffs * f.grid.dealias_mask))
 
 
 def multiply_physical(grid: Grid, values: np.ndarray) -> ScalarField:
     """Wrap a physical-space product and dealias it."""
-    return dealias_scalar(ScalarField.from_physical(grid, values))
+    return dealias(ScalarField.from_physical(grid, values))
 
 
 def advect(u: VectorField, f: ScalarField) -> ScalarField:

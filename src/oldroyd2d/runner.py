@@ -2,10 +2,11 @@
 
 Diagnostics are written as NDJSON, one object per observation, with field
 names exactly as in DiagnosticsRecord; a final line holds a single
-"summary" object (or "failure" when integration aborts, with partial
-output preserved). Every line is strict JSON: a non-finite float is written
-as null and its dotted key is listed under "nonfinite" on that line. Reruns
-of the same config are byte-identical.
+"summary" object, or "failure" when any exception aborts integration,
+observation or the summary, with partial output preserved. Every line is
+strict JSON: a non-finite float is written as null and its dotted key is
+listed under "nonfinite" on that line. Reruns of the same config are
+byte-identical.
 """
 
 from __future__ import annotations
@@ -87,12 +88,11 @@ class _Observer:
     def _record(self, state) -> diag.DiagnosticsRecord:
         params = self.config.params
         deriv = time_derivative(state, params) if params.energy_law else None
-        rec = diag.compute_record(state, params, self.config.diag, self.bkm_accum, deriv)
-        if self._last is not None:
+        rec = diag.compute_record(state, params, self.config.diag, deriv)
+        if self._last is not None and state.t > self._last[0]:
             t0, v0 = self._last
-            if state.t > t0:
-                self.bkm_accum += 0.5 * (v0 + rec.grad_u_linf) * (state.t - t0)
-                rec.bkm_accum = self.bkm_accum
+            self.bkm_accum += 0.5 * (v0 + rec.grad_u_linf) * (state.t - t0)
+        rec.bkm_accum = self.bkm_accum
         self._last = (state.t, rec.grad_u_linf)
         if params.energy_law:
             self.enstrophy_ledger.append(diag.enstrophy_balance(state, params, deriv))
@@ -156,13 +156,19 @@ def run(config: ExperimentConfig) -> RunResult:
                 observe_every=config.output.observe_every,
                 land_times=config.output.snapshot_times,
             )
-        except IntegrationError as exc:
-            stream.write(_json_line({"failure": {"t": exc.t, "error": str(exc)}}))
+            summary = _summarize(config, obs)
+        except Exception as exc:
+            # Any exception ends the run with a failure line: at the failing
+            # step's t for an IntegrationError, else at the last record's t.
+            if isinstance(exc, IntegrationError):
+                t, error = exc.t, str(exc)
+            else:
+                t = obs.records[-1].t if obs.records else None
+                error = f"{type(exc).__name__}: {exc}"
+            stream.write(_json_line({"failure": {"t": t, "error": error}}))
             return RunResult(
-                ok=False, records=obs.records, summary={}, out_dir=out_dir,
-                error=str(exc),
+                ok=False, records=obs.records, summary={}, out_dir=out_dir, error=error,
             )
-        summary = _summarize(config, obs)
         stream.write(_json_line({"summary": summary}))
     return RunResult(ok=True, records=obs.records, summary=summary, out_dir=out_dir)
 

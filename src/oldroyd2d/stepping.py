@@ -77,7 +77,7 @@ def step(state: SimState, dt: float, params: ModelParams, config: StepConfig,
     y = stack(state.omega, state.tau)
     n_of = lambda tt, yy: rhs(_as_state(tt, yy, grid, params), params, forcing)
 
-    k1 = n_of(t, y)
+    k1 = rhs(state, params, forcing)  # the given state keeps the velocity cfl_dt made
     if config.scheme == "ifrk2":
         k2 = n_of(t + dt, e * (y + dt * k1))
         ynew = e * y + 0.5 * dt * (e * k1 + k2)

@@ -223,6 +223,21 @@ class TestRunner:
         assert "failure" in lines[-1]
         assert "t" in lines[0]  # the initial record was still written
 
+    def test_any_exception_becomes_failure_line(self, tmp_path, monkeypatch, capsys):
+        from oldroyd2d import runner
+
+        def disk_full(state, params, path):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(runner, "save_snapshot", disk_full)
+        path = tmp_path / "small.cfg"
+        path.write_text(SMALL_RUN.format(out=tmp_path / "full"))
+        assert cli.main(["run", str(path)]) == 1
+        assert "run failed: OSError: disk full" in capsys.readouterr().err
+        lines = read_ndjson(tmp_path / "full" / "diagnostics.ndjson")
+        assert lines[-2]["t"] == pytest.approx(0.15)  # the snapshot time
+        assert lines[-1] == {"failure": {"t": lines[-2]["t"], "error": "OSError: disk full"}}
+
 
     def test_blowup_writes_strict_json(self, tmp_path):
         path = tmp_path / "blowup.cfg"
@@ -319,7 +334,7 @@ class TestCli:
         assert "0.0" in out
 
 
-    def test_norms_match_record_fields(self, tmp_path):
+    def test_norms_match_record_fields(self, tmp_path, capsys):
         from oldroyd2d.grid import Grid
         from oldroyd2d.initial_data import random_state
         from oldroyd2d.model import ModelParams
@@ -329,12 +344,16 @@ class TestCli:
         params = ModelParams(beta=0.2, b=0.3)
         save_snapshot(random_state(Grid(32), (1, 8), [0]), params, snap)
         state, params = load_snapshot(snap)
-        opts = diag.DiagnosticsOptions()
-        record = diag.compute_record(state, params, opts).to_dict()
-        shared = [name for name in cli.NORMS if name in record]
-        assert "grad_u_l2" in shared
-        for name in shared:
-            assert cli.NORMS[name](state, params, opts) == record[name], name
+        record = diag.compute_record(state, params, diag.DiagnosticsOptions()).to_dict()
+        names = cli.RECORD_NORMS + tuple(cli.NORMS)
+        assert cli.main(["norms", str(snap), "--norm", ",".join(names)]) == 0
+        printed = dict(line.split() for line in capsys.readouterr().out.splitlines()[1:])
+        assert list(printed) == list(names)
+        assert "grad_u_l2" in cli.RECORD_NORMS and not set(cli.NORMS) & set(record)
+        for name in cli.RECORD_NORMS:
+            assert float(printed[name]) == record[name], name
+        for name in cli.NORMS:
+            assert float(printed[name]) == cli.NORMS[name](state, params), name
 
 
 class TestMutationSensitivity:

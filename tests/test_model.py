@@ -171,11 +171,11 @@ class TestRhs:
         assert abs(d_omega.coeffs[0, 0]) < 1e-14
 
     def test_tensor_advection_skew_symmetry(self, grid32):
-        from oldroyd2d.fields import frobenius_inner
+        from oldroyd2d.fields import inner
 
         state = rand_state(grid32, 18)
         adv = ops.advect_tensor(state.u, state.tau)
-        integral = frobenius_inner(adv, state.tau)
+        integral = inner(adv, state.tau)
         assert abs(integral) <= 1e-10 * state.u.l2() * state.tau.l2() ** 2
 
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from oldroyd2d import operators as ops
 from oldroyd2d.errors import ConfigError
-from oldroyd2d.fields import ScalarField, SymTensorField, VectorField, scalar_inner
+from oldroyd2d.fields import ScalarField, SymTensorField, VectorField, inner
 from oldroyd2d.grid import Grid
 
 from conftest import field_from, rand_scalar, rand_state, rand_tensor, rel_err
@@ -282,6 +282,6 @@ class TestAdvection:
     def test_skew_symmetry(self, grid32):
         st_ = rand_state(grid32, 71)
         f = ops.dealias(rand_scalar(grid32, 72))
-        integral = scalar_inner(ops.advect(st_.u, f), f)
+        integral = inner(ops.advect(st_.u, f), f)
         bound = 1e-10 * st_.u.l2() * f.l2() ** 2
         assert abs(integral) <= bound
