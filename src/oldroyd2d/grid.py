@@ -1,4 +1,5 @@
-"""Periodic square grid with precomputed wavevectors and dealias mask.
+"""Periodic square grid with precomputed wavevectors and dealias mask, in
+the full layout and in the half-spectrum (rfft2) layout of the stepper.
 
 Spectral coefficients follow the Fourier-series convention
 
@@ -133,3 +134,29 @@ class Grid:
         k[np.abs(self.m2) == self.n // 2] = 0.0
         k.setflags(write=False)
         return k
+
+    @cached_property
+    def half(self) -> "HalfSpectrum":
+        """The wavevector arrays in rfft2 layout, made on first use."""
+        return HalfSpectrum(self)
+
+
+class HalfSpectrum:
+    """Columns 0..n/2 of the grid's per-mode arrays: the rfft2 layout.
+
+    A half spectrum stores one mode of each conjugate pair, except in
+    columns 0 and n/2, which are stored whole. The Nyquist row m1 = -n/2 is
+    its own partner, so between those columns a multiplier odd in k1 must
+    vanish on it for the stored values to stay those of a real field (as
+    deriv_k1 does). Hence `k1` is zero there, and even powers of k1 are
+    written with `ksq` and `k2`.
+    """
+
+    def __init__(self, grid: Grid):
+        h = grid.n // 2
+        for name in ("k1", "k2", "deriv_k1", "deriv_k2", "ksq", "inv_ksq", "dealias_mask"):
+            setattr(self, name, np.array(getattr(grid, name)[:, : h + 1]))
+        self.k1[h, 1:h] = 0.0
+        self.partner_rows = -np.arange(grid.n) % grid.n  # row of the partner -m1
+        for arr in vars(self).values():
+            arr.setflags(write=False)

@@ -111,115 +111,163 @@ class SimState:
     def grad_u(self) -> ops.VelocityGradient:
         return ops.velocity_gradient(self.u)
 
-    def is_finite(self) -> bool:
-        arrays = [self.omega.coeffs] + [c.coeffs for c in self.tau.components]
-        return all(np.all(np.isfinite(a)) for a in arrays)
-
 
 def make_state(t: float, omega: ScalarField, tau: SymTensorField,
                params: ModelParams | None = None) -> SimState:
     """Build a state; for the Stokes toy the vorticity is diagnosed from tau."""
     if params is not None and params.variant == "stokes_toy":
-        omega = ops.curl(stokes_toy_velocity(tau))
+        omega = ScalarField(tau.grid, stokes_toy_vorticity(
+            tau.grid, *(c.coeffs for c in tau.components)))
     return SimState(t=t, omega=omega, tau=tau)
 
 
 def stack(omega: ScalarField, tau: SymTensorField) -> np.ndarray:
-    """The (4, n, n) coefficient stack (omega, tau11, tau12, tau22)."""
-    return np.stack([omega.coeffs] + [c.coeffs for c in tau.components])
+    """The packed (4, n, n//2+1) stack (omega, tau11, tau12, tau22): columns
+    0..n/2 of each coefficient array, the rfft2 layout."""
+    cols = omega.grid.n // 2 + 1
+    return np.stack([omega.coeffs[:, :cols]] + [c.coeffs[:, :cols] for c in tau.components])
 
 
 def unstack(grid: Grid, y: np.ndarray) -> tuple[ScalarField, SymTensorField]:
-    """(omega, tau) as views of the rows of a coefficient stack."""
-    return ScalarField(grid, y[0]), SymTensorField(*(ScalarField(grid, c) for c in y[1:]))
+    """(omega, tau) from a packed stack, columns n/2+1..n-1 filled by
+    conjugate symmetry: c(m1, m2) = conj c(-m1, -m2)."""
+    n, h = grid.n, grid.n // 2
+    full = np.empty((4, n, n), dtype=np.complex128)
+    full[..., : h + 1] = y
+    np.conjugate(y[:, grid.half.partner_rows, h - 1 : 0 : -1], out=full[..., h + 1 :])
+    return ScalarField(grid, full[0]), SymTensorField(*(ScalarField(grid, c) for c in full[1:]))
 
 
 def linear_symbol(grid: Grid, params: ModelParams) -> np.ndarray:
-    """Stiff part of d/dt of the stack, diagonal in Fourier, as (4, n, n).
+    """Stiff part of d/dt of the packed stack, diagonal in Fourier.
 
     -nu |k|^2 for omega and -beta - mu |k|^2 for each tau component. The
     vorticity row is 0 for the Stokes toy, whose omega is diagnosed from tau.
     """
-    sym = np.empty((4, grid.n, grid.n))
-    sym[0] = 0.0 if params.variant == "stokes_toy" else -params.nu * grid.ksq
-    sym[1:] = -(params.beta + params.mu * grid.ksq)
+    ksq = grid.half.ksq
+    sym = np.empty((4,) + ksq.shape)
+    sym[0] = 0.0 if params.variant == "stokes_toy" else -params.nu * ksq
+    sym[1:] = -(params.beta + params.mu * ksq)
     return sym
 
 
-def q_form(grad_u: ops.VelocityGradient, tau: SymTensorField, b: float) -> SymTensorField:
-    """Q(grad u, tau) = Omega tau - tau Omega + b (Du tau + tau Du), dealiased.
+def q_products(g11, g12, g21, g22, t11, t12, t22, b: float):
+    """Physical (q11, q12, q22) of Q(grad u, tau) = Omega tau - tau Omega
+    + b (Du tau + tau Du), from the physical values of g_ij = d_i u_j and tau.
 
-    Omega is the skew part of grad u; with (grad u)_{ij} = d_i u_j this is
-    Omega_12 = omega/2.
+    Omega is the skew part of grad u; Omega_12 = omega/2.
     """
-    g = grad_u.grid
-    a = 0.5 * (grad_u.g12.physical - grad_u.g21.physical)  # omega/2
-    t11, t12, t22 = (c.physical for c in tau.components)
-
+    a = 0.5 * (g12 - g21)  # omega/2
     q11 = 2.0 * a * t12
     q12 = a * (t22 - t11)
-    q22 = -2.0 * a * t12
+    q22 = -q11
 
     if b != 0.0:
-        d11 = grad_u.g11.physical
-        d12 = 0.5 * (grad_u.g12.physical + grad_u.g21.physical)
-        d22 = grad_u.g22.physical
-        q11 = q11 + b * 2.0 * (d11 * t11 + d12 * t12)
-        q12 = q12 + b * (d12 * (t11 + t22) + t12 * (d11 + d22))
-        q22 = q22 + b * 2.0 * (d22 * t22 + d12 * t12)
+        d12 = 0.5 * (g12 + g21)
+        d12t12 = d12 * t12
+        q11 += b * 2.0 * (g11 * t11 + d12t12)
+        q12 += b * (d12 * (t11 + t22) + t12 * (g11 + g22))
+        q22 += b * 2.0 * (g22 * t22 + d12t12)
+    return q11, q12, q22
 
-    return SymTensorField(
-        ops.multiply_physical(g, q11),
-        ops.multiply_physical(g, q12),
-        ops.multiply_physical(g, q22),
-    )
+
+def q_form(grad_u: ops.VelocityGradient, tau: SymTensorField, b: float) -> SymTensorField:
+    """Q(grad u, tau) (q_products), dealiased."""
+    g = grad_u.grid
+    q = q_products(*(c.physical for c in grad_u.components),
+                   *(c.physical for c in tau.components), b)
+    return SymTensorField(*(ops.multiply_physical(g, v) for v in q))
+
+
+def stokes_toy_vorticity(g, t11: np.ndarray, t12: np.ndarray, t22: np.ndarray) -> np.ndarray:
+    """Per mode, the vorticity -R(tau) of the Stokes problem
+    -Laplace(u) + grad p = div(tau), whose curl is -Laplace(omega) = curl div
+    tau, for the wavevector arrays g of either layout."""
+    return -ops.r_numerator(g, t11, t12, t22) * g.inv_ksq
+
+
+def stokes_toy_velocity_modes(g, t11: np.ndarray, t12: np.ndarray,
+                              t22: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per mode, the Biot-Savart velocity (i k2, -i k1) psi of that vorticity,
+    psi = -N / |k|^4 with N = r_numerator, expanded so that the k1 k1 k2 term
+    of -i k1 psi is written with |k|^2 - k2^2 and stays even in k1 in the
+    half layout (HalfSpectrum)."""
+    k1, k2 = g.k1, g.k2
+    k2sq = k2**2
+    d = t22 - t11
+    diff = g.ksq - 2.0 * k2sq  # k1^2 - k2^2
+    inv4 = g.inv_ksq**2
+    u1 = -1j * k2 * (diff * t12 + k1 * k2 * d) * inv4
+    u2 = 1j * (k1 * diff * t12 + (g.ksq - k2sq) * k2 * d) * inv4
+    return u1, u2
 
 
 def stokes_toy_velocity(tau: SymTensorField) -> VectorField:
     """Velocity of the Stokes problem -Laplace(u) + grad p = div(tau)."""
     g = tau.grid
-    div1 = ops.deriv(tau.t11, 1) + ops.deriv(tau.t12, 2)
-    div2 = ops.deriv(tau.t12, 1) + ops.deriv(tau.t22, 2)
-    unprojected = VectorField(
-        ScalarField(g, div1.coeffs * g.inv_ksq),
-        ScalarField(g, div2.coeffs * g.inv_ksq),
-    )
-    return ops.leray_project(unprojected)
+    u1, u2 = stokes_toy_velocity_modes(g, *(c.coeffs for c in tau.components))
+    return VectorField(ScalarField(g, u1), ScalarField(g, u2))
 
 
-def rhs(state: SimState, params: ModelParams,
+def rhs(y: np.ndarray, grid: Grid, params: ModelParams,
         forcing: np.ndarray | None = None) -> np.ndarray:
-    """Explicit tendency of (omega, tau11, tau12, tau22) as one (4, n, n) stack.
+    """Explicit tendency of a packed stack (omega, tau11, tau12, tau22), as a
+    packed stack.
 
-    This is d/dt of the state without the stiff part linear_symbol * stack,
+    This is d/dt of the state without the stiff part linear_symbol * y,
     which the integrating factor carries; time_derivative gives the full
-    d/dt. Every quadratic product is dealiased. For the Stokes toy variant
-    the vorticity equation is dropped (its row is 0) and the advecting
-    velocity is state.u, which make_state keeps consistent with tau. A
-    forcing stack is added as it is.
+    d/dt. Every quadratic product is dealiased; advection and Q are summed
+    in physical space, so each row takes one forward transform. For the
+    Stokes toy the vorticity row is 0 and the velocity comes from the tau
+    rows. A packed forcing stack is added as it is.
     """
-    grid = state.grid
-    u = state.u
-    tau = state.tau
+    g = grid.half
+    n = grid.n
+    mask = g.dealias_mask
+    ik1, ik2 = 1j * g.deriv_k1, 1j * g.deriv_k2
 
-    if params.variant == "stokes_toy":
-        omega_explicit = ScalarField.zeros(grid)
+    def phys(a):
+        return np.fft.irfft2(a, s=(n, n), norm="forward")
+
+    stokes = params.variant == "stokes_toy"
+    if stokes:
+        u1_hat, u2_hat = stokes_toy_velocity_modes(g, *y[1:])
     else:
-        adv_omega = ops.advect(u, state.omega)
-        omega_coeffs = -adv_omega.coeffs
+        u1_hat, u2_hat = ops.velocity_modes(g, y[0])
+    u1, u2 = phys(u1_hat), phys(u2_hat)
+
+    def transport(f):
+        """-u . grad f, physical."""
+        a = phys(ik1 * f)
+        a *= u1
+        b = phys(ik2 * f)
+        b *= u2
+        a += b
+        return np.negative(a, out=a)
+
+    out = np.empty_like(y)
+    if stokes:
+        out[0] = 0.0
+    else:
+        np.multiply(np.fft.rfft2(transport(y[0]), norm="forward"), mask, out=out[0])
         if params.K != 0.0:
-            omega_coeffs = omega_coeffs + params.K * ops.curl_div(tau).coeffs
-        omega_coeffs[0, 0] = 0.0
-        omega_explicit = ScalarField(grid, omega_coeffs)
+            out[0] -= params.K * ops.r_numerator(g, *y[1:])  # K curl(div(tau))
+        out[0, 0, 0] = 0.0
 
-    adv_tau = ops.advect_tensor(u, tau)
-    tau_explicit = -1.0 * adv_tau
-    if params.alpha != 0.0:
-        tau_explicit = tau_explicit + params.alpha * ops.sym_grad_of(state.grad_u)
+    grad_u = (ik1 * u1_hat, ik1 * u2_hat, ik2 * u1_hat, ik2 * u2_hat)  # g_ij = d_i u_j
+    tendency = [transport(t) for t in y[1:]]
     if params.q_enabled:
-        tau_explicit = tau_explicit + q_form(state.grad_u, tau, params.b)
+        q = q_products(*map(phys, grad_u), *map(phys, y[1:]), params.b)
+        for values, q_c in zip(tendency, q):
+            values += q_c
+    for row, values in zip(out[1:], tendency):
+        np.multiply(np.fft.rfft2(values, norm="forward"), mask, out=row)
+    if params.alpha != 0.0:
+        g11, g12, g21, g22 = grad_u
+        out[1] += params.alpha * g11
+        out[2] += params.alpha * (0.5 * (g12 + g21))
+        out[3] += params.alpha * g22
 
-    out = stack(omega_explicit, tau_explicit)
     if forcing is not None:
         out += forcing
     return out
@@ -230,8 +278,8 @@ def time_derivative(state: SimState,
     """d/dt (omega, tau) at the state: rhs plus linear_symbol * stack, the one
     place where the explicit/stiff split is undone."""
     grid = state.grid
-    d = rhs(state, params) + linear_symbol(grid, params) * stack(state.omega, state.tau)
-    return unstack(grid, d)
+    y = stack(state.omega, state.tau)
+    return unstack(grid, rhs(y, grid, params) + linear_symbol(grid, params) * y)
 
 
 def gamma_of(state: SimState, params: ModelParams) -> ScalarField:

@@ -1,4 +1,4 @@
-"""Spectral field algebra: derivatives, inversions, projections, and the
+"""Spectral field algebra: derivatives, inversions, Biot-Savart and the
 degree-zero operator R, all as exact Fourier multipliers.
 
 Velocity gradients use the convention (grad u)_{ij} = d_i u_j, so the
@@ -45,22 +45,17 @@ def curl(v: VectorField) -> ScalarField:
     return deriv(v.u2, 1) - deriv(v.u1, 2)
 
 
-def leray_project(v: VectorField) -> VectorField:
-    """Orthogonal projection onto divergence-free fields (mean preserved)."""
-    g = v.grid
-    kdotv = g.k1 * v.u1.coeffs + g.k2 * v.u2.coeffs
-    corr = g.inv_ksq * kdotv
-    return VectorField(
-        ScalarField(g, v.u1.coeffs - g.k1 * corr),
-        ScalarField(g, v.u2.coeffs - g.k2 * corr),
-    )
+def velocity_modes(g, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Biot-Savart per mode: u_hat = (i k2, -i k1) w_hat / |k|^2, for the
+    wavevector arrays g of either layout (a Grid or its HalfSpectrum)."""
+    psi = g.inv_ksq * w  # stream function: -Laplace(psi) = omega
+    return 1j * g.k2 * psi, -1j * g.k1 * psi
 
 
 def biot_savart(omega: ScalarField) -> VectorField:
-    """Divergence-free velocity with curl(u) = omega.
+    """Divergence-free velocity with curl(u) = omega (velocity_modes).
 
-    Per mode u_hat = (i k2, -i k1) omega_hat / |k|^2. Requires zero-mean
-    omega: a nonzero mean admits no periodic velocity.
+    Requires zero-mean omega: a nonzero mean admits no periodic velocity.
     """
     g = omega.grid
     scale = max(omega.max_abs_coeff(), 1.0)
@@ -68,11 +63,8 @@ def biot_savart(omega: ScalarField) -> VectorField:
         raise ValueError(
             f"biot_savart requires zero-mean vorticity, mean={omega.mean:.3e}"
         )
-    psi = g.inv_ksq * omega.coeffs  # stream function: -Laplace(psi) = omega
-    return VectorField(
-        ScalarField(g, 1j * g.k2 * psi),
-        ScalarField(g, -1j * g.k1 * psi),
-    )
+    u1, u2 = velocity_modes(g, omega.coeffs)
+    return VectorField(ScalarField(g, u1), ScalarField(g, u2))
 
 
 @dataclass(frozen=True)
@@ -114,12 +106,15 @@ def sym_grad_of(g: VelocityGradient) -> SymTensorField:
     return SymTensorField(t11=g.g11, t12=0.5 * (g.g12 + g.g21), t22=g.g22)
 
 
+def r_numerator(g, t11: np.ndarray, t12: np.ndarray, t22: np.ndarray) -> np.ndarray:
+    """Per mode (k1^2 - k2^2) t12 + k1 k2 (t22 - t11), shared by R and curl div,
+    for the wavevector arrays g of either layout. k1^2 - k2^2 is written
+    |k|^2 - 2 k2^2, which keeps it even in k1 in the half layout too."""
+    return (g.ksq - 2.0 * g.k2**2) * t12 + g.k1 * g.k2 * (t22 - t11)
+
+
 def _r_numerator(tau: SymTensorField) -> np.ndarray:
-    """Per mode (k1^2 - k2^2) t12 + k1 k2 (t22 - t11), shared by R and curl div."""
-    g = tau.grid
-    return (g.k1**2 - g.k2**2) * tau.t12.coeffs + g.k1 * g.k2 * (
-        tau.t22.coeffs - tau.t11.coeffs
-    )
+    return r_numerator(tau.grid, *(c.coeffs for c in tau.components))
 
 
 def riesz_r(tau: SymTensorField) -> ScalarField:

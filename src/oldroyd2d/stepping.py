@@ -9,7 +9,8 @@ classical four-stage scheme.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -55,17 +56,15 @@ def cfl_dt(state: SimState, config: StepConfig) -> float:
     return min(max(dt, config.dt_min), config.dt_max)
 
 
-def _as_state(t: float, y: np.ndarray, grid, params: ModelParams) -> SimState:
-    return make_state(t, *unstack(grid, y), params)
-
-
 def step(state: SimState, dt: float, params: ModelParams, config: StepConfig,
          forcing: np.ndarray | None = None) -> SimState:
     """Advance one step of size dt > 0.
 
-    The state is stacked once as (omega, tau11, tau12, tau22). Each stage
-    is one whole-array expression in that stack, the integrating factors
-    exp(c dt L) of the linear symbol L and the explicit tendencies from rhs.
+    The state is packed once into the (4, n, n//2+1) half-spectrum stack
+    (omega, tau11, tau12, tau22) and unpacked once at the end. Each stage is
+    one whole-array expression in that stack, the integrating factors
+    exp(c dt L) of the linear symbol L and the explicit tendencies from rhs;
+    a forcing is a packed stack too.
     """
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -73,25 +72,23 @@ def step(state: SimState, dt: float, params: ModelParams, config: StepConfig,
     sym = linear_symbol(grid, params)
     e = np.exp(dt * sym)
 
-    t = state.t
     y = stack(state.omega, state.tau)
-    n_of = lambda tt, yy: rhs(_as_state(tt, yy, grid, params), params, forcing)
+    n_of = lambda yy: rhs(yy, grid, params, forcing)
 
-    k1 = rhs(state, params, forcing)  # the given state keeps the velocity cfl_dt made
+    k1 = n_of(y)
     if config.scheme == "ifrk2":
-        k2 = n_of(t + dt, e * (y + dt * k1))
+        k2 = n_of(e * (y + dt * k1))
         ynew = e * y + 0.5 * dt * (e * k1 + k2)
     else:
         h = np.exp(0.5 * dt * sym)
-        k2 = n_of(t + 0.5 * dt, h * (y + 0.5 * dt * k1))
-        k3 = n_of(t + 0.5 * dt, h * y + 0.5 * dt * k2)
-        k4 = n_of(t + dt, e * y + dt * h * k3)
+        k2 = n_of(h * (y + 0.5 * dt * k1))
+        k3 = n_of(h * y + 0.5 * dt * k2)
+        k4 = n_of(e * y + dt * h * k3)
         ynew = e * y + (dt / 6.0) * (e * k1 + 2.0 * h * (k2 + k3) + k4)
 
-    out = _as_state(t + dt, ynew, grid, params)
-    if not out.is_finite():
-        raise IntegrationError(t + dt, "non-finite field values")
-    return out
+    if not np.all(np.isfinite(ynew)):
+        raise IntegrationError(state.t + dt, "non-finite field values")
+    return make_state(state.t + dt, *unstack(grid, ynew), params)
 
 
 def integrate(state0: SimState, params: ModelParams, config: StepConfig,
@@ -100,9 +97,11 @@ def integrate(state0: SimState, params: ModelParams, config: StepConfig,
     """Advance from state0.t to config.t_end under CFL step control.
 
     The observer, if given, is called with the state at t0, at every
-    cadence tick, and at t_end; steps are shortened so ticks are hit
-    exactly. land_times lists additional times to land on exactly (the
-    observer is called there too, e.g. for snapshot output).
+    cadence tick t0 + k * observe_every, and at t_end; land_times lists
+    additional times to land on (the observer is called there too, e.g. for
+    snapshot output). A step that would reach the next of these targets (to
+    within 1e-12 relative) is cut to end on it, and the state it makes
+    carries the target's time exactly.
     """
     state = state0
     t_end = config.t_end
@@ -113,25 +112,30 @@ def integrate(state0: SimState, params: ModelParams, config: StepConfig,
     if t_end <= state.t + eps:
         return state
 
-    next_tick = None
+    t0, ticks = state.t, 1
+    next_tick = math.inf
     if observer is not None and observe_every is not None and observe_every > 0:
-        next_tick = state.t + observe_every
+        next_tick = t0 + observe_every
     pending = sorted(t for t in land_times if state.t + eps < t < t_end - eps)
 
     while state.t < t_end - eps:
+        target = min(next_tick, pending[0] if pending else t_end)
+        if target > t_end - eps:
+            target = t_end
         dt = cfl_dt(state, config)
-        if next_tick is not None:
-            dt = min(dt, next_tick - state.t)
-        if pending:
-            dt = min(dt, pending[0] - state.t)
-        dt = min(dt, t_end - state.t)
+        t_new = state.t + dt
+        if t_new >= target - eps:  # the step reaches the target: end it there
+            dt, t_new = target - state.t, target
         state = step(state, dt, params, config, forcing)
+        if state.t != t_new:
+            state = replace(state, t=t_new)
 
         landed = False
-        if next_tick is not None and state.t >= next_tick - eps:
+        if state.t >= next_tick - eps:
             landed = True
             while next_tick <= state.t + eps:
-                next_tick += observe_every
+                ticks += 1
+                next_tick = t0 + ticks * observe_every
         while pending and state.t >= pending[0] - eps:
             landed = True
             pending.pop(0)

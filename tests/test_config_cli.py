@@ -206,6 +206,18 @@ class TestRunner:
         accums = [r.bkm_accum for r in result.records]
         assert all(b2 >= b1 for b1, b2 in zip(accums, accums[1:]))
 
+    def test_run_lands_exactly_on_ticks_and_t_end(self, tmp_path):
+        # q_zero at n = 32 to t_end = 1: the records sit at k * observe_every,
+        # and the last one and the summary's t_final at t_end, with no drift
+        text = (SMALL_RUN.format(out=tmp_path / "ticks")
+                .replace("t_end = 0.3", "t_end = 1.0")
+                .replace("snapshot_times = 0.15\n", ""))
+        result = run(parse_config(text))
+        assert result.ok
+        assert [r.t for r in result.records] == [k * 0.1 for k in range(11)]
+        summary = read_ndjson(result.out_dir / "diagnostics.ndjson")[-1]["summary"]
+        assert summary["t_final"] == 1.0
+
     def test_output_root_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("OLDROYD2D_OUT", str(tmp_path / "root"))
         cfg = parse_config(MINIMAL.format(out="rel_dir"))

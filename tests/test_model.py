@@ -153,16 +153,17 @@ class TestRhs:
     def test_stiff_plus_explicit_is_full(self, grid32):
         params = ModelParams(nu=0.1, mu=0.5, K=1.2, alpha=0.9, beta=0.4, b=0.3)
         state = rand_state(grid32, 6)
+        y = stack(state.omega, state.tau)
         full = stack(*time_derivative(state, params))
-        stiff = linear_symbol(grid32, params) * stack(state.omega, state.tau)
-        assert np.max(np.abs(full - rhs(state, params) - stiff)) < 1e-12
+        stiff = linear_symbol(grid32, params) * y
+        assert np.max(np.abs(full - rhs(y, grid32, params) - stiff)) < 1e-12
 
         # u = 0, K = alpha = 0, Q off: only diffusion and relaxation act on
         # tau, and rhs, which holds no stiff part, is exactly zero
         relax = ModelParams(nu=0.1, mu=0.5, K=0.0, alpha=0.0, beta=0.4,
                             q_enabled=False, variant="q_zero")
         still = make_state(0.0, ScalarField.zeros(grid32), state.tau)
-        assert not np.any(rhs(still, relax))
+        assert not np.any(rhs(stack(still.omega, still.tau), grid32, relax))
         assert np.any(stack(*time_derivative(still, relax)))
 
     def test_vorticity_rhs_zero_mean(self, grid32):

@@ -1,0 +1,132 @@
+"""The packed half-spectrum rhs against the full-layout field algebra.
+
+`reference_rhs` is the explicit tendency composed from the ScalarField
+operators on the full (n, n) coefficient arrays: advection, curl div,
+the symmetric velocity gradient and Q. The packed kernel must agree with
+it on every row, including a state with Nyquist content.
+"""
+
+import numpy as np
+import pytest
+
+from oldroyd2d import operators as ops
+from oldroyd2d.fields import ScalarField, SymTensorField
+from oldroyd2d.grid import Grid
+from oldroyd2d.model import ModelParams, make_state, q_form, rhs, stack, unstack
+
+from conftest import rand_state
+
+TOL = 1e-13
+
+VARIANTS = {
+    "full_b": ModelParams(nu=0.0, mu=0.7, K=1.2, alpha=0.9, beta=0.3, b=0.4),
+    "q_zero": ModelParams(nu=0.0, mu=1.0, K=1.0, alpha=0.8, beta=0.1, variant="q_zero"),
+    "full_viscous": ModelParams(nu=0.05, mu=0.5, K=0.8, alpha=1.1, beta=0.2, b=-0.3),
+    "stokes_toy": ModelParams(nu=0.0, mu=0.3, alpha=1.0, beta=0.2, q_enabled=False,
+                              variant="stokes_toy"),
+    "stokes_toy_q": ModelParams(nu=0.0, mu=0.3, alpha=1.0, beta=0.2, b=0.6,
+                                variant="stokes_toy"),
+}
+
+
+def reference_rhs(state, params, forcing=None):
+    """The explicit tendency as a full-layout (4, n, n) stack."""
+    grid = state.grid
+    u, tau = state.u, state.tau
+    if params.variant == "stokes_toy":
+        w = np.zeros((grid.n, grid.n), dtype=np.complex128)
+    else:
+        w = -ops.advect(u, state.omega).coeffs
+        if params.K != 0.0:
+            w = w + params.K * ops.curl_div(tau).coeffs
+        w[0, 0] = 0.0
+    t = -1.0 * ops.advect_tensor(u, tau)
+    if params.alpha != 0.0:
+        t = t + params.alpha * ops.sym_grad_of(state.grad_u)
+    if params.q_enabled:
+        t = t + q_form(state.grad_u, tau, params.b)
+    out = np.stack([w] + [c.coeffs for c in t.components])
+    return out if forcing is None else out + forcing
+
+
+def row_errors(got, want):
+    return [float(np.max(np.abs(a - b)) / max(np.max(np.abs(b)), 1e-300))
+            for a, b in zip(got, want)]
+
+
+def band_state(grid, seed, params):
+    s = rand_state(grid, seed, band=(1, grid.n // 3))
+    return make_state(0.0, s.omega, s.tau, params)
+
+
+def nyquist_state(grid, seed, params):
+    """White-noise fields: every mode, the Nyquist row and column included."""
+    rng = np.random.default_rng(seed)
+    f = [ScalarField.from_physical(grid, rng.standard_normal((grid.n, grid.n)))
+         for _ in range(4)]
+    omega = ScalarField(grid, f[0].coeffs - f[0].coeffs[0, 0] * (grid.ksq == 0))
+    return make_state(0.0, omega, SymTensorField(*f[1:]), params)
+
+
+class TestPackedRhs:
+    @pytest.mark.parametrize("name", list(VARIANTS))
+    @pytest.mark.parametrize("n", [16, 32, 64])
+    def test_matches_full_layout_reference(self, name, n):
+        grid = Grid(n)
+        params = VARIANTS[name]
+        state = band_state(grid, 21, params)
+        got = rhs(stack(state.omega, state.tau), grid, params)
+        want = reference_rhs(state, params)[..., : n // 2 + 1]
+        assert max(row_errors(got, want)) <= TOL
+
+    def test_forced_state(self, grid32):
+        params = VARIANTS["full_b"]
+        state = band_state(grid32, 22, params)
+        push = band_state(grid32, 23, params)
+        forcing = stack(push.omega, push.tau)
+        got = rhs(stack(state.omega, state.tau), grid32, params, forcing)
+        want = reference_rhs(state, params, np.stack(
+            [push.omega.coeffs] + [c.coeffs for c in push.tau.components]))
+        assert max(row_errors(got, want[..., :17])) <= TOL
+
+    @pytest.mark.parametrize("name", list(VARIANTS))
+    def test_nyquist_content(self, name, grid32):
+        # A full-layout array may hold, on the Nyquist row, a part that no
+        # real field has (raw odd multipliers such as i k1 there); its real
+        # field drops it, and the half spectrum never stores it. So the
+        # real fields of the two are compared.
+        grid, params = grid32, VARIANTS[name]
+        state = nyquist_state(grid, 24, params)
+        assert np.any(state.tau.t12.coeffs[16, 1:16]) and np.any(state.tau.t12.coeffs[1:16, 16])
+        got = rhs(stack(state.omega, state.tau), grid, params)
+        want = reference_rhs(state, params)
+        got_values = [np.fft.irfft2(a, s=(32, 32), norm="forward") for a in got]
+        want_values = [np.fft.ifft2(a, norm="forward").real for a in want]
+        assert max(row_errors(got_values, want_values)) <= TOL
+
+
+class TestPackUnpack:
+    def test_pack_of_unpack_is_bit_exact(self, grid32):
+        rng = np.random.default_rng(25)
+        shape = (4, 32, 17)
+        y = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        omega, tau = unstack(grid32, y)
+        assert np.array_equal(stack(omega, tau), y)
+
+    def test_unpack_of_pack_restores_a_real_state(self, grid32):
+        state = rand_state(grid32, 26, band=(1, 10))
+        omega, tau = unstack(grid32, stack(state.omega, state.tau))
+        assert np.array_equal(omega.coeffs, state.omega.coeffs)
+        for got, want in zip(tau.components, state.tau.components):
+            assert np.array_equal(got.coeffs, want.coeffs)
+
+    def test_unpacked_fields_are_the_half_spectrum_fields(self, grid32):
+        # filling columns n/2+1..n-1 by conjugate symmetry gives the real
+        # field irfft2 reads from the half spectrum
+        rng = np.random.default_rng(27)
+        y = rng.standard_normal((4, 32, 17)) + 1j * rng.standard_normal((4, 32, 17))
+        y[:, 0, 0] = y[:, 0, 0].real
+        omega, tau = unstack(grid32, y)
+        for row, field in zip(y, (omega,) + tau.components):
+            want = np.fft.irfft2(row, s=(32, 32), norm="forward")
+            assert np.max(np.abs(field.physical - want)) <= 1e-13 * np.max(np.abs(want))

@@ -103,26 +103,6 @@ class TestInvertLaplacian:
         assert np.max(np.abs(back.coeffs - f.coeffs)) < 1e-12
 
 
-class TestLeray:
-    def test_pure_gradient_annihilated(self, grid16):
-        phi = field_from(grid16, lambda x, y: np.sin(x + y))
-        v = VectorField(*ops.grad(phi))
-        out = ops.leray_project(v)
-        assert max(np.max(np.abs(out.u1.physical)), np.max(np.abs(out.u2.physical))) < 1e-13
-
-    def test_idempotent_and_divergence_free(self, grid32):
-        v = VectorField(rand_scalar(grid32, 21), rand_scalar(grid32, 22))
-        once = ops.leray_project(v)
-        twice = ops.leray_project(once)
-        assert np.max(np.abs(once.u1.coeffs - twice.u1.coeffs)) < 1e-13
-        assert once.max_divergence() <= 1e-12 * max(np.max(np.abs(once.u1.coeffs)), 1e-30)
-
-    def test_divergence_free_fixed_point(self, grid16):
-        v = VectorField(field_from(grid16, lambda x, y: np.sin(y)), ScalarField.zeros(grid16))
-        out = ops.leray_project(v)
-        assert rel_err(out.u1.physical, np.sin(grid16.y)) < 1e-13
-
-
 class TestBiotSavart:
     def test_sin_x(self, grid16):
         u = ops.biot_savart(field_from(grid16, lambda x, y: np.sin(x)))

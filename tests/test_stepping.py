@@ -8,7 +8,7 @@ import pytest
 from oldroyd2d.errors import ConfigError, IntegrationError
 from oldroyd2d.fields import ScalarField, SymTensorField
 from oldroyd2d.grid import Grid
-from oldroyd2d.model import ModelParams, make_state, rhs, stack
+from oldroyd2d.model import ModelParams, make_state, rhs, stack, unstack
 from oldroyd2d.stepping import StepConfig, cfl_dt, integrate, step
 
 from conftest import field_from, rand_state
@@ -88,39 +88,35 @@ class TestStep:
 
 
 def _componentwise_step(state, dt, params, scheme):
-    """One IFRK2/IFRK4 step written per component of (omega, tau11, tau12, tau22)."""
+    """One IFRK2/IFRK4 step written per packed row of (omega, tau11, tau12, tau22)."""
     grid = state.grid
-    sym_w = -params.nu * grid.ksq
-    sym_t = -(params.beta + params.mu * grid.ksq)
+    ksq = grid.half.ksq
+    sym_w = -params.nu * ksq
+    sym_t = -(params.beta + params.mu * ksq)
     exps = [np.exp(dt * sym_w)] + [np.exp(dt * sym_t)] * 3
 
-    def as_state(t, y):
-        tau = SymTensorField(*(ScalarField(grid, c) for c in y[1:]))
-        return make_state(t, ScalarField(grid, y[0]), tau, params)
+    def n_of(y):
+        return list(rhs(np.stack(y), grid, params))
 
-    def n_of(t, y):
-        return list(rhs(as_state(t, y), params))
-
-    t = state.t
-    y = [state.omega.coeffs] + [c.coeffs for c in state.tau.components]
-    k1 = n_of(t, y)
+    y = list(stack(state.omega, state.tau))
+    k1 = n_of(y)
     if scheme == "ifrk2":
         y2 = [e * (a + dt * b) for e, a, b in zip(exps, y, k1)]
-        k2 = n_of(t + dt, y2)
+        k2 = n_of(y2)
         ynew = [e * a + 0.5 * dt * (e * b + c) for e, a, b, c in zip(exps, y, k1, k2)]
     else:
         halfs = [np.exp(0.5 * dt * sym_w)] + [np.exp(0.5 * dt * sym_t)] * 3
         y2 = [h * (a + 0.5 * dt * b) for h, a, b in zip(halfs, y, k1)]
-        k2 = n_of(t + 0.5 * dt, y2)
+        k2 = n_of(y2)
         y3 = [h * a + 0.5 * dt * b for h, a, b in zip(halfs, y, k2)]
-        k3 = n_of(t + 0.5 * dt, y3)
+        k3 = n_of(y3)
         y4 = [e * a + dt * h * b for e, h, a, b in zip(exps, halfs, y, k3)]
-        k4 = n_of(t + dt, y4)
+        k4 = n_of(y4)
         ynew = [
             e * a + (dt / 6.0) * (e * b1 + 2.0 * h * (b2 + b3) + b4)
             for e, h, a, b1, b2, b3, b4 in zip(exps, halfs, y, k1, k2, k3, k4)
         ]
-    return as_state(t + dt, ynew)
+    return make_state(state.t + dt, *unstack(grid, np.stack(ynew)), params)
 
 
 class TestStackedStages:
@@ -164,6 +160,24 @@ class TestIntegrate:
         integrate(state, ModelParams(), StepConfig(dt_max=0.03, t_end=1.0),
                   observer=lambda s: seen.append(s.t), observe_every=0.25)
         assert seen == pytest.approx([0.0, 0.25, 0.5, 0.75, 1.0], abs=1e-9)
+
+    def test_ticks_and_t_end_hit_exactly(self, grid32):
+        # tick k is t0 + k * observe_every, not an accumulated sum, and a step
+        # shortened onto a target ends at that target's time exactly
+        state = rand_state(grid32, 6, omega_amp=0.5, tau_amp=0.5)
+        seen = []
+        params = ModelParams(variant="q_zero")
+        out = integrate(state, params, StepConfig(dt_max=0.03, t_end=1.0),
+                        observer=lambda s: seen.append(s.t), observe_every=0.1)
+        assert seen == [k * 0.1 for k in range(11)]
+        assert out.t == 1.0
+
+        later = make_state(0.25, state.omega, state.tau)
+        seen = []
+        integrate(later, params, StepConfig(dt_max=0.03, t_end=0.95),
+                  observer=lambda s: seen.append(s.t), observe_every=0.1,
+                  land_times=(0.5, 0.7))
+        assert seen == sorted([0.25 + k * 0.1 for k in range(7)] + [0.5, 0.7]) + [0.95]
 
     def test_land_times_hit_exactly(self, grid32):
         state = rand_state(grid32, 7, omega_amp=0.1, tau_amp=0.1)
