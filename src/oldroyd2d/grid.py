@@ -145,11 +145,12 @@ class HalfSpectrum:
     """Columns 0..n/2 of the grid's per-mode arrays: the rfft2 layout.
 
     A half spectrum stores one mode of each conjugate pair, except in
-    columns 0 and n/2, which are stored whole. The Nyquist row m1 = -n/2 is
-    its own partner, so between those columns a multiplier odd in k1 must
-    vanish on it for the stored values to stay those of a real field (as
-    deriv_k1 does). Hence `k1` is zero there, and even powers of k1 are
-    written with `ksq` and `k2`.
+    columns 0 and n/2, which are stored whole. On the Nyquist row
+    m1 = -n/2, (-n/2, m2) pairs with (-n/2, -m2), where k1 has the same
+    value, so between those columns a multiplier odd in k1 must vanish for
+    the stored values to stay those of a real field (as deriv_k1 does).
+    Hence `k1` is zero there, and even powers of k1 are written with `ksq`
+    and `k2`.
     """
 
     def __init__(self, grid: Grid):
