@@ -8,7 +8,8 @@ corner wavenumber.
 
 L-infinity norms are evaluated after zero-padding the spectrum to twice the
 resolution per axis, which reduces the underestimate of maxima falling
-between grid points.
+between grid points; linf_norm is the one place that pads, for every field
+kind and every dyadic block (PaddedTransform).
 
 Every norm takes any field kind, with the component weights fields.py
 states: the pointwise magnitude is sqrt(sum_c w_c c^2).
@@ -26,17 +27,48 @@ from .fields import FieldKind, ScalarField, norm
 from .grid import Grid
 
 
-def pad_coeffs(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
-    """Embed coefficients into a 2n grid (trigonometric interpolation) by
-    copying each quadrant into a corner; the Nyquist row and column stay at
-    frequency -n/2."""
-    h = grid.n // 2
-    big = np.zeros((4 * h, 4 * h), dtype=np.complex128)
-    big[:h, :h] = coeffs[:h, :h]
-    big[:h, -h:] = coeffs[:h, h:]
-    big[-h:, :h] = coeffs[h:, :h]
-    big[-h:, -h:] = coeffs[h:, h:]
-    return big
+class PaddedTransform:
+    """The zero-padded 2n x 2n transform of one grid, through reused buffers.
+
+    Zero-padding a spectrum to 2n points per axis keeps its frequencies
+    (the n-point Nyquist row and column at -n/2) and puts zeros around
+    them. The real part of that padded spectrum's transform is the transform
+    of its Hermitian part (P[k] + conj P[-k]) / 2, which irfftn synthesizes
+    from columns 0..n of a (2n, n+1) half spectrum. The Hermitian part is
+    formed in the centred (n+1, n+1) array of frequencies -n/2..n/2, where
+    -k is the reversed index, so a Nyquist row or column that is not
+    conjugate-symmetric splits into halves at -n/2 and +n/2. Only the
+    nonzero band of each buffer is rewritten per call, and calls must not
+    overlap (the package runs in one thread).
+    """
+
+    def __init__(self, grid: Grid):
+        n = grid.n
+        self.n = n
+        self.centred = np.zeros((n + 1, n + 1), dtype=np.complex128)
+        self.half = np.zeros((2 * n, n + 1), dtype=np.complex128)
+
+    def physical(self, coeffs: np.ndarray, scale: float, out: np.ndarray) -> np.ndarray:
+        """The padded 2n x 2n grid values of scale * coeffs, written to out."""
+        n, h = self.n, self.n // 2
+        c, b = self.centred, self.half
+        s = 0.5 * scale
+        np.multiply(coeffs[h:, h:], s, out=c[:h, :h])
+        np.multiply(coeffs[h:, :h], s, out=c[:h, h:n])
+        np.multiply(coeffs[:h, h:], s, out=c[h:n, :h])
+        np.multiply(coeffs[:h, :h], s, out=c[h:n, h:n])
+        top, bottom = b[: h + 1, : h + 1], b[3 * h :, : h + 1]  # m1 = 0..n/2, m1 < 0
+        np.conjugate(c[h::-1, h::-1], out=top)  # conj P[-k]: reversed rows and columns
+        np.conjugate(c[:h:-1, h::-1], out=bottom)
+        top += c[h:, h:]
+        bottom += c[:h, h:]
+        # irfftn, not irfft2: numpy's irfft2 drops its out argument
+        return np.fft.irfftn(b, s=(2 * n, 2 * n), axes=(0, 1), norm="forward", out=out)
+
+
+@lru_cache(maxsize=16)
+def padded_transform(grid: Grid) -> PaddedTransform:
+    return PaddedTransform(grid)
 
 
 def linf_norm(f: FieldKind) -> float:
@@ -45,19 +77,21 @@ def linf_norm(f: FieldKind) -> float:
     The squares are taken of coefficients scaled by the power of two that
     brings their largest modulus into [1/2, 1): the scaling is exact, and a
     field near the ends of the float range (a blow-up) neither overflows nor
-    underflows when squared.
+    underflows when squared. Each component's weighted square is summed in
+    place into one buffer per call.
     """
     peak = max(c.max_abs_coeff() for c in f.components)
     exponent = max(math.frexp(peak)[1], -1000)  # 0 for a zero or non-finite peak
     scale = math.ldexp(1.0, -exponent)
-    mag = None
-    for c, w in zip(f.components, f.weights):
-        p = np.fft.ifft2(pad_coeffs(f.grid, scale * c.coeffs), norm="forward").real
-        sq = p * p if w == 1.0 else w * p * p
-        if mag is None:
-            mag = sq
-        else:
-            mag += sq
+    pad = padded_transform(f.grid)
+    mag, values = np.empty((2, 2 * f.grid.n, 2 * f.grid.n))
+    for i, (c, w) in enumerate(zip(f.components, f.weights)):
+        p = pad.physical(c.coeffs, scale, values if i else mag)
+        np.multiply(p, p, out=p)
+        if w != 1.0:
+            p *= w
+        if i:
+            mag += p
     return float(np.ldexp(math.sqrt(float(np.max(mag))), exponent))
 
 

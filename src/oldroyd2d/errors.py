@@ -12,7 +12,8 @@ class ConfigError(ValueError):
 
 
 class IntegrationError(RuntimeError):
-    """Time integration produced non-finite values. Carries the failure time."""
+    """Time integration failed (non-finite values, step size underflow).
+    Carries the failure time."""
 
     def __init__(self, t, detail=""):
         self.t = t

@@ -209,6 +209,15 @@ def stokes_toy_velocity(tau: SymTensorField) -> VectorField:
     return VectorField(ScalarField(g, u1), ScalarField(g, u2))
 
 
+def packed_velocity_modes(g, y, params: ModelParams | None = None):
+    """Per mode, the velocity of a packed stack y (or of any sequence of its
+    four rows): the Biot-Savart velocity of the vorticity row or, for the
+    Stokes toy, the Stokes velocity of the tau rows."""
+    if params is not None and params.variant == "stokes_toy":
+        return stokes_toy_velocity_modes(g, *y[1:])
+    return ops.velocity_modes(g, y[0])
+
+
 def rhs(y: np.ndarray, grid: Grid, params: ModelParams,
         forcing: np.ndarray | None = None) -> np.ndarray:
     """Explicit tendency of a packed stack (omega, tau11, tau12, tau22), as a
@@ -230,10 +239,7 @@ def rhs(y: np.ndarray, grid: Grid, params: ModelParams,
         return np.fft.irfft2(a, s=(n, n), norm="forward")
 
     stokes = params.variant == "stokes_toy"
-    if stokes:
-        u1_hat, u2_hat = stokes_toy_velocity_modes(g, *y[1:])
-    else:
-        u1_hat, u2_hat = ops.velocity_modes(g, y[0])
+    u1_hat, u2_hat = packed_velocity_modes(g, y, params)
     u1, u2 = phys(u1_hat), phys(u2_hat)
 
     def transport(f):

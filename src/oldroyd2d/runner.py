@@ -28,6 +28,7 @@ from .snapshots import save_snapshot
 from .stepping import integrate
 
 DIAGNOSTICS_FILE = "diagnostics.ndjson"
+FLAT_RANGE = 1e-9  # relative range below which a series is not fitted as a decay
 
 
 @dataclass
@@ -99,6 +100,20 @@ class _Observer:
         return rec
 
 
+def decay_summary(ts, vals) -> dict | None:
+    """{"rate", "r_squared"} of diagnostics.decay_fit, or None for fewer than
+    10 positive values or for a fitted trailing half that moves by less than
+    FLAT_RANGE relative: a conserved norm, whose fit would be one of
+    roundoff drift."""
+    if len(vals) < 10 or not all(v > 0 for v in vals):
+        return None
+    tail = vals[len(vals) // 2:]  # the half decay_fit fits
+    if max(tail) - min(tail) < FLAT_RANGE * max(tail):
+        return None
+    f = diag.decay_fit(ts, vals)
+    return {"rate": f.rate, "r_squared": f.r_squared}
+
+
 def _summarize(config: ExperimentConfig, obs: _Observer) -> dict:
     records = obs.records
     params = config.params
@@ -114,15 +129,8 @@ def _summarize(config: ExperimentConfig, obs: _Observer) -> dict:
         "final_energy_weighted": records[-1].energy_weighted if records else None,
     }
 
-    def fit_of(values):
-        vals = [v for v in values]
-        if len(vals) >= 10 and all(v > 0 for v in vals):
-            f = diag.decay_fit(ts, vals)
-            return {"rate": f.rate, "r_squared": f.r_squared}
-        return None
-
-    summary["decay_grad_u_l2"] = fit_of([r.grad_u_l2 for r in records])
-    summary["decay_tau_l2"] = fit_of([r.tau_l2 for r in records])
+    summary["decay_grad_u_l2"] = decay_summary(ts, [r.grad_u_l2 for r in records])
+    summary["decay_tau_l2"] = decay_summary(ts, [r.tau_l2 for r in records])
 
     ratios = [
         lhs / maj for lhs, maj in obs.enstrophy_ledger if maj > 1e-14 and lhs > 0

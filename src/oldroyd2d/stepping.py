@@ -15,7 +15,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError, IntegrationError
-from .model import ModelParams, SimState, linear_symbol, make_state, rhs, stack, unstack
+from .model import (ModelParams, SimState, linear_symbol, make_state, packed_velocity_modes,
+                    rhs, stack, unstack)
 
 SCHEMES = ("ifrk2", "ifrk4")
 
@@ -48,11 +49,20 @@ class StepConfig:
         return 2 if self.scheme == "ifrk2" else 4
 
 
-def cfl_dt(state: SimState, config: StepConfig) -> float:
-    """Advective CFL step: clamp(cfl * h / max(|u|_inf, floor), dt_min, dt_max)."""
-    h = state.grid.h
-    umax = float(np.max(np.hypot(state.u.u1.physical, state.u.u2.physical)))
-    dt = config.cfl * h / max(umax, CFL_VELOCITY_FLOOR)
+def cfl_dt(state: SimState, config: StepConfig, params: ModelParams | None = None) -> float:
+    """Advective CFL step: clamp(cfl * h / max(|u|_inf, floor), dt_min, dt_max).
+
+    max|u| is taken on the grid from the half-spectrum velocity of the state,
+    with two irfft2 calls; params names the variant, so that the Stokes-toy
+    velocity comes from tau (without params, the velocity is that of omega).
+    """
+    grid = state.grid
+    n, cols = grid.n, grid.n // 2 + 1
+    rows = tuple(c.coeffs[:, :cols] for c in (state.omega, *state.tau.components))
+    u1, u2 = (np.fft.irfft2(u, s=(n, n), norm="forward")
+              for u in packed_velocity_modes(grid.half, rows, params))
+    umax = float(np.max(np.hypot(u1, u2)))
+    dt = config.cfl * grid.h / max(umax, CFL_VELOCITY_FLOOR)
     return min(max(dt, config.dt_min), config.dt_max)
 
 
@@ -102,6 +112,10 @@ def integrate(state0: SimState, params: ModelParams, config: StepConfig,
     snapshot output). A step that would reach the next of these targets (to
     within 1e-12 relative) is cut to end on it, and the state it makes
     carries the target's time exactly.
+
+    Under CFL control (dt_min < dt_max), a CFL step at or below dt_min
+    raises IntegrationError("step size underflow") rather than step with a
+    Courant number above cfl; with dt_min == dt_max every step is that size.
     """
     state = state0
     t_end = config.t_end
@@ -122,7 +136,9 @@ def integrate(state0: SimState, params: ModelParams, config: StepConfig,
         target = min(next_tick, pending[0] if pending else t_end)
         if target > t_end - eps:
             target = t_end
-        dt = cfl_dt(state, config)
+        dt = cfl_dt(state, config, params)
+        if dt <= config.dt_min < config.dt_max:
+            raise IntegrationError(state.t, "step size underflow")
         t_new = state.t + dt
         if t_new >= target - eps:  # the step reaches the target: end it there
             dt, t_new = target - state.t, target

@@ -4,6 +4,7 @@ import pytest
 from oldroyd2d.fields import ScalarField, SymTensorField
 from oldroyd2d.grid import Grid
 from oldroyd2d.initial_data import random_scalar, random_state
+from oldroyd2d.model import make_state
 
 
 @pytest.fixture
@@ -40,6 +41,39 @@ def rand_tensor(grid, seed, band=(1, 8)):
         random_scalar(grid, band, [seed, 12], zero_mean=False),
         random_scalar(grid, band, [seed, 13], zero_mean=False),
     )
+
+
+def pad_coeffs(coeffs: np.ndarray) -> np.ndarray:
+    """Reference zero-padding of n x n coefficients to 2n x 2n: each quadrant
+    is copied into a corner, so the Nyquist row and column stay at frequency
+    -n/2."""
+    h = coeffs.shape[0] // 2
+    big = np.zeros((4 * h, 4 * h), dtype=np.complex128)
+    big[:h, :h] = coeffs[:h, :h]
+    big[:h, -h:] = coeffs[:h, h:]
+    big[-h:, :h] = coeffs[h:, :h]
+    big[-h:, -h:] = coeffs[h:, h:]
+    return big
+
+
+def padded_values(coeffs: np.ndarray) -> np.ndarray:
+    """Reference padded grid values, ifft2(pad_coeffs(c)).real to roundoff:
+    irfft2 of columns 0..n of the padded spectrum's Hermitian part
+    (P[k] + conj P[-k]) / 2, with -k taken modulo 2n."""
+    big = pad_coeffs(coeffs)
+    m = big.shape[0]
+    neg = -np.arange(m) % m
+    herm = 0.5 * (big + np.conj(big[neg][:, neg]))
+    return np.fft.irfft2(herm[:, : m // 2 + 1], s=(m, m), norm="forward")
+
+
+def nyquist_state(grid, seed, params):
+    """White-noise fields: every mode, the Nyquist row and column included."""
+    rng = np.random.default_rng(seed)
+    f = [ScalarField.from_physical(grid, rng.standard_normal((grid.n, grid.n)))
+         for _ in range(4)]
+    omega = ScalarField(grid, f[0].coeffs - f[0].coeffs[0, 0] * (grid.ksq == 0))
+    return make_state(0.0, omega, SymTensorField(*f[1:]), params)
 
 
 def rel_err(a: np.ndarray, b: np.ndarray) -> float:

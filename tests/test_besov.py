@@ -13,7 +13,7 @@ from oldroyd2d.fields import ScalarField
 from oldroyd2d.grid import Grid
 from oldroyd2d.initial_data import random_scalar
 
-from conftest import field_from, rand_scalar
+from conftest import field_from, pad_coeffs, padded_values, rand_scalar
 
 INF = math.inf
 
@@ -137,9 +137,24 @@ class TestLebesgueSobolev:
             big = np.zeros((2 * n, 2 * n), dtype=np.complex128)
             big[n // 2 : 3 * n // 2, n // 2 : 3 * n // 2] = np.fft.fftshift(coeffs)
             want = np.fft.ifftshift(big)
-            got = besov.pad_coeffs(Grid(n), coeffs)
+            got = pad_coeffs(coeffs)
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes()
+
+    def test_half_spectrum_matches_complex_transform(self):
+        # Non-Hermitian coefficients, Nyquist row and column included: the
+        # real part of the complex padded transform drops the anti-Hermitian
+        # part, and the half-spectrum transform must do the same.
+        rng = np.random.default_rng(4)
+        for n in (8, 32, 64):
+            for _ in range(5):
+                coeffs = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+                assert np.all(coeffs[n // 2] != 0) and np.all(coeffs[:, n // 2] != 0)
+                want = np.fft.ifft2(pad_coeffs(coeffs), norm="forward").real
+                pad = besov.padded_transform(Grid(n))
+                got = pad.physical(coeffs, 1.0, np.empty((2 * n, 2 * n)))
+                for values in (got, padded_values(coeffs)):
+                    assert np.max(np.abs(values - want)) <= 1e-15 * np.max(np.abs(want))
 
     def test_unsupported_p(self, grid16):
         with pytest.raises(ValueError):

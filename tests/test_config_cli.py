@@ -251,6 +251,19 @@ class TestRunner:
         assert lines[-1] == {"failure": {"t": lines[-2]["t"], "error": "OSError: disk full"}}
 
 
+    def test_step_size_underflow_is_a_failure_line(self, tmp_path, capsys):
+        # CFL control with a floor far above the CFL step of the data
+        text = SMALL_RUN.format(out=tmp_path / "under").replace(
+            "cfl = 0.5\n", "cfl = 0.001\ndt_min = 0.01\n")
+        path = tmp_path / "under.cfg"
+        path.write_text(text)
+        assert cli.main(["run", str(path)]) == 1
+        assert "step size underflow" in capsys.readouterr().err
+        lines = read_ndjson(tmp_path / "under" / "diagnostics.ndjson")
+        assert [line["t"] for line in lines[:-1]] == [0.0]
+        assert lines[-1] == {"failure": {
+            "t": 0.0, "error": "integration failed at t=0: step size underflow"}}
+
     def test_blowup_writes_strict_json(self, tmp_path):
         path = tmp_path / "blowup.cfg"
         path.write_text(BLOWUP.format(out=tmp_path / "blowup"))

@@ -9,6 +9,7 @@ from oldroyd2d import diagnostics as diag
 from oldroyd2d.fields import ScalarField, SymTensorField, VectorField, sq_norm
 from oldroyd2d.grid import Grid
 from oldroyd2d.model import ModelParams, make_state
+from oldroyd2d.runner import decay_summary
 
 from conftest import field_from, rand_state, rand_tensor
 
@@ -219,6 +220,21 @@ class TestDecayFit:
         ts = np.linspace(0, 1, 12)
         with pytest.raises(ValueError):
             diag.decay_fit(ts, np.linspace(-1, 1, 12))
+
+
+class TestDecaySummary:
+    def test_conserved_series_has_no_fit(self):
+        # a conserved norm drifting by roundoff: no decay rate is reported
+        ts = list(np.linspace(0.0, 5.0, 20))
+        vals = list(2.5 * (1.0 + 1e-13 * np.sin(np.arange(20.0))))
+        assert decay_summary(ts, vals) is None
+
+    def test_decaying_series_is_fitted(self):
+        ts = list(np.linspace(0.0, 5.0, 20))
+        vals = list(np.exp(-0.3 * np.array(ts)))
+        fit = diag.decay_fit(ts, vals)
+        assert decay_summary(ts, vals) == {"rate": fit.rate, "r_squared": fit.r_squared}
+        assert decay_summary(ts[:9], vals[:9]) is None
 
 
 class TestRecord:

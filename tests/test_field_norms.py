@@ -17,6 +17,8 @@ from oldroyd2d.fields import ScalarField, sq_norm
 from oldroyd2d.grid import Grid
 from oldroyd2d.initial_data import random_state
 
+from conftest import padded_values
+
 KINDS = ("scalar", "vector", "velocity_gradient", "tensor")
 HYPOT_RTOL = 1e-15
 
@@ -61,8 +63,9 @@ def _old_multiplier_sq(f, mult):
 
 
 def _padded(c):
-    """besov.refined_physical."""
-    return np.fft.ifft2(besov.pad_coeffs(c.grid, c.coeffs), norm="forward").real
+    """The padded grid values, as the half-spectrum irfft2 (conftest), which
+    test_besov pins to the complex ifft2 of the padded spectrum."""
+    return padded_values(c.coeffs)
 
 
 def _old_linf(kind, f):

@@ -10,11 +10,10 @@ import numpy as np
 import pytest
 
 from oldroyd2d import operators as ops
-from oldroyd2d.fields import ScalarField, SymTensorField
 from oldroyd2d.grid import Grid
 from oldroyd2d.model import ModelParams, make_state, q_form, rhs, stack, unstack
 
-from conftest import rand_state
+from conftest import nyquist_state, rand_state
 
 TOL = 1e-13
 
@@ -57,15 +56,6 @@ def row_errors(got, want):
 def band_state(grid, seed, params):
     s = rand_state(grid, seed, band=(1, grid.n // 3))
     return make_state(0.0, s.omega, s.tau, params)
-
-
-def nyquist_state(grid, seed, params):
-    """White-noise fields: every mode, the Nyquist row and column included."""
-    rng = np.random.default_rng(seed)
-    f = [ScalarField.from_physical(grid, rng.standard_normal((grid.n, grid.n)))
-         for _ in range(4)]
-    omega = ScalarField(grid, f[0].coeffs - f[0].coeffs[0, 0] * (grid.ksq == 0))
-    return make_state(0.0, omega, SymTensorField(*f[1:]), params)
 
 
 class TestPackedRhs:

@@ -11,7 +11,7 @@ from oldroyd2d.grid import Grid
 from oldroyd2d.model import ModelParams, make_state, rhs, stack, unstack
 from oldroyd2d.stepping import StepConfig, cfl_dt, integrate, step
 
-from conftest import field_from, rand_state
+from conftest import field_from, nyquist_state, rand_state
 
 
 class TestStepConfig:
@@ -45,6 +45,23 @@ class TestCflDt:
         state = rand_state(grid32, 1, omega_amp=100.0)
         config = StepConfig(dt_min=0.05, dt_max=0.06, t_end=1.0)
         assert cfl_dt(state, config) == 0.05
+
+
+@pytest.mark.parametrize("params", [
+    ModelParams(nu=0.0, mu=0.7, K=1.2, alpha=0.9, beta=0.3, b=0.4),
+    ModelParams(nu=0.0, mu=1.0, K=1.0, alpha=0.8, beta=0.1, variant="q_zero"),
+    ModelParams(nu=0.05, mu=0.3, alpha=1.0, beta=0.2, variant="stokes_toy"),
+], ids=["full", "q_zero", "stokes_toy"])
+@pytest.mark.parametrize("n", [16, 32, 64])
+def test_cfl_dt_matches_full_layout_velocity(params, n):
+    # max|u| from the half spectrum against the full-layout Biot-Savart
+    # velocity of the state, whose real fields drop any Nyquist part the
+    # half spectrum cannot hold
+    state = nyquist_state(Grid(n), n, params)
+    umax = float(np.max(np.hypot(state.u.u1.physical, state.u.u2.physical)))
+    config = StepConfig(cfl=0.5, dt_max=1e6, dt_min=1e-300, t_end=1.0)
+    want = config.cfl * state.grid.h / umax
+    assert abs(cfl_dt(state, config, params) - want) <= 1e-15 * want
 
 
 class TestStep:
@@ -186,6 +203,20 @@ class TestIntegrate:
                   observer=lambda s: seen.append(s.t), observe_every=0.5,
                   land_times=(0.1234,))
         assert any(abs(t - 0.1234) < 1e-9 for t in seen)
+
+    def test_step_size_underflow_raises(self, grid32):
+        # the CFL step at t = 0 is about 2e-3, below dt_min = 0.01
+        state = rand_state(grid32, 9, omega_amp=100.0)
+        config = StepConfig(cfl=0.1, dt_min=0.01, dt_max=0.05, t_end=0.1)
+        assert cfl_dt(state, config) == 0.01
+        with pytest.raises(IntegrationError, match="step size underflow") as exc:
+            integrate(state, ModelParams(), config)
+        assert exc.value.t == 0.0
+
+    def test_fixed_step_mode_ignores_cfl(self, grid32):
+        state = rand_state(grid32, 9, omega_amp=100.0)
+        config = StepConfig(cfl=0.1, dt_min=0.01, dt_max=0.01, t_end=0.02)
+        assert integrate(state, ModelParams(), config).t == 0.02
 
     def test_euler_conserves_enstrophy_to_scheme_order(self):
         grid = Grid(64)
