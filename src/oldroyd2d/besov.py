@@ -24,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from .fields import FieldKind, ScalarField, norm
-from .grid import Grid
+from .grid import Grid, inverse_rfft2
 
 
 class PaddedTransform:
@@ -33,13 +33,21 @@ class PaddedTransform:
     Zero-padding a spectrum to 2n points per axis keeps its frequencies
     (the n-point Nyquist row and column at -n/2) and puts zeros around
     them. The real part of that padded spectrum's transform is the transform
-    of its Hermitian part (P[k] + conj P[-k]) / 2, which irfftn synthesizes
-    from columns 0..n of a (2n, n+1) half spectrum. The Hermitian part is
-    formed in the centred (n+1, n+1) array of frequencies -n/2..n/2, where
-    -k is the reversed index, so a Nyquist row or column that is not
-    conjugate-symmetric splits into halves at -n/2 and +n/2. Only the
-    nonzero band of each buffer is rewritten per call, and calls must not
-    overlap (the package runs in one thread).
+    of its Hermitian part (P[k] + conj P[-k]) / 2, which the inverse real
+    transform synthesizes from columns 0..n of a (2n, n+1) half spectrum.
+    The Hermitian part is formed in the centred (n+1, n+1) array of
+    frequencies -n/2..n/2, where -k is the reversed index, so a Nyquist row
+    or column that is not conjugate-symmetric splits into halves at -n/2 and
+    +n/2.
+
+    Only rows 0..n/2 and 3n/2..2n-1 of columns 0..n/2 of the half buffer
+    are written per call. The column pass of grid.inverse_rfft2 runs in
+    place on the half buffer and takes only the columns that the centred
+    array's extent can reach: a field of band m fills m + 1 columns of n + 1
+    (a dyadic block q about 2^(q+1)). It fills the middle rows of those
+    columns, which are zeroed again before the call returns, so no second
+    (2n, n+1) buffer is kept. Calls must not overlap (the package runs in
+    one thread).
     """
 
     def __init__(self, grid: Grid):
@@ -62,8 +70,11 @@ class PaddedTransform:
         np.conjugate(c[:h:-1, h::-1], out=bottom)
         top += c[h:, h:]
         bottom += c[:h, h:]
-        # irfftn, not irfft2: numpy's irfft2 drops its out argument
-        return np.fft.irfftn(b, s=(2 * n, 2 * n), axes=(0, 1), norm="forward", out=out)
+        m2 = np.flatnonzero(c.any(axis=0))  # centred columns, frequency m2 - n/2
+        width = max(h - m2[0], m2[-1] - h) + 1 if m2.size else 0
+        inverse_rfft2(b, width, b, out)
+        b[h + 1 : 3 * h, :width] = 0.0
+        return out
 
 
 @lru_cache(maxsize=16)

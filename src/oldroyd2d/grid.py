@@ -1,5 +1,6 @@
 """Periodic square grid with precomputed wavevectors and dealias mask, in
-the full layout and in the half-spectrum (rfft2) layout of the stepper.
+the full layout and in the half-spectrum (rfft2) layout of the stepper, and
+the package's one inverse transform of a half spectrum (inverse_rfft2).
 
 Spectral coefficients follow the Fourier-series convention
 
@@ -151,6 +152,9 @@ class HalfSpectrum:
     the stored values to stay those of a real field (as deriv_k1 does).
     Hence `k1` is zero there, and even powers of k1 are written with `ksq`
     and `k2`.
+
+    `inverse` is the inverse transform of this layout, for the stepper: its
+    column pass takes only the `width` columns that may be nonzero.
     """
 
     def __init__(self, grid: Grid):
@@ -161,3 +165,36 @@ class HalfSpectrum:
         self.partner_rows = -np.arange(grid.n) % grid.n  # row of the partner -m1
         for arr in vars(self).values():
             arr.setflags(write=False)
+        self.n = grid.n
+
+    def width(self, *arrays: np.ndarray) -> int:
+        """The columns an inverse transform of these half spectra must take:
+        n//3 + 1 when every column past the dealias cutoff n/3 is zero (a
+        dealiased stack), else all n//2 + 1."""
+        cut = self.n // 3 + 1
+        return self.n // 2 + 1 if any(a[..., cut:].any() for a in arrays) else cut
+
+    def inverse(self, width: int):
+        """A function from a half spectrum a whose columns width.. are zero
+        to its n x n grid values, irfft2(a, s=(n, n), norm="forward") in
+        bytes. Its calls share one buffer, zero here and past width for
+        good; one is made per rhs or cfl_dt call, so none is kept."""
+        n = self.n
+        work = np.zeros((n, n // 2 + 1), dtype=np.complex128)
+        return lambda a: inverse_rfft2(a, width, work, np.empty((n, n)))
+
+
+def inverse_rfft2(a: np.ndarray, width: int, work: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """irfftn(a, s=out.shape, norm="forward") of the 2-D half spectrum a,
+    whose columns width.. are zero, written to out.
+
+    Column pass: ifft along axis 0 of columns 0..width-1 of a, into the same
+    columns of work, whose other columns must be zero; work may be a itself.
+    Row pass: irfft along axis 1 of work into out. These are the 1-D
+    transforms irfftn makes, in its order, and an all-zero column transforms
+    to zeros, so out is irfftn's in bytes; the column pass skips the zero
+    columns (FFT pruning, Markel 1971).
+    """
+    if width:
+        np.fft.ifft(a[:, :width], axis=0, norm="forward", out=work[:, :width])
+    return np.fft.irfft(work, n=out.shape[1], axis=1, norm="forward", out=out)

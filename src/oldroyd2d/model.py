@@ -228,15 +228,14 @@ def rhs(y: np.ndarray, grid: Grid, params: ModelParams,
     d/dt. Every quadratic product is dealiased; advection and Q are summed
     in physical space, so each row takes one forward transform. For the
     Stokes toy the vorticity row is 0 and the velocity comes from the tau
-    rows. A packed forcing stack is added as it is.
+    rows. A packed forcing stack is added as it is. Every array transformed
+    back is a per-mode multiple of rows of y, so one check of y sets the
+    columns of every inverse transform (HalfSpectrum.width).
     """
     g = grid.half
-    n = grid.n
     mask = g.dealias_mask
     ik1, ik2 = 1j * g.deriv_k1, 1j * g.deriv_k2
-
-    def phys(a):
-        return np.fft.irfft2(a, s=(n, n), norm="forward")
+    phys = g.inverse(g.width(y))
 
     stokes = params.variant == "stokes_toy"
     u1_hat, u2_hat = packed_velocity_modes(g, y, params)

@@ -22,6 +22,10 @@ SCHEMES = ("ifrk2", "ifrk4")
 
 CFL_VELOCITY_FLOOR = 1e-8
 
+# A step whose coefficient max-norm exceeds this factor times the old one,
+# or times 1 for a smaller state, is taken as divergence (step).
+STEP_GROWTH_LIMIT = 10.0
+
 
 @dataclass(frozen=True)
 class StepConfig:
@@ -53,17 +57,25 @@ def cfl_dt(state: SimState, config: StepConfig, params: ModelParams | None = Non
     """Advective CFL step: clamp(cfl * h / max(|u|_inf, floor), dt_min, dt_max).
 
     max|u| is taken on the grid from the half-spectrum velocity of the state,
-    with two irfft2 calls; params names the variant, so that the Stokes-toy
-    velocity comes from tau (without params, the velocity is that of omega).
+    with two inverse transforms (HalfSpectrum.inverse); params names the
+    variant, so that the Stokes-toy velocity comes from tau (without params,
+    the velocity is that of omega).
     """
-    grid = state.grid
-    n, cols = grid.n, grid.n // 2 + 1
+    grid, g = state.grid, state.grid.half
+    cols = grid.n // 2 + 1
     rows = tuple(c.coeffs[:, :cols] for c in (state.omega, *state.tau.components))
-    u1, u2 = (np.fft.irfft2(u, s=(n, n), norm="forward")
-              for u in packed_velocity_modes(grid.half, rows, params))
+    modes = packed_velocity_modes(g, rows, params)
+    u1, u2 = map(g.inverse(g.width(*modes)), modes)
     umax = float(np.max(np.hypot(u1, u2)))
     dt = config.cfl * grid.h / max(umax, CFL_VELOCITY_FLOOR)
     return min(max(dt, config.dt_min), config.dt_max)
+
+
+def _max_norm(y: np.ndarray) -> float:
+    """Largest modulus of the real and imaginary parts of a packed stack;
+    NaN or inf when any part is."""
+    v = y.view(np.float64)
+    return max(float(np.max(v)), -float(np.min(v)))
 
 
 def step(state: SimState, dt: float, params: ModelParams, config: StepConfig,
@@ -75,6 +87,11 @@ def step(state: SimState, dt: float, params: ModelParams, config: StepConfig,
     one whole-array expression in that stack, the integrating factors
     exp(c dt L) of the linear symbol L and the explicit tendencies from rhs;
     a forcing is a packed stack too.
+
+    Raises IntegrationError at t + dt when the new stack holds a non-finite
+    value, or when its coefficient max-norm (over real and imaginary parts)
+    exceeds STEP_GROWTH_LIMIT * max(old max-norm, 1): a divergence is
+    stopped at its onset, before its norms overflow.
     """
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -96,8 +113,13 @@ def step(state: SimState, dt: float, params: ModelParams, config: StepConfig,
         k4 = n_of(e * y + dt * h * k3)
         ynew = e * y + (dt / 6.0) * (e * k1 + 2.0 * h * (k2 + k3) + k4)
 
-    if not np.all(np.isfinite(ynew)):
+    peak = _max_norm(ynew)
+    if not math.isfinite(peak):
         raise IntegrationError(state.t + dt, "non-finite field values")
+    old = _max_norm(y)
+    if peak > STEP_GROWTH_LIMIT * max(old, 1.0):
+        raise IntegrationError(
+            state.t + dt, f"coefficient max-norm grew from {old:.3g} to {peak:.3g}")
     return make_state(state.t + dt, *unstack(grid, ynew), params)
 
 

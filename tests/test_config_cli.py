@@ -3,6 +3,7 @@
 import json
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,10 +11,12 @@ import pytest
 from oldroyd2d import checks, cli, model
 from oldroyd2d import diagnostics as diag
 from oldroyd2d import operators as ops
-from oldroyd2d.config import parse_config, with_override
+from oldroyd2d.config import load_config, parse_config, with_override
 from oldroyd2d.errors import ConfigError
 from oldroyd2d.fields import ScalarField
 from oldroyd2d.runner import read_ndjson, run, sweep
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 MINIMAL = """
 [grid]
@@ -265,6 +268,7 @@ class TestRunner:
             "t": 0.0, "error": "integration failed at t=0: step size underflow"}}
 
     def test_blowup_writes_strict_json(self, tmp_path):
+        # the growth guard stops the blow-up at its onset, the step to t = 1
         path = tmp_path / "blowup.cfg"
         path.write_text(BLOWUP.format(out=tmp_path / "blowup"))
         with np.errstate(over="ignore", invalid="ignore"):
@@ -272,16 +276,62 @@ class TestRunner:
         text = (tmp_path / "blowup" / "diagnostics.ndjson").read_text()
         lines = [json.loads(line, parse_constant=_reject_constant)
                  for line in text.splitlines()]
-        assert lines[-1]["failure"]["t"] == 2.0
+        assert lines[-1]["failure"]["t"] == 1.0
+        assert "coefficient max-norm grew" in lines[-1]["failure"]["error"]
         records = {line["t"]: line for line in lines[:-1]}
-        assert list(records) == [0.0, 0.5, 1.0, 1.5]
-        assert all("nonfinite" not in records[t] for t in (0.0, 0.5, 1.0))
-        bad = records[1.5]["nonfinite"]
-        assert {"u_l2", "tau_l2", "gamma_residual", "n_value", "u_hs.3"} <= set(bad)
+        assert list(records) == [0.0, 0.5]
+        assert all("nonfinite" not in record for record in records.values())
+
+    def test_overflowed_values_are_null(self, tmp_path):
+        # initial data whose squares overflow: the t = 0 record writes null
+        # for every non-finite value and lists its key under nonfinite
+        cfg = with_override(parse_config(BLOWUP.format(out=tmp_path / "huge")),
+                            "initial.amplitude", 1e160)
+        assert not run(cfg).ok
+        text = (tmp_path / "huge" / "diagnostics.ndjson").read_text()
+        lines = [json.loads(line, parse_constant=_reject_constant)
+                 for line in text.splitlines()]
+        assert lines[-1] == {"failure": {
+            "t": 0.5, "error": "integration failed at t=0.5: non-finite field values"}}
+        (record,) = lines[:-1]
+        bad = record["nonfinite"]
+        assert {"u_l2", "gamma_residual", "n_value", "u_hs.3"} <= set(bad)
         for key in bad:
             top, _, sub = key.partition(".")
-            assert (records[1.5][top][sub] if sub else records[1.5][top]) is None
-        assert records[1.5]["omega_linf"] is not None
+            assert (record[top][sub] if sub else record[top]) is None
+        assert record["omega_linf"] is not None
+
+    def test_divergence_fails_before_norms_reach_1e100(self, tmp_path):
+        # stock (a) with dt pinned far above its CFL step: the guard fails
+        # the run at the onset of the blow-up, with every record finite
+        cfg = load_config(CONFIG_DIR / "a_large_data_q_zero.cfg")
+        for name, value in (("grid.n", 32), ("stepping.dt_max", 0.5),
+                            ("stepping.dt_min", 0.5), ("initial.amplitude", 30.0),
+                            ("initial.seed", 2), ("stepping.t_end", 3.0),
+                            ("output.observe_every", 0.5),
+                            ("output.dir", str(tmp_path / "onset"))):
+            cfg = with_override(cfg, name, value)
+        assert not run(cfg).ok
+        text = (tmp_path / "onset" / "diagnostics.ndjson").read_text()
+        lines = [json.loads(line, parse_constant=_reject_constant)
+                 for line in text.splitlines()]
+        assert "coefficient max-norm grew" in lines[-1]["failure"]["error"]
+        assert lines[-1]["failure"]["t"] == 1.0
+
+        def values(x):
+            if isinstance(x, dict):
+                for v in x.values():
+                    yield from values(v)
+            elif isinstance(x, list):
+                for v in x:
+                    yield from values(v)
+            elif isinstance(x, float):
+                yield x
+
+        assert [line["t"] for line in lines[:-1]] == [0.0, 0.5]
+        for record in lines[:-1]:
+            assert "nonfinite" not in record
+            assert max(abs(v) for v in values(record)) <= 1e100
 
     @pytest.mark.parametrize("model_text, want_rhs, want_gamma", [
         ("variant = q_zero", 1, 1),
@@ -543,4 +593,4 @@ class TestBlowupQuiet:
             warnings.simplefilter("always")
             assert cli.main(["run", str(path)]) == 1
         assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
-        assert capsys.readouterr().err.startswith("run failed: integration failed at t=2")
+        assert capsys.readouterr().err.startswith("run failed: integration failed at t=1:")

@@ -1,0 +1,129 @@
+"""The pruned inverse transform of a half spectrum against numpy's.
+
+`HalfSpectrum.inverse` (the stepper's n x n grid) must equal
+`np.fft.irfft2` in bytes, and `PaddedTransform.physical` (the padded
+2n x 2n grid of the L-infinity norms) the `irfftn` of the padded
+spectrum's Hermitian half (conftest.padded_values), for band-limited input,
+for white noise with a non-Hermitian Nyquist row and column, and along a
+sequence whose band goes wide, narrow and wide again on one grid, where a
+column or row left over from an earlier call would show.
+"""
+
+import numpy as np
+import pytest
+
+from oldroyd2d import besov
+from oldroyd2d.grid import Grid
+from oldroyd2d.model import ModelParams, make_state, rhs, stack
+from oldroyd2d.stepping import StepConfig, cfl_dt
+
+from conftest import padded_values, rand_state
+
+SIZES = (8, 32, 64)
+
+
+def white_half(rng, n):
+    """White noise in every (n, n//2+1) slot: not Hermitian in columns 0
+    and n/2, nonzero on the Nyquist row and column."""
+    a = rng.standard_normal((n, n // 2 + 1)) + 1j * rng.standard_normal((n, n // 2 + 1))
+    assert np.all(a[n // 2] != 0) and np.all(a[:, n // 2] != 0)
+    return a
+
+
+def white_full(rng, n):
+    c = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    assert np.all(c[n // 2] != 0) and np.all(c[:, n // 2] != 0)
+    return c
+
+
+def dealiased_stack(grid, seed):
+    s = rand_state(grid, seed, band=(1, grid.n // 3))
+    return stack(s.omega, s.tau)
+
+
+def same_bytes(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestGridTransform:
+    @pytest.mark.parametrize("n", SIZES)
+    def test_width_reads_the_band(self, n):
+        g = Grid(n).half
+        assert g.width(dealiased_stack(Grid(n), 1)) == n // 3 + 1
+        assert g.width(white_half(np.random.default_rng(n), n)) == n // 2 + 1
+        y = dealiased_stack(Grid(n), 1)
+        y[2, 3, n // 2] = 1e-300  # one Nyquist-column value takes the full width
+        assert g.width(y) == n // 2 + 1
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_dealiased_stack_matches_irfft2(self, n):
+        grid = Grid(n)
+        y = dealiased_stack(grid, 2)
+        inverse = grid.half.inverse(grid.half.width(y))
+        for row in y:  # one buffer for every row, as in rhs
+            want = np.fft.irfft2(row, s=(n, n), norm="forward")
+            assert same_bytes(inverse(row), want)
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_white_noise_matches_irfft2(self, n):
+        grid, rng = Grid(n), np.random.default_rng(3)
+        for _ in range(4):
+            a = white_half(rng, n)
+            want = np.fft.irfft2(a, s=(n, n), norm="forward")
+            assert same_bytes(grid.half.inverse(grid.half.width(a))(a), want)
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_wide_narrow_wide_on_one_grid(self, n):
+        grid, rng = Grid(n), np.random.default_rng(4)
+        narrow = dealiased_stack(grid, 5)[1]
+        for a in (white_half(rng, n), narrow, white_half(rng, n), narrow, narrow):
+            want = np.fft.irfft2(a, s=(n, n), norm="forward")
+            assert same_bytes(grid.half.inverse(grid.half.width(a))(a), want)
+
+    @pytest.mark.parametrize("params", [
+        ModelParams(nu=0.0, mu=0.7, K=1.2, alpha=0.9, beta=0.3, b=0.4),
+        ModelParams(nu=0.0, mu=1.0, K=1.0, alpha=0.8, beta=0.1, variant="q_zero"),
+        ModelParams(nu=0.05, mu=0.3, alpha=1.0, beta=0.2, b=0.6, variant="stokes_toy"),
+    ], ids=["full", "q_zero", "stokes_toy"])
+    def test_rhs_and_cfl_dt_do_not_depend_on_the_width(self, params, monkeypatch):
+        # the pruned transforms of a dealiased state against full-width ones
+        grid = Grid(32)
+        s = rand_state(grid, 6, band=(1, 10))
+        state = make_state(0.0, s.omega, s.tau, params)
+        y = stack(state.omega, state.tau)
+        config = StepConfig(cfl=0.5, dt_max=10.0, dt_min=1e-12)
+        assert grid.half.width(y) == 11
+        pruned, dt = rhs(y, grid, params), cfl_dt(state, config, params)
+        monkeypatch.setattr(type(grid.half), "width", lambda self, *arrays: self.n // 2 + 1)
+        assert same_bytes(rhs(y, grid, params), pruned)
+        assert cfl_dt(state, config, params) == dt
+
+
+class TestPaddedTransform:
+    @pytest.mark.parametrize("n", SIZES)
+    def test_band_limited_field_and_blocks_match_irfftn(self, n):
+        grid = Grid(n)
+        pad = besov.padded_transform(grid)
+        dec = besov.decomposition_for(grid)
+        f = rand_state(grid, 8, band=(1, n // 3)).omega
+        for c in [f.coeffs] + [dec.block(f, q).coeffs for q in dec.qs]:
+            got = pad.physical(c, 1.0, np.empty((2 * n, 2 * n)))
+            assert same_bytes(got, padded_values(c))
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_white_noise_matches_irfftn(self, n):
+        pad, rng = besov.padded_transform(Grid(n)), np.random.default_rng(9)
+        for _ in range(4):
+            c = white_full(rng, n)
+            got = pad.physical(c, 1.0, np.empty((2 * n, 2 * n)))
+            assert same_bytes(got, padded_values(c))
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_wide_narrow_wide_on_one_grid(self, n):
+        grid, rng = Grid(n), np.random.default_rng(10)
+        pad = besov.padded_transform(grid)
+        dec = besov.decomposition_for(grid)
+        low = dec.block(rand_state(grid, 11, band=(1, n // 3)).omega, 0).coeffs
+        for c in (white_full(rng, n), low, white_full(rng, n), white_full(rng, n), low):
+            got = pad.physical(c, 1.0, np.empty((2 * n, 2 * n)))
+            assert same_bytes(got, padded_values(c))

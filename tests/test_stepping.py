@@ -96,6 +96,30 @@ class TestStep:
                 step(state, 1.0, ModelParams(), StepConfig(dt_max=1.0, t_end=1.0))
         assert exc.value.t == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("omega_amp, forced, fails", [
+        (0.0, 5.0, False),  # from a zero state: the floor 1 sets the limit 10
+        (0.0, 50.0, True),
+        (1e3, 5e3, False),  # relative to the old max-norm 1e3
+        (1e3, 2e4, True),
+    ])
+    def test_growth_guard(self, grid16, omega_amp, forced, fails):
+        # plain Euler, and omega in modes (1, 0) and (2, 0) only is steady, so
+        # one step of size 1 adds the forcing to the (2, 0) coefficient
+        half = np.zeros((4, 16, 9), dtype=np.complex128)
+        half[0, 1, 0] = half[0, -1, 0] = omega_amp
+        omega, tau = unstack(grid16, half)
+        state = make_state(0.0, omega, tau)
+        forcing = np.zeros_like(half)
+        forcing[0, 2, 0] = forcing[0, -2, 0] = forced
+        params, config = ModelParams(K=0.0, alpha=0.0), StepConfig(dt_max=1.0, t_end=1.0)
+        if fails:
+            with pytest.raises(IntegrationError, match="coefficient max-norm grew") as exc:
+                step(state, 1.0, params, config, forcing)
+            assert exc.value.t == 1.0
+        else:
+            out = step(state, 1.0, params, config, forcing)
+            assert out.omega.coeffs[2, 0] == pytest.approx(forced, rel=1e-12)
+
     def test_symmetry_and_mean_preserved(self, grid32):
         params = ModelParams(nu=0.0, mu=0.5, b=0.3)
         state = rand_state(grid32, 3)
