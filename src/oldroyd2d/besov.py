@@ -27,53 +27,82 @@ from .fields import FieldKind, ScalarField, norm
 from .grid import Grid, inverse_rfft2
 
 
+def centre(a: np.ndarray, band: int, out: np.ndarray | None = None) -> np.ndarray:
+    """The frequencies -band..band per axis of the n x n fftfreq-layout
+    array a, centred (index m + band), written to out (zeroed, of shape
+    (2 band + 1, 2 band + 1); made when None). For band = n/2 the row and column of
+    frequency +n/2, which an n-point array does not hold, stay zero: the
+    Nyquist row and column stay at -n/2, as in zero-padding."""
+    n = a.shape[-1]
+    if out is None:
+        out = np.zeros((2 * band + 1, 2 * band + 1), dtype=a.dtype)
+    top = min(band, n // 2 - 1)  # the largest positive frequency a holds
+    pos, neg = slice(band, band + top + 1), slice(0, band)
+    out[pos, pos] = a[: top + 1, : top + 1]
+    out[neg, pos] = a[n - band :, : top + 1]
+    out[pos, neg] = a[: top + 1, n - band :]
+    out[neg, neg] = a[n - band :, n - band :]
+    return out
+
+
+def field_band(f: FieldKind) -> int:
+    """The largest frequency per axis that the coefficients of f may hold:
+    n//3 when every component is zero past the dealias cutoff n/3 (a
+    dealiased field), else n//2. One check per axis, as HalfSpectrum.width
+    makes."""
+    n = f.grid.n
+    lo, hi = n // 3 + 1, n - n // 3  # rows and columns of frequencies |m| > n/3
+    if any(c.coeffs[lo:hi].any() or c.coeffs[:, lo:hi].any() for c in f.components):
+        return n // 2
+    return n // 3
+
+
+def field_window(f: FieldKind, band: int) -> np.ndarray:
+    """The centred windows (centre) of the components of f, stacked."""
+    w = np.zeros((len(f.components), 2 * band + 1, 2 * band + 1), dtype=np.complex128)
+    for c, out in zip(f.components, w):
+        centre(c.coeffs, band, out)
+    return w
+
+
 class PaddedTransform:
-    """The zero-padded 2n x 2n transform of one grid, through reused buffers.
+    """The zero-padded 2n x 2n transform of one grid, through one reused buffer.
 
     Zero-padding a spectrum to 2n points per axis keeps its frequencies
     (the n-point Nyquist row and column at -n/2) and puts zeros around
     them. The real part of that padded spectrum's transform is the transform
     of its Hermitian part (P[k] + conj P[-k]) / 2, which the inverse real
     transform synthesizes from columns 0..n of a (2n, n+1) half spectrum.
-    The Hermitian part is formed in the centred (n+1, n+1) array of
-    frequencies -n/2..n/2, where -k is the reversed index, so a Nyquist row
-    or column that is not conjugate-symmetric splits into halves at -n/2 and
-    +n/2.
 
-    Only rows 0..n/2 and 3n/2..2n-1 of columns 0..n/2 of the half buffer
-    are written per call. The column pass of grid.inverse_rfft2 runs in
-    place on the half buffer and takes only the columns that the centred
-    array's extent can reach: a field of band m fills m + 1 columns of n + 1
-    (a dyadic block q about 2^(q+1)). It fills the middle rows of those
-    columns, which are zeroed again before the call returns, so no second
-    (2n, n+1) buffer is kept. Calls must not overlap (the package runs in
-    one thread).
+    A field whose frequencies lie within |m| <= B per axis is given as its
+    centred (2B+1, 2B+1) window (centre), where -k is the reversed index, so
+    a Nyquist row or column that is not conjugate-symmetric (B = n/2) splits
+    into halves at -n/2 and +n/2. Only the window's Hermitian fold is
+    written: rows 0..B and 2n-B..2n-1 of columns 0..B of the half buffer.
+    The column pass of grid.inverse_rfft2 runs in place on those B + 1
+    columns, and they are zeroed again before the call returns, so the
+    buffer is zero between calls and no second (2n, n+1) buffer is kept.
+    Calls must not overlap (the package runs in one thread).
     """
 
     def __init__(self, grid: Grid):
         n = grid.n
         self.n = n
-        self.centred = np.zeros((n + 1, n + 1), dtype=np.complex128)
         self.half = np.zeros((2 * n, n + 1), dtype=np.complex128)
 
-    def physical(self, coeffs: np.ndarray, scale: float, out: np.ndarray) -> np.ndarray:
-        """The padded 2n x 2n grid values of scale * coeffs, written to out."""
-        n, h = self.n, self.n // 2
-        c, b = self.centred, self.half
-        s = 0.5 * scale
-        np.multiply(coeffs[h:, h:], s, out=c[:h, :h])
-        np.multiply(coeffs[h:, :h], s, out=c[:h, h:n])
-        np.multiply(coeffs[:h, h:], s, out=c[h:n, :h])
-        np.multiply(coeffs[:h, :h], s, out=c[h:n, h:n])
-        top, bottom = b[: h + 1, : h + 1], b[3 * h :, : h + 1]  # m1 = 0..n/2, m1 < 0
-        np.conjugate(c[h::-1, h::-1], out=top)  # conj P[-k]: reversed rows and columns
-        np.conjugate(c[:h:-1, h::-1], out=bottom)
-        top += c[h:, h:]
-        bottom += c[:h, h:]
-        m2 = np.flatnonzero(c.any(axis=0))  # centred columns, frequency m2 - n/2
-        width = max(h - m2[0], m2[-1] - h) + 1 if m2.size else 0
-        inverse_rfft2(b, width, b, out)
-        b[h + 1 : 3 * h, :width] = 0.0
+    def physical(self, w: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Twice the padded 2n x 2n grid values of the field whose centred
+        coefficient window is w, written to out. The fold w[k] + conj w[-k]
+        leaves out the halving of the Hermitian part, which the caller's
+        scaling of w carries."""
+        band, b = w.shape[0] // 2, self.half
+        top, bottom = b[: band + 1, : band + 1], b[2 * self.n - band :, : band + 1]  # m1 >= 0, m1 < 0
+        np.conjugate(w[band::-1, band::-1], out=top)  # conj w[-k]: reversed rows and columns
+        np.conjugate(w[:band:-1, band::-1], out=bottom)
+        top += w[band:, band:]
+        bottom += w[:band, band:]
+        inverse_rfft2(b, band + 1, b, out)
+        b[:, : band + 1] = 0.0
         return out
 
 
@@ -82,8 +111,9 @@ def padded_transform(grid: Grid) -> PaddedTransform:
     return PaddedTransform(grid)
 
 
-def linf_norm(f: FieldKind) -> float:
-    """Padded max of the pointwise magnitude sqrt(sum_c w_c c^2).
+def _padded_max(w: np.ndarray, weights: tuple, grid: Grid) -> float:
+    """Padded max of sqrt(sum_c w_c c^2) for the stacked centred windows w
+    of the components, which it scales in place.
 
     The squares are taken of coefficients scaled by the power of two that
     brings their largest modulus into [1/2, 1): the scaling is exact, and a
@@ -91,19 +121,44 @@ def linf_norm(f: FieldKind) -> float:
     underflows when squared. Each component's weighted square is summed in
     place into one buffer per call.
     """
-    peak = max(c.max_abs_coeff() for c in f.components)
+    peak = float(np.max(np.abs(w)))
     exponent = max(math.frexp(peak)[1], -1000)  # 0 for a zero or non-finite peak
-    scale = math.ldexp(1.0, -exponent)
-    pad = padded_transform(f.grid)
-    mag, values = np.empty((2, 2 * f.grid.n, 2 * f.grid.n))
-    for i, (c, w) in enumerate(zip(f.components, f.weights)):
-        p = pad.physical(c.coeffs, scale, values if i else mag)
+    w *= 0.5 * math.ldexp(1.0, -exponent)  # with the 1/2 of the Hermitian part
+    pad = padded_transform(grid)
+    mag, values = np.empty((2, 2 * grid.n, 2 * grid.n))
+    for i, (c, wt) in enumerate(zip(w, weights)):
+        p = pad.physical(c, values if i else mag)
         np.multiply(p, p, out=p)
-        if w != 1.0:
-            p *= w
+        if wt != 1.0:
+            p *= wt
         if i:
             mag += p
     return float(np.ldexp(math.sqrt(float(np.max(mag))), exponent))
+
+
+def linf_norm(f: FieldKind) -> float:
+    """Padded max of the pointwise magnitude sqrt(sum_c w_c c^2), from the
+    window of the field's band (field_band)."""
+    return _padded_max(field_window(f, field_band(f)), f.weights, f.grid)
+
+
+def block_linf_norms(f: FieldKind) -> list[float]:
+    """linf_norm of every dyadic block of f, q = -1..q_max.
+
+    Block q holds frequencies |m| <= min(field band, its support), so each
+    block is formed, scaled and padded in that window of the field's
+    window only; the values are those of linf_norm(dec.block(f, q)).
+    """
+    dec = decomposition_for(f.grid)
+    band = field_band(f)
+    w = field_window(f, band)
+    norms = []
+    for q in dec.qs:
+        mult = dec.window(q, band)
+        o = band - mult.shape[0] // 2
+        sub = w[:, o : w.shape[1] - o, o : w.shape[2] - o]
+        norms.append(_padded_max(mult * sub, f.weights, f.grid))
+    return norms
 
 
 def lebesgue_norm(f: FieldKind, p) -> float:
@@ -151,6 +206,8 @@ class DyadicDecomposition:
     grid: Grid
     q_max: int
     multipliers: tuple = field(repr=False)
+    supports: tuple = field(repr=False)
+    windows: tuple = field(repr=False)
 
     q_min = -1
 
@@ -172,9 +229,17 @@ class DyadicDecomposition:
         blocks.extend(raw[q] for q in range(0, q_max))
         top = np.ones_like(kmag) - sum(blocks)  # closes the partition upward
         blocks.append(top)
-        for b in blocks:
+        m1, m2 = np.abs(grid.m1), np.abs(grid.m2)
+        # the largest frequency per axis where a block is nonzero; roundoff
+        # counts (block -1 is about 1e-16 on most modes), so that a window
+        # of that size drops only exact zeros
+        supports = tuple(int(max(m1[b != 0].max(initial=0), m2[b != 0].max(initial=0)))
+                         for b in blocks)
+        windows = tuple(centre(b, min(s, grid.dealias_cutoff)) for b, s in zip(blocks, supports))
+        for b in blocks + list(windows):
             b.setflags(write=False)
-        return cls(grid=grid, q_max=q_max, multipliers=tuple(blocks))
+        return cls(grid=grid, q_max=q_max, multipliers=tuple(blocks),
+                   supports=supports, windows=windows)
 
     @property
     def qs(self) -> range:
@@ -184,6 +249,16 @@ class DyadicDecomposition:
         if not (-1 <= q <= self.q_max):
             raise ValueError(f"block index q={q} outside [-1, {self.q_max}]")
         return self.multipliers[q + 1]
+
+    def window(self, q: int, band: int) -> np.ndarray:
+        """The centred window (centre) of block q's multiplier on the
+        frequencies |m| <= min(band, support of q): the one kept for a
+        dealiased field's band n//3, else made on the call."""
+        size = min(band, self.supports[q + 1])
+        w = self.windows[q + 1]
+        if w.shape[0] == 2 * size + 1:
+            return w
+        return centre(self.multiplier(q), size)
 
     def block(self, f: FieldKind, q: int) -> FieldKind:
         """Delta_q f, the block of every component."""
@@ -218,7 +293,11 @@ def _besov(f: FieldKind, s: float, p, r) -> float:
     # name: neither calls the other, so no time is counted twice.
     _check_besov_args(s, p, r)
     dec = decomposition_for(f.grid)
-    terms = [(2.0**(q * s)) * lebesgue_norm(dec.block(f, q), p) for q in dec.qs]
+    if p == math.inf:
+        norms = block_linf_norms(f)
+    else:
+        norms = [lebesgue_norm(dec.block(f, q), p) for q in dec.qs]
+    terms = [(2.0**(q * s)) * v for q, v in zip(dec.qs, norms)]
     return _aggregate(terms, r)
 
 

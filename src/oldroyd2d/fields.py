@@ -67,13 +67,23 @@ def _parseval_sums(f: FieldKind, mult: np.ndarray | None):
         yield w, float(np.sum(sq if mult is None else mult * sq))
 
 
+def square(x: float) -> float:
+    """x ** 2, or inf where that float power overflows (|x| above about
+    1.3e154) and raises OverflowError."""
+    try:
+        return x**2
+    except OverflowError:
+        return math.inf
+
+
 def norm(f: FieldKind, mult: np.ndarray | None = None) -> float:
     """sqrt(sum_c w_c ||m(D) c||_{L2}^2) for the multiplier with |m|^2 = mult
     per mode (m = 1 when None), each ||m(D) c|| = L * sqrt(sum_k mult_k |c_k|^2)
     by Parseval: the L2 norm, or an H^s norm, of any field kind. Taking each
-    component's norm first keeps a scalar's norm exactly L * sqrt(sum)."""
+    component's norm first keeps a scalar's norm exactly L * sqrt(sum); a
+    norm past the float range is inf."""
     length = f.grid.length
-    return math.sqrt(sum(w * (length * math.sqrt(s)) ** 2 for w, s in _parseval_sums(f, mult)))
+    return math.sqrt(sum(w * square(length * math.sqrt(s)) for w, s in _parseval_sums(f, mult)))
 
 
 def sq_norm(f: FieldKind, mult: np.ndarray) -> float:
@@ -162,6 +172,19 @@ class VectorField(FieldKind):
     @property
     def components(self) -> tuple[ScalarField, ScalarField]:
         return (self.u1, self.u2)
+
+    @cached_property
+    def values(self) -> tuple[np.ndarray, np.ndarray]:
+        """Grid values of (u1, u2) from their half spectra (HalfSpectrum.of)
+        through the pruned inverse transform, made once per field: the
+        velocity that operators.advect transports with."""
+        g = self.grid.half
+        modes = [g.of(c.coeffs) for c in self.components]
+        inverse = g.inverse(g.width(*modes))
+        out = tuple(inverse(m) for m in modes)
+        for v in out:
+            v.setflags(write=False)
+        return out
 
     def max_divergence(self) -> float:
         """max over modes of |k . u_hat| (0 for divergence-free fields)."""

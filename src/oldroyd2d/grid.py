@@ -167,6 +167,30 @@ class HalfSpectrum:
             arr.setflags(write=False)
         self.n = grid.n
 
+    def of(self, a: np.ndarray) -> np.ndarray:
+        """The half spectrum of the real field ifft2(a).real of a full-layout
+        array a: columns 0..n/2 of its Hermitian part (a[m] + conj a[-m]) / 2.
+        Where a is conjugate-symmetric (a real field's) these are a's own
+        columns; a part that no real field has, as an odd multiplier leaves
+        on the Nyquist row, is dropped, as ifft2(a).real drops it."""
+        h = self.n // 2
+        p = np.empty((self.n, h + 1), dtype=np.complex128)  # a[-m], indices modulo n
+        p[0, 0], p[0, 1:] = a[0, 0], a[0, : h - 1 : -1]
+        p[1:, 0], p[1:, 1:] = a[:0:-1, 0], a[:0:-1, : h - 1 : -1]
+        np.conjugate(p, out=p)
+        p += a[:, : h + 1]
+        p *= 0.5
+        return p
+
+    def full(self, y: np.ndarray) -> np.ndarray:
+        """The full-layout arrays of half spectra y (..., n, n//2+1), columns
+        n/2+1..n-1 filled by conjugate symmetry: c(m1, m2) = conj c(-m1, -m2)."""
+        n, h = self.n, self.n // 2
+        out = np.empty(y.shape[:-1] + (n,), dtype=np.complex128)
+        out[..., : h + 1] = y
+        np.conjugate(y[..., self.partner_rows, h - 1 : 0 : -1], out=out[..., h + 1 :])
+        return out
+
     def width(self, *arrays: np.ndarray) -> int:
         """The columns an inverse transform of these half spectra must take:
         n//3 + 1 when every column past the dealias cutoff n/3 is zero (a

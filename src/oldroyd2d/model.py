@@ -131,10 +131,7 @@ def stack(omega: ScalarField, tau: SymTensorField) -> np.ndarray:
 def unstack(grid: Grid, y: np.ndarray) -> tuple[ScalarField, SymTensorField]:
     """(omega, tau) from a packed stack, columns n/2+1..n-1 filled by
     conjugate symmetry: c(m1, m2) = conj c(-m1, -m2)."""
-    n, h = grid.n, grid.n // 2
-    full = np.empty((4, n, n), dtype=np.complex128)
-    full[..., : h + 1] = y
-    np.conjugate(y[:, grid.half.partner_rows, h - 1 : 0 : -1], out=full[..., h + 1 :])
+    full = grid.half.full(y)
     return ScalarField(grid, full[0]), SymTensorField(*(ScalarField(grid, c) for c in full[1:]))
 
 
@@ -239,16 +236,7 @@ def rhs(y: np.ndarray, grid: Grid, params: ModelParams,
 
     stokes = params.variant == "stokes_toy"
     u1_hat, u2_hat = packed_velocity_modes(g, y, params)
-    u1, u2 = phys(u1_hat), phys(u2_hat)
-
-    def transport(f):
-        """-u . grad f, physical."""
-        a = phys(ik1 * f)
-        a *= u1
-        b = phys(ik2 * f)
-        b *= u2
-        a += b
-        return np.negative(a, out=a)
+    transport = ops.transport(phys, (phys(u1_hat), phys(u2_hat)), (ik1, ik2))
 
     out = np.empty_like(y)
     if stokes:

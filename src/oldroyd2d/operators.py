@@ -154,11 +154,37 @@ def multiply_physical(grid: Grid, values: np.ndarray) -> ScalarField:
     return dealias(ScalarField.from_physical(grid, values))
 
 
+def transport(inverse, u: tuple[np.ndarray, np.ndarray], ik: tuple[np.ndarray, np.ndarray]):
+    """The function from a half spectrum f to the grid values of the
+    transport term -u . grad f: the gradient is taken with the half-spectrum
+    derivative multipliers ik = (i k1, i k2) and brought back with inverse
+    (HalfSpectrum.inverse), and u holds the velocity's grid values.
+    model.rhs and advect are this one kernel."""
+    u1, u2 = u
+    ik1, ik2 = ik
+
+    def minus_advection(f: np.ndarray) -> np.ndarray:
+        a = inverse(ik1 * f)
+        a *= u1
+        b = inverse(ik2 * f)
+        b *= u2
+        a += b
+        return np.negative(a, out=a)
+
+    return minus_advection
+
+
 def advect(u: VectorField, f: ScalarField) -> ScalarField:
-    """u . grad f, pseudospectral product, dealiased."""
-    fx, fy = grad(f)
-    values = u.u1.physical * fx.physical + u.u2.physical * fy.physical
-    return multiply_physical(f.grid, values)
+    """u . grad f, pseudospectral product, dealiased, through the half
+    spectra of f and u (HalfSpectrum.of) and the transport kernel of
+    model.rhs; the velocity's grid values are made once per VectorField
+    (VectorField.values)."""
+    g = f.grid.half
+    fh = g.of(f.coeffs)
+    minus = transport(g.inverse(g.width(fh)), u.values, (1j * g.deriv_k1, 1j * g.deriv_k2))
+    out = np.fft.rfft2(minus(fh), norm="forward")
+    np.multiply(out, g.dealias_mask, out=out)
+    return ScalarField(f.grid, g.full(np.negative(out, out=out)))
 
 
 def advect_tensor(u: VectorField, tau: SymTensorField) -> SymTensorField:

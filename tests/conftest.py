@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from oldroyd2d import operators as ops
 from oldroyd2d.fields import ScalarField, SymTensorField
 from oldroyd2d.grid import Grid
 from oldroyd2d.initial_data import random_scalar, random_state
@@ -65,6 +68,59 @@ def padded_values(coeffs: np.ndarray) -> np.ndarray:
     neg = -np.arange(m) % m
     herm = 0.5 * (big + np.conj(big[neg][:, neg]))
     return np.fft.irfft2(herm[:, : m // 2 + 1], s=(m, m), norm="forward")
+
+
+def reference_linf_norm(f) -> float:
+    """besov.linf_norm through the full (n+1, n+1) centred array of every
+    component, as before the padded transform took windows: the same folds,
+    scaling and transforms on whole arrays, with the column pass over the
+    columns that the centred array's extent reaches."""
+    n, h = f.grid.n, f.grid.n // 2
+    peak = max(c.max_abs_coeff() for c in f.components)
+    exponent = max(math.frexp(peak)[1], -1000)
+    s = 0.5 * math.ldexp(1.0, -exponent)
+    c = np.zeros((n + 1, n + 1), dtype=np.complex128)
+    mag = np.zeros((2 * n, 2 * n))
+    for comp, w in zip(f.components, f.weights):
+        coeffs = comp.coeffs
+        b = np.zeros((2 * n, n + 1), dtype=np.complex128)
+        np.multiply(coeffs[h:, h:], s, out=c[:h, :h])
+        np.multiply(coeffs[h:, :h], s, out=c[:h, h:n])
+        np.multiply(coeffs[:h, h:], s, out=c[h:n, :h])
+        np.multiply(coeffs[:h, :h], s, out=c[h:n, h:n])
+        top, bottom = b[: h + 1, : h + 1], b[3 * h :, : h + 1]
+        np.conjugate(c[h::-1, h::-1], out=top)
+        np.conjugate(c[:h:-1, h::-1], out=bottom)
+        top += c[h:, h:]
+        bottom += c[:h, h:]
+        m2 = np.flatnonzero(c.any(axis=0))
+        width = max(h - m2[0], m2[-1] - h) + 1 if m2.size else 0
+        if width:
+            np.fft.ifft(b[:, :width], axis=0, norm="forward", out=b[:, :width])
+        p = np.fft.irfft(b, n=2 * n, axis=1, norm="forward")
+        np.multiply(p, p, out=p)
+        if w != 1.0:
+            p *= w
+        mag += p
+    return float(np.ldexp(math.sqrt(float(np.max(mag))), exponent))
+
+
+def reference_advect(u, f):
+    """u . grad f in the full layout, as operators.advect made it before it
+    took the half spectrum: complex ifft2 of the velocity and the gradient,
+    the product on the grid, fft2 and the dealias mask."""
+    fx, fy = ops.grad(f)
+    values = u.u1.physical * fx.physical + u.u2.physical * fy.physical
+    return ops.multiply_physical(f.grid, values)
+
+
+def reference_advect_tensor(u, tau):
+    return tau.map(lambda c: reference_advect(u, c))
+
+
+def reference_commutator(u, tau):
+    """[R, u.grad] tau through reference_advect."""
+    return ops.riesz_r(reference_advect_tensor(u, tau)) - reference_advect(u, ops.riesz_r(tau))
 
 
 def nyquist_state(grid, seed, params):

@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 
 from oldroyd2d import besov
 from oldroyd2d import operators as ops
-from oldroyd2d.fields import ScalarField
+from oldroyd2d.fields import ScalarField, SymTensorField, VectorField
 from oldroyd2d.grid import Grid
 from oldroyd2d.initial_data import random_scalar
 
-from conftest import field_from, pad_coeffs, padded_values, rand_scalar
+from conftest import field_from, pad_coeffs, padded_values, rand_scalar, reference_linf_norm
 
 INF = math.inf
 
@@ -152,7 +152,7 @@ class TestLebesgueSobolev:
                 assert np.all(coeffs[n // 2] != 0) and np.all(coeffs[:, n // 2] != 0)
                 want = np.fft.ifft2(pad_coeffs(coeffs), norm="forward").real
                 pad = besov.padded_transform(Grid(n))
-                got = pad.physical(coeffs, 1.0, np.empty((2 * n, 2 * n)))
+                got = pad.physical(0.5 * besov.centre(coeffs, n // 2), np.empty((2 * n, 2 * n)))
                 for values in (got, padded_values(coeffs)):
                     assert np.max(np.abs(values - want)) <= 1e-15 * np.max(np.abs(want))
 
@@ -227,3 +227,82 @@ class TestEmpiricalLedgers:
             for f in _ensemble(grid64, 100)
         )
         assert worst <= 1.0
+
+
+def _banded(grid, seed, band):
+    """White noise kept at the frequencies |m1|, |m2| <= band."""
+    rng = np.random.default_rng(seed)
+    f = ScalarField.from_physical(grid, rng.standard_normal((grid.n, grid.n)))
+    keep = (np.abs(grid.m1) <= band) & (np.abs(grid.m2) <= band)
+    return ScalarField(grid, f.coeffs * keep)
+
+
+def _kinds(grid, seed, band):
+    """One field of every kind, each component of band `band`."""
+    c = [_banded(grid, seed + i, band) for i in range(4)]
+    return [c[0], VectorField(c[0], c[1]), SymTensorField(*c[1:]),
+            ops.VelocityGradient(*c)]
+
+
+def _bytes(values):
+    return np.array(values, dtype=np.float64).tobytes()
+
+
+class TestWindowedBlocks:
+    """The windowed padded maxima against the whole-array path of
+    conftest.reference_linf_norm, in bytes: the window drops only exact
+    zeros, and the buffer is zero again between calls."""
+
+    @pytest.mark.parametrize("n", [16, 32, 64])
+    def test_every_kind_band_and_block(self, n):
+        grid = Grid(n)
+        dec = besov.decomposition_for(grid)
+        for band in sorted({0, 1, 3, n // 3, n // 2 - 1}):
+            for f in _kinds(grid, 10 * band, band):
+                assert besov.field_band(f) == (n // 3 if band <= n // 3 else n // 2)
+                want = [reference_linf_norm(f)] + [reference_linf_norm(dec.block(f, q))
+                                                   for q in dec.qs]
+                got = [besov.linf_norm(f)] + besov.block_linf_norms(f)
+                assert _bytes(got) == _bytes(want), (type(f).__name__, band)
+
+    @pytest.mark.parametrize("n", [16, 32, 64])
+    def test_nyquist_content_takes_the_whole_array(self, n):
+        grid = Grid(n)
+        dec = besov.decomposition_for(grid)
+        rng = np.random.default_rng(n)
+        c = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        assert np.all(c[n // 2] != 0) and np.all(c[:, n // 2] != 0)
+        for f in (ScalarField(grid, c), VectorField(ScalarField(grid, c), ScalarField(grid, c.T))):
+            assert besov.field_band(f) == n // 2
+            want = [reference_linf_norm(f)] + [reference_linf_norm(dec.block(f, q))
+                                               for q in dec.qs]
+            assert _bytes([besov.linf_norm(f)] + besov.block_linf_norms(f)) == _bytes(want)
+
+    def test_zero_field(self, grid32):
+        for f in _kinds(grid32, 0, 0):
+            zero = f.map(lambda c: ScalarField.zeros(grid32))
+            assert besov.linf_norm(zero) == 0.0
+            assert besov.block_linf_norms(zero) == [0.0] * (besov.decomposition_for(grid32).q_max + 2)
+
+    @pytest.mark.parametrize("n", [16, 32, 64])
+    def test_wide_narrow_wide_on_one_grid(self, n):
+        # a value left in the half buffer by a wider call would show in the
+        # narrower call after it
+        grid = Grid(n)
+        dec = besov.decomposition_for(grid)
+        wide, narrow = _banded(grid, 1, n // 2), _banded(grid, 2, 3)
+        for f in (wide, narrow, wide, _banded(grid, 3, n // 3), narrow, narrow, wide):
+            want = [reference_linf_norm(f)] + [reference_linf_norm(dec.block(f, q))
+                                               for q in dec.qs]
+            assert _bytes([besov.linf_norm(f)] + besov.block_linf_norms(f)) == _bytes(want)
+            assert not besov.padded_transform(grid).half.any()
+
+    def test_block_supports(self, grid64):
+        # each multiplier is zero outside its window, and its window is the
+        # smallest that holds it
+        dec = besov.decomposition_for(grid64)
+        m = np.maximum(np.abs(grid64.m1), np.abs(grid64.m2))
+        for q, s in zip(dec.qs, dec.supports):
+            mult = dec.multiplier(q)
+            assert not np.any(mult[m > s]) and np.any(mult[m == s])
+        assert dec.supports[1:5] == (1, 3, 7, 15)

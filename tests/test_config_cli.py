@@ -301,6 +301,21 @@ class TestRunner:
             assert (record[top][sub] if sub else record[top]) is None
         assert record["omega_linf"] is not None
 
+    def test_norm_past_the_float_range_is_null(self, tmp_path):
+        # L2 norms of about 1e155, whose squares overflow: the t = 0 record
+        # writes them as null instead of the run failing with OverflowError
+        cfg = with_override(parse_config(BLOWUP.format(out=tmp_path / "big")),
+                            "initial.amplitude", 1e155)
+        assert not run(cfg).ok
+        text = (tmp_path / "big" / "diagnostics.ndjson").read_text()
+        lines = [json.loads(line, parse_constant=_reject_constant)
+                 for line in text.splitlines()]
+        assert "OverflowError" not in lines[-1]["failure"]["error"]
+        (record,) = lines[:-1]
+        assert record["t"] == 0.0
+        assert {"u_l2", "omega_l2", "energy_weighted"} <= set(record["nonfinite"])
+        assert record["u_l2"] is None and record["omega_linf"] is not None
+
     def test_divergence_fails_before_norms_reach_1e100(self, tmp_path):
         # stock (a) with dt pinned far above its CFL step: the guard fails
         # the run at the onset of the blow-up, with every record finite

@@ -136,3 +136,14 @@ def test_linf_scales_exactly_near_the_float_range(kind):
     for e in (600, -600):
         scaled = f.map(lambda c: ScalarField(c.grid, math.ldexp(1.0, e) * c.coeffs))
         assert besov.linf_norm(scaled) == math.ldexp(base, e)
+
+
+def test_norm_past_the_float_range_is_inf():
+    # L * sqrt(sum |c|^2) is about 4.4e154 here, and its square overflows
+    grid = Grid(16)
+    c = np.zeros((16, 16), dtype=np.complex128)
+    c[1, 0] = c[-1, 0] = 5e153
+    f = ScalarField(grid, c)
+    assert f.l2() == math.inf
+    assert besov.sobolev_norm(f, 1.0) == math.inf
+    assert ScalarField(grid, c * 1e-150).l2() == grid.length * math.sqrt(2 * 5e3**2)

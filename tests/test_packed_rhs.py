@@ -1,19 +1,24 @@
-"""The packed half-spectrum rhs against the full-layout field algebra.
+"""The packed half-spectrum rhs and advection against the full-layout
+field algebra.
 
 `reference_rhs` is the explicit tendency composed from the ScalarField
-operators on the full (n, n) coefficient arrays: advection, curl div,
-the symmetric velocity gradient and Q. The packed kernel must agree with
-it on every row, including a state with Nyquist content.
+operators on the full (n, n) coefficient arrays: advection (the full-layout
+conftest.reference_advect), curl div, the symmetric velocity gradient and Q.
+The packed kernel must agree with it on every row, including a state with
+Nyquist content, and so must ops.advect and the commutator.
 """
 
 import numpy as np
 import pytest
 
 from oldroyd2d import operators as ops
+from oldroyd2d.fields import ScalarField, VectorField
 from oldroyd2d.grid import Grid
-from oldroyd2d.model import ModelParams, make_state, q_form, rhs, stack, unstack
+from oldroyd2d.model import (ModelParams, commutator_r_advect, make_state, q_form, rhs, stack,
+                             unstack)
 
-from conftest import nyquist_state, rand_state
+from conftest import (nyquist_state, rand_state, reference_advect, reference_advect_tensor,
+                      reference_commutator)
 
 TOL = 1e-13
 
@@ -35,11 +40,11 @@ def reference_rhs(state, params, forcing=None):
     if params.variant == "stokes_toy":
         w = np.zeros((grid.n, grid.n), dtype=np.complex128)
     else:
-        w = -ops.advect(u, state.omega).coeffs
+        w = -reference_advect(u, state.omega).coeffs
         if params.K != 0.0:
             w = w + params.K * ops.curl_div(tau).coeffs
         w[0, 0] = 0.0
-    t = -1.0 * ops.advect_tensor(u, tau)
+    t = -1.0 * reference_advect_tensor(u, tau)
     if params.alpha != 0.0:
         t = t + params.alpha * ops.sym_grad_of(state.grad_u)
     if params.q_enabled:
@@ -120,3 +125,57 @@ class TestPackUnpack:
         for row, field in zip(y, (omega,) + tau.components):
             want = np.fft.irfft2(row, s=(32, 32), norm="forward")
             assert np.max(np.abs(field.physical - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def constant_velocity(grid, a, b):
+    """A spatially constant velocity (a, b), as checks.py builds one."""
+    c1 = np.zeros((grid.n, grid.n), dtype=np.complex128)
+    c2 = c1.copy()
+    c1[0, 0], c2[0, 0] = a, b
+    return VectorField(ScalarField(grid, c1), ScalarField(grid, c2))
+
+
+def coeff_error(got, want):
+    return float(np.max(np.abs(got.coeffs - want.coeffs)) / max(np.max(np.abs(want.coeffs)), 1e-300))
+
+
+class TestPackedAdvection:
+    """ops.advect through the half spectrum against the full-layout
+    conftest.reference_advect, and the commutator built on each."""
+
+    @pytest.mark.parametrize("n", [16, 32, 64])
+    def test_band_limited_states(self, n):
+        grid = Grid(n)
+        for name in ("full_b", "stokes_toy"):
+            state = band_state(grid, 31, VARIANTS[name])
+            u, tau = state.u, state.tau
+            for f in (state.omega, *tau.components, ops.riesz_r(tau)):
+                assert coeff_error(ops.advect(u, f), reference_advect(u, f)) <= TOL
+            assert coeff_error(commutator_r_advect(u, tau), reference_commutator(u, tau)) <= TOL
+
+    @pytest.mark.parametrize("name", list(VARIANTS))
+    def test_nyquist_state(self, name, grid32):
+        # the velocity of biot_savart holds, on the Nyquist row, a part that
+        # no real field has; the half spectrum of u must drop it
+        state = nyquist_state(grid32, 32, VARIANTS[name])
+        u, tau = state.u, state.tau
+        for f in (state.omega, *tau.components, ops.riesz_r(tau)):
+            assert coeff_error(ops.advect(u, f), reference_advect(u, f)) <= TOL
+        assert coeff_error(commutator_r_advect(u, tau), reference_commutator(u, tau)) <= TOL
+
+    def test_constant_velocity(self, grid64):
+        u = constant_velocity(grid64, 0.7, -0.4)
+        tau = rand_state(grid64, 33, band=(1, 10)).tau
+        scale = 0.0
+        for f in (*tau.components, ops.riesz_r(tau)):
+            want = reference_advect(u, f)
+            assert coeff_error(ops.advect(u, f), want) <= TOL
+            scale = max(scale, float(np.max(np.abs(want.coeffs))))
+        got = commutator_r_advect(u, tau)
+        assert np.max(np.abs(got.coeffs - reference_commutator(u, tau).coeffs)) <= TOL * scale
+
+    def test_velocity_values_made_once(self, grid32):
+        u = rand_state(grid32, 34).u
+        assert u.values is u.values
+        for got, want in zip(u.values, (u.u1.physical, u.u2.physical)):
+            assert np.max(np.abs(got - want)) <= TOL * np.max(np.abs(want))
