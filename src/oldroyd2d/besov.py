@@ -96,7 +96,8 @@ class PaddedTransform:
         leaves out the halving of the Hermitian part, which the caller's
         scaling of w carries."""
         band, b = w.shape[0] // 2, self.half
-        top, bottom = b[: band + 1, : band + 1], b[2 * self.n - band :, : band + 1]  # m1 >= 0, m1 < 0
+        top = b[: band + 1, : band + 1]  # m1 = 0..band
+        bottom = b[2 * self.n - band :, : band + 1]  # m1 = -band..-1
         np.conjugate(w[band::-1, band::-1], out=top)  # conj w[-k]: reversed rows and columns
         np.conjugate(w[:band:-1, band::-1], out=bottom)
         top += w[band:, band:]
@@ -125,7 +126,8 @@ def _padded_max(w: np.ndarray, weights: tuple, grid: Grid) -> float:
     exponent = max(math.frexp(peak)[1], -1000)  # 0 for a zero or non-finite peak
     w *= 0.5 * math.ldexp(1.0, -exponent)  # with the 1/2 of the Hermitian part
     pad = padded_transform(grid)
-    mag, values = np.empty((2, 2 * grid.n, 2 * grid.n))
+    mag = np.empty((2 * grid.n, 2 * grid.n))
+    values = np.empty_like(mag) if len(w) > 1 else None
     for i, (c, wt) in enumerate(zip(w, weights)):
         p = pad.physical(c, values if i else mag)
         np.multiply(p, p, out=p)
@@ -229,17 +231,20 @@ class DyadicDecomposition:
         blocks.extend(raw[q] for q in range(0, q_max))
         top = np.ones_like(kmag) - sum(blocks)  # closes the partition upward
         blocks.append(top)
-        m1, m2 = np.abs(grid.m1), np.abs(grid.m2)
+        m = np.abs(grid.freq)
         # the largest frequency per axis where a block is nonzero; roundoff
         # counts (block -1 is about 1e-16 on most modes), so that a window
         # of that size drops only exact zeros
-        supports = tuple(int(max(m1[b != 0].max(initial=0), m2[b != 0].max(initial=0)))
-                         for b in blocks)
+        supports = []
+        for b in blocks:
+            nonzero = b != 0
+            supports.append(int(max(m[nonzero.any(axis=1)].max(initial=0),
+                                    m[nonzero.any(axis=0)].max(initial=0))))
         windows = tuple(centre(b, min(s, grid.dealias_cutoff)) for b, s in zip(blocks, supports))
         for b in blocks + list(windows):
             b.setflags(write=False)
         return cls(grid=grid, q_max=q_max, multipliers=tuple(blocks),
-                   supports=supports, windows=windows)
+                   supports=tuple(supports), windows=windows)
 
     @property
     def qs(self) -> range:

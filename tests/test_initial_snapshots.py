@@ -5,6 +5,7 @@ import pytest
 
 from oldroyd2d import besov
 from oldroyd2d.errors import ConfigError, SnapshotError
+from oldroyd2d.fields import ScalarField
 from oldroyd2d.grid import Grid
 from oldroyd2d.initial_data import (
     InitialSpec,
@@ -206,3 +207,36 @@ class TestMalformedSnapshots:
         path.write_bytes(bytes(data))
         with pytest.raises(SnapshotError, match="zero mean"):
             load_snapshot(path)
+
+
+def _loop_random_scalar(grid, band, seed, zero_mean=True):
+    """random_scalar as a loop over the modes, one draw of two normals per
+    mode in canonical order: the reference for its vectorised draw."""
+    lo, hi = band
+    rng = np.random.default_rng(seed)
+    coeffs = np.zeros((grid.n, grid.n), dtype=np.complex128)
+    for m1 in range(-hi, hi + 1):
+        for m2 in range(-hi, hi + 1):
+            if not (lo <= max(abs(m1), abs(m2)) <= hi):
+                continue
+            if not (m1 > 0 or (m1 == 0 and m2 > 0)):
+                continue
+            a, b = rng.standard_normal(2)
+            c = 0.5 * (a + 1j * b)
+            coeffs[m1 % grid.n, m2 % grid.n] = c
+            coeffs[-m1 % grid.n, -m2 % grid.n] = np.conj(c)
+    if not zero_mean:
+        coeffs[0, 0] = rng.standard_normal()
+    f = ScalarField(grid, coeffs)
+    norm = f.l2()
+    return (1.0 / norm) * f if norm > 0 else f
+
+
+@pytest.mark.parametrize("n", [8, 32, 128])
+def test_random_scalar_matches_the_mode_loop(n):
+    grid = Grid(n)
+    for band in [(1, n // 3), (0, 2), (2, 2), (1, 1)]:
+        for zero_mean in (True, False):
+            got = random_scalar(grid, band, [7, n], zero_mean=zero_mean)
+            want = _loop_random_scalar(grid, band, [7, n], zero_mean=zero_mean)
+            assert got.coeffs.tobytes() == want.coeffs.tobytes()

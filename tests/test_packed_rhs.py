@@ -136,7 +136,8 @@ def constant_velocity(grid, a, b):
 
 
 def coeff_error(got, want):
-    return float(np.max(np.abs(got.coeffs - want.coeffs)) / max(np.max(np.abs(want.coeffs)), 1e-300))
+    scale = max(np.max(np.abs(want.coeffs)), 1e-300)
+    return float(np.max(np.abs(got.coeffs - want.coeffs)) / scale)
 
 
 class TestPackedAdvection:
