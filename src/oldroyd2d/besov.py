@@ -8,8 +8,9 @@ corner wavenumber.
 
 L-infinity norms are evaluated after zero-padding the spectrum to twice the
 resolution per axis, which reduces the underestimate of maxima falling
-between grid points; linf_norm is the one place that pads, for every field
-kind and every dyadic block (PaddedTransform).
+between grid points; _padded_max is the one place that pads, for every
+field kind (linf_norm) and every dyadic block (block_linf_norms), each in
+the centred window of the frequencies it may hold (PaddedTransform).
 
 Every norm takes any field kind, with the component weights fields.py
 states: the pointwise magnitude is sqrt(sum_c w_c c^2).
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -208,8 +209,6 @@ class DyadicDecomposition:
     grid: Grid
     q_max: int
     multipliers: tuple = field(repr=False)
-    supports: tuple = field(repr=False)
-    windows: tuple = field(repr=False)
 
     q_min = -1
 
@@ -231,20 +230,9 @@ class DyadicDecomposition:
         blocks.extend(raw[q] for q in range(0, q_max))
         top = np.ones_like(kmag) - sum(blocks)  # closes the partition upward
         blocks.append(top)
-        m = np.abs(grid.freq)
-        # the largest frequency per axis where a block is nonzero; roundoff
-        # counts (block -1 is about 1e-16 on most modes), so that a window
-        # of that size drops only exact zeros
-        supports = []
         for b in blocks:
-            nonzero = b != 0
-            supports.append(int(max(m[nonzero.any(axis=1)].max(initial=0),
-                                    m[nonzero.any(axis=0)].max(initial=0))))
-        windows = tuple(centre(b, min(s, grid.dealias_cutoff)) for b, s in zip(blocks, supports))
-        for b in blocks + list(windows):
             b.setflags(write=False)
-        return cls(grid=grid, q_max=q_max, multipliers=tuple(blocks),
-                   supports=tuple(supports), windows=windows)
+        return cls(grid=grid, q_max=q_max, multipliers=tuple(blocks))
 
     @property
     def qs(self) -> range:
@@ -254,6 +242,29 @@ class DyadicDecomposition:
         if not (-1 <= q <= self.q_max):
             raise ValueError(f"block index q={q} outside [-1, {self.q_max}]")
         return self.multipliers[q + 1]
+
+    @cached_property
+    def supports(self) -> tuple[int, ...]:
+        """The largest frequency per axis at which each block is nonzero.
+        Roundoff counts (block -1 is about 1e-16 on most modes), so that a
+        window of that size drops only exact zeros. Made on first use."""
+        m = np.abs(self.grid.freq)
+        out = []
+        for b in self.multipliers:
+            nonzero = b != 0
+            out.append(int(max(m[nonzero.any(axis=1)].max(initial=0),
+                               m[nonzero.any(axis=0)].max(initial=0))))
+        return tuple(out)
+
+    @cached_property
+    def windows(self) -> tuple[np.ndarray, ...]:
+        """Each block's multiplier in its window for the dealiased band n//3
+        (centre), made on first use."""
+        cut = self.grid.dealias_cutoff
+        out = tuple(centre(b, min(s, cut)) for b, s in zip(self.multipliers, self.supports))
+        for w in out:
+            w.setflags(write=False)
+        return out
 
     def window(self, q: int, band: int) -> np.ndarray:
         """The centred window (centre) of block q's multiplier on the

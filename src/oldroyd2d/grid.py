@@ -52,13 +52,13 @@ class Grid:
 
     @cached_property
     def m1(self) -> np.ndarray:
-        m1, _ = np.meshgrid(self.freq, self.freq, indexing="ij")
+        m1 = np.repeat(self.freq[:, None], self.n, axis=1)
         m1.setflags(write=False)
         return m1
 
     @cached_property
     def m2(self) -> np.ndarray:
-        _, m2 = np.meshgrid(self.freq, self.freq, indexing="ij")
+        m2 = np.repeat(self.freq[None, :], self.n, axis=0)
         m2.setflags(write=False)
         return m2
 
