@@ -10,7 +10,7 @@ L-infinity norms are evaluated after zero-padding the spectrum to twice the
 resolution per axis, which reduces the underestimate of maxima falling
 between grid points; _padded_max is the one place that pads, for every
 field kind (linf_norm) and every dyadic block (block_linf_norms), each in
-the centred window of the frequencies it may hold (PaddedTransform).
+the window of the frequencies it may hold (PaddedTransform).
 
 Every norm takes any field kind, with the component weights fields.py
 states: the pointwise magnitude is sqrt(sum_c w_c c^2).
@@ -24,62 +24,49 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .fields import FieldKind, ScalarField, norm
+from .fields import FieldKind, ScalarField, norm, reflected
 from .grid import Grid, inverse_rfft2
 
 
 def centre(a: np.ndarray, band: int, out: np.ndarray | None = None) -> np.ndarray:
-    """The frequencies -band..band per axis of the n x n fftfreq-layout
-    array a, centred (index m + band), written to out (zeroed, of shape
-    (2 band + 1, 2 band + 1); made when None). For band = n/2 the row and column of
-    frequency +n/2, which an n-point array does not hold, stay zero: the
-    Nyquist row and column stay at -n/2, as in zero-padding."""
-    n = a.shape[-1]
+    """The frequencies m1 = -band..band (row m1 + band) and m2 = 0..band
+    (column m2) of the coefficient array or per-mode multiplier a, written
+    to out (of shape (2 band + 1, band + 1); made when None). The n-point
+    array holds the Nyquist row once, at m1 = -n/2; for band = n/2 it is
+    written at -n/2 and at +n/2 (field_window splits a field's in halves)."""
     if out is None:
-        out = np.zeros((2 * band + 1, 2 * band + 1), dtype=a.dtype)
-    top = min(band, n // 2 - 1)  # the largest positive frequency a holds
-    pos, neg = slice(band, band + top + 1), slice(0, band)
-    out[pos, pos] = a[: top + 1, : top + 1]
-    out[neg, pos] = a[n - band :, : top + 1]
-    out[pos, neg] = a[: top + 1, n - band :]
-    out[neg, neg] = a[n - band :, n - band :]
+        out = np.empty((2 * band + 1, band + 1), dtype=a.dtype)
+    out[band:] = a[: band + 1, : band + 1]
+    out[:band] = a[a.shape[0] - band :, : band + 1]
     return out
 
 
-def field_band(f: FieldKind) -> int:
-    """The largest frequency per axis that the coefficients of f may hold:
-    n//3 when every component is zero past the dealias cutoff n/3 (a
-    dealiased field), else n//2. One check per axis, as HalfSpectrum.width
-    makes."""
-    n = f.grid.n
-    lo, hi = n // 3 + 1, n - n // 3  # rows and columns of frequencies |m| > n/3
-    if any(c.coeffs[lo:hi].any() or c.coeffs[:, lo:hi].any() for c in f.components):
-        return n // 2
-    return n // 3
-
-
 def field_window(f: FieldKind, band: int) -> np.ndarray:
-    """The centred windows (centre) of the components of f, stacked."""
-    w = np.zeros((len(f.components), 2 * band + 1, 2 * band + 1), dtype=np.complex128)
+    """The centred windows (centre) of the components of f, stacked: the
+    padded spectra of f in rfft2 layout. For band = n/2 the Nyquist row and
+    column are split in halves between -n/2 and +n/2, as zero-padding with
+    the Nyquist modes kept at -n/2 does to a real field's spectrum: the row
+    is halved at both, and column +n/2 holds half the Hermitian part
+    (x[m1] + conj x[-m1]) / 2 of column n/2 at rows -n/2+1..n/2."""
+    w = np.empty((len(f.components), 2 * band + 1, band + 1), dtype=np.complex128)
     for c, out in zip(f.components, w):
         centre(c.coeffs, band, out)
+        if band == f.grid.n // 2:
+            col = c.coeffs[:, band]
+            out[[0, -1]] *= 0.5
+            out[1:, band] = np.roll(0.25 * (col + np.conj(reflected(col))), -(band + 1))
+            out[0, band] = 0.0
     return w
 
 
 class PaddedTransform:
     """The zero-padded 2n x 2n transform of one grid, through one reused buffer.
 
-    Zero-padding a spectrum to 2n points per axis keeps its frequencies
-    (the n-point Nyquist row and column at -n/2) and puts zeros around
-    them. The real part of that padded spectrum's transform is the transform
-    of its Hermitian part (P[k] + conj P[-k]) / 2, which the inverse real
-    transform synthesizes from columns 0..n of a (2n, n+1) half spectrum.
-
-    A field whose frequencies lie within |m| <= B per axis is given as its
-    centred (2B+1, 2B+1) window (centre), where -k is the reversed index, so
-    a Nyquist row or column that is not conjugate-symmetric (B = n/2) splits
-    into halves at -n/2 and +n/2. Only the window's Hermitian fold is
-    written: rows 0..B and 2n-B..2n-1 of columns 0..B of the half buffer.
+    Zero-padding a spectrum to 2n points per axis keeps its frequencies and
+    puts zeros around them. A field whose frequencies lie within |m| <= B
+    per axis is given as its padded spectrum's window (field_window), rows
+    -B..B and columns 0..B in rfft2 layout, which is copied as it is into
+    rows 0..B and 2n-B..2n-1 of columns 0..B of a (2n, n+1) half buffer.
     The column pass of grid.inverse_rfft2 runs in place on those B + 1
     columns, and they are zeroed again before the call returns, so the
     buffer is zero between calls and no second (2n, n+1) buffer is kept.
@@ -92,17 +79,11 @@ class PaddedTransform:
         self.half = np.zeros((2 * n, n + 1), dtype=np.complex128)
 
     def physical(self, w: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Twice the padded 2n x 2n grid values of the field whose centred
-        coefficient window is w, written to out. The fold w[k] + conj w[-k]
-        leaves out the halving of the Hermitian part, which the caller's
-        scaling of w carries."""
-        band, b = w.shape[0] // 2, self.half
-        top = b[: band + 1, : band + 1]  # m1 = 0..band
-        bottom = b[2 * self.n - band :, : band + 1]  # m1 = -band..-1
-        np.conjugate(w[band::-1, band::-1], out=top)  # conj w[-k]: reversed rows and columns
-        np.conjugate(w[:band:-1, band::-1], out=bottom)
-        top += w[band:, band:]
-        bottom += w[:band, band:]
+        """The padded 2n x 2n grid values of the field whose padded window
+        is w, written to out."""
+        band, b = w.shape[1] - 1, self.half
+        b[: band + 1, : band + 1] = w[band:]
+        b[2 * self.n - band :, : band + 1] = w[:band]
         inverse_rfft2(b, band + 1, b, out)
         b[:, : band + 1] = 0.0
         return out
@@ -125,7 +106,7 @@ def _padded_max(w: np.ndarray, weights: tuple, grid: Grid) -> float:
     """
     peak = float(np.max(np.abs(w)))
     exponent = max(math.frexp(peak)[1], -1000)  # 0 for a zero or non-finite peak
-    w *= 0.5 * math.ldexp(1.0, -exponent)  # with the 1/2 of the Hermitian part
+    w *= math.ldexp(1.0, -exponent)
     pad = padded_transform(grid)
     mag = np.empty((2 * grid.n, 2 * grid.n))
     values = np.empty_like(mag) if len(w) > 1 else None
@@ -137,6 +118,12 @@ def _padded_max(w: np.ndarray, weights: tuple, grid: Grid) -> float:
         if i:
             mag += p
     return float(np.ldexp(math.sqrt(float(np.max(mag))), exponent))
+
+
+def field_band(f: FieldKind) -> int:
+    """The largest frequency per axis that the coefficients of f may hold
+    (Grid.band)."""
+    return f.grid.band(*(c.coeffs for c in f.components))
 
 
 def linf_norm(f: FieldKind) -> float:
@@ -158,8 +145,8 @@ def block_linf_norms(f: FieldKind) -> list[float]:
     norms = []
     for q in dec.qs:
         mult = dec.window(q, band)
-        o = band - mult.shape[0] // 2
-        sub = w[:, o : w.shape[1] - o, o : w.shape[2] - o]
+        size = mult.shape[1] - 1
+        sub = w[:, band - size : band + size + 1, : size + 1]
         norms.append(_padded_max(mult * sub, f.weights, f.grid))
     return norms
 
@@ -226,9 +213,11 @@ class DyadicDecomposition:
 
         low = 1.0 - sum(raw)
         low[kmag == 0] = 1.0
+        low[kmag >= 2.0] = 0.0  # roundoff outside its support
         blocks = [low]
         blocks.extend(raw[q] for q in range(0, q_max))
         top = np.ones_like(kmag) - sum(blocks)  # closes the partition upward
+        top[kmag <= 2.0 ** (q_max - 1)] = 0.0
         blocks.append(top)
         for b in blocks:
             b.setflags(write=False)
@@ -245,16 +234,10 @@ class DyadicDecomposition:
 
     @cached_property
     def supports(self) -> tuple[int, ...]:
-        """The largest frequency per axis at which each block is nonzero.
-        Roundoff counts (block -1 is about 1e-16 on most modes), so that a
-        window of that size drops only exact zeros. Made on first use."""
-        m = np.abs(self.grid.freq)
-        out = []
-        for b in self.multipliers:
-            nonzero = b != 0
-            out.append(int(max(m[nonzero.any(axis=1)].max(initial=0),
-                               m[nonzero.any(axis=0)].max(initial=0))))
-        return tuple(out)
+        """The largest frequency per axis at which each block is nonzero, so
+        that a window of that size drops only exact zeros. Made on first use."""
+        m = np.maximum(np.abs(self.grid.m1), np.abs(self.grid.m2))
+        return tuple(int(m[b != 0].max(initial=0)) for b in self.multipliers)
 
     @cached_property
     def windows(self) -> tuple[np.ndarray, ...]:
@@ -272,7 +255,7 @@ class DyadicDecomposition:
         dealiased field's band n//3, else made on the call."""
         size = min(band, self.supports[q + 1])
         w = self.windows[q + 1]
-        if w.shape[0] == 2 * size + 1:
+        if w.shape[1] == size + 1:
             return w
         return centre(self.multiplier(q), size)
 

@@ -138,7 +138,7 @@ def check_commutator_ensemble(quick: bool = False) -> CheckResult:
     drift = abs(c128 - c64) / max(c64, 1e-30)
 
     grid = Grid(64)
-    c1 = np.zeros((grid.n, grid.n), dtype=np.complex128)
+    c1 = np.zeros(grid.shape, dtype=np.complex128)
     c2 = c1.copy()
     c1[0, 0], c2[0, 0] = 0.7, -0.4  # spatially constant velocity
     const_u = VectorField(ScalarField(grid, c1), ScalarField(grid, c2))
@@ -249,11 +249,13 @@ def manufactured_fields(grid: Grid) -> tuple[ScalarField, SymTensorField]:
 
 
 def restrict_coeffs(src_grid: Grid, coeffs: np.ndarray, dst_grid: Grid) -> np.ndarray:
-    """Keep the central modes of a finer grid's coefficient array."""
-    n, big_n = dst_grid.n, src_grid.n
-    shifted = np.fft.fftshift(coeffs)
-    lo = (big_n - n) // 2
-    return np.fft.ifftshift(shifted[lo : lo + n, lo : lo + n])
+    """Keep the modes of a coarser grid from a finer grid's coefficient
+    array: its column -n/2 is the conjugate of the finer column +n/2 at
+    row -m1."""
+    h, rows = dst_grid.n // 2, dst_grid.freq % src_grid.n
+    out = coeffs[rows, : h + 1]
+    out[:, h] = np.conj(coeffs[-rows % src_grid.n, h])
+    return out
 
 
 MMS_PARAMS = ModelParams(nu=0.01, mu=0.05, K=1.0, alpha=0.7, beta=0.3,

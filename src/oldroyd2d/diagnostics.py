@@ -19,7 +19,7 @@ import numpy as np
 from . import besov
 from . import operators as ops
 from .errors import ConfigError
-from .fields import ScalarField, SymTensorField, VectorField, inner, sq_norm
+from .fields import ScalarField, SymTensorField, VectorField, inner, mode_sum, sq_norm
 from .model import (
     ModelParams,
     SimState,
@@ -37,8 +37,7 @@ Derivative = tuple[ScalarField, SymTensorField]  # d/dt (omega, tau), from time_
 def velocity_inner_from_vorticity(omega: ScalarField, domega: ScalarField) -> float:
     """<u, u_t> where u = biot_savart(omega), u_t = biot_savart(domega)."""
     g = omega.grid
-    s = np.sum(np.conj(omega.coeffs) * domega.coeffs * g.inv_ksq)
-    return float(s.real) * g.length**2
+    return mode_sum(omega.coeffs, domega.coeffs, g.inv_ksq) * g.length**2
 
 
 def energy_weighted(state: SimState, params: ModelParams) -> float:

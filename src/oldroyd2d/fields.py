@@ -1,8 +1,9 @@
 """Periodic fields stored as spectral coefficient arrays.
 
-A ScalarField holds the complex coefficient array of a real field; vector
-and symmetric-tensor fields are built from scalar components. The tensor
-stores only (t11, t12, t22); symmetry is structural.
+A ScalarField holds the (n, n//2+1) rfft2 half spectrum of a real field
+(grid.py); vector and symmetric-tensor fields are built from scalar
+components. The tensor stores only (t11, t12, t22); symmetry is
+structural.
 
 Every field kind states its scalar `components`, their Frobenius `weights`
 and a `map` over them, and every norm goes through those: the pointwise
@@ -23,11 +24,9 @@ from .errors import ConfigError
 from .grid import Grid
 
 
-def _check_shape(grid: Grid, arr: np.ndarray) -> None:
-    if arr.shape != (grid.n, grid.n):
-        raise ConfigError(
-            f"field shape {arr.shape} does not match grid ({grid.n}, {grid.n})"
-        )
+def _check_shape(arr: np.ndarray, shape: tuple[int, int]) -> None:
+    if arr.shape != shape:
+        raise ConfigError(f"field shape {arr.shape} does not match grid {shape}")
 
 
 class FieldKind:
@@ -60,11 +59,34 @@ class FieldKind:
         return norm(self)
 
 
+def reflected(e: np.ndarray) -> np.ndarray:
+    """e[-m1] for the rows m1 of e (fftfreq order, modulo n): in columns 0
+    and n/2 of a half spectrum, the mode (m1, m2) pairs with (-m1, m2)."""
+    return np.concatenate((e[:1], e[:0:-1]))
+
+
+def mode_sum(a: np.ndarray, b: np.ndarray, mult: np.ndarray | None = None) -> float:
+    """Re sum_k mult_k conj(a_k) b_k over all n x n modes of the real fields
+    whose half spectra are a and b (mult = 1 when None; mult even in k, as
+    every multiplier here). Columns 1..n/2-1 count twice, once for their
+    conjugate partners. Columns 0 and n/2 count with their Hermitian parts
+    (x[m1] + conj x[-m1]) / 2, the part that the grid values hold: summed
+    over such a column, conj(Ha) Hb has the real part of
+    (conj(a) b + a b[-m1]) / 2 (reflected)."""
+    h = a.shape[1] - 1
+    prod = np.conj(a) * b
+    edges = prod[:, ::h]
+    edges += a[:, ::h] * reflected(b[:, ::h])
+    edges *= 0.25
+    if mult is not None:
+        prod *= mult
+    return 2.0 * float(np.sum(prod.real))
+
+
 def _parseval_sums(f: FieldKind, mult: np.ndarray | None):
-    """(w_c, sum_k mult_k |c_k|^2) for each component c of f; mult = 1 when None."""
+    """(w_c, sum_k mult_k |c_k|^2) for each component c of f (mode_sum)."""
     for c, w in zip(f.components, f.weights):
-        sq = np.abs(c.coeffs) ** 2
-        yield w, float(np.sum(sq if mult is None else mult * sq))
+        yield w, mode_sum(c.coeffs, c.coeffs, mult)
 
 
 def square(x: float) -> float:
@@ -97,35 +119,35 @@ def sq_norm(f: FieldKind, mult: np.ndarray) -> float:
 def inner(a: FieldKind, b: FieldKind) -> float:
     """L2 inner product with the Frobenius weights (a : b for tensors), by
     Parseval."""
-    s = sum(w * np.vdot(x.coeffs, y.coeffs)
+    s = sum(w * mode_sum(x.coeffs, y.coeffs)
             for x, y, w in zip(a.components, b.components, a.weights))
-    return float(s.real) * a.grid.length**2
+    return s * a.grid.length**2
 
 
 @dataclass(frozen=True)
 class ScalarField(FieldKind):
     grid: Grid
-    coeffs: np.ndarray  # complex128, conjugate-symmetric
+    coeffs: np.ndarray  # complex128 half spectrum, shape grid.shape
 
     weights = (1.0,)
 
     def __post_init__(self):
-        _check_shape(self.grid, self.coeffs)
+        _check_shape(self.coeffs, self.grid.shape)
         self.coeffs.setflags(write=False)
 
     @classmethod
     def from_physical(cls, grid: Grid, values: np.ndarray) -> "ScalarField":
         values = np.asarray(values, dtype=np.float64)
-        _check_shape(grid, values)
-        return cls(grid, np.fft.fft2(values, norm="forward"))
+        _check_shape(values, (grid.n, grid.n))
+        return cls(grid, np.fft.rfft2(values, norm="forward"))
 
     @classmethod
     def zeros(cls, grid: Grid) -> "ScalarField":
-        return cls(grid, np.zeros((grid.n, grid.n), dtype=np.complex128))
+        return cls(grid, np.zeros(grid.shape, dtype=np.complex128))
 
     @cached_property
     def physical(self) -> np.ndarray:
-        out = np.fft.ifft2(self.coeffs, norm="forward").real
+        out = self.grid.inverse(self.grid.band(self.coeffs))(self.coeffs)
         out.setflags(write=False)
         return out
 
@@ -175,16 +197,9 @@ class VectorField(FieldKind):
 
     @cached_property
     def values(self) -> tuple[np.ndarray, np.ndarray]:
-        """Grid values of (u1, u2) from their half spectra (HalfSpectrum.of)
-        through the pruned inverse transform, made once per field: the
-        velocity that operators.advect transports with."""
-        g = self.grid.half
-        modes = [g.of(c.coeffs) for c in self.components]
-        inverse = g.inverse(g.width(*modes))
-        out = tuple(inverse(m) for m in modes)
-        for v in out:
-            v.setflags(write=False)
-        return out
+        """Grid values of (u1, u2), made once per field: the velocity that
+        operators.advect transports with."""
+        return self.u1.physical, self.u2.physical
 
     def max_divergence(self) -> float:
         """max over modes of |k . u_hat| (0 for divergence-free fields)."""

@@ -85,18 +85,20 @@ def random_scalar(grid: Grid, band: tuple[int, int], seed, zero_mean: bool = Tru
     lo, hi = band
     _check_band(grid, hi)
     rng = np.random.default_rng(seed)
-    coeffs = np.zeros((grid.n, grid.n), dtype=np.complex128)
+    coeffs = np.zeros(grid.shape, dtype=np.complex128)
     # canonical mode order, independent of grid resolution: m1, then m2,
     # from -hi to hi, over one mode (m1 > 0, or m1 = 0 < m2) of each
-    # conjugate pair; each mode draws two normals in turn
+    # conjugate pair; each mode draws two normals in turn, and the mode or
+    # its partner, whichever has m2 >= 0, is stored
     m1, m2 = np.meshgrid(np.arange(-hi, hi + 1), np.arange(-hi, hi + 1), indexing="ij")
     radius = np.maximum(abs(m1), abs(m2))
     keep = (lo <= radius) & (radius <= hi) & ((m1 > 0) | ((m1 == 0) & (m2 > 0)))
     m1, m2 = m1[keep], m2[keep]
     a, b = rng.standard_normal((m1.size, 2)).T
     c = 0.5 * (a + 1j * b)
-    coeffs[m1 % grid.n, m2 % grid.n] = c
-    coeffs[-m1 % grid.n, -m2 % grid.n] = np.conj(c)
+    up, down = m2 >= 0, m2 <= 0
+    coeffs[m1[up] % grid.n, m2[up]] = c[up]
+    coeffs[-m1[down] % grid.n, -m2[down]] = np.conj(c[down])
     if not zero_mean:
         coeffs[0, 0] = rng.standard_normal()
     f = ScalarField(grid, coeffs)

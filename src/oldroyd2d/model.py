@@ -122,17 +122,15 @@ def make_state(t: float, omega: ScalarField, tau: SymTensorField,
 
 
 def stack(omega: ScalarField, tau: SymTensorField) -> np.ndarray:
-    """The packed (4, n, n//2+1) stack (omega, tau11, tau12, tau22): columns
-    0..n/2 of each coefficient array, the rfft2 layout."""
-    cols = omega.grid.n // 2 + 1
-    return np.stack([omega.coeffs[:, :cols]] + [c.coeffs[:, :cols] for c in tau.components])
+    """The packed (4, n, n//2+1) stack of the coefficient arrays (omega,
+    tau11, tau12, tau22)."""
+    return np.stack([omega.coeffs] + [c.coeffs for c in tau.components])
 
 
 def unstack(grid: Grid, y: np.ndarray) -> tuple[ScalarField, SymTensorField]:
-    """(omega, tau) from a packed stack, columns n/2+1..n-1 filled by
-    conjugate symmetry: c(m1, m2) = conj c(-m1, -m2)."""
-    full = grid.half.full(y)
-    return ScalarField(grid, full[0]), SymTensorField(*(ScalarField(grid, c) for c in full[1:]))
+    """(omega, tau) holding the rows of a packed stack as they are: views,
+    so the stack must not be written afterwards."""
+    return ScalarField(grid, y[0]), SymTensorField(*(ScalarField(grid, c) for c in y[1:]))
 
 
 def linear_symbol(grid: Grid, params: ModelParams) -> np.ndarray:
@@ -141,7 +139,7 @@ def linear_symbol(grid: Grid, params: ModelParams) -> np.ndarray:
     -nu |k|^2 for omega and -beta - mu |k|^2 for each tau component. The
     vorticity row is 0 for the Stokes toy, whose omega is diagnosed from tau.
     """
-    ksq = grid.half.ksq
+    ksq = grid.ksq
     sym = np.empty((4,) + ksq.shape)
     sym[0] = 0.0 if params.variant == "stokes_toy" else -params.nu * ksq
     sym[1:] = -(params.beta + params.mu * ksq)
@@ -176,19 +174,20 @@ def q_form(grad_u: ops.VelocityGradient, tau: SymTensorField, b: float) -> SymTe
     return SymTensorField(*(ops.multiply_physical(g, v) for v in q))
 
 
-def stokes_toy_vorticity(g, t11: np.ndarray, t12: np.ndarray, t22: np.ndarray) -> np.ndarray:
+def stokes_toy_vorticity(g: Grid, t11: np.ndarray, t12: np.ndarray,
+                         t22: np.ndarray) -> np.ndarray:
     """Per mode, the vorticity -R(tau) of the Stokes problem
     -Laplace(u) + grad p = div(tau), whose curl is -Laplace(omega) = curl div
-    tau, for the wavevector arrays g of either layout."""
+    tau."""
     return -ops.r_numerator(g, t11, t12, t22) * g.inv_ksq
 
 
-def stokes_toy_velocity_modes(g, t11: np.ndarray, t12: np.ndarray,
+def stokes_toy_velocity_modes(g: Grid, t11: np.ndarray, t12: np.ndarray,
                               t22: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per mode, the Biot-Savart velocity (i k2, -i k1) psi of that vorticity,
     psi = -N / |k|^4 with N = r_numerator, expanded so that the k1 k1 k2 term
-    of -i k1 psi is written with |k|^2 - k2^2 and stays even in k1 in the
-    half layout (HalfSpectrum)."""
+    of -i k1 psi is written with |k|^2 - k2^2 and stays even in k1 on the
+    Nyquist row (Grid)."""
     k1, k2 = g.k1, g.k2
     k2sq = k2**2
     d = t22 - t11
@@ -206,7 +205,7 @@ def stokes_toy_velocity(tau: SymTensorField) -> VectorField:
     return VectorField(ScalarField(g, u1), ScalarField(g, u2))
 
 
-def packed_velocity_modes(g, y, params: ModelParams | None = None):
+def packed_velocity_modes(g: Grid, y, params: ModelParams | None = None):
     """Per mode, the velocity of a packed stack y (or of any sequence of its
     four rows): the Biot-Savart velocity of the vorticity row or, for the
     Stokes toy, the Stokes velocity of the tau rows."""
@@ -227,15 +226,14 @@ def rhs(y: np.ndarray, grid: Grid, params: ModelParams,
     Stokes toy the vorticity row is 0 and the velocity comes from the tau
     rows. A packed forcing stack is added as it is. Every array transformed
     back is a per-mode multiple of rows of y, so one check of y sets the
-    columns of every inverse transform (HalfSpectrum.width).
+    band of every inverse transform (Grid.band).
     """
-    g = grid.half
-    mask = g.dealias_mask
-    ik1, ik2 = 1j * g.deriv_k1, 1j * g.deriv_k2
-    phys = g.inverse(g.width(y))
+    mask = grid.dealias_mask
+    ik1, ik2 = 1j * grid.deriv_k1, 1j * grid.deriv_k2
+    phys = grid.inverse(grid.band(y))
 
     stokes = params.variant == "stokes_toy"
-    u1_hat, u2_hat = packed_velocity_modes(g, y, params)
+    u1_hat, u2_hat = packed_velocity_modes(grid, y, params)
     transport = ops.transport(phys, (phys(u1_hat), phys(u2_hat)), (ik1, ik2))
 
     out = np.empty_like(y)
@@ -244,7 +242,7 @@ def rhs(y: np.ndarray, grid: Grid, params: ModelParams,
     else:
         np.multiply(np.fft.rfft2(transport(y[0]), norm="forward"), mask, out=out[0])
         if params.K != 0.0:
-            out[0] -= params.K * ops.r_numerator(g, *y[1:])  # K curl(div(tau))
+            out[0] -= params.K * ops.r_numerator(grid, *y[1:])  # K curl(div(tau))
         out[0, 0, 0] = 0.0
 
     grad_u = (ik1 * u1_hat, ik1 * u2_hat, ik2 * u1_hat, ik2 * u2_hat)  # g_ij = d_i u_j

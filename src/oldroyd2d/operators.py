@@ -45,9 +45,8 @@ def curl(v: VectorField) -> ScalarField:
     return deriv(v.u2, 1) - deriv(v.u1, 2)
 
 
-def velocity_modes(g, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Biot-Savart per mode: u_hat = (i k2, -i k1) w_hat / |k|^2, for the
-    wavevector arrays g of either layout (a Grid or its HalfSpectrum)."""
+def velocity_modes(g: Grid, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Biot-Savart per mode: u_hat = (i k2, -i k1) w_hat / |k|^2."""
     psi = g.inv_ksq * w  # stream function: -Laplace(psi) = omega
     return 1j * g.k2 * psi, -1j * g.k1 * psi
 
@@ -106,10 +105,10 @@ def sym_grad_of(g: VelocityGradient) -> SymTensorField:
     return SymTensorField(t11=g.g11, t12=0.5 * (g.g12 + g.g21), t22=g.g22)
 
 
-def r_numerator(g, t11: np.ndarray, t12: np.ndarray, t22: np.ndarray) -> np.ndarray:
-    """Per mode (k1^2 - k2^2) t12 + k1 k2 (t22 - t11), shared by R and curl div,
-    for the wavevector arrays g of either layout. k1^2 - k2^2 is written
-    |k|^2 - 2 k2^2, which keeps it even in k1 in the half layout too."""
+def r_numerator(g: Grid, t11: np.ndarray, t12: np.ndarray, t22: np.ndarray) -> np.ndarray:
+    """Per mode (k1^2 - k2^2) t12 + k1 k2 (t22 - t11), shared by R and curl div.
+    k1^2 - k2^2 is written |k|^2 - 2 k2^2, which keeps it even in k1 on the
+    Nyquist row (Grid)."""
     return (g.ksq - 2.0 * g.k2**2) * t12 + g.k1 * g.k2 * (t22 - t11)
 
 
@@ -156,9 +155,9 @@ def multiply_physical(grid: Grid, values: np.ndarray) -> ScalarField:
 
 def transport(inverse, u: tuple[np.ndarray, np.ndarray], ik: tuple[np.ndarray, np.ndarray]):
     """The function from a half spectrum f to the grid values of the
-    transport term -u . grad f: the gradient is taken with the half-spectrum
-    derivative multipliers ik = (i k1, i k2) and brought back with inverse
-    (HalfSpectrum.inverse), and u holds the velocity's grid values.
+    transport term -u . grad f: the gradient is taken with the derivative
+    multipliers ik = (i k1, i k2) and brought back with inverse
+    (Grid.inverse), and u holds the velocity's grid values.
     model.rhs and advect are this one kernel."""
     u1, u2 = u
     ik1, ik2 = ik
@@ -175,16 +174,14 @@ def transport(inverse, u: tuple[np.ndarray, np.ndarray], ik: tuple[np.ndarray, n
 
 
 def advect(u: VectorField, f: ScalarField) -> ScalarField:
-    """u . grad f, pseudospectral product, dealiased, through the half
-    spectra of f and u (HalfSpectrum.of) and the transport kernel of
-    model.rhs; the velocity's grid values are made once per VectorField
-    (VectorField.values)."""
-    g = f.grid.half
-    fh = g.of(f.coeffs)
-    minus = transport(g.inverse(g.width(fh)), u.values, (1j * g.deriv_k1, 1j * g.deriv_k2))
-    out = np.fft.rfft2(minus(fh), norm="forward")
+    """u . grad f, pseudospectral product, dealiased, through the transport
+    kernel of model.rhs; the velocity's grid values are made once per
+    VectorField (VectorField.values)."""
+    g = f.grid
+    minus = transport(g.inverse(g.band(f.coeffs)), u.values, (1j * g.deriv_k1, 1j * g.deriv_k2))
+    out = np.fft.rfft2(minus(f.coeffs), norm="forward")
     np.multiply(out, g.dealias_mask, out=out)
-    return ScalarField(f.grid, g.full(np.negative(out, out=out)))
+    return ScalarField(g, np.negative(out, out=out))
 
 
 def advect_tensor(u: VectorField, tau: SymTensorField) -> SymTensorField:

@@ -56,16 +56,15 @@ class StepConfig:
 def cfl_dt(state: SimState, config: StepConfig, params: ModelParams | None = None) -> float:
     """Advective CFL step: clamp(cfl * h / max(|u|_inf, floor), dt_min, dt_max).
 
-    max|u| is taken on the grid from the half-spectrum velocity of the state,
-    with two inverse transforms (HalfSpectrum.inverse); params names the
-    variant, so that the Stokes-toy velocity comes from tau (without params,
-    the velocity is that of omega).
+    max|u| is taken on the grid from the velocity modes of the state, with
+    two inverse transforms (Grid.inverse); params names the variant, so that
+    the Stokes-toy velocity comes from tau (without params, the velocity is
+    that of omega).
     """
-    grid, g = state.grid, state.grid.half
-    cols = grid.n // 2 + 1
-    rows = tuple(c.coeffs[:, :cols] for c in (state.omega, *state.tau.components))
-    modes = packed_velocity_modes(g, rows, params)
-    u1, u2 = map(g.inverse(g.width(*modes)), modes)
+    grid = state.grid
+    rows = tuple(c.coeffs for c in (state.omega, *state.tau.components))
+    modes = packed_velocity_modes(grid, rows, params)
+    u1, u2 = map(grid.inverse(grid.band(*modes)), modes)
     umax = float(np.max(np.hypot(u1, u2)))
     dt = config.cfl * grid.h / max(umax, CFL_VELOCITY_FLOOR)
     return min(max(dt, config.dt_min), config.dt_max)
@@ -82,8 +81,9 @@ def step(state: SimState, dt: float, params: ModelParams, config: StepConfig,
          forcing: np.ndarray | None = None) -> SimState:
     """Advance one step of size dt > 0.
 
-    The state is packed once into the (4, n, n//2+1) half-spectrum stack
-    (omega, tau11, tau12, tau22) and unpacked once at the end. Each stage is
+    The state's coefficient arrays are stacked once into the (4, n, n//2+1)
+    stack (omega, tau11, tau12, tau22), and the new state holds the rows of
+    the new stack. Each stage is
     one whole-array expression in that stack, the integrating factors
     exp(c dt L) of the linear symbol L and the explicit tendencies from rhs;
     a forcing is a packed stack too.
@@ -102,16 +102,21 @@ def step(state: SimState, dt: float, params: ModelParams, config: StepConfig,
     y = stack(state.omega, state.tau)
     n_of = lambda yy: rhs(yy, grid, params, forcing)
 
-    k1 = n_of(y)
+    # The stage slopes share one allocation. Freeing it raises glibc's
+    # dynamic mmap threshold to its size, so the heap keeps the memory of
+    # the rhs temporaries between calls rather than return it and fault it
+    # in again (at n = 256, 4x the minor faults of a step without it).
+    k = np.empty((config.order,) + y.shape, dtype=np.complex128)
+    k[0] = n_of(y)
     if config.scheme == "ifrk2":
-        k2 = n_of(e * (y + dt * k1))
-        ynew = e * y + 0.5 * dt * (e * k1 + k2)
+        k[1] = n_of(e * (y + dt * k[0]))
+        ynew = e * y + 0.5 * dt * (e * k[0] + k[1])
     else:
         h = np.exp(0.5 * dt * sym)
-        k2 = n_of(h * (y + 0.5 * dt * k1))
-        k3 = n_of(h * y + 0.5 * dt * k2)
-        k4 = n_of(e * y + dt * h * k3)
-        ynew = e * y + (dt / 6.0) * (e * k1 + 2.0 * h * (k2 + k3) + k4)
+        k[1] = n_of(h * (y + 0.5 * dt * k[0]))
+        k[2] = n_of(h * y + 0.5 * dt * k[1])
+        k[3] = n_of(e * y + dt * h * k[2])
+        ynew = e * y + (dt / 6.0) * (e * k[0] + 2.0 * h * (k[1] + k[2]) + k[3])
 
     peak = _max_norm(ynew)
     if not math.isfinite(peak):

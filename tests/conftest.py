@@ -1,9 +1,8 @@
-import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from oldroyd2d import operators as ops
 from oldroyd2d.fields import ScalarField, SymTensorField
 from oldroyd2d.grid import Grid
 from oldroyd2d.initial_data import random_scalar, random_state
@@ -46,6 +45,48 @@ def rand_tensor(grid, seed, band=(1, 8)):
     )
 
 
+def full_coeffs(f) -> np.ndarray:
+    """The full n x n coefficient array of the real field f, from its grid
+    values: the full-layout references below start from it, not from the
+    half spectrum that f holds, so that they stay independent of it."""
+    return np.fft.fft2(f.physical, norm="forward")
+
+
+def full_wavevectors(grid):
+    """The per-mode arrays of the full n x n layout, as the package kept them
+    before it held half spectra: k1 and k2 as they are, and the derivative
+    multipliers with the Nyquist row or column zeroed."""
+    k = (2.0 * np.pi / grid.length) * grid.freq
+    k1, k2 = np.meshgrid(k, k, indexing="ij")
+    ksq = k1 * k1 + k2 * k2
+    inv_ksq = np.zeros_like(ksq)
+    np.divide(1.0, ksq, out=inv_ksq, where=ksq > 0)
+    m = np.abs(grid.freq)
+    nyq = m == grid.n // 2
+    return SimpleNamespace(
+        k1=k1, k2=k2, ksq=ksq, inv_ksq=inv_ksq,
+        deriv_k1=np.where(nyq[:, None], 0.0, k1), deriv_k2=np.where(nyq[None, :], 0.0, k2),
+        dealias_mask=(m[:, None] <= grid.n / 3) & (m[None, :] <= grid.n / 3))
+
+
+def half_field(grid, a: np.ndarray) -> ScalarField:
+    """The field of the full-layout array a: columns 0..n/2 of its Hermitian
+    part (a[m] + conj a[-m]) / 2, the part its real grid values hold."""
+    neg = -np.arange(grid.n) % grid.n
+    herm = 0.5 * (a + np.conj(a[neg][:, neg]))
+    return ScalarField(grid, herm[:, : grid.n // 2 + 1])
+
+
+def full_values(a: np.ndarray) -> np.ndarray:
+    """The real grid values of the full-layout array a."""
+    return np.fft.ifft2(a, norm="forward").real
+
+
+def full_r(g, t11, t12, t22) -> np.ndarray:
+    """R(tau) per mode in the full layout g (full_wavevectors)."""
+    return ((g.k1**2 - g.k2**2) * t12 + g.k1 * g.k2 * (t22 - t11)) * g.inv_ksq
+
+
 def pad_coeffs(coeffs: np.ndarray) -> np.ndarray:
     """Reference zero-padding of n x n coefficients to 2n x 2n: each quadrant
     is copied into a corner, so the Nyquist row and column stay at frequency
@@ -60,9 +101,10 @@ def pad_coeffs(coeffs: np.ndarray) -> np.ndarray:
 
 
 def padded_values(coeffs: np.ndarray) -> np.ndarray:
-    """Reference padded grid values, ifft2(pad_coeffs(c)).real to roundoff:
-    irfft2 of columns 0..n of the padded spectrum's Hermitian part
-    (P[k] + conj P[-k]) / 2, with -k taken modulo 2n."""
+    """Reference padded grid values of the full n x n coefficients,
+    ifft2(pad_coeffs(c)).real to roundoff: irfft2 of columns 0..n of the
+    padded spectrum's Hermitian part (P[k] + conj P[-k]) / 2, with -k taken
+    modulo 2n."""
     big = pad_coeffs(coeffs)
     m = big.shape[0]
     neg = -np.arange(m) % m
@@ -71,47 +113,24 @@ def padded_values(coeffs: np.ndarray) -> np.ndarray:
 
 
 def reference_linf_norm(f) -> float:
-    """besov.linf_norm through the full (n+1, n+1) centred array of every
-    component, as before the padded transform took windows: the same folds,
-    scaling and transforms on whole arrays, with the column pass over the
-    columns that the centred array's extent reaches."""
-    n, h = f.grid.n, f.grid.n // 2
-    peak = max(c.max_abs_coeff() for c in f.components)
-    exponent = max(math.frexp(peak)[1], -1000)
-    s = 0.5 * math.ldexp(1.0, -exponent)
-    c = np.zeros((n + 1, n + 1), dtype=np.complex128)
-    mag = np.zeros((2 * n, 2 * n))
-    for comp, w in zip(f.components, f.weights):
-        coeffs = comp.coeffs
-        b = np.zeros((2 * n, n + 1), dtype=np.complex128)
-        np.multiply(coeffs[h:, h:], s, out=c[:h, :h])
-        np.multiply(coeffs[h:, :h], s, out=c[:h, h:n])
-        np.multiply(coeffs[:h, h:], s, out=c[h:n, :h])
-        np.multiply(coeffs[:h, :h], s, out=c[h:n, h:n])
-        top, bottom = b[: h + 1, : h + 1], b[3 * h :, : h + 1]
-        np.conjugate(c[h::-1, h::-1], out=top)
-        np.conjugate(c[:h:-1, h::-1], out=bottom)
-        top += c[h:, h:]
-        bottom += c[:h, h:]
-        m2 = np.flatnonzero(c.any(axis=0))
-        width = max(h - m2[0], m2[-1] - h) + 1 if m2.size else 0
-        if width:
-            np.fft.ifft(b[:, :width], axis=0, norm="forward", out=b[:, :width])
-        p = np.fft.irfft(b, n=2 * n, axis=1, norm="forward")
-        np.multiply(p, p, out=p)
-        if w != 1.0:
-            p *= w
-        mag += p
-    return float(np.ldexp(math.sqrt(float(np.max(mag))), exponent))
+    """besov.linf_norm from the full-layout spectra of the components' grid
+    values (full_coeffs), padded as padded_values pads them."""
+    mag = sum(w * padded_values(full_coeffs(c)) ** 2 for c, w in zip(f.components, f.weights))
+    return float(np.sqrt(np.max(mag)))
+
+
+def full_advect(g, u: tuple, c: np.ndarray) -> np.ndarray:
+    """u . grad c in the full layout g (full_wavevectors), as operators.advect
+    made it before it took the half spectrum: complex ifft2 of the gradient,
+    the product with the velocity's grid values u, fft2 and the dealias mask."""
+    values = u[0] * full_values(1j * g.deriv_k1 * c) + u[1] * full_values(1j * g.deriv_k2 * c)
+    return np.fft.fft2(values, norm="forward") * g.dealias_mask
 
 
 def reference_advect(u, f):
-    """u . grad f in the full layout, as operators.advect made it before it
-    took the half spectrum: complex ifft2 of the velocity and the gradient,
-    the product on the grid, fft2 and the dealias mask."""
-    fx, fy = ops.grad(f)
-    values = u.u1.physical * fx.physical + u.u2.physical * fy.physical
-    return ops.multiply_physical(f.grid, values)
+    """u . grad f through full_advect, from the grid values of u and f."""
+    g = full_wavevectors(f.grid)
+    return half_field(f.grid, full_advect(g, (u.u1.physical, u.u2.physical), full_coeffs(f)))
 
 
 def reference_advect_tensor(u, tau):
@@ -119,8 +138,11 @@ def reference_advect_tensor(u, tau):
 
 
 def reference_commutator(u, tau):
-    """[R, u.grad] tau through reference_advect."""
-    return ops.riesz_r(reference_advect_tensor(u, tau)) - reference_advect(u, ops.riesz_r(tau))
+    """[R, u.grad] tau in the full layout, through full_advect and full_r."""
+    g = full_wavevectors(tau.grid)
+    uv, t = (u.u1.physical, u.u2.physical), [full_coeffs(c) for c in tau.components]
+    term1 = full_r(g, *(full_advect(g, uv, c) for c in t))
+    return half_field(tau.grid, term1 - full_advect(g, uv, full_r(g, *t)))
 
 
 def nyquist_state(grid, seed, params):

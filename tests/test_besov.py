@@ -13,16 +13,18 @@ from oldroyd2d.fields import ScalarField, SymTensorField, VectorField
 from oldroyd2d.grid import Grid
 from oldroyd2d.initial_data import random_scalar
 
-from conftest import field_from, pad_coeffs, padded_values, rand_scalar, reference_linf_norm
+from conftest import (field_from, full_coeffs, pad_coeffs, padded_values, rand_scalar,
+                      reference_linf_norm)
 
 INF = math.inf
 
 
 class TestDecomposition:
-    def test_partition_of_unity(self, grid64):
-        dec = besov.decomposition_for(grid64)
-        total = sum(dec.multipliers)
-        assert np.max(np.abs(total - 1.0)) < 1e-12
+    def test_partition_of_unity(self):
+        for n in (64, 128, 256):
+            dec = besov.decomposition_for(Grid(n))
+            total = sum(dec.multipliers)
+            assert np.max(np.abs(total - 1.0)) < 1e-12
 
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(0, 1000))
@@ -142,17 +144,21 @@ class TestLebesgueSobolev:
             assert got.tobytes() == want.tobytes()
 
     def test_half_spectrum_matches_complex_transform(self):
-        # Non-Hermitian coefficients, Nyquist row and column included: the
-        # real part of the complex padded transform drops the anti-Hermitian
-        # part, and the half-spectrum transform must do the same.
+        # Non-Hermitian half spectra, Nyquist row and column included: the
+        # padded transform must give the padded values of the real field on
+        # the grid, as the real part of the complex padded transform of its
+        # full-layout spectrum does.
         rng = np.random.default_rng(4)
         for n in (8, 32, 64):
             for _ in range(5):
-                coeffs = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-                assert np.all(coeffs[n // 2] != 0) and np.all(coeffs[:, n // 2] != 0)
+                grid = Grid(n)
+                c = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+                f = ScalarField(grid, c)
+                assert np.all(f.coeffs[n // 2] != 0) and np.all(f.coeffs[:, n // 2] != 0)
+                coeffs = full_coeffs(f)
                 want = np.fft.ifft2(pad_coeffs(coeffs), norm="forward").real
-                pad = besov.padded_transform(Grid(n))
-                got = pad.physical(0.5 * besov.centre(coeffs, n // 2), np.empty((2 * n, 2 * n)))
+                pad = besov.padded_transform(f.grid)
+                got = pad.physical(besov.field_window(f, n // 2)[0], np.empty((2 * n, 2 * n)))
                 for values in (got, padded_values(coeffs)):
                     assert np.max(np.abs(values - want)) <= 1e-15 * np.max(np.abs(want))
 
@@ -248,35 +254,53 @@ def _bytes(values):
     return np.array(values, dtype=np.float64).tobytes()
 
 
+def _all_norms(f):
+    return [besov.linf_norm(f)] + besov.block_linf_norms(f)
+
+
+def _whole_array_norms(f):
+    """The padded maxima of f and of its blocks, each from its whole padded
+    spectrum (band n/2) rather than from its window."""
+    dec = besov.decomposition_for(f.grid)
+    return [besov._padded_max(besov.field_window(b, f.grid.n // 2), f.weights, f.grid)
+            for b in [f] + [dec.block(f, q) for q in dec.qs]]
+
+
+def _check_windowed(f):
+    """In bytes against the whole-array path, and to roundoff against
+    conftest.reference_linf_norm, from the full-layout spectra of the grid
+    values."""
+    dec = besov.decomposition_for(f.grid)
+    got = _all_norms(f)
+    assert _bytes(got) == _bytes(_whole_array_norms(f)), type(f).__name__
+    want = [reference_linf_norm(b) for b in [f] + [dec.block(f, q) for q in dec.qs]]
+    assert np.max(np.abs(np.subtract(got, want))) <= 1e-14 * want[0], type(f).__name__
+
+
 class TestWindowedBlocks:
-    """The windowed padded maxima against the whole-array path of
-    conftest.reference_linf_norm, in bytes: the window drops only exact
-    zeros, and the buffer is zero again between calls."""
+    """The windowed padded maxima against the whole-array path, in bytes:
+    the window drops only exact zeros, and the buffer is zero again between
+    calls; and against the full-layout conftest.reference_linf_norm."""
 
     @pytest.mark.parametrize("n", [16, 32, 64])
     def test_every_kind_band_and_block(self, n):
         grid = Grid(n)
-        dec = besov.decomposition_for(grid)
         for band in sorted({0, 1, 3, n // 3, n // 2 - 1}):
             for f in _kinds(grid, 10 * band, band):
                 assert besov.field_band(f) == (n // 3 if band <= n // 3 else n // 2)
-                want = [reference_linf_norm(f)] + [reference_linf_norm(dec.block(f, q))
-                                                   for q in dec.qs]
-                got = [besov.linf_norm(f)] + besov.block_linf_norms(f)
-                assert _bytes(got) == _bytes(want), (type(f).__name__, band)
+                _check_windowed(f)
 
     @pytest.mark.parametrize("n", [16, 32, 64])
     def test_nyquist_content_takes_the_whole_array(self, n):
         grid = Grid(n)
-        dec = besov.decomposition_for(grid)
         rng = np.random.default_rng(n)
-        c = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        shape = grid.shape
+        c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         assert np.all(c[n // 2] != 0) and np.all(c[:, n // 2] != 0)
-        for f in (ScalarField(grid, c), VectorField(ScalarField(grid, c), ScalarField(grid, c.T))):
+        d = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        for f in (ScalarField(grid, c), VectorField(ScalarField(grid, c), ScalarField(grid, d))):
             assert besov.field_band(f) == n // 2
-            want = [reference_linf_norm(f)] + [reference_linf_norm(dec.block(f, q))
-                                               for q in dec.qs]
-            assert _bytes([besov.linf_norm(f)] + besov.block_linf_norms(f)) == _bytes(want)
+            _check_windowed(f)
 
     def test_zero_field(self, grid32):
         for f in _kinds(grid32, 0, 0):
@@ -289,20 +313,21 @@ class TestWindowedBlocks:
         # a value left in the half buffer by a wider call would show in the
         # narrower call after it
         grid = Grid(n)
-        dec = besov.decomposition_for(grid)
         wide, narrow = _banded(grid, 1, n // 2), _banded(grid, 2, 3)
         for f in (wide, narrow, wide, _banded(grid, 3, n // 3), narrow, narrow, wide):
-            want = [reference_linf_norm(f)] + [reference_linf_norm(dec.block(f, q))
-                                               for q in dec.qs]
-            assert _bytes([besov.linf_norm(f)] + besov.block_linf_norms(f)) == _bytes(want)
+            _check_windowed(f)
             assert not besov.padded_transform(grid).half.any()
 
-    def test_block_supports(self, grid64):
+    def test_block_supports(self):
         # each multiplier is zero outside its window, and its window is the
-        # smallest that holds it
-        dec = besov.decomposition_for(grid64)
-        m = np.maximum(np.abs(grid64.m1), np.abs(grid64.m2))
-        for q, s in zip(dec.qs, dec.supports):
-            mult = dec.multiplier(q)
-            assert not np.any(mult[m > s]) and np.any(mult[m == s])
-        assert dec.supports[1:5] == (1, 3, 7, 15)
+        # smallest that holds it: blocks -1 and q_max hold no roundoff
+        # outside their annuli
+        for n in (64, 128):
+            grid = Grid(n)
+            dec = besov.decomposition_for(grid)
+            m = np.maximum(np.abs(grid.m1), np.abs(grid.m2))
+            for q, s in zip(dec.qs, dec.supports):
+                mult = dec.multiplier(q)
+                assert not np.any(mult[m > s]) and np.any(mult[m == s])
+            assert dec.supports[:5] == (0, 1, 3, 7, 15)
+        assert dec.supports == (0, 1, 3, 7, 15, 31, 64)

@@ -139,7 +139,7 @@ class TestGammaResidual:
 
 class TestCommutatorRatio:
     def test_constant_velocity_gives_zero(self, grid32):
-        c1 = np.zeros((32, 32), dtype=np.complex128)
+        c1 = np.zeros(grid32.shape, dtype=np.complex128)
         c1[0, 0] = 1.0
         u = VectorField(ScalarField(grid32, c1), ScalarField.zeros(grid32))
         tau = rand_tensor(grid32, 5)

@@ -1,8 +1,9 @@
 """Every norm takes every field kind through one path.
 
 The references below are the per-kind formulas the package used before the
-field kinds stated their components and Frobenius weights once, and every
-norm reproduces them exactly, but one: the L2 and H^s norms of a vector
+field kinds stated their components and Frobenius weights once, on the
+half spectra the fields now hold, and every norm reproduces them exactly,
+but one: the L2 and H^s norms of a vector
 field were the hypot of the component norms and are now the root of their
 summed squares, as for every other kind, which may differ in the last bit.
 """
@@ -13,11 +14,14 @@ import numpy as np
 import pytest
 
 from oldroyd2d import besov
-from oldroyd2d.fields import ScalarField, sq_norm
+from oldroyd2d import operators as ops
+from oldroyd2d.fields import ScalarField, inner, mode_sum, sq_norm
 from oldroyd2d.grid import Grid
 from oldroyd2d.initial_data import random_state
+from oldroyd2d.model import ModelParams, q_form, stokes_toy_velocity
 
-from conftest import padded_values
+from conftest import nyquist_state
+
 
 KINDS = ("scalar", "vector", "velocity_gradient", "tensor")
 HYPOT_RTOL = 1e-15
@@ -30,9 +34,11 @@ def _field(kind: str, seed: int):
 
 
 # --- the old formulas, written out ---
+# Each per-component spectral sum is fields.mode_sum, the one sum over the
+# half spectrum; test_parseval_matches_grid_values pins it to the grid values.
 
 def _old_scalar_l2(f):
-    return f.grid.length * float(np.sqrt(np.sum(np.abs(f.coeffs) ** 2)))
+    return f.grid.length * float(np.sqrt(mode_sum(f.coeffs, f.coeffs)))
 
 
 def _old_scalar_sobolev(f, s):
@@ -40,7 +46,7 @@ def _old_scalar_sobolev(f, s):
     w = np.ones_like(g.ksq)
     pos = g.ksq > 0
     w[pos] += g.ksq[pos] ** s
-    return g.length * float(np.sqrt(np.sum(w * np.abs(f.coeffs) ** 2)))
+    return g.length * float(np.sqrt(mode_sum(f.coeffs, f.coeffs, w)))
 
 
 def _old_combine(kind, norms):
@@ -57,15 +63,18 @@ def _old_combine(kind, norms):
 def _old_multiplier_sq(f, mult):
     """diagnostics._grad_sq / _lap_sq per component, weighted as
     _grad_u_sq, tensor_grad_sq and tensor_lap_sq did."""
-    sq = [float(np.sum(mult * np.abs(c.coeffs) ** 2)) * f.grid.length**2
-          for c in f.components]
+    sq = [mode_sum(c.coeffs, c.coeffs, mult) * f.grid.length**2 for c in f.components]
     return sum(w * v for w, v in zip(f.weights, sq))
 
 
 def _padded(c):
-    """The padded grid values, as the half-spectrum irfft2 (conftest), which
-    test_besov pins to the complex ifft2 of the padded spectrum."""
-    return padded_values(c.coeffs)
+    """The padded grid values, as the irfftn of the padded half spectrum,
+    which test_inverse_transform pins to the full-layout padded values."""
+    n = c.grid.n
+    w = besov.field_window(c, n // 2)[0]
+    b = np.zeros((2 * n, n + 1), dtype=np.complex128)
+    b[: n // 2 + 1, : n // 2 + 1], b[3 * n // 2 :, : n // 2 + 1] = w[n // 2 :], w[: n // 2]
+    return np.fft.irfftn(b, s=(2 * n, 2 * n), axes=(0, 1), norm="forward")
 
 
 def _old_linf(kind, f):
@@ -141,11 +150,44 @@ def test_linf_scales_exactly_near_the_float_range(kind):
 def test_norm_past_the_float_range_is_inf():
     # L * sqrt(sum |c|^2) is about 4.4e154 here, and its square overflows
     grid = Grid(16)
-    c = np.zeros((16, 16), dtype=np.complex128)
+    c = np.zeros(grid.shape, dtype=np.complex128)
     c[1, 0] = c[-1, 0] = 5e153
     f = ScalarField(grid, c)
     assert f.l2() == math.inf
     assert besov.sobolev_norm(f, 1.0) == math.inf
     small = ScalarField(grid, c * 1e-150)  # a finite norm keeps the old formula's bytes
-    s = float(np.sum(np.abs(small.coeffs) ** 2))
+    s = mode_sum(small.coeffs, small.coeffs)
     assert small.l2() == math.sqrt((grid.length * math.sqrt(s)) ** 2)
+
+
+def _grid_inner(a, b) -> float:
+    """The L2 inner product with the Frobenius weights by grid quadrature."""
+    s = sum(w * float(np.sum(x.physical * y.physical))
+            for x, y, w in zip(a.components, b.components, a.weights))
+    return s * a.grid.h**2
+
+
+NYQUIST_OUTPUTS = {
+    "riesz_r": lambda s: ops.riesz_r(s.tau),
+    "curl_div": lambda s: ops.curl_div(s.tau),
+    "deriv": lambda s: ops.VelocityGradient(*(ops.deriv(c, i) for i in (1, 2)
+                                              for c in (s.omega, s.tau.t12))),
+    "biot_savart": lambda s: ops.biot_savart(s.omega),
+    "stokes_toy_velocity": lambda s: stokes_toy_velocity(s.tau),
+    "q_form": lambda s: q_form(s.grad_u, s.tau, 0.4),
+    "advect": lambda s: ops.advect_tensor(s.u, s.tau),
+}
+
+
+@pytest.mark.parametrize("name", list(NYQUIST_OUTPUTS))
+def test_parseval_matches_grid_values(name):
+    # White noise holds every mode; raw odd multipliers leave, in columns 0
+    # and n/2, a part that the grid values do not hold, and the norms must
+    # not count it.
+    state = nyquist_state(Grid(16), 3, ModelParams())
+    f = NYQUIST_OUTPUTS[name](state)
+    want = math.sqrt(_grid_inner(f, f))
+    assert abs(f.l2() - want) <= 1e-13 * want
+    other = f.map(lambda c: ops.riesz_component(c, 2))
+    want = _grid_inner(f, other)
+    assert abs(inner(f, other) - want) <= 1e-13 * f.l2() * other.l2()

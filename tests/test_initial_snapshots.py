@@ -1,9 +1,11 @@
 """Initial-data generators and snapshot persistence."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from oldroyd2d import besov
+from oldroyd2d import besov, cli
 from oldroyd2d.errors import ConfigError, SnapshotError
 from oldroyd2d.fields import ScalarField
 from oldroyd2d.grid import Grid
@@ -21,6 +23,13 @@ from oldroyd2d.snapshots import _HEADER, MAGIC, load_snapshot, save_snapshot
 from conftest import rand_state
 
 TAU_ZERO = TauInitialSpec(kind="zero")
+
+
+def coefficient(f, m1, m2):
+    """The coefficient of f at frequency (m1, m2): stored for m2 >= 0, else
+    the conjugate of its partner's."""
+    n = f.grid.n
+    return f.coeffs[m1 % n, m2] if m2 >= 0 else np.conj(f.coeffs[-m1 % n, -m2])
 
 
 class TestGenerators:
@@ -48,8 +57,7 @@ class TestGenerators:
         assert abs(f64.l2() - f128.l2()) < 1e-12
         for m1 in range(-10, 11):
             for m2 in range(-10, 11):
-                a = f64.coeffs[m1 % 64, m2 % 64]
-                b = f128.coeffs[m1 % 128, m2 % 128]
+                a, b = coefficient(f64, m1, m2), coefficient(f128, m1, m2)
                 assert abs(a - b) <= 1e-12 * max(abs(a), 1e-30)
         # the padded maxima sample different grids; they agree to quadrature level
         assert abs(besov.linf_norm(f64) - besov.linf_norm(f128)) < 2e-2
@@ -227,7 +235,7 @@ def _loop_random_scalar(grid, band, seed, zero_mean=True):
             coeffs[-m1 % grid.n, -m2 % grid.n] = np.conj(c)
     if not zero_mean:
         coeffs[0, 0] = rng.standard_normal()
-    f = ScalarField(grid, coeffs)
+    f = ScalarField(grid, coeffs[:, : grid.n // 2 + 1])  # the half spectrum
     norm = f.l2()
     return (1.0 / norm) * f if norm > 0 else f
 
@@ -240,3 +248,40 @@ def test_random_scalar_matches_the_mode_loop(n):
             got = random_scalar(grid, band, [7, n], zero_mean=zero_mean)
             want = _loop_random_scalar(grid, band, [7, n], zero_mean=zero_mean)
             assert got.coeffs.tobytes() == want.coeffs.tobytes()
+
+
+# Two n = 16 snapshots written at commit ac0047c, before the fields held
+# half spectra: stock (a) physics at t = 0.1 (dealiased), and a white-noise
+# state with Nyquist content. The format is the same in both layouts.
+DATA = Path(__file__).parent / "data"
+SNAPSHOTS = ("stock_a_n16.bin", "white_noise_n16.bin")
+
+# `oldroyd2d norms` on stock_a_n16.bin at ac0047c
+STOCK_A_NORMS = {
+    "u_l2": 0.3642177173039267,
+    "tau_l2": 0.7498342787460746,
+    "omega_l2": 1.266025655505968,
+    "omega_linf": 0.5846727025477418,
+    "gamma_linf": 0.6646318840719396,
+    "gamma_b0inf1": 0.942261468472403,
+    "tau_bepsinf1": 0.5352027294161048,
+    "tau_h2": 4.9563333371872815,
+    "energy_weighted": 0.34745299559036447,
+}
+
+
+@pytest.mark.parametrize("name", SNAPSHOTS)
+def test_stored_snapshot_resaves_byte_for_byte(name, tmp_path):
+    state, params = load_snapshot(DATA / name)
+    save_snapshot(state, params, tmp_path / name)
+    assert (tmp_path / name).read_bytes() == (DATA / name).read_bytes()
+
+
+def test_stored_snapshot_norms(capsys):
+    assert cli.main(["norms", str(DATA / "stock_a_n16.bin")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "t = 0.1, n = 16, L = 6.28319"
+    printed = dict(line.split() for line in lines[1:])
+    assert list(printed) == list(STOCK_A_NORMS)
+    for name, want in STOCK_A_NORMS.items():
+        assert abs(float(printed[name]) - want) <= 1e-13 * want, name

@@ -1,23 +1,25 @@
 """The pruned inverse transform of a half spectrum against numpy's.
 
-`HalfSpectrum.inverse` (the stepper's n x n grid) must equal
-`np.fft.irfft2` in bytes, and `PaddedTransform.physical` (the padded
-2n x 2n grid of the L-infinity norms) the `irfftn` of the padded
-spectrum's Hermitian half (conftest.padded_values), for band-limited input,
-for white noise with a non-Hermitian Nyquist row and column, and along a
-sequence whose band goes wide, narrow and wide again on one grid, where a
-column or row left over from an earlier call would show.
+`Grid.inverse` (the n x n grid) must equal `np.fft.irfft2` in bytes, and
+`PaddedTransform.physical` (the padded 2n x 2n grid of the L-infinity
+norms) the `irfftn` of the same padded half spectrum, and to roundoff the
+padded values of the full-layout spectrum of the field's grid values
+(conftest.padded_values), for band-limited input, for white noise with a
+non-Hermitian Nyquist row and column, and along a sequence whose band goes
+wide, narrow and wide again on one grid, where a column or row left over
+from an earlier call would show.
 """
 
 import numpy as np
 import pytest
 
 from oldroyd2d import besov
+from oldroyd2d.fields import ScalarField
 from oldroyd2d.grid import Grid
 from oldroyd2d.model import ModelParams, make_state, rhs, stack
 from oldroyd2d.stepping import StepConfig, cfl_dt
 
-from conftest import padded_values, rand_state
+from conftest import full_coeffs, padded_values, rand_state
 
 SIZES = (8, 32, 64)
 
@@ -30,22 +32,32 @@ def white_half(rng, n):
     return a
 
 
-def white_full(rng, n):
-    c = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    assert np.all(c[n // 2] != 0) and np.all(c[:, n // 2] != 0)
-    return c
-
-
 def dealiased_stack(grid, seed):
     s = rand_state(grid, seed, band=(1, grid.n // 3))
     return stack(s.omega, s.tau)
 
 
-def padded(pad, c, band):
-    """PaddedTransform.physical of the coefficients c, from their centred
-    window of frequencies |m| <= band, with the halving of the Hermitian part."""
-    n = c.shape[0]
-    return pad.physical(0.5 * besov.centre(c, band), np.empty((2 * n, 2 * n)))
+def padded(f, band):
+    """PaddedTransform.physical of the field f from its window of
+    frequencies |m| <= band."""
+    n = f.grid.n
+    pad = besov.padded_transform(f.grid)
+    return pad.physical(besov.field_window(f, band)[0], np.empty((2 * n, 2 * n)))
+
+
+def padded_irfftn(f, band):
+    """The irfftn of the padded half spectrum that padded(f, band) transforms."""
+    n, w = f.grid.n, besov.field_window(f, band)[0]
+    b = np.zeros((2 * n, n + 1), dtype=np.complex128)
+    b[: band + 1, : band + 1], b[2 * n - band :, : band + 1] = w[band:], w[:band]
+    return np.fft.irfftn(b, s=(2 * n, 2 * n), axes=(0, 1), norm="forward")
+
+
+def check_padded(f, band):
+    got = padded(f, band)
+    assert same_bytes(got, padded_irfftn(f, band))
+    want = padded_values(full_coeffs(f))
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def same_bytes(a, b):
@@ -55,18 +67,21 @@ def same_bytes(a, b):
 class TestGridTransform:
     @pytest.mark.parametrize("n", SIZES)
     def test_width_reads_the_band(self, n):
-        g = Grid(n).half
-        assert g.width(dealiased_stack(Grid(n), 1)) == n // 3 + 1
-        assert g.width(white_half(np.random.default_rng(n), n)) == n // 2 + 1
-        y = dealiased_stack(Grid(n), 1)
-        y[2, 3, n // 2] = 1e-300  # one Nyquist-column value takes the full width
-        assert g.width(y) == n // 2 + 1
+        g = Grid(n)
+        assert g.band(dealiased_stack(g, 1)) == n // 3
+        assert g.band(white_half(np.random.default_rng(n), n)) == n // 2
+        y = dealiased_stack(g, 1)
+        y[2, 3, n // 2] = 1e-300  # one Nyquist-column value takes the full band
+        assert g.band(y) == n // 2
+        y = dealiased_stack(g, 1)
+        y[1, n // 2, 0] = 1e-300  # and so does one Nyquist-row value
+        assert g.band(y) == n // 2
 
     @pytest.mark.parametrize("n", SIZES)
     def test_dealiased_stack_matches_irfft2(self, n):
         grid = Grid(n)
         y = dealiased_stack(grid, 2)
-        inverse = grid.half.inverse(grid.half.width(y))
+        inverse = grid.inverse(grid.band(y))
         for row in y:  # one buffer for every row, as in rhs
             want = np.fft.irfft2(row, s=(n, n), norm="forward")
             assert same_bytes(inverse(row), want)
@@ -77,7 +92,7 @@ class TestGridTransform:
         for _ in range(4):
             a = white_half(rng, n)
             want = np.fft.irfft2(a, s=(n, n), norm="forward")
-            assert same_bytes(grid.half.inverse(grid.half.width(a))(a), want)
+            assert same_bytes(grid.inverse(grid.band(a))(a), want)
 
     @pytest.mark.parametrize("n", SIZES)
     def test_wide_narrow_wide_on_one_grid(self, n):
@@ -85,7 +100,7 @@ class TestGridTransform:
         narrow = dealiased_stack(grid, 5)[1]
         for a in (white_half(rng, n), narrow, white_half(rng, n), narrow, narrow):
             want = np.fft.irfft2(a, s=(n, n), norm="forward")
-            assert same_bytes(grid.half.inverse(grid.half.width(a))(a), want)
+            assert same_bytes(grid.inverse(grid.band(a))(a), want)
 
     @pytest.mark.parametrize("params", [
         ModelParams(nu=0.0, mu=0.7, K=1.2, alpha=0.9, beta=0.3, b=0.4),
@@ -99,9 +114,9 @@ class TestGridTransform:
         state = make_state(0.0, s.omega, s.tau, params)
         y = stack(state.omega, state.tau)
         config = StepConfig(cfl=0.5, dt_max=10.0, dt_min=1e-12)
-        assert grid.half.width(y) == 11
+        assert grid.band(y) == 10
         pruned, dt = rhs(y, grid, params), cfl_dt(state, config, params)
-        monkeypatch.setattr(type(grid.half), "width", lambda self, *arrays: self.n // 2 + 1)
+        monkeypatch.setattr(Grid, "band", lambda self, *arrays: self.n // 2)
         assert same_bytes(rhs(y, grid, params), pruned)
         assert cfl_dt(state, config, params) == dt
 
@@ -110,27 +125,23 @@ class TestPaddedTransform:
     @pytest.mark.parametrize("n", SIZES)
     def test_band_limited_field_and_blocks_match_irfftn(self, n):
         grid = Grid(n)
-        pad = besov.padded_transform(grid)
         dec = besov.decomposition_for(grid)
         f = rand_state(grid, 8, band=(1, n // 3)).omega
-        for c in [f.coeffs] + [dec.block(f, q).coeffs for q in dec.qs]:
+        for c in [f] + [dec.block(f, q) for q in dec.qs]:
             for band in (n // 3, n // 2):  # the dealiased window and the whole array
-                assert same_bytes(padded(pad, c, band), padded_values(c))
+                check_padded(c, band)
 
     @pytest.mark.parametrize("n", SIZES)
     def test_white_noise_matches_irfftn(self, n):
-        pad, rng = besov.padded_transform(Grid(n)), np.random.default_rng(9)
+        grid, rng = Grid(n), np.random.default_rng(9)
         for _ in range(4):
-            c = white_full(rng, n)
-            got = padded(pad, c, n // 2)
-            assert same_bytes(got, padded_values(c))
+            check_padded(ScalarField(grid, white_half(rng, n)), n // 2)
 
     @pytest.mark.parametrize("n", SIZES)
     def test_wide_narrow_wide_on_one_grid(self, n):
         grid, rng = Grid(n), np.random.default_rng(10)
-        pad = besov.padded_transform(grid)
         dec = besov.decomposition_for(grid)
-        low = dec.block(rand_state(grid, 11, band=(1, n // 3)).omega, 0).coeffs
-        for c in (white_full(rng, n), low, white_full(rng, n), white_full(rng, n), low):
-            got = padded(pad, c, n // 2)
-            assert same_bytes(got, padded_values(c))
+        low = dec.block(rand_state(grid, 11, band=(1, n // 3)).omega, 0)
+        white = lambda: ScalarField(grid, white_half(rng, n))  # noqa: E731
+        for f in (white(), low, white(), white(), low):
+            check_padded(f, n // 2)

@@ -25,7 +25,8 @@ from oldroyd2d.model import (
 )
 from oldroyd2d.stepping import StepConfig, step
 
-from conftest import field_from, rand_state, rand_tensor, rel_err
+from conftest import (field_from, full_coeffs, full_wavevectors, half_field, rand_state,
+                      rand_tensor, rel_err)
 
 
 class TestModelParams:
@@ -258,7 +259,7 @@ class TestGamma:
 
 class TestCommutator:
     def test_constant_velocity(self, grid32):
-        c1 = np.zeros((32, 32), dtype=np.complex128)
+        c1 = np.zeros(grid32.shape, dtype=np.complex128)
         c2 = c1.copy()
         c1[0, 0], c2[0, 0] = 1.3, -0.2
         u = VectorField(ScalarField(grid32, c1), ScalarField(grid32, c2))
@@ -287,20 +288,22 @@ class TestCommutator:
                     out += c * np.roll(np.roll(gc, m1, axis=0), m2, axis=1)
             return out
 
-        mask = grid.dealias_mask
+        g = full_wavevectors(grid)  # full-layout spectra of the grid values
+        u1, u2 = full_coeffs(u.u1), full_coeffs(u.u2)
 
         def advect_coeffs(scalar_coeffs):
-            gx = 1j * grid.deriv_k1 * scalar_coeffs
-            gy = 1j * grid.deriv_k2 * scalar_coeffs
-            return (conv(u.u1.coeffs, gx) + conv(u.u2.coeffs, gy)) * mask
+            gx = 1j * g.deriv_k1 * scalar_coeffs
+            gy = 1j * g.deriv_k2 * scalar_coeffs
+            return (conv(u1, gx) + conv(u2, gy)) * g.dealias_mask
 
         def riesz_coeffs(t11, t12, t22):
-            num = (grid.k1**2 - grid.k2**2) * t12 + grid.k1 * grid.k2 * (t22 - t11)
-            return num * grid.inv_ksq
+            num = (g.k1**2 - g.k2**2) * t12 + g.k1 * g.k2 * (t22 - t11)
+            return num * g.inv_ksq
 
-        term1 = riesz_coeffs(*(advect_coeffs(c.coeffs) for c in tau.components))
-        term2 = advect_coeffs(riesz_coeffs(*(c.coeffs for c in tau.components)))
-        want = term1 - term2
+        t = [full_coeffs(c) for c in tau.components]
+        term1 = riesz_coeffs(*(advect_coeffs(c) for c in t))
+        term2 = advect_coeffs(riesz_coeffs(*t))
+        want = half_field(grid, term1 - term2).coeffs
 
         got = commutator_r_advect(u, tau)
         scale = max(np.max(np.abs(want)), 1e-30)

@@ -1,11 +1,11 @@
-"""The packed half-spectrum rhs and advection against the full-layout
-field algebra.
+"""The packed rhs and advection against the full-layout field algebra.
 
-`reference_rhs` is the explicit tendency composed from the ScalarField
-operators on the full (n, n) coefficient arrays: advection (the full-layout
-conftest.reference_advect), curl div, the symmetric velocity gradient and Q.
-The packed kernel must agree with it on every row, including a state with
-Nyquist content, and so must ops.advect and the commutator.
+`reference_rhs` is the explicit tendency composed in the full (n, n)
+layout from the grid values of the state: Biot-Savart (or the Stokes-toy
+velocity), advection (conftest.full_advect), curl div, the symmetric
+velocity gradient and Q. The packed kernel must agree with it on every
+row, including a state with Nyquist content, and so must ops.advect and the
+commutator.
 """
 
 import numpy as np
@@ -14,10 +14,11 @@ import pytest
 from oldroyd2d import operators as ops
 from oldroyd2d.fields import ScalarField, VectorField
 from oldroyd2d.grid import Grid
-from oldroyd2d.model import (ModelParams, commutator_r_advect, make_state, q_form, rhs, stack,
-                             unstack)
+from oldroyd2d.model import (ModelParams, commutator_r_advect, make_state, q_products, rhs,
+                             stack, unstack)
 
-from conftest import (nyquist_state, rand_state, reference_advect, reference_advect_tensor,
+from conftest import (full_advect, full_coeffs, full_r, full_values, full_wavevectors,
+                      half_field, nyquist_state, rand_state, reference_advect,
                       reference_commutator)
 
 TOL = 1e-13
@@ -33,24 +34,40 @@ VARIANTS = {
 }
 
 
-def reference_rhs(state, params, forcing=None):
+def reference_rhs(state, params):
     """The explicit tendency as a full-layout (4, n, n) stack."""
     grid = state.grid
-    u, tau = state.u, state.tau
-    if params.variant == "stokes_toy":
-        w = np.zeros((grid.n, grid.n), dtype=np.complex128)
+    g = full_wavevectors(grid)
+    w, *t = (full_coeffs(c) for c in (state.omega, *state.tau.components))
+    stokes = params.variant == "stokes_toy"
+    if stokes:
+        w = -full_r(g, *t)
+    psi = g.inv_ksq * w
+    u_hat = (1j * g.k2 * psi, -1j * g.k1 * psi)
+    u = tuple(map(full_values, u_hat))
+    grad_u = [1j * k * v for k in (g.deriv_k1, g.deriv_k2) for v in u_hat]  # g_ij = d_i u_j
+    if stokes:
+        w_out = np.zeros_like(w)
     else:
-        w = -reference_advect(u, state.omega).coeffs
+        w_out = -full_advect(g, u, w)
         if params.K != 0.0:
-            w = w + params.K * ops.curl_div(tau).coeffs
-        w[0, 0] = 0.0
-    t = -1.0 * reference_advect_tensor(u, tau)
+            w_out += params.K * full_r(g, *t) * -g.ksq  # K curl(div(tau))
+        w_out[0, 0] = 0.0
+    t_out = [-full_advect(g, u, c) for c in t]
     if params.alpha != 0.0:
-        t = t + params.alpha * ops.sym_grad_of(state.grad_u)
+        g11, g12, g21, g22 = grad_u
+        for row, d in zip(t_out, (g11, 0.5 * (g12 + g21), g22)):
+            row += params.alpha * d
     if params.q_enabled:
-        t = t + q_form(state.grad_u, tau, params.b)
-    out = np.stack([w] + [c.coeffs for c in t.components])
-    return out if forcing is None else out + forcing
+        q = q_products(*map(full_values, grad_u), *map(full_values, t), params.b)
+        for row, q_c in zip(t_out, q):
+            row += np.fft.fft2(q_c, norm="forward") * g.dealias_mask
+    return np.stack([w_out] + t_out)
+
+
+def halves(grid, full):
+    """The half spectra (conftest.half_field) of a full-layout stack."""
+    return np.stack([half_field(grid, a).coeffs for a in full])
 
 
 def row_errors(got, want):
@@ -71,7 +88,7 @@ class TestPackedRhs:
         params = VARIANTS[name]
         state = band_state(grid, 21, params)
         got = rhs(stack(state.omega, state.tau), grid, params)
-        want = reference_rhs(state, params)[..., : n // 2 + 1]
+        want = halves(grid, reference_rhs(state, params))
         assert max(row_errors(got, want)) <= TOL
 
     def test_forced_state(self, grid32):
@@ -80,9 +97,8 @@ class TestPackedRhs:
         push = band_state(grid32, 23, params)
         forcing = stack(push.omega, push.tau)
         got = rhs(stack(state.omega, state.tau), grid32, params, forcing)
-        want = reference_rhs(state, params, np.stack(
-            [push.omega.coeffs] + [c.coeffs for c in push.tau.components]))
-        assert max(row_errors(got, want[..., :17])) <= TOL
+        want = halves(grid32, reference_rhs(state, params)) + forcing
+        assert max(row_errors(got, want)) <= TOL
 
     @pytest.mark.parametrize("name", list(VARIANTS))
     def test_nyquist_content(self, name, grid32):
@@ -96,7 +112,7 @@ class TestPackedRhs:
         got = rhs(stack(state.omega, state.tau), grid, params)
         want = reference_rhs(state, params)
         got_values = [np.fft.irfft2(a, s=(32, 32), norm="forward") for a in got]
-        want_values = [np.fft.ifft2(a, norm="forward").real for a in want]
+        want_values = [full_values(a) for a in want]
         assert max(row_errors(got_values, want_values)) <= TOL
 
 
@@ -129,7 +145,7 @@ class TestPackUnpack:
 
 def constant_velocity(grid, a, b):
     """A spatially constant velocity (a, b), as checks.py builds one."""
-    c1 = np.zeros((grid.n, grid.n), dtype=np.complex128)
+    c1 = np.zeros(grid.shape, dtype=np.complex128)
     c2 = c1.copy()
     c1[0, 0], c2[0, 0] = a, b
     return VectorField(ScalarField(grid, c1), ScalarField(grid, c2))
@@ -156,8 +172,8 @@ class TestPackedAdvection:
 
     @pytest.mark.parametrize("name", list(VARIANTS))
     def test_nyquist_state(self, name, grid32):
-        # the velocity of biot_savart holds, on the Nyquist row, a part that
-        # no real field has; the half spectrum of u must drop it
+        # the velocity of biot_savart holds, on the Nyquist column, a part
+        # that no real field has; the transport must drop it
         state = nyquist_state(grid32, 32, VARIANTS[name])
         u, tau = state.u, state.tau
         for f in (state.omega, *tau.components, ops.riesz_r(tau)):

@@ -138,7 +138,7 @@ class TestSymGrad:
         assert np.max(np.abs(du.t22.physical)) < 1e-13
 
     def test_constant_velocity(self, grid16):
-        c = np.zeros((16, 16), dtype=np.complex128)
+        c = np.zeros(grid16.shape, dtype=np.complex128)
         c[0, 0] = 2.0
         u = VectorField(ScalarField(grid16, c), ScalarField(grid16, 0.5 * c))
         du = ops.sym_grad(u)
@@ -240,7 +240,7 @@ class TestRieszComponent:
 class TestDealias:
     def test_high_mode_removed_low_kept(self):
         g = Grid(16)
-        c = np.zeros((16, 16), dtype=np.complex128)
+        c = np.zeros(g.shape, dtype=np.complex128)
         c[7, 0] = 1.0  # n/2 - 1
         c[1, 1] = 1.0
         out = ops.dealias(ScalarField(g, c))

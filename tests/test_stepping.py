@@ -11,7 +11,8 @@ from oldroyd2d.grid import Grid
 from oldroyd2d.model import ModelParams, make_state, rhs, stack, unstack
 from oldroyd2d.stepping import StepConfig, cfl_dt, integrate, step
 
-from conftest import field_from, nyquist_state, rand_state
+from conftest import (field_from, full_coeffs, full_r, full_values, full_wavevectors,
+                      nyquist_state, rand_state)
 
 
 class TestStepConfig:
@@ -54,11 +55,14 @@ class TestCflDt:
 ], ids=["full", "q_zero", "stokes_toy"])
 @pytest.mark.parametrize("n", [16, 32, 64])
 def test_cfl_dt_matches_full_layout_velocity(params, n):
-    # max|u| from the half spectrum against the full-layout Biot-Savart
-    # velocity of the state, whose real fields drop any Nyquist part the
-    # half spectrum cannot hold
+    # max|u| against the full-layout Biot-Savart velocity of the full-layout
+    # spectra of the state's grid values (for the Stokes toy, of -R(tau)),
+    # whose real fields drop any Nyquist part the half spectrum cannot hold
     state = nyquist_state(Grid(n), n, params)
-    umax = float(np.max(np.hypot(state.u.u1.physical, state.u.u2.physical)))
+    g = full_wavevectors(state.grid)
+    w, *t = (full_coeffs(c) for c in (state.omega, *state.tau.components))
+    psi = g.inv_ksq * (-full_r(g, *t) if params.variant == "stokes_toy" else w)
+    umax = float(np.max(np.hypot(full_values(1j * g.k2 * psi), full_values(-1j * g.k1 * psi))))
     config = StepConfig(cfl=0.5, dt_max=1e6, dt_min=1e-300, t_end=1.0)
     want = config.cfl * state.grid.h / umax
     assert abs(cfl_dt(state, config, params) - want) <= 1e-15 * want
@@ -131,7 +135,7 @@ class TestStep:
 def _componentwise_step(state, dt, params, scheme):
     """One IFRK2/IFRK4 step written per packed row of (omega, tau11, tau12, tau22)."""
     grid = state.grid
-    ksq = grid.half.ksq
+    ksq = grid.ksq
     sym_w = -params.nu * ksq
     sym_t = -(params.beta + params.mu * ksq)
     exps = [np.exp(dt * sym_w)] + [np.exp(dt * sym_t)] * 3
