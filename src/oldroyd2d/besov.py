@@ -24,7 +24,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .fields import FieldKind, ScalarField, norm, reflected
+from .fields import FieldKind, ScalarField, hermitian_part, norm
 from .grid import Grid, inverse_rfft2
 
 
@@ -47,14 +47,13 @@ def field_window(f: FieldKind, band: int) -> np.ndarray:
     column are split in halves between -n/2 and +n/2, as zero-padding with
     the Nyquist modes kept at -n/2 does to a real field's spectrum: the row
     is halved at both, and column +n/2 holds half the Hermitian part
-    (x[m1] + conj x[-m1]) / 2 of column n/2 at rows -n/2+1..n/2."""
+    (hermitian_part) of column n/2 at rows -n/2+1..n/2."""
     w = np.empty((len(f.components), 2 * band + 1, band + 1), dtype=np.complex128)
     for c, out in zip(f.components, w):
         centre(c.coeffs, band, out)
         if band == f.grid.n // 2:
-            col = c.coeffs[:, band]
             out[[0, -1]] *= 0.5
-            out[1:, band] = np.roll(0.25 * (col + np.conj(reflected(col))), -(band + 1))
+            out[1:, band] = np.roll(0.5 * hermitian_part(c.coeffs[:, band]), -(band + 1))
             out[0, band] = 0.0
     return w
 

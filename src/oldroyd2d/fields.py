@@ -59,25 +59,26 @@ class FieldKind:
         return norm(self)
 
 
-def reflected(e: np.ndarray) -> np.ndarray:
-    """e[-m1] for the rows m1 of e (fftfreq order, modulo n): in columns 0
-    and n/2 of a half spectrum, the mode (m1, m2) pairs with (-m1, m2)."""
-    return np.concatenate((e[:1], e[:0:-1]))
+def hermitian_part(e: np.ndarray) -> np.ndarray:
+    """(x[m1] + conj x[-m1]) / 2 for the rows m1 of e (fftfreq order, modulo
+    n). In columns 0 and n/2 of a half spectrum the mode (m1, m2) pairs with
+    (-m1, m2), and this is the part of such a column that the grid values
+    hold."""
+    return 0.5 * (e + np.conj(np.concatenate((e[:1], e[:0:-1]))))
 
 
 def mode_sum(a: np.ndarray, b: np.ndarray, mult: np.ndarray | None = None) -> float:
     """Re sum_k mult_k conj(a_k) b_k over all n x n modes of the real fields
     whose half spectra are a and b (mult = 1 when None; mult even in k, as
     every multiplier here). Columns 1..n/2-1 count twice, once for their
-    conjugate partners. Columns 0 and n/2 count with their Hermitian parts
-    (x[m1] + conj x[-m1]) / 2, the part that the grid values hold: summed
-    over such a column, conj(Ha) Hb has the real part of
-    (conj(a) b + a b[-m1]) / 2 (reflected)."""
+    conjugate partners. Columns 0 and n/2 count once, with their Hermitian
+    parts Ha, Hb (hermitian_part): summed over such a column, conj(Ha) Hb
+    has the real part of conj(a) Hb."""
     h = a.shape[1] - 1
     prod = np.conj(a) * b
     edges = prod[:, ::h]
-    edges += a[:, ::h] * reflected(b[:, ::h])
-    edges *= 0.25
+    np.multiply(np.conj(a[:, ::h]), hermitian_part(b[:, ::h]), out=edges)
+    edges *= 0.5
     if mult is not None:
         prod *= mult
     return 2.0 * float(np.sum(prod.real))

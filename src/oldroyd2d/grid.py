@@ -26,11 +26,6 @@ from .errors import ConfigError
 TWO_PI = 2.0 * math.pi
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
-
-
 @dataclass(frozen=True)
 class Grid:
     """n x n periodic grid on [0, L)^2, with per-mode arrays of shape
@@ -73,11 +68,15 @@ class Grid:
 
     @cached_property
     def m1(self) -> np.ndarray:
-        return _frozen(np.repeat(self.freq[:, None], self.n // 2 + 1, axis=1))
+        m1 = np.repeat(self.freq[:, None], self.n // 2 + 1, axis=1)
+        m1.setflags(write=False)
+        return m1
 
     @cached_property
     def m2(self) -> np.ndarray:
-        return _frozen(np.repeat(self.freq[None, : self.n // 2 + 1], self.n, axis=0))
+        m2 = np.repeat(self.freq[None, : self.n // 2 + 1], self.n, axis=0)
+        m2.setflags(write=False)
+        return m2
 
     def _k(self, m: np.ndarray) -> np.ndarray:
         return (TWO_PI / self.length) * m
@@ -86,32 +85,42 @@ class Grid:
     def k1(self) -> np.ndarray:
         k = self._k(self.m1)
         k[self.n // 2, 1 : self.n // 2] = 0.0
-        return _frozen(k)
+        k.setflags(write=False)
+        return k
 
     @cached_property
     def k2(self) -> np.ndarray:
-        return _frozen(self._k(self.m2))
+        k = self._k(self.m2)
+        k.setflags(write=False)
+        return k
 
     @cached_property
     def ksq(self) -> np.ndarray:
         k1 = self._k(self.m1)
-        return _frozen(k1 * k1 + self.k2 * self.k2)
+        k = k1 * k1 + self.k2 * self.k2
+        k.setflags(write=False)
+        return k
 
     @cached_property
     def inv_ksq(self) -> np.ndarray:
         """1/|k|^2 with the zero mode mapped to 0."""
         out = np.zeros_like(self.ksq)
         np.divide(1.0, self.ksq, out=out, where=self.ksq > 0)
-        return _frozen(out)
+        out.setflags(write=False)
+        return out
 
     @cached_property
     def kmag(self) -> np.ndarray:
-        return _frozen(np.sqrt(self.ksq))
+        k = np.sqrt(self.ksq)
+        k.setflags(write=False)
+        return k
 
     @cached_property
     def dealias_mask(self) -> np.ndarray:
         cut = self.n / 3.0
-        return _frozen((np.abs(self.m1) <= cut) & (np.abs(self.m2) <= cut))
+        mask = (np.abs(self.m1) <= cut) & (np.abs(self.m2) <= cut)
+        mask.setflags(write=False)
+        return mask
 
     @property
     def dealias_cutoff(self) -> int:
@@ -122,13 +131,15 @@ class Grid:
     def x(self) -> np.ndarray:
         xs = np.arange(self.n) * self.h
         x, _ = np.meshgrid(xs, xs, indexing="ij")
-        return _frozen(x)
+        x.setflags(write=False)
+        return x
 
     @cached_property
     def y(self) -> np.ndarray:
         xs = np.arange(self.n) * self.h
         _, y = np.meshgrid(xs, xs, indexing="ij")
-        return _frozen(y)
+        y.setflags(write=False)
+        return y
 
     # The Nyquist row and column are their own conjugate partners;
     # odd-derivative multipliers zero them to keep outputs real-symmetric.
@@ -136,13 +147,15 @@ class Grid:
     def deriv_k1(self) -> np.ndarray:
         k = self._k(self.m1)
         k[self.n // 2] = 0.0
-        return _frozen(k)
+        k.setflags(write=False)
+        return k
 
     @cached_property
     def deriv_k2(self) -> np.ndarray:
         k = self.k2.copy()
         k[:, self.n // 2] = 0.0
-        return _frozen(k)
+        k.setflags(write=False)
+        return k
 
     def band(self, *arrays: np.ndarray) -> int:
         """The largest frequency per axis that these coefficient arrays (or

@@ -88,11 +88,16 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class SimState:
-    """Prognostic pair (omega, tau) at time t with derived velocity cache."""
+    """Prognostic pair (omega, tau) at time t with derived velocity cache.
+
+    A Stokes-toy state takes its velocity from tau (stokes_toy_velocity):
+    Biot-Savart of its vorticity -R(tau) would lose the Nyquist-row term that
+    the stepper's velocity keeps."""
 
     t: float
     omega: ScalarField
     tau: SymTensorField
+    stokes_toy: bool = False
 
     def __post_init__(self):
         scale = max(self.omega.max_abs_coeff(), 1.0)
@@ -105,6 +110,8 @@ class SimState:
 
     @cached_property
     def u(self) -> VectorField:
+        if self.stokes_toy:
+            return stokes_toy_velocity(self.tau)
         return ops.biot_savart(self.omega)
 
     @cached_property
@@ -115,10 +122,11 @@ class SimState:
 def make_state(t: float, omega: ScalarField, tau: SymTensorField,
                params: ModelParams | None = None) -> SimState:
     """Build a state; for the Stokes toy the vorticity is diagnosed from tau."""
-    if params is not None and params.variant == "stokes_toy":
+    stokes_toy = params is not None and params.variant == "stokes_toy"
+    if stokes_toy:
         omega = ScalarField(tau.grid, stokes_toy_vorticity(
             tau.grid, *(c.coeffs for c in tau.components)))
-    return SimState(t=t, omega=omega, tau=tau)
+    return SimState(t=t, omega=omega, tau=tau, stokes_toy=stokes_toy)
 
 
 def stack(omega: ScalarField, tau: SymTensorField) -> np.ndarray:

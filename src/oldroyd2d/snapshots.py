@@ -101,7 +101,8 @@ def load_snapshot(path) -> tuple[SimState, ModelParams]:
         omega, t11, t12, t22 = (
             _scalar_from_exact_physical(grid, arr) for arr in arrays.reshape(4, n, n)
         )
-        state = SimState(t=t, omega=omega, tau=SymTensorField(t11, t12, t22))
+        state = SimState(t=t, omega=omega, tau=SymTensorField(t11, t12, t22),
+                         stokes_toy=params.variant == "stokes_toy")
     except ValueError as exc:  # ConfigError included
         raise SnapshotError(f"snapshot {path}: {exc}") from None
     return state, params

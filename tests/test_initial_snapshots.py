@@ -17,10 +17,10 @@ from oldroyd2d.initial_data import (
     smallness_norm,
     taylor_green_vorticity,
 )
-from oldroyd2d.model import ModelParams
+from oldroyd2d.model import ModelParams, stokes_toy_velocity
 from oldroyd2d.snapshots import _HEADER, MAGIC, load_snapshot, save_snapshot
 
-from conftest import rand_state
+from conftest import nyquist_state, rand_state, rel_err
 
 TAU_ZERO = TauInitialSpec(kind="zero")
 
@@ -154,6 +154,19 @@ class TestSnapshots:
             _, back = load_snapshot(path)
             assert back.variant == params.variant
             assert back.q_enabled == params.q_enabled
+
+    def test_stokes_toy_velocity_round_trip(self, tmp_path, grid16):
+        # a loaded Stokes-toy state with Nyquist content keeps its stored
+        # vorticity and the Stokes velocity of its tau, as the stepper has it
+        params = ModelParams(nu=0.05, mu=0.3, alpha=1.0, beta=0.2, variant="stokes_toy")
+        state = nyquist_state(grid16, 3, params)
+        path = tmp_path / "toy.bin"
+        save_snapshot(state, params, path)
+        loaded, _ = load_snapshot(path)
+        assert np.array_equal(loaded.omega.physical, state.omega.physical)
+        for got, want in zip(loaded.u.values, stokes_toy_velocity(loaded.tau).values):
+            assert np.array_equal(got, want)
+        assert rel_err(loaded.u.u1.physical, state.u.u1.physical) <= 1e-14
 
     def test_cross_resolution_load_rejected(self, tmp_path, grid32):
         state = rand_state(grid32, 26)

@@ -132,8 +132,7 @@ class TestPackUnpack:
             assert np.array_equal(got.coeffs, want.coeffs)
 
     def test_unpacked_fields_are_the_half_spectrum_fields(self, grid32):
-        # filling columns n/2+1..n-1 by conjugate symmetry gives the real
-        # field irfft2 reads from the half spectrum
+        # each unstacked field's grid values are irfft2 of its row of the stack
         rng = np.random.default_rng(27)
         y = rng.standard_normal((4, 32, 17)) + 1j * rng.standard_normal((4, 32, 17))
         y[:, 0, 0] = y[:, 0, 0].real

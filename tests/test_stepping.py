@@ -55,14 +55,16 @@ class TestCflDt:
 ], ids=["full", "q_zero", "stokes_toy"])
 @pytest.mark.parametrize("n", [16, 32, 64])
 def test_cfl_dt_matches_full_layout_velocity(params, n):
-    # max|u| against the full-layout Biot-Savart velocity of the full-layout
-    # spectra of the state's grid values (for the Stokes toy, of -R(tau)),
-    # whose real fields drop any Nyquist part the half spectrum cannot hold
+    # max|u| of cfl_dt and of the state's velocity against the full-layout
+    # Biot-Savart velocity of the full-layout spectra of the state's grid
+    # values (for the Stokes toy, of -R(tau)), whose real fields drop any
+    # Nyquist part the half spectrum cannot hold
     state = nyquist_state(Grid(n), n, params)
     g = full_wavevectors(state.grid)
     w, *t = (full_coeffs(c) for c in (state.omega, *state.tau.components))
     psi = g.inv_ksq * (-full_r(g, *t) if params.variant == "stokes_toy" else w)
     umax = float(np.max(np.hypot(full_values(1j * g.k2 * psi), full_values(-1j * g.k1 * psi))))
+    assert abs(float(np.max(np.hypot(*state.u.values))) - umax) <= 1e-15 * umax
     config = StepConfig(cfl=0.5, dt_max=1e6, dt_min=1e-300, t_end=1.0)
     want = config.cfl * state.grid.h / umax
     assert abs(cfl_dt(state, config, params) - want) <= 1e-15 * want
