@@ -20,7 +20,6 @@ from . import checks as checks_mod
 from . import diagnostics as diag
 from .config import load_config
 from .errors import ConfigError, SnapshotError
-from .model import gamma_of
 from .runner import run as run_experiment
 from .runner import sweep as run_sweep
 from .snapshots import load_snapshot
@@ -72,14 +71,13 @@ DEFAULT_NORMS = (
     "u_l2", "tau_l2", "omega_l2", "omega_linf", "gamma_linf",
     "gamma_b0inf1", "tau_bepsinf1", "tau_h2", "energy_weighted",
 )
-RECORD_NORMS = DEFAULT_NORMS + ("grad_u_l2", "n_value")  # read from compute_record
 
-NORMS = {  # the names a diagnostics record lacks
-    "gamma_l2": lambda s, p: gamma_of(s, p).l2(),
-    "omega_b0inf1": lambda s, p: besov.besov_norm(s.omega, 0.0, math.inf, 1),
-    "tau_h1": lambda s, p: besov.sobolev_norm(s.tau, 1.0),
-    "u_h1": lambda s, p: besov.sobolev_norm(s.u, 1.0),
-    "u_h2": lambda s, p: besov.sobolev_norm(s.u, 2.0),
+NORMS = {  # the names a diagnostics record lacks, of a diag.Observation
+    "gamma_l2": lambda o: o.gamma.l2(),
+    "omega_b0inf1": lambda o: besov.besov_norm(o.state.omega, 0.0, math.inf, 1),
+    "tau_h1": lambda o: besov.sobolev_norm(o.state.tau, 1.0),
+    "u_h1": lambda o: besov.sobolev_norm(o.state.u, 1.0),
+    "u_h2": lambda o: besov.sobolev_norm(o.state.u, 2.0),
 }
 
 
@@ -91,20 +89,17 @@ def _cmd_norms(args) -> int:
         if args.norm
         else list(DEFAULT_NORMS)
     )
-    known = RECORD_NORMS + tuple(NORMS)
+    known = {**diag.RECORD, **NORMS}
     unknown = [n for n in names if n not in known]
     if unknown:
         raise ConfigError(
             [f"unknown norm name {n!r} (known: {', '.join(sorted(known))})" for n in unknown]
         )
-    record = {}
-    if any(n in RECORD_NORMS for n in names):
-        record = diag.compute_record(state, params, opts).to_dict()
+    obs = diag.Observation(state, params, opts)
     print(f"t = {state.t:.6g}, n = {state.grid.n}, L = {state.grid.length:.6g}")
     width = max(len(n) for n in names)
     for name in names:
-        value = record[name] if name in RECORD_NORMS else NORMS[name](state, params)
-        print(f"{name:<{width}}  {value!r}")
+        print(f"{name:<{width}}  {known[name](obs)!r}")
     return EXIT_OK
 
 

@@ -11,8 +11,10 @@ asserts a specific constant.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import NamedTuple
+from dataclasses import dataclass
+from functools import cached_property
+from types import SimpleNamespace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -191,36 +193,79 @@ class DiagnosticsOptions:
             raise ConfigError(f"hs must hold finite exponents, one above 2, got {self.hs}")
 
 
-@dataclass
-class DiagnosticsRecord:
-    """One time-stamped row of every monitored quantity.
+class Observation:
+    """One state as the diagnostics see it: the state, the params, the
+    options, and the terms several metrics share (Gamma, the commutator,
+    d/dt of the state and the Gamma interior terms), each made on first use
+    and then kept. A derivative already made may be handed in."""
 
-    Residual fields are None where undefined: the energy residual unless
-    ModelParams.energy_law, the Gamma fields unless ModelParams.gamma_law.
-    """
+    def __init__(self, state: SimState, params: ModelParams,
+                 opts: DiagnosticsOptions = DiagnosticsOptions(),
+                 deriv: Derivative | None = None):
+        self.state, self.params, self.opts = state, params, opts
+        if deriv is not None:
+            self.deriv = deriv
 
-    t: float
-    u_l2: float
-    tau_l2: float
-    grad_u_l2: float
-    grad_tau_l2: float
-    lap_tau_l2: float
-    omega_linf: float
-    omega_l2: float
-    gamma_linf: float
-    gamma_b0inf1: float
-    tau_bepsinf1: float
-    tau_h2: float
-    grad_u_linf: float
-    bkm_accum: float
-    energy_weighted: float
-    n_value: float
-    energy_identity_residual: float | None
-    gamma_residual: float | None
-    commutator_norm: float
-    gamma_rhs_linf: float | None  # Gronwall majorant integrand for ||Gamma||_inf
-    u_hs: dict = field(default_factory=dict)
-    tau_hs: dict = field(default_factory=dict)
+    @cached_property
+    def gamma(self) -> ScalarField:
+        return gamma_of(self.state, self.params)
+
+    @cached_property
+    def commutator(self) -> ScalarField:
+        return commutator_r_advect(self.state.u, self.state.tau)
+
+    @cached_property
+    def deriv(self) -> Derivative:
+        return time_derivative(self.state, self.params)
+
+    @cached_property
+    def interior(self) -> ScalarField:
+        return gamma_interior(self.state, self.params, self.commutator)
+
+
+Metric = Callable[[Observation], object]
+
+
+def _where(law: str, metric: Metric) -> Metric:
+    """metric where the ModelParams property law holds, else None."""
+    return lambda o: metric(o) if getattr(o.params, law) else None
+
+
+# Every metric of a diagnostics record, in record (and NDJSON key) order.
+# The entries call through module attributes (besov.linf_norm, gamma_of,
+# ...) at evaluation time, so that replacing one of those is seen here.
+RECORD: dict[str, Metric] = {
+    "t": lambda o: o.state.t,
+    "u_l2": lambda o: o.state.u.l2(),
+    "tau_l2": lambda o: o.state.tau.l2(),
+    "grad_u_l2": lambda o: o.state.grad_u.l2(),
+    "grad_tau_l2": lambda o: math.sqrt(sq_norm(o.state.tau, o.state.grid.ksq)),
+    "lap_tau_l2": lambda o: math.sqrt(sq_norm(o.state.tau, o.state.grid.ksq**2)),
+    "omega_linf": lambda o: besov.linf_norm(o.state.omega),
+    "omega_l2": lambda o: o.state.omega.l2(),
+    "gamma_linf": lambda o: besov.linf_norm(o.gamma),
+    "gamma_b0inf1": lambda o: besov.besov_norm(o.gamma, 0.0, math.inf, 1),
+    "tau_bepsinf1": lambda o: besov.tensor_besov_norm(o.state.tau, o.opts.eps, math.inf, 1),
+    "tau_h2": lambda o: besov.sobolev_norm(o.state.tau, 2.0),
+    "grad_u_linf": lambda o: besov.linf_norm(o.state.grad_u),
+    "bkm_accum": lambda o: 0.0,  # accumulated over records by the caller
+    "energy_weighted": lambda o: energy_weighted(o.state, o.params),
+    "n_value": lambda o: n_functional(o.state, o.params, o.opts.n_functional_m, o.gamma),
+    "energy_identity_residual": _where(
+        "energy_law", lambda o: energy_identity_residual(o.state, o.params, o.deriv)),
+    "gamma_residual": _where(
+        "gamma_law", lambda o: gamma_residual(o.state, o.params, o.deriv, o.gamma, o.interior)),
+    "commutator_norm": lambda o: besov.besov_norm(o.commutator, 0.0, math.inf, 1),
+    # Gronwall majorant integrand for ||Gamma||_inf
+    "gamma_rhs_linf": _where("gamma_law", lambda o: besov.linf_norm(o.interior)),
+    "u_hs": lambda o: {f"{s:g}": besov.sobolev_norm(o.state.u, s) for s in o.opts.hs},
+    "tau_hs": lambda o: {f"{s:g}": besov.sobolev_norm(o.state.tau, s) for s in o.opts.hs},
+}
+
+
+class DiagnosticsRecord(SimpleNamespace):
+    """One time-stamped row of every RECORD metric, as attributes in RECORD
+    order; an undefined residual is None."""
 
     def to_dict(self) -> dict:
         return dict(self.__dict__)
@@ -229,52 +274,10 @@ class DiagnosticsRecord:
 def compute_record(state: SimState, params: ModelParams,
                    opts: DiagnosticsOptions = DiagnosticsOptions(),
                    deriv: Derivative | None = None) -> DiagnosticsRecord:
-    """One observation; time_derivative (only where a residual is defined),
-    Gamma, the commutator and the Gamma interior terms are each evaluated once.
-    bkm_accum is left 0: it accumulates over records, which the caller holds."""
-    ksq = state.grid.ksq
-    gamma = gamma_of(state, params)
-    commutator = commutator_r_advect(state.u, state.tau)
-    if deriv is None and (params.energy_law or params.gamma_law):
-        deriv = time_derivative(state, params)
-
-    energy_res = None
-    if params.energy_law:
-        energy_res = energy_identity_residual(state, params, deriv)
-    gamma_res = None
-    gamma_rhs_linf = None
-    if params.gamma_law:
-        interior = gamma_interior(state, params, commutator)
-        gamma_res = gamma_residual(state, params, deriv, gamma, interior)
-        gamma_rhs_linf = besov.linf_norm(interior)
-
-    rec = DiagnosticsRecord(
-        t=state.t,
-        u_l2=state.u.l2(),
-        tau_l2=state.tau.l2(),
-        grad_u_l2=state.grad_u.l2(),
-        grad_tau_l2=math.sqrt(sq_norm(state.tau, ksq)),
-        lap_tau_l2=math.sqrt(sq_norm(state.tau, ksq**2)),
-        omega_linf=besov.linf_norm(state.omega),
-        omega_l2=state.omega.l2(),
-        gamma_linf=besov.linf_norm(gamma),
-        gamma_b0inf1=besov.besov_norm(gamma, 0.0, math.inf, 1),
-        tau_bepsinf1=besov.tensor_besov_norm(state.tau, opts.eps, math.inf, 1),
-        tau_h2=besov.sobolev_norm(state.tau, 2.0),
-        grad_u_linf=besov.linf_norm(state.grad_u),
-        bkm_accum=0.0,
-        energy_weighted=energy_weighted(state, params),
-        n_value=n_functional(state, params, opts.n_functional_m, gamma),
-        energy_identity_residual=energy_res,
-        gamma_residual=gamma_res,
-        commutator_norm=besov.besov_norm(commutator, 0.0, math.inf, 1),
-        gamma_rhs_linf=gamma_rhs_linf,
-    )
-    for s in opts.hs:
-        key = f"{s:g}"
-        rec.u_hs[key] = besov.sobolev_norm(state.u, s)
-        rec.tau_hs[key] = besov.sobolev_norm(state.tau, s)
-    return rec
+    """Every RECORD metric of one Observation of the state. bkm_accum is
+    left 0: it accumulates over records, which the caller holds."""
+    obs = Observation(state, params, opts, deriv)
+    return DiagnosticsRecord(**{name: metric(obs) for name, metric in RECORD.items()})
 
 
 def bkm_log_check(record: DiagnosticsRecord, s: float | None = None) -> float | None:

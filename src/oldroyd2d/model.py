@@ -213,11 +213,11 @@ def stokes_toy_velocity(tau: SymTensorField) -> VectorField:
     return VectorField(ScalarField(g, u1), ScalarField(g, u2))
 
 
-def packed_velocity_modes(g: Grid, y, params: ModelParams | None = None):
+def packed_velocity_modes(g: Grid, y, stokes_toy: bool):
     """Per mode, the velocity of a packed stack y (or of any sequence of its
     four rows): the Biot-Savart velocity of the vorticity row or, for the
     Stokes toy, the Stokes velocity of the tau rows."""
-    if params is not None and params.variant == "stokes_toy":
+    if stokes_toy:
         return stokes_toy_velocity_modes(g, *y[1:])
     return ops.velocity_modes(g, y[0])
 
@@ -241,7 +241,7 @@ def rhs(y: np.ndarray, grid: Grid, params: ModelParams,
     phys = grid.inverse(grid.band(y))
 
     stokes = params.variant == "stokes_toy"
-    u1_hat, u2_hat = packed_velocity_modes(grid, y, params)
+    u1_hat, u2_hat = packed_velocity_modes(grid, y, stokes)
     transport = ops.transport(phys, (phys(u1_hat), phys(u2_hat)), (ik1, ik2))
 
     out = np.empty_like(y)
@@ -307,35 +307,3 @@ def gamma_interior(state: SimState, params: ModelParams,
         interior = interior - params.K * ops.riesz_r(q)
     return interior
 
-
-def gamma_rhs_theoretical(state: SimState, params: ModelParams,
-                          form: str = "transport") -> ScalarField:
-    """d/dt Gamma predicted by the transformed equation (requires nu = 0).
-
-    form="transport": -u.grad Gamma + K beta R tau - (K alpha/2) omega
-                      + K [R, u.grad] tau - K R(Q).
-    form="damped":    same value regrouped around the damping term
-                      -lambda Gamma with lambda = K alpha / (2 mu).
-    """
-    if not params.gamma_law:
-        raise ValueError("Gamma equation requires nu = 0 and no Stokes toy")
-    if form not in ("transport", "damped"):
-        raise ValueError(f"unknown form {form!r}")
-
-    gamma = gamma_of(state, params)
-    adv = ops.advect(state.u, gamma)
-    if form == "transport":
-        return -1.0 * adv + gamma_interior(state, params)
-
-    lam = params.gamma_damping_rate
-    r_tau = ops.riesz_r(state.tau)
-    out = (
-        -1.0 * adv
-        - lam * gamma
-        + (params.K * params.beta - lam * params.K) * r_tau
-        + params.K * commutator_r_advect(state.u, state.tau)
-    )
-    if params.q_enabled:
-        q = q_form(state.grad_u, state.tau, params.b)
-        out = out - params.K * ops.riesz_r(q)
-    return out

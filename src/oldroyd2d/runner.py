@@ -1,7 +1,7 @@
 """Experiment orchestration: run and sweep, NDJSON diagnostics, snapshots.
 
-Diagnostics are written as NDJSON, one object per observation, with field
-names exactly as in DiagnosticsRecord; a final line holds a single
+Diagnostics are written as NDJSON, one object per observation, with keys
+exactly as in diagnostics.RECORD; a final line holds a single
 "summary" object, or "failure" when any exception aborts integration,
 observation or the summary, with partial output preserved. Every line is
 strict JSON: a non-finite float is written as null and its dotted key is

@@ -3,8 +3,7 @@
 Layout (little-endian): magic "OLDB2D01", u32 version, u32 n, f64 L, f64 t,
 seven f64 parameters (nu, mu, K, alpha, beta, b, q_code), then four
 row-major f64 physical-space arrays omega, tau11, tau12, tau22 of length
-n^2 each. q_code encodes the variant: 0 = q_zero, 1 = full with Q on,
-2 = stokes_toy, 3 = full with Q off.
+n^2 each. q_code encodes the variant and Q (Q_CODES).
 
 Physical space is stored for portability; the spectral cache is rebuilt on
 load, and the loaded physical arrays are kept verbatim so that
@@ -31,24 +30,21 @@ VERSION = 1
 _HEADER = struct.Struct("<II9d")  # version, n, L, t, nu, mu, K, alpha, beta, b, q_code
 
 
-def _q_code(params: ModelParams) -> float:
-    if params.variant == "q_zero":
-        return 0.0
-    if params.variant == "stokes_toy":
-        return 2.0
-    return 1.0 if params.q_enabled else 3.0
+# q_code -> (variant, q_enabled), for every pair ModelParams can hold
+Q_CODES = {
+    0.0: ("q_zero", False),
+    1.0: ("full", True),
+    2.0: ("stokes_toy", False),
+    3.0: ("full", False),
+    4.0: ("stokes_toy", True),
+}
+_CODE_OF = {pair: code for code, pair in Q_CODES.items()}
 
 
 def _params_from_code(code: float, nu, mu, K, alpha, beta, b) -> ModelParams:
-    table = {
-        0.0: ("q_zero", False),
-        1.0: ("full", True),
-        2.0: ("stokes_toy", False),
-        3.0: ("full", False),
-    }
-    if code not in table:
+    if code not in Q_CODES:
         raise SnapshotError(f"unknown q_code {code!r} in snapshot")
-    variant, q_enabled = table[code]
+    variant, q_enabled = Q_CODES[code]
     return ModelParams(
         nu=nu, mu=mu, K=K, alpha=alpha, beta=beta, b=b,
         q_enabled=q_enabled, variant=variant,
@@ -68,7 +64,7 @@ def save_snapshot(state: SimState, params: ModelParams, path) -> None:
     header = MAGIC + _HEADER.pack(
         VERSION, grid.n, grid.length, state.t,
         params.nu, params.mu, params.K, params.alpha, params.beta, params.b,
-        _q_code(params),
+        _CODE_OF[params.variant, params.q_enabled],
     )
     arrays = [state.omega.physical] + [c.physical for c in state.tau.components]
     with open(path, "wb") as fh:

@@ -53,17 +53,16 @@ class StepConfig:
         return 2 if self.scheme == "ifrk2" else 4
 
 
-def cfl_dt(state: SimState, config: StepConfig, params: ModelParams | None = None) -> float:
+def cfl_dt(state: SimState, config: StepConfig) -> float:
     """Advective CFL step: clamp(cfl * h / max(|u|_inf, floor), dt_min, dt_max).
 
-    max|u| is taken on the grid from the velocity modes of the state, with
-    two inverse transforms (Grid.inverse); params names the variant, so that
-    the Stokes-toy velocity comes from tau (without params, the velocity is
-    that of omega).
+    max|u| is taken on the grid from the velocity modes of the state (for a
+    Stokes-toy state, the Stokes velocity of its tau), with two inverse
+    transforms (Grid.inverse).
     """
     grid = state.grid
     rows = tuple(c.coeffs for c in (state.omega, *state.tau.components))
-    modes = packed_velocity_modes(grid, rows, params)
+    modes = packed_velocity_modes(grid, rows, state.stokes_toy)
     u1, u2 = map(grid.inverse(grid.band(*modes)), modes)
     umax = float(np.max(np.hypot(u1, u2)))
     dt = config.cfl * grid.h / max(umax, CFL_VELOCITY_FLOOR)
@@ -163,7 +162,7 @@ def integrate(state0: SimState, params: ModelParams, config: StepConfig,
         target = min(next_tick, pending[0] if pending else t_end)
         if target > t_end - eps:
             target = t_end
-        dt = cfl_dt(state, config, params)
+        dt = cfl_dt(state, config)
         if dt <= config.dt_min < config.dt_max:
             raise IntegrationError(state.t, "step size underflow")
         t_new = state.t + dt

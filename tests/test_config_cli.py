@@ -435,15 +435,37 @@ class TestCli:
         save_snapshot(random_state(Grid(32), (1, 8), [0]), params, snap)
         state, params = load_snapshot(snap)
         record = diag.compute_record(state, params, diag.DiagnosticsOptions()).to_dict()
-        names = cli.RECORD_NORMS + tuple(cli.NORMS)
+        names = tuple(diag.RECORD) + tuple(cli.NORMS)
         assert cli.main(["norms", str(snap), "--norm", ",".join(names)]) == 0
-        printed = dict(line.split() for line in capsys.readouterr().out.splitlines()[1:])
+        lines = capsys.readouterr().out.splitlines()[1:]
+        printed = dict(line.split(maxsplit=1) for line in lines)
         assert list(printed) == list(names)
-        assert "grad_u_l2" in cli.RECORD_NORMS and not set(cli.NORMS) & set(record)
-        for name in cli.RECORD_NORMS:
-            assert float(printed[name]) == record[name], name
+        assert list(record) == list(diag.RECORD) and not set(cli.NORMS) & set(record)
+        for name in diag.RECORD:  # repr: floats equal to the last bit, None, dicts
+            assert printed[name] == repr(record[name]), name
         for name in cli.NORMS:
-            assert float(printed[name]) == cli.NORMS[name](state, params), name
+            want = cli.NORMS[name](diag.Observation(state, params))
+            assert float(printed[name]) == want, name
+
+    def test_norms_evaluates_only_the_names_asked_for(self, tmp_path, capsys, monkeypatch):
+        # u_l2 and gamma_linf need neither d/dt of the state nor the commutator
+        from oldroyd2d.grid import Grid
+        from oldroyd2d.initial_data import random_state
+        from oldroyd2d.model import ModelParams
+        from oldroyd2d.snapshots import load_snapshot, save_snapshot
+
+        snap = tmp_path / "state.bin"
+        save_snapshot(random_state(Grid(32), (1, 8), [0]), ModelParams(variant="q_zero"), snap)
+        calls = []
+        for name in ("time_derivative", "commutator_r_advect"):
+            def counted(*args, _name=name, _fn=getattr(diag, name)):
+                calls.append(_name)
+                return _fn(*args)
+            monkeypatch.setattr(diag, name, counted)
+        assert cli.main(["norms", str(snap), "--norm", "u_l2,gamma_linf"]) == 0
+        assert calls == []
+        diag.compute_record(*load_snapshot(snap))  # a whole record makes both
+        assert sorted(calls) == ["commutator_r_advect", "time_derivative"]
 
 
 class TestMutationSensitivity:

@@ -251,6 +251,16 @@ class TestRecord:
                 assert math.isfinite(val), key
         assert set(back["u_hs"]) == {"2.5", "3"}
 
+    def test_key_order(self, grid16):
+        # the NDJSON keys of a record, in order
+        assert list(diag.compute_record(zero_state(grid16), Q_ZERO).to_dict()) == [
+            "t", "u_l2", "tau_l2", "grad_u_l2", "grad_tau_l2", "lap_tau_l2",
+            "omega_linf", "omega_l2", "gamma_linf", "gamma_b0inf1", "tau_bepsinf1",
+            "tau_h2", "grad_u_linf", "bkm_accum", "energy_weighted", "n_value",
+            "energy_identity_residual", "gamma_residual", "commutator_norm",
+            "gamma_rhs_linf", "u_hs", "tau_hs",
+        ]
+
     def test_residuals_none_when_inapplicable(self, grid16):
         state = zero_state(grid16)
         rec = diag.compute_record(state, ModelParams(nu=0.1, q_enabled=True))

@@ -17,8 +17,8 @@ from oldroyd2d.initial_data import (
     smallness_norm,
     taylor_green_vorticity,
 )
-from oldroyd2d.model import ModelParams, stokes_toy_velocity
-from oldroyd2d.snapshots import _HEADER, MAGIC, load_snapshot, save_snapshot
+from oldroyd2d.model import VARIANTS, ModelParams, stokes_toy_velocity
+from oldroyd2d.snapshots import _HEADER, MAGIC, Q_CODES, load_snapshot, save_snapshot
 
 from conftest import nyquist_state, rand_state, rel_err
 
@@ -154,6 +154,22 @@ class TestSnapshots:
             _, back = load_snapshot(path)
             assert back.variant == params.variant
             assert back.q_enabled == params.q_enabled
+
+    def test_every_variant_and_q_round_trips(self, tmp_path, grid16):
+        # every (variant, q_enabled) pair ModelParams can hold, the Stokes toy
+        # with Q on included, loads back as the params it was saved with
+        state = rand_state(grid16, 27, band=(1, 4))
+        reachable = {}
+        for variant in VARIANTS:
+            for q_enabled in (True, False):
+                params = ModelParams(nu=0.0, mu=0.3, b=0.5, variant=variant,
+                                     q_enabled=q_enabled)
+                reachable[params.variant, params.q_enabled] = params
+        assert set(reachable) == set(Q_CODES.values())
+        for (variant, q_enabled), params in reachable.items():
+            path = tmp_path / f"{variant}_{q_enabled}.bin"
+            save_snapshot(state, params, path)
+            assert load_snapshot(path)[1] == params
 
     def test_stokes_toy_velocity_round_trip(self, tmp_path, grid16):
         # a loaded Stokes-toy state with Nyquist content keeps its stored

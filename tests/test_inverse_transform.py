@@ -115,10 +115,10 @@ class TestGridTransform:
         y = stack(state.omega, state.tau)
         config = StepConfig(cfl=0.5, dt_max=10.0, dt_min=1e-12)
         assert grid.band(y) == 10
-        pruned, dt = rhs(y, grid, params), cfl_dt(state, config, params)
+        pruned, dt = rhs(y, grid, params), cfl_dt(state, config)
         monkeypatch.setattr(Grid, "band", lambda self, *arrays: self.n // 2)
         assert same_bytes(rhs(y, grid, params), pruned)
-        assert cfl_dt(state, config, params) == dt
+        assert cfl_dt(state, config) == dt
 
 
 class TestPaddedTransform:

@@ -67,7 +67,7 @@ def test_cfl_dt_matches_full_layout_velocity(params, n):
     assert abs(float(np.max(np.hypot(*state.u.values))) - umax) <= 1e-15 * umax
     config = StepConfig(cfl=0.5, dt_max=1e6, dt_min=1e-300, t_end=1.0)
     want = config.cfl * state.grid.h / umax
-    assert abs(cfl_dt(state, config, params) - want) <= 1e-15 * want
+    assert abs(cfl_dt(state, config) - want) <= 1e-15 * want
 
 
 class TestStep:
