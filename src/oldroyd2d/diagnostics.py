@@ -193,18 +193,16 @@ class DiagnosticsOptions:
             raise ConfigError(f"hs must hold finite exponents, one above 2, got {self.hs}")
 
 
+@dataclass
 class Observation:
     """One state as the diagnostics see it: the state, the params, the
     options, and the terms several metrics share (Gamma, the commutator,
     d/dt of the state and the Gamma interior terms), each made on first use
-    and then kept. A derivative already made may be handed in."""
+    and then kept."""
 
-    def __init__(self, state: SimState, params: ModelParams,
-                 opts: DiagnosticsOptions = DiagnosticsOptions(),
-                 deriv: Derivative | None = None):
-        self.state, self.params, self.opts = state, params, opts
-        if deriv is not None:
-            self.deriv = deriv
+    state: SimState
+    params: ModelParams
+    opts: DiagnosticsOptions = DiagnosticsOptions()
 
     @cached_property
     def gamma(self) -> ScalarField:
@@ -223,14 +221,11 @@ class Observation:
         return gamma_interior(self.state, self.params, self.commutator)
 
 
-Metric = Callable[[Observation], object]
-
-
 class _Where(NamedTuple):
     """A metric defined where the ModelParams property law holds, else None."""
 
     law: str
-    metric: Metric
+    metric: Callable[[Observation], object]
 
     def __call__(self, o: Observation):
         return self.metric(o) if getattr(o.params, self.law) else None
@@ -239,7 +234,7 @@ class _Where(NamedTuple):
 # Every metric of a diagnostics record, in record (and NDJSON key) order.
 # The entries call through module attributes (besov.linf_norm, gamma_of,
 # ...) at evaluation time, so that replacing one of those is seen here.
-RECORD: dict[str, Metric] = {
+RECORD: dict[str, Callable[[Observation], object]] = {
     "t": lambda o: o.state.t,
     "u_l2": lambda o: o.state.u.l2(),
     "tau_l2": lambda o: o.state.tau.l2(),
@@ -279,19 +274,16 @@ class DiagnosticsRecord(SimpleNamespace):
 def compute_record(state: SimState, params: ModelParams,
                    opts: DiagnosticsOptions = DiagnosticsOptions(),
                    deriv: Derivative | None = None) -> DiagnosticsRecord:
-    """Every RECORD metric of one Observation of the state. bkm_accum is
-    left 0: it accumulates over records, which the caller holds.
-
-    Gamma, the commutator and, where a residual is defined, d/dt are made
-    first, then the entries with a null rule, then the others in key order.
-    The stepper's page faults depend on the heap (glibc malloc) a record
-    leaves behind: with every entry evaluated in key order, the records of
-    the n = 256 stepping benchmark made each later step fault in about
-    35 MB of fresh pages and the run take 1.3x as long."""
-    obs = Observation(state, params, opts, deriv)
+    """Every RECORD metric of one Observation of the state, with deriv as
+    its d/dt if given. bkm_accum is left 0: it accumulates over records,
+    which the caller holds. Gamma and the commutator are made first and the
+    entries with a null rule evaluated before the others: the stepper's page
+    faults depend on the heap a record leaves behind (CONVENTIONS.md
+    "Diagnostics output")."""
+    obs = Observation(state, params, opts)
+    if deriv is not None:
+        obs.deriv = deriv
     obs.gamma, obs.commutator
-    if params.energy_law or params.gamma_law:
-        obs.deriv
     order = sorted(RECORD, key=lambda name: not isinstance(RECORD[name], _Where))
     values = {name: RECORD[name](obs) for name in order}
     return DiagnosticsRecord(**{name: values[name] for name in RECORD})

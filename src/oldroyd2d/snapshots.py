@@ -41,16 +41,6 @@ Q_CODES = {
 _CODE_OF = {pair: code for code, pair in Q_CODES.items()}
 
 
-def _params_from_code(code: float, nu, mu, K, alpha, beta, b) -> ModelParams:
-    if code not in Q_CODES:
-        raise SnapshotError(f"unknown q_code {code!r} in snapshot")
-    variant, q_enabled = Q_CODES[code]
-    return ModelParams(
-        nu=nu, mu=mu, K=K, alpha=alpha, beta=beta, b=b,
-        q_enabled=q_enabled, variant=variant,
-    )
-
-
 def _scalar_from_exact_physical(grid: Grid, values: np.ndarray) -> ScalarField:
     f = ScalarField.from_physical(grid, values)
     exact = np.ascontiguousarray(values, dtype=np.float64)
@@ -91,9 +81,13 @@ def load_snapshot(path) -> tuple[SimState, ModelParams]:
     arrays = np.frombuffer(data, dtype="<f8", offset=len(MAGIC) + _HEADER.size)
     if not (all(map(math.isfinite, header)) and np.isfinite(arrays).all()):
         raise SnapshotError(f"snapshot {path} holds a non-finite value")
+    if q_code not in Q_CODES:
+        raise SnapshotError(f"unknown q_code {q_code!r} in {path}")
+    variant, q_enabled = Q_CODES[q_code]
     try:  # the grid, the parameters and the state check what the header holds
         grid = Grid(n=n, length=length)
-        params = _params_from_code(q_code, nu, mu, K, alpha, beta, b)
+        params = ModelParams(nu=nu, mu=mu, K=K, alpha=alpha, beta=beta, b=b,
+                             q_enabled=q_enabled, variant=variant)
         omega, t11, t12, t22 = (
             _scalar_from_exact_physical(grid, arr) for arr in arrays.reshape(4, n, n)
         )

@@ -230,6 +230,16 @@ class TestMalformedSnapshots:
         assert cli.main(["norms", str(path)]) == 1
         assert capsys.readouterr().err.startswith(f"error: snapshot {path}")
 
+    def test_unknown_q_code_rejected(self, tmp_path):
+        path = self._crafted(tmp_path, "q_code_5.bin")
+        data = bytearray(path.read_bytes())
+        end = len(MAGIC) + _HEADER.size  # q_code is the header's last f64
+        data[end - 8:end] = np.array(5.0, "<f8").tobytes()
+        path.write_bytes(bytes(data))
+        with pytest.raises(SnapshotError, match="unknown q_code 5.0") as exc:
+            load_snapshot(path)
+        assert "q_code_5.bin" in str(exc.value)
+
     def test_crafted_finite_file_loads(self, tmp_path):
         state, params = load_snapshot(self._crafted(tmp_path, "ok.bin"))
         assert state.grid.n == 16 and params.variant == "full"
