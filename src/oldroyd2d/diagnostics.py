@@ -221,14 +221,9 @@ class Observation:
         return gamma_interior(self.state, self.params, self.commutator)
 
 
-class _Where(NamedTuple):
-    """A metric defined where the ModelParams property law holds, else None."""
-
-    law: str
-    metric: Callable[[Observation], object]
-
-    def __call__(self, o: Observation):
-        return self.metric(o) if getattr(o.params, self.law) else None
+def _where(law: str, metric: Callable) -> Callable:
+    """metric where the ModelParams property law holds, else None."""
+    return lambda o: metric(o) if getattr(o.params, law) else None
 
 
 # Every metric of a diagnostics record, in record (and NDJSON key) order.
@@ -251,13 +246,13 @@ RECORD: dict[str, Callable[[Observation], object]] = {
     "bkm_accum": lambda o: 0.0,  # accumulated over records by the caller
     "energy_weighted": lambda o: energy_weighted(o.state, o.params),
     "n_value": lambda o: n_functional(o.state, o.params, o.opts.n_functional_m, o.gamma),
-    "energy_identity_residual": _Where(
+    "energy_identity_residual": _where(
         "energy_law", lambda o: energy_identity_residual(o.state, o.params, o.deriv)),
-    "gamma_residual": _Where(
+    "gamma_residual": _where(
         "gamma_law", lambda o: gamma_residual(o.state, o.params, o.deriv, o.gamma, o.interior)),
     "commutator_norm": lambda o: besov.besov_norm(o.commutator, 0.0, math.inf, 1),
     # Gronwall majorant integrand for ||Gamma||_inf
-    "gamma_rhs_linf": _Where("gamma_law", lambda o: besov.linf_norm(o.interior)),
+    "gamma_rhs_linf": _where("gamma_law", lambda o: besov.linf_norm(o.interior)),
     "u_hs": lambda o: {f"{s:g}": besov.sobolev_norm(o.state.u, s) for s in o.opts.hs},
     "tau_hs": lambda o: {f"{s:g}": besov.sobolev_norm(o.state.tau, s) for s in o.opts.hs},
 }
@@ -276,17 +271,20 @@ def compute_record(state: SimState, params: ModelParams,
                    deriv: Derivative | None = None) -> DiagnosticsRecord:
     """Every RECORD metric of one Observation of the state, with deriv as
     its d/dt if given. bkm_accum is left 0: it accumulates over records,
-    which the caller holds. Gamma and the commutator are made first and the
-    entries with a null rule evaluated before the others: the stepper's page
-    faults depend on the heap a record leaves behind (CONVENTIONS.md
-    "Diagnostics output")."""
+    which the caller holds.
+
+    Gamma, the commutator and the terms of the identities that hold are made
+    before any norm: the stepper's page faults depend on the heap a record
+    leaves behind (CONVENTIONS.md "Diagnostics output")."""
     obs = Observation(state, params, opts)
     if deriv is not None:
         obs.deriv = deriv
     obs.gamma, obs.commutator
-    order = sorted(RECORD, key=lambda name: not isinstance(RECORD[name], _Where))
-    values = {name: RECORD[name](obs) for name in order}
-    return DiagnosticsRecord(**{name: values[name] for name in RECORD})
+    if params.energy_law or params.gamma_law:
+        obs.deriv
+    if params.gamma_law:
+        obs.interior
+    return DiagnosticsRecord(**{name: metric(obs) for name, metric in RECORD.items()})
 
 
 def bkm_log_check(record: DiagnosticsRecord, s: float | None = None) -> float | None:
