@@ -271,19 +271,10 @@ def compute_record(state: SimState, params: ModelParams,
                    deriv: Derivative | None = None) -> DiagnosticsRecord:
     """Every RECORD metric of one Observation of the state, with deriv as
     its d/dt if given. bkm_accum is left 0: it accumulates over records,
-    which the caller holds.
-
-    Gamma, the commutator and the terms of the identities that hold are made
-    before any norm: the stepper's page faults depend on the heap a record
-    leaves behind (CONVENTIONS.md "Diagnostics output")."""
+    which the caller holds."""
     obs = Observation(state, params, opts)
     if deriv is not None:
         obs.deriv = deriv
-    obs.gamma, obs.commutator
-    if params.energy_law or params.gamma_law:
-        obs.deriv
-    if params.gamma_law:
-        obs.interior
     return DiagnosticsRecord(**{name: metric(obs) for name, metric in RECORD.items()})
 
 

@@ -22,12 +22,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from types import SimpleNamespace
 
 import numpy as np
 
 from .errors import ConfigError
 from .fields import ScalarField, SymTensorField, VectorField
-from .grid import Grid
+from .grid import Grid, inverse_rfft2
 from . import operators as ops
 
 VARIANTS = ("full", "q_zero", "stokes_toy")
@@ -129,10 +130,10 @@ def make_state(t: float, omega: ScalarField, tau: SymTensorField,
     return SimState(t=t, omega=omega, tau=tau, stokes_toy=stokes_toy)
 
 
-def stack(omega: ScalarField, tau: SymTensorField) -> np.ndarray:
+def stack(omega: ScalarField, tau: SymTensorField, out: np.ndarray | None = None) -> np.ndarray:
     """The packed (4, n, n//2+1) stack of the coefficient arrays (omega,
-    tau11, tau12, tau22)."""
-    return np.stack([omega.coeffs] + [c.coeffs for c in tau.components])
+    tau11, tau12, tau22), written to out when given."""
+    return np.stack([omega.coeffs] + [c.coeffs for c in tau.components], out=out)
 
 
 def unstack(grid: Grid, y: np.ndarray) -> tuple[ScalarField, SymTensorField]:
@@ -141,36 +142,66 @@ def unstack(grid: Grid, y: np.ndarray) -> tuple[ScalarField, SymTensorField]:
     return ScalarField(grid, y[0]), SymTensorField(*(ScalarField(grid, c) for c in y[1:]))
 
 
-def linear_symbol(grid: Grid, params: ModelParams) -> np.ndarray:
-    """Stiff part of d/dt of the packed stack, diagonal in Fourier.
+def linear_symbol(grid: Grid, params: ModelParams, out: np.ndarray | None = None) -> np.ndarray:
+    """Stiff part of d/dt of the packed stack, diagonal in Fourier, written
+    to out when given.
 
-    -nu |k|^2 for omega and -beta - mu |k|^2 for each tau component. The
+    -nu |k|^2 for omega and -(beta + mu |k|^2) for each tau component. The
     vorticity row is 0 for the Stokes toy, whose omega is diagnosed from tau.
     """
     ksq = grid.ksq
-    sym = np.empty((4,) + ksq.shape)
-    sym[0] = 0.0 if params.variant == "stokes_toy" else -params.nu * ksq
-    sym[1:] = -(params.beta + params.mu * ksq)
+    sym = np.empty((4,) + ksq.shape) if out is None else out
+    if params.variant == "stokes_toy":
+        sym[0] = 0.0
+    else:
+        np.multiply(-params.nu, ksq, out=sym[0])
+    tau = np.multiply(params.mu, ksq, out=sym[1])
+    tau += params.beta
+    np.negative(tau, out=tau)
+    sym[2:] = tau
     return sym
 
 
-def q_products(g11, g12, g21, g22, t11, t12, t22, b: float):
+def q_products(g11, g12, g21, g22, t11, t12, t22, b: float, out=None, scratch=None):
     """Physical (q11, q12, q22) of Q(grad u, tau) = Omega tau - tau Omega
     + b (Du tau + tau Du), from the physical values of g_ij = d_i u_j and tau.
 
-    Omega is the skew part of grad u; Omega_12 = omega/2.
+    Omega is the skew part of grad u; Omega_12 = omega/2. Written to the
+    triple out when given, with three scratch arrays when given; the second
+    and third may be g12 and g21 themselves, which are read before they are
+    written. Each value is the expression in the comment beside it,
+    evaluated in that order.
     """
-    a = 0.5 * (g12 - g21)  # omega/2
-    q11 = 2.0 * a * t12
-    q12 = a * (t22 - t11)
-    q22 = -q11
+    q11, q12, q22 = (None,) * 3 if out is None else out
+    s1, s2, s3 = (None,) * 3 if scratch is None else scratch
+    a = np.subtract(g12, g21, out=s1)
+    a *= 0.5                                  # a = 0.5 * (g12 - g21) = omega/2
+    if b != 0.0:
+        d12 = np.add(g12, g21, out=s3)
+        d12 *= 0.5                            # d12 = 0.5 * (g12 + g21)
+    q11 = np.multiply(2.0, a, out=q11)
+    q11 *= t12                                # q11 = 2.0 * a * t12
+    q12 = np.subtract(t22, t11, out=q12)
+    q12 *= a                                  # q12 = a * (t22 - t11)
+    q22 = np.negative(q11, out=q22)           # q22 = -q11
 
     if b != 0.0:
-        d12 = 0.5 * (g12 + g21)
-        d12t12 = d12 * t12
-        q11 += b * 2.0 * (g11 * t11 + d12t12)
-        q12 += b * (d12 * (t11 + t22) + t12 * (g11 + g22))
-        q22 += b * 2.0 * (g22 * t22 + d12t12)
+        d12t12 = np.multiply(d12, t12, out=s2)
+        t = np.multiply(g11, t11, out=a)
+        t += d12t12
+        t *= b * 2.0
+        q11 += t                              # q11 += b * 2.0 * (g11 * t11 + d12t12)
+        t = np.add(t11, t22, out=t)
+        t *= d12
+        g = np.add(g11, g22, out=d12)
+        g *= t12
+        t += g
+        t *= b
+        q12 += t                              # q12 += b * (d12 * (t11 + t22) + t12 * (g11 + g22))
+        t = np.multiply(g22, t22, out=t)
+        t += d12t12
+        t *= b * 2.0
+        q22 += t                              # q22 += b * 2.0 * (g22 * t22 + d12t12)
     return q11, q12, q22
 
 
@@ -190,19 +221,39 @@ def stokes_toy_vorticity(g: Grid, t11: np.ndarray, t12: np.ndarray,
     return -ops.r_numerator(g, t11, t12, t22) * g.inv_ksq
 
 
-def stokes_toy_velocity_modes(g: Grid, t11: np.ndarray, t12: np.ndarray,
-                              t22: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def stokes_toy_factors(g: Grid) -> tuple[np.ndarray, ...]:
+    """The per-mode factors of stokes_toy_velocity_modes: -i k2, the
+    r_factors k1^2 - k2^2 and k1 k2, 1/|k|^4, k1 (k1^2 - k2^2) and
+    (|k|^2 - k2^2) k2."""
+    diff, k1k2 = ops.r_factors(g)
+    return (-1j * g.k2, diff, k1k2, g.inv_ksq**2, g.k1 * diff,
+            (g.ksq - g.k2**2) * g.k2)
+
+
+def stokes_toy_velocity_modes(g: Grid, t11: np.ndarray, t12: np.ndarray, t22: np.ndarray,
+                              out=None, factors=None, scratch=None) -> tuple[np.ndarray, np.ndarray]:
     """Per mode, the Biot-Savart velocity (i k2, -i k1) psi of that vorticity,
     psi = -N / |k|^4 with N = r_numerator, expanded so that the k1 k1 k2 term
     of -i k1 psi is written with |k|^2 - k2^2 and stays even in k1 on the
-    Nyquist row (Grid)."""
-    k1, k2 = g.k1, g.k2
-    k2sq = k2**2
-    d = t22 - t11
-    diff = g.ksq - 2.0 * k2sq  # k1^2 - k2^2
-    inv4 = g.inv_ksq**2
-    u1 = -1j * k2 * (diff * t12 + k1 * k2 * d) * inv4
-    u2 = 1j * (k1 * diff * t12 + (g.ksq - k2sq) * k2 * d) * inv4
+    Nyquist row (Grid).
+
+    Written to the pair out when given, with the factors
+    (stokes_toy_factors of g unless given) and t22 - t11 in scratch when
+    given (as ops.velocity_modes)."""
+    minus_i_k2, diff, k1k2, inv4, k1diff, k2rest = (
+        stokes_toy_factors(g) if factors is None else factors)
+    u1, u2 = (None, None) if out is None else out
+    d = np.subtract(t22, t11, out=scratch)
+    u1 = np.multiply(diff, t12, out=u1)
+    u2 = np.multiply(k1k2, d, out=u2)
+    u1 += u2
+    u1 = np.multiply(minus_i_k2, u1, out=u1)
+    u1 *= inv4                   # u1 = -1j k2 (diff t12 + k1 k2 d) inv4
+    u2 = np.multiply(k1diff, t12, out=u2)
+    d *= k2rest
+    u2 += d
+    u2 = np.multiply(1j, u2, out=u2)
+    u2 *= inv4                   # u2 = 1j (k1 diff t12 + (|k|^2 - k2^2) k2 d) inv4
     return u1, u2
 
 
@@ -213,19 +264,143 @@ def stokes_toy_velocity(tau: SymTensorField) -> VectorField:
     return VectorField(ScalarField(g, u1), ScalarField(g, u2))
 
 
-def packed_velocity_modes(g: Grid, y, stokes_toy: bool):
-    """Per mode, the velocity of a packed stack y (or of any sequence of its
-    four rows): the Biot-Savart velocity of the vorticity row or, for the
-    Stokes toy, the Stokes velocity of the tau rows."""
-    if stokes_toy:
-        return stokes_toy_velocity_modes(g, *y[1:])
-    return ops.velocity_modes(g, y[0])
+def _complex(arrays) -> tuple[np.ndarray, ...]:
+    """The arrays as contiguous complex arrays: numpy would cast a real
+    factor through a fresh buffer in every product with a complex array, to
+    the same values."""
+    return tuple(np.asarray(a, dtype=np.complex128, order="C") for a in arrays)
+
+
+class Workspace:
+    """The buffers of rhs on one grid, reused by every call that is given
+    the workspace, and the per-mode factors it applies, made on first use
+    at each band.
+
+    A call with it allocates nothing. It copies the columns of its input
+    within the band (Grid.band), n//3+1 of n//2+1 for a dealiased stack, to
+    contiguous (n, width) arrays, and its per-mode products, inverse column
+    passes (grid.inverse_rfft2) and output rows keep that layout: numpy
+    buffers a strided column window through fresh arrays in every ufunc
+    call. Its forward column passes cover the n//3+1 columns the dealias
+    mask keeps. The column passes write `work`, which the row passes read
+    whole: load zeroes its columns past a band narrower than the one
+    before, so an earlier wide call leaves nothing there.
+    """
+
+    def __init__(self, grid: Grid):
+        n, shape = grid.n, grid.shape
+        self.grid = grid
+        self.keep = grid.dealias_cutoff + 1  # columns the dealias mask keeps
+        self.width = 0                       # columns of work that may be nonzero
+        spectra = np.empty((10,) + shape, dtype=np.complex128)
+        self.work, self.rows = spectra[0], spectra[1]  # rows: the row pass of forward
+        self.work[...] = 0.0
+        # The band layout: y, u_hat, a per-mode product and an output row.
+        self._band = spectra[2:].reshape(8, -1)
+        self._factors: dict[int, dict] = {}
+        values = np.empty((13, n, n))  # grid values
+        self.u, self.q, self.q_inputs = values[:2], values[2:5], values[5:12]
+        # Q's inputs are grad u, then tau. Q's scratch is one more array and
+        # the inputs g12 and g21 (q_products); once Q is made, the first
+        # two inputs hold a row's transport term and ops.transport's scratch.
+        self.q_scratch = (values[12], values[6], values[7])
+        self.tendency, self.scratch = values[5], values[6]
+
+    def load(self, y) -> np.ndarray:
+        """Take the band of the packed rows y (Grid.band) as the band of the
+        calls that follow, and return their columns within it, copied to
+        the band layout."""
+        n, width = self.grid.n, self.grid.band(*y) + 1
+        if width < self.width:
+            self.work[:, width:self.width] = 0.0
+        self.width = width
+        band = [a[:n * width].reshape(n, width) for a in self._band]
+        self.y, self.u_hat, (self.product, self.row) = band[:4], band[4:6], band[6:]
+        # The row pass's buffer, free outside forward, as one more.
+        self.spare = self.rows.reshape(-1)[:n * width].reshape(n, width)
+        for a, row in zip(self.y, y):
+            a[...] = row[:, :width]
+        return self.y
+
+    @property
+    def factors(self) -> dict:
+        """The per-mode factors of rhs within the band, in the band layout."""
+        width = self.width
+        if width not in self._factors:
+            g, keep = self._band_grid(), self.keep
+            mask = np.zeros(g.ksq.shape, dtype=np.complex128)
+            mask[:, :keep] = self.grid.dealias_mask[:, :keep]
+            self._factors[width] = {
+                "ik": _complex((1j * g.deriv_k1, 1j * g.deriv_k2)),
+                "velocity": _complex(ops.velocity_factors(g)),
+                "r": _complex(ops.r_factors(g)), "mask": mask}
+        return self._factors[width]
+
+    @property
+    def stokes_toy_factors(self) -> tuple[np.ndarray, ...]:
+        factors = self.factors
+        if "stokes_toy" not in factors:
+            factors["stokes_toy"] = _complex(stokes_toy_factors(self._band_grid()))
+        return factors["stokes_toy"]
+
+    def _band_grid(self) -> SimpleNamespace:
+        """The grid's per-mode arrays within the band, under their Grid
+        names: the factor functions take it for a Grid."""
+        return SimpleNamespace(**{name: getattr(self.grid, name)[:, :self.width] for name in
+                                  ("k1", "k2", "ksq", "inv_ksq", "deriv_k1", "deriv_k2")})
+
+    def store(self, a: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Write the band-layout array a to the half spectrum out, zero past
+        the band."""
+        out[:, :self.width] = a
+        out[:, self.width:] = 0.0
+        return out
+
+    def inverse(self, a: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """The grid values of the band-layout array a, in out."""
+        return inverse_rfft2(a, self.width, self.work, out)
+
+    def derivative(self, f: np.ndarray, i: int, out: np.ndarray | None) -> np.ndarray:
+        """The grid values of the derivative of the band-layout array f
+        along axis i (ops.transport), in out, or in the scratch buffer when
+        out is None."""
+        np.multiply(self.factors["ik"][i], f, out=self.product)
+        return self.inverse(self.product, self.scratch if out is None else out)
+
+    def grad_u(self, i: int, j: int, out: np.ndarray) -> np.ndarray:
+        """The modes of g_ij = d_i u_j in out (band layout), from the
+        velocity modes that velocity left in u_hat."""
+        return np.multiply(self.factors["ik"][i], self.u_hat[j], out=out)
+
+    def velocity(self, stokes_toy: bool) -> tuple[np.ndarray, np.ndarray]:
+        """The grid values (u1, u2) of the velocity of the loaded rows: the
+        Biot-Savart velocity of the vorticity row or, for the Stokes toy,
+        the Stokes velocity of the tau rows. Its modes are left in u_hat."""
+        if stokes_toy:
+            stokes_toy_velocity_modes(self.grid, *self.y[1:], out=self.u_hat,
+                                      factors=self.stokes_toy_factors, scratch=self.product)
+        else:
+            ops.velocity_modes(self.grid, self.y[0], out=self.u_hat,
+                               factors=self.factors["velocity"])
+        return tuple(map(self.inverse, self.u_hat, self.u))
+
+    def forward(self, values: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """rfft2(values, norm="forward") times the dealias mask, in bytes,
+        into the band-layout array out: rfft along axis 1, then fft along
+        axis 0 of the columns the mask keeps, the two 1-D passes rfft2
+        makes; the other columns are 0."""
+        keep = self.keep
+        rows = np.fft.rfft(values, axis=1, norm="forward", out=self.rows)
+        out[:, keep:] = 0.0
+        np.fft.fft(rows[:, :keep], axis=0, norm="forward", out=out[:, :keep])
+        return np.multiply(out, self.factors["mask"], out=out)
 
 
 def rhs(y: np.ndarray, grid: Grid, params: ModelParams,
-        forcing: np.ndarray | None = None) -> np.ndarray:
+        forcing: np.ndarray | None = None, out: np.ndarray | None = None,
+        work: Workspace | None = None) -> np.ndarray:
     """Explicit tendency of a packed stack (omega, tau11, tau12, tau22), as a
-    packed stack.
+    packed stack, written to out (which must not overlap y) when given.
 
     This is d/dt of the state without the stiff part linear_symbol * y,
     which the integrating factor carries; time_derivative gives the full
@@ -234,38 +409,48 @@ def rhs(y: np.ndarray, grid: Grid, params: ModelParams,
     Stokes toy the vorticity row is 0 and the velocity comes from the tau
     rows. A packed forcing stack is added as it is. Every array transformed
     back is a per-mode multiple of rows of y, so one check of y sets the
-    band of every inverse transform (Grid.band).
+    band of every inverse transform (Grid.band). The buffers are those of
+    the Workspace work, made here when not given; the output is the same in
+    bytes either way.
     """
-    mask = grid.dealias_mask
-    ik1, ik2 = 1j * grid.deriv_k1, 1j * grid.deriv_k2
-    phys = grid.inverse(grid.band(y))
+    work = Workspace(grid) if work is None else work
+    out = np.empty_like(y) if out is None else out
+    yb = work.load(y)
+    row = work.row
 
     stokes = params.variant == "stokes_toy"
-    u1_hat, u2_hat = packed_velocity_modes(grid, y, stokes)
-    transport = ops.transport(phys, (phys(u1_hat), phys(u2_hat)), (ik1, ik2))
-
-    out = np.empty_like(y)
+    transport = ops.transport(work.derivative, work.velocity(stokes))
     if stokes:
         out[0] = 0.0
     else:
-        np.multiply(np.fft.rfft2(transport(y[0]), norm="forward"), mask, out=out[0])
-        if params.K != 0.0:
-            out[0] -= params.K * ops.r_numerator(grid, *y[1:])  # K curl(div(tau))
-        out[0, 0, 0] = 0.0
+        work.forward(transport(yb[0], work.tendency), row)
+        if params.K != 0.0:  # K curl(div(tau))
+            r = ops.r_numerator(grid, *yb[1:], out=work.product,
+                                factors=work.factors["r"], scratch=work.spare)
+            r *= params.K
+            row -= r
+        row[0, 0] = 0.0
+        work.store(row, out[0])
 
-    grad_u = (ik1 * u1_hat, ik1 * u2_hat, ik2 * u1_hat, ik2 * u2_hat)  # g_ij = d_i u_j
-    tendency = [transport(t) for t in y[1:]]
     if params.q_enabled:
-        q = q_products(*map(phys, grad_u), *map(phys, y[1:]), params.b)
-        for values, q_c in zip(tendency, q):
-            values += q_c
-    for row, values in zip(out[1:], tendency):
-        np.multiply(np.fft.rfft2(values, norm="forward"), mask, out=row)
-    if params.alpha != 0.0:
-        g11, g12, g21, g22 = grad_u
-        out[1] += params.alpha * g11
-        out[2] += params.alpha * (0.5 * (g12 + g21))
-        out[3] += params.alpha * g22
+        g_values = [work.inverse(work.grad_u(i, j, work.product), v)
+                    for (i, j), v in zip(((0, 0), (0, 1), (1, 0), (1, 1)), work.q_inputs)]
+        t_values = [work.inverse(t, v) for t, v in zip(yb[1:], work.q_inputs[4:])]
+        q = q_products(*g_values, *t_values, params.b, out=work.q, scratch=work.q_scratch)
+    for c, t in enumerate(yb[1:]):
+        values = transport(t, work.tendency)
+        if params.q_enabled:
+            values += q[c]
+        work.forward(values, row)
+        if params.alpha != 0.0:  # alpha Du: g11, 0.5 * (g12 + g21), g22
+            if c == 1:
+                du = np.add(work.grad_u(0, 1, work.product), work.grad_u(1, 0, work.spare),
+                            out=work.product)
+                du *= 0.5
+            else:
+                du = work.grad_u(c // 2, c // 2, work.product)
+            row += np.multiply(params.alpha, du, out=du)
+        work.store(row, out[1 + c])
 
     if forcing is not None:
         out += forcing

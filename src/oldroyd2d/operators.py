@@ -45,10 +45,22 @@ def curl(v: VectorField) -> ScalarField:
     return deriv(v.u2, 1) - deriv(v.u1, 2)
 
 
-def velocity_modes(g: Grid, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Biot-Savart per mode: u_hat = (i k2, -i k1) w_hat / |k|^2."""
-    psi = g.inv_ksq * w  # stream function: -Laplace(psi) = omega
-    return 1j * g.k2 * psi, -1j * g.k1 * psi
+def velocity_factors(g: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The per-mode factors (1/|k|^2, i k2, -i k1) of velocity_modes."""
+    return g.inv_ksq, 1j * g.k2, -1j * g.k1
+
+
+def velocity_modes(g: Grid, w: np.ndarray, out=None, factors=None) -> tuple[np.ndarray, np.ndarray]:
+    """Biot-Savart per mode: u_hat = (i k2, -i k1) w_hat / |k|^2.
+
+    Written to the pair out when given, with the factors (velocity_factors
+    of g unless given): a caller that passes both, cut to the same columns
+    as w, allocates nothing (model.Workspace)."""
+    inv_ksq, i_k2, minus_i_k1 = velocity_factors(g) if factors is None else factors
+    u1, u2 = (None, None) if out is None else out
+    psi = np.multiply(inv_ksq, w, out=u2)  # stream function: -Laplace(psi) = omega
+    u1 = np.multiply(i_k2, psi, out=u1)
+    return u1, np.multiply(minus_i_k1, psi, out=psi)
 
 
 def biot_savart(omega: ScalarField) -> VectorField:
@@ -105,11 +117,25 @@ def sym_grad_of(g: VelocityGradient) -> SymTensorField:
     return SymTensorField(t11=g.g11, t12=0.5 * (g.g12 + g.g21), t22=g.g22)
 
 
-def r_numerator(g: Grid, t11: np.ndarray, t12: np.ndarray, t22: np.ndarray) -> np.ndarray:
+def r_factors(g: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """The per-mode factors (k1^2 - k2^2, k1 k2) of r_numerator. k1^2 - k2^2
+    is written |k|^2 - 2 k2^2, which keeps it even in k1 on the Nyquist row
+    (Grid)."""
+    return g.ksq - 2.0 * g.k2**2, g.k1 * g.k2
+
+
+def r_numerator(g: Grid, t11: np.ndarray, t12: np.ndarray, t22: np.ndarray,
+                out=None, factors=None, scratch=None) -> np.ndarray:
     """Per mode (k1^2 - k2^2) t12 + k1 k2 (t22 - t11), shared by R and curl div.
-    k1^2 - k2^2 is written |k|^2 - 2 k2^2, which keeps it even in k1 on the
-    Nyquist row (Grid)."""
-    return (g.ksq - 2.0 * g.k2**2) * t12 + g.k1 * g.k2 * (t22 - t11)
+
+    Written to out when given, with the factors (r_factors of g unless
+    given) and t22 - t11 in scratch when given (as velocity_modes)."""
+    diff, k1k2 = r_factors(g) if factors is None else factors
+    out = np.multiply(diff, t12, out=out)
+    d = np.subtract(t22, t11, out=scratch)
+    d *= k1k2
+    out += d
+    return out
 
 
 def _r_numerator(tau: SymTensorField) -> np.ndarray:
@@ -153,19 +179,19 @@ def multiply_physical(grid: Grid, values: np.ndarray) -> ScalarField:
     return dealias(ScalarField.from_physical(grid, values))
 
 
-def transport(inverse, u: tuple[np.ndarray, np.ndarray], ik: tuple[np.ndarray, np.ndarray]):
+def transport(derivative, u: tuple[np.ndarray, np.ndarray]):
     """The function from a half spectrum f to the grid values of the
-    transport term -u . grad f: the gradient is taken with the derivative
-    multipliers ik = (i k1, i k2) and brought back with inverse
-    (Grid.inverse), and u holds the velocity's grid values.
-    model.rhs and advect are this one kernel."""
+    transport term -u . grad f, written to out when given: derivative(f, i,
+    out) gives the grid values of the derivative of f along axis i = 0, 1
+    (the multiplier i k1 or i k2 and an inverse transform), in out when it
+    is not None, and u holds the velocity's grid values. model.rhs and
+    advect are this one kernel."""
     u1, u2 = u
-    ik1, ik2 = ik
 
-    def minus_advection(f: np.ndarray) -> np.ndarray:
-        a = inverse(ik1 * f)
+    def minus_advection(f: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        a = derivative(f, 0, out)
         a *= u1
-        b = inverse(ik2 * f)
+        b = derivative(f, 1, None)
         b *= u2
         a += b
         return np.negative(a, out=a)
@@ -178,7 +204,8 @@ def advect(u: VectorField, f: ScalarField) -> ScalarField:
     kernel of model.rhs; the velocity's grid values are made once per
     VectorField (VectorField.values)."""
     g = f.grid
-    minus = transport(g.inverse(g.band(f.coeffs)), u.values, (1j * g.deriv_k1, 1j * g.deriv_k2))
+    inverse, ik = g.inverse(g.band(f.coeffs)), (1j * g.deriv_k1, 1j * g.deriv_k2)
+    minus = transport(lambda c, i, out: inverse(ik[i] * c), u.values)
     out = np.fft.rfft2(minus(f.coeffs), norm="forward")
     np.multiply(out, g.dealias_mask, out=out)
     return ScalarField(g, np.negative(out, out=out))

@@ -15,8 +15,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError, IntegrationError
-from .model import (ModelParams, SimState, linear_symbol, make_state, packed_velocity_modes,
-                    rhs, stack, unstack)
+from .grid import Grid
+from .model import ModelParams, SimState, Workspace, linear_symbol, make_state, rhs, stack, unstack
 
 SCHEMES = ("ifrk2", "ifrk4")
 
@@ -48,24 +48,21 @@ class StepConfig:
         if self.t_end < 0.0:
             raise ConfigError(f"t_end must be >= 0, got {self.t_end}")
 
-    @property
-    def order(self) -> int:
-        return 2 if self.scheme == "ifrk2" else 4
 
-
-def cfl_dt(state: SimState, config: StepConfig) -> float:
+def cfl_dt(state: SimState, config: StepConfig, work: Workspace | None = None) -> float:
     """Advective CFL step: clamp(cfl * h / max(|u|_inf, floor), dt_min, dt_max).
 
     max|u| is taken on the grid from the velocity modes of the state (for a
     Stokes-toy state, the Stokes velocity of its tau), with two inverse
-    transforms (Grid.inverse).
+    transforms, in the buffers of the rhs workspace work (made here when
+    not given).
     """
-    grid = state.grid
+    work = Workspace(state.grid) if work is None else work
     rows = tuple(c.coeffs for c in (state.omega, *state.tau.components))
-    modes = packed_velocity_modes(grid, rows, state.stokes_toy)
-    u1, u2 = map(grid.inverse(grid.band(*modes)), modes)
-    umax = float(np.max(np.hypot(u1, u2)))
-    dt = config.cfl * grid.h / max(umax, CFL_VELOCITY_FLOOR)
+    work.load(rows)
+    u1, u2 = work.velocity(state.stokes_toy)
+    umax = float(np.max(np.hypot(u1, u2, out=work.scratch)))
+    dt = config.cfl * state.grid.h / max(umax, CFL_VELOCITY_FLOOR)
     return min(max(dt, config.dt_min), config.dt_max)
 
 
@@ -76,16 +73,45 @@ def _max_norm(y: np.ndarray) -> float:
     return max(float(np.max(v)), -float(np.min(v)))
 
 
+class StepWorkspace:
+    """The buffers of step for one grid and scheme: the state's packed
+    stack, the stage input, the slope accumulators, the integrating factors
+    and the rhs Workspace. integrate owns one while it steps and drops it
+    before each observation (CONVENTIONS.md "Time stepping")."""
+
+    def __init__(self, grid: Grid, scheme: str):
+        shape = (4,) + grid.shape
+        ifrk2 = scheme == "ifrk2"
+        self.factors = np.empty((1 if ifrk2 else 2,) + shape)  # e, h
+        stacks = np.empty((4 if ifrk2 else 5,) + shape, dtype=np.complex128)
+        self.y, self.stage, self.k = stacks[0], stacks[1], stacks[2:]
+        self.rhs = Workspace(grid)
+
+
+def _packed(state: SimState, out: np.ndarray) -> np.ndarray:
+    """The packed stack of the state: the stack its arrays are the rows of,
+    when they are (a state that step made), else their copy in out."""
+    rows = [c.coeffs for c in (state.omega, *state.tau.components)]
+    base = rows[0].base
+    if (isinstance(base, np.ndarray) and base.shape == out.shape
+            and base.dtype == out.dtype and base.flags.c_contiguous
+            and all(r.base is base and r.ctypes.data == b.ctypes.data and r.strides == b.strides
+                    for r, b in zip(rows, base))):
+        return base
+    return stack(state.omega, state.tau, out=out)
+
+
 def step(state: SimState, dt: float, params: ModelParams, config: StepConfig,
-         forcing: np.ndarray | None = None) -> SimState:
+         forcing: np.ndarray | None = None, work: StepWorkspace | None = None) -> SimState:
     """Advance one step of size dt > 0.
 
     The state's coefficient arrays are stacked once into the (4, n, n//2+1)
     stack (omega, tau11, tau12, tau22), and the new state holds the rows of
-    the new stack. Each stage is
-    one whole-array expression in that stack, the integrating factors
-    exp(c dt L) of the linear symbol L and the explicit tendencies from rhs;
-    a forcing is a packed stack too.
+    the new stack, the one array a step allocates when given the
+    StepWorkspace work of its grid and scheme (made here when not given). Each stage is the whole-array expression in its comment,
+    evaluated in that order into the workspace, from the integrating
+    factors exp(c dt L) of the linear symbol L and the explicit tendencies
+    from rhs; a forcing is a packed stack too.
 
     Raises IntegrationError at t + dt when the new stack holds a non-finite
     value, or when its coefficient max-norm (over real and imaginary parts)
@@ -95,27 +121,49 @@ def step(state: SimState, dt: float, params: ModelParams, config: StepConfig,
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
     grid = state.grid
-    sym = linear_symbol(grid, params)
-    e = np.exp(dt * sym)
+    work = StepWorkspace(grid, config.scheme) if work is None else work
+    y, s, k = _packed(state, work.y), work.stage, work.k
+    e = work.factors[0]
+    np.exp(np.multiply(dt, linear_symbol(grid, params, out=e), out=e), out=e)
 
-    y = stack(state.omega, state.tau)
-    n_of = lambda yy: rhs(yy, grid, params, forcing)
+    def n_of(yy, out):
+        return rhs(yy, grid, params, forcing, out=out, work=work.rhs)
 
-    # The stage slopes share one allocation. Freeing it raises glibc's
-    # dynamic mmap threshold to its size, so the heap keeps the memory of
-    # the rhs temporaries between calls rather than return it and fault it
-    # in again (at n = 256, 4x the minor faults of a step without it).
-    k = np.empty((config.order,) + y.shape, dtype=np.complex128)
-    k[0] = n_of(y)
+    n_of(y, k[0])
     if config.scheme == "ifrk2":
-        k[1] = n_of(e * (y + dt * k[0]))
-        ynew = e * y + 0.5 * dt * (e * k[0] + k[1])
+        np.multiply(dt, k[0], out=s)
+        s += y
+        s *= e
+        n_of(s, k[1])                 # k1 = N(e * (y + dt * k0))
+        k[0] *= e
+        k[0] += k[1]
+        k[0] *= 0.5 * dt              # 0.5 * dt * (e * k0 + k1)
     else:
-        h = np.exp(0.5 * dt * sym)
-        k[1] = n_of(h * (y + 0.5 * dt * k[0]))
-        k[2] = n_of(h * y + 0.5 * dt * k[1])
-        k[3] = n_of(e * y + dt * h * k[2])
-        ynew = e * y + (dt / 6.0) * (e * k[0] + 2.0 * h * (k[1] + k[2]) + k[3])
+        h = work.factors[1]
+        np.exp(np.multiply(0.5 * dt, linear_symbol(grid, params, out=h), out=h), out=h)
+        r = s.reshape(-1).view(np.float64)[:h.size].reshape(h.shape)  # a real scratch in s
+        np.multiply(0.5 * dt, k[0], out=s)
+        s += y
+        s *= h
+        n_of(s, k[1])                 # k1 = N(h * (y + 0.5 * dt * k0))
+        np.multiply(0.5 * dt, k[1], out=k[2])
+        np.multiply(h, y, out=s)
+        s += k[2]
+        n_of(s, k[2])                 # k2 = N(h * y + 0.5 * dt * k1)
+        k[1] += k[2]                  # k1 + k2
+        np.multiply(dt, h, out=r)
+        k[2] *= r
+        np.multiply(e, y, out=s)      # overwrites r
+        s += k[2]
+        n_of(s, k[2])                 # k3 = N(e * y + dt * h * k2), in k2's place
+        k[0] *= e
+        h *= 2.0
+        k[1] *= h
+        k[0] += k[1]
+        k[0] += k[2]
+        k[0] *= dt / 6.0              # dt / 6 * (e * k0 + 2.0 * h * (k1 + k2) + k3)
+    ynew = np.multiply(e, y)
+    ynew += k[0]                      # e * y + the sum above
 
     peak = _max_norm(ynew)
     if not math.isfinite(peak):
@@ -142,6 +190,9 @@ def integrate(state0: SimState, params: ModelParams, config: StepConfig,
     Under CFL control (dt_min < dt_max), a CFL step at or below dt_min
     raises IntegrationError("step size underflow") rather than step with a
     Courant number above cfl; with dt_min == dt_max every step is that size.
+
+    The steps and CFL steps share one StepWorkspace, made before the first
+    step after an observation and dropped before the next observation.
     """
     state = state0
     t_end = config.t_end
@@ -158,17 +209,20 @@ def integrate(state0: SimState, params: ModelParams, config: StepConfig,
         next_tick = t0 + observe_every
     pending = sorted(t for t in land_times if state.t + eps < t < t_end - eps)
 
+    work = None
     while state.t < t_end - eps:
         target = min(next_tick, pending[0] if pending else t_end)
         if target > t_end - eps:
             target = t_end
-        dt = cfl_dt(state, config)
+        if work is None:
+            work = StepWorkspace(state.grid, config.scheme)
+        dt = cfl_dt(state, config, work.rhs)
         if dt <= config.dt_min < config.dt_max:
             raise IntegrationError(state.t, "step size underflow")
         t_new = state.t + dt
         if t_new >= target - eps:  # the step reaches the target: end it there
             dt, t_new = target - state.t, target
-        state = step(state, dt, params, config, forcing)
+        state = step(state, dt, params, config, forcing, work)
         if state.t != t_new:
             state = replace(state, t=t_new)
 
@@ -182,8 +236,10 @@ def integrate(state0: SimState, params: ModelParams, config: StepConfig,
             landed = True
             pending.pop(0)
         if landed and observer is not None and state.t < t_end - eps:
+            work = None
             observer(state)  # the t_end call below covers the final landing
 
+    work = None
     if observer is not None:
         observer(state)
     return state

@@ -14,8 +14,8 @@ import pytest
 from oldroyd2d import operators as ops
 from oldroyd2d.fields import ScalarField, VectorField
 from oldroyd2d.grid import Grid
-from oldroyd2d.model import (ModelParams, commutator_r_advect, make_state, q_products, rhs,
-                             stack, unstack)
+from oldroyd2d.model import (ModelParams, Workspace, commutator_r_advect, make_state, q_products,
+                             rhs, stack, unstack)
 
 from conftest import (full_advect, full_coeffs, full_r, full_values, full_wavevectors,
                       half_field, nyquist_state, rand_state, reference_advect,
@@ -114,6 +114,32 @@ class TestPackedRhs:
         got_values = [np.fft.irfft2(a, s=(32, 32), norm="forward") for a in got]
         want_values = [full_values(a) for a in want]
         assert max(row_errors(got_values, want_values)) <= TOL
+
+
+class TestWorkspace:
+    """A Workspace reused across calls whose band narrows and widens again
+    gives the bytes of a fresh one: a column of the inverse transform's
+    buffer or of the output left by a wide call must not show in a
+    narrow one."""
+
+    @pytest.mark.parametrize("forced", [False, True], ids=["free", "forced"])
+    @pytest.mark.parametrize("name", ["full_b", "q_zero", "stokes_toy_q"])
+    def test_reused_workspace_gives_fresh_bytes(self, name, forced, grid32):
+        grid, params = grid32, VARIANTS[name]
+        push = band_state(grid, 35, params)
+        forcing = stack(push.omega, push.tau) if forced else None
+        states = [band_state(grid, 36, params), nyquist_state(grid, 37, params),
+                  band_state(grid, 38, params)]
+        work, out = Workspace(grid), np.empty((4,) + grid.shape, dtype=np.complex128)
+        bands = []
+        for state in states:
+            y = stack(state.omega, state.tau)
+            bands.append(grid.band(y))
+            got = rhs(y, grid, params, forcing, out=out, work=work)
+            assert got is out
+            want = rhs(y, grid, params, forcing)
+            assert got.tobytes() == want.tobytes()
+        assert bands == [10, 16, 10]
 
 
 class TestPackUnpack:

@@ -1,15 +1,18 @@
 """Time integration: CFL control, integrating-factor exactness, cadence."""
 
 import math
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
+from oldroyd2d import stepping
 from oldroyd2d.errors import ConfigError, IntegrationError
 from oldroyd2d.fields import ScalarField, SymTensorField
 from oldroyd2d.grid import Grid
 from oldroyd2d.model import ModelParams, make_state, rhs, stack, unstack
-from oldroyd2d.stepping import StepConfig, cfl_dt, integrate, step
+from oldroyd2d.stepping import StepConfig, StepWorkspace, cfl_dt, integrate, step
 
 from conftest import (field_from, full_coeffs, full_r, full_values, full_wavevectors,
                       nyquist_state, rand_state)
@@ -183,6 +186,59 @@ class TestStackedStages:
         want = _componentwise_step(state, 0.05, params, scheme)
         assert got.t == want.t
         assert np.array_equal(stack(got.omega, got.tau), stack(want.omega, want.tau))
+
+
+class TestStepWorkspace:
+    PARAMS = ModelParams(nu=0.0, mu=0.7, K=1.2, alpha=0.9, beta=0.3, b=0.4)
+
+    @pytest.mark.parametrize("scheme", ["ifrk2", "ifrk4"])
+    @pytest.mark.parametrize("n", [32, 64])
+    def test_warm_step_allocates_little(self, n, scheme):
+        # A step that reuses its workspace allocates the new state's stack
+        # and little else: the traced peak stays under 4 packed stacks.
+        grid, params, config = Grid(n), self.PARAMS, StepConfig(scheme=scheme)
+        seed = rand_state(grid, 10, band=(1, n // 3))
+        state = make_state(0.0, seed.omega, seed.tau, params)
+        work = StepWorkspace(grid, scheme)
+        state = step(state, 0.01, params, config, work=work)
+        tracemalloc.start()
+        try:
+            step(state, 0.01, params, config, work=work)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * (4 * n * (n // 2 + 1) * 16)
+
+    @pytest.mark.parametrize("scheme", ["ifrk2", "ifrk4"])
+    def test_reused_workspace_gives_fresh_bytes(self, grid32, scheme):
+        # a Nyquist state widens every band, and the next state narrows it
+        params, config = self.PARAMS, StepConfig(scheme=scheme)
+        work = StepWorkspace(grid32, scheme)
+        for state in (rand_state(grid32, 11, band=(1, 10)), nyquist_state(grid32, 12, params),
+                      rand_state(grid32, 13, band=(1, 10))):
+            state = make_state(0.0, state.omega, state.tau, params)
+            for _ in range(2):  # then from a state that a step made
+                got = step(state, 0.01, params, config, work=work)
+                want = step(state, 0.01, params, config)
+                assert stack(got.omega, got.tau).tobytes() == stack(want.omega, want.tau).tobytes()
+                state = got
+
+    def test_integrate_drops_the_workspace_before_observing(self, grid32, monkeypatch):
+        made = []
+
+        class Tracked(StepWorkspace):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(weakref.ref(self))
+
+        alive = []
+        monkeypatch.setattr(stepping, "StepWorkspace", Tracked)
+        state = rand_state(grid32, 14, omega_amp=0.1, tau_amp=0.1)
+        integrate(state, self.PARAMS, StepConfig(dt_max=0.03, t_end=0.3),
+                  observer=lambda s: alive.append(sum(r() is not None for r in made)),
+                  observe_every=0.1)
+        assert alive == [0, 0, 0, 0]
+        assert len(made) == 3  # one per stretch between observations
 
 
 class TestIntegrate:
