@@ -292,6 +292,9 @@ class Workspace:
         self.grid = grid
         self.keep = grid.dealias_cutoff + 1  # columns the dealias mask keeps
         self.width = 0                       # columns of work that may be nonzero
+        # One allocation per kind of buffer: with one per buffer, an 8-second
+        # stepping_full_n256 benchmark run took 208 000 minor page faults
+        # instead of 164 000 (BENCH_15.json "earlier_runs").
         spectra = np.empty((10,) + shape, dtype=np.complex128)
         self.work, self.rows = spectra[0], spectra[1]  # rows: the row pass of forward
         self.work[...] = 0.0
@@ -336,13 +339,6 @@ class Workspace:
                 "r": _complex(ops.r_factors(g)), "mask": mask}
         return self._factors[width]
 
-    @property
-    def stokes_toy_factors(self) -> tuple[np.ndarray, ...]:
-        factors = self.factors
-        if "stokes_toy" not in factors:
-            factors["stokes_toy"] = _complex(stokes_toy_factors(self._band_grid()))
-        return factors["stokes_toy"]
-
     def _band_grid(self) -> SimpleNamespace:
         """The grid's per-mode arrays within the band, under their Grid
         names: the factor functions take it for a Grid."""
@@ -377,8 +373,11 @@ class Workspace:
         Biot-Savart velocity of the vorticity row or, for the Stokes toy,
         the Stokes velocity of the tau rows. Its modes are left in u_hat."""
         if stokes_toy:
+            factors = self.factors
+            if "stokes_toy" not in factors:
+                factors["stokes_toy"] = _complex(stokes_toy_factors(self._band_grid()))
             stokes_toy_velocity_modes(self.grid, *self.y[1:], out=self.u_hat,
-                                      factors=self.stokes_toy_factors, scratch=self.product)
+                                      factors=factors["stokes_toy"], scratch=self.product)
         else:
             ops.velocity_modes(self.grid, self.y[0], out=self.u_hat,
                                factors=self.factors["velocity"])
