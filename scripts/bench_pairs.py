@@ -4,9 +4,8 @@ BENCH_<label>.json files.
 
 Usage:
 
-    python3 scripts/bench_pairs.py BASE CHANGE --out BENCH_15.json \\
-        [--seeds 451-460] [--seconds 25] [--workloads a,b,c] [--traced] \\
-        [--label 15] [--title TEXT]
+    python3 scripts/bench_pairs.py BASE CHANGE --out BENCH_N.json --seeds FIRST-LAST \\
+        [--seconds 25] [--workloads a,b,c] [--traced] [--label N]
 
 BASE and CHANGE are git revisions of this repository; each is unpacked
 with `git archive` into a temporary directory, which is removed at the
@@ -124,13 +123,12 @@ def main(argv=None) -> int:
     parser.add_argument("base")
     parser.add_argument("change")
     parser.add_argument("--out", required=True, help="the BENCH file to write")
-    parser.add_argument("--seeds", default="451-460", help="first-last, inclusive")
+    parser.add_argument("--seeds", required=True, help="first-last, inclusive")
     parser.add_argument("--seconds", type=float, default=25.0)
     parser.add_argument("--workloads", default="observing_qzero_n128,sweep_decay_n64,"
                                                 "stepping_full_n256")
     parser.add_argument("--traced", action="store_true")
-    parser.add_argument("--label", default=None)
-    parser.add_argument("--title", default="")
+    parser.add_argument("--label", type=int, default=None)
     args = parser.parse_args(argv)
 
     seeds, workloads = seed_range(args.seeds), args.workloads.split(",")
@@ -139,7 +137,7 @@ def main(argv=None) -> int:
         for side, rev in zip(SIDES, (args.base, args.change)):
             dirs[side], revs[side] = checkout(rev, Path(tmp) / side)
         machine = None
-        report = {"label": args.label, "title": args.title,
+        report = {"label": args.label,
                   "base": revs["parent"], "change": revs["change"], "machine": None,
                   "commands": {
                       "pairs": {

@@ -306,6 +306,10 @@ class Workspace:
         # Q's inputs are grad u, then tau. Q's scratch is one more array and
         # the inputs g12 and g21 (q_products); once Q is made, the first
         # two inputs hold a row's transport term and ops.transport's scratch.
+        # These shared slots and `spare` below are correct only in rhs's
+        # call order; a slot of its own for each raised an 8-second
+        # stepping_full_n256 run's peak_rss_mb from 87.0 to 89.5 MB
+        # (BENCH_15.json "earlier_runs").
         self.q_scratch = (values[12], values[6], values[7])
         self.tendency, self.scratch = values[5], values[6]
 

@@ -88,28 +88,16 @@ class StepWorkspace:
         self.rhs = Workspace(grid)
 
 
-def _packed(state: SimState, out: np.ndarray) -> np.ndarray:
-    """The packed stack of the state: the stack its arrays are the rows of,
-    when they are (a state that step made), else their copy in out."""
-    rows = [c.coeffs for c in (state.omega, *state.tau.components)]
-    base = rows[0].base
-    if (isinstance(base, np.ndarray) and base.shape == out.shape
-            and base.dtype == out.dtype and base.flags.c_contiguous
-            and all(r.base is base and r.ctypes.data == b.ctypes.data and r.strides == b.strides
-                    for r, b in zip(rows, base))):
-        return base
-    return stack(state.omega, state.tau, out=out)
-
-
 def step(state: SimState, dt: float, params: ModelParams, config: StepConfig,
          forcing: np.ndarray | None = None, work: StepWorkspace | None = None) -> SimState:
     """Advance one step of size dt > 0.
 
     The state's coefficient arrays are stacked once into the (4, n, n//2+1)
-    stack (omega, tau11, tau12, tau22), and the new state holds the rows of
-    the new stack, the one array a step allocates when given the
-    StepWorkspace work of its grid and scheme (made here when not given). Each stage is the whole-array expression in its comment,
-    evaluated in that order into the workspace, from the integrating
+    stack (omega, tau11, tau12, tau22) of the StepWorkspace work of its grid
+    and scheme (made here when not given), and the new state holds the rows
+    of the new stack, the one array a step allocates when given work. Each
+    stage is the whole-array expression in its comment, evaluated in that
+    order into the workspace, from the integrating
     factors exp(c dt L) of the linear symbol L and the explicit tendencies
     from rhs; a forcing is a packed stack too.
 
@@ -122,7 +110,7 @@ def step(state: SimState, dt: float, params: ModelParams, config: StepConfig,
         raise ValueError(f"dt must be positive, got {dt}")
     grid = state.grid
     work = StepWorkspace(grid, config.scheme) if work is None else work
-    y, s, k = _packed(state, work.y), work.stage, work.k
+    y, s, k = stack(state.omega, state.tau, out=work.y), work.stage, work.k
     e = work.factors[0]
     np.exp(np.multiply(dt, linear_symbol(grid, params, out=e), out=e), out=e)
 
