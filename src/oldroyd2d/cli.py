@@ -142,7 +142,7 @@ def main(argv=None) -> int:
         for msg in exc.messages:
             print(f"config error: {msg}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    except (SnapshotError, FileNotFoundError) as exc:
+    except (SnapshotError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUN_FAILURE
 

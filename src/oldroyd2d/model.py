@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -124,9 +123,8 @@ def make_state(t: float, omega: ScalarField, tau: SymTensorField,
                params: ModelParams | None = None) -> SimState:
     """Build a state; for the Stokes toy the vorticity is diagnosed from tau."""
     stokes_toy = params is not None and params.variant == "stokes_toy"
-    if stokes_toy:
-        omega = ScalarField(tau.grid, stokes_toy_vorticity(
-            tau.grid, *(c.coeffs for c in tau.components)))
+    if stokes_toy:  # the vorticity -R(tau) of the Stokes problem
+        omega = -ops.riesz_r(tau)
     return SimState(t=t, omega=omega, tau=tau, stokes_toy=stokes_toy)
 
 
@@ -213,46 +211,25 @@ def q_form(grad_u: ops.VelocityGradient, tau: SymTensorField, b: float) -> SymTe
     return SymTensorField(*(ops.multiply_physical(g, v) for v in q))
 
 
-def stokes_toy_vorticity(g: Grid, t11: np.ndarray, t12: np.ndarray,
-                         t22: np.ndarray) -> np.ndarray:
-    """Per mode, the vorticity -R(tau) of the Stokes problem
-    -Laplace(u) + grad p = div(tau), whose curl is -Laplace(omega) = curl div
-    tau."""
-    return -ops.r_numerator(g, t11, t12, t22) * g.inv_ksq
-
-
-def stokes_toy_factors(g: Grid) -> tuple[np.ndarray, ...]:
-    """The per-mode factors of stokes_toy_velocity_modes: -i k2, the
-    r_factors k1^2 - k2^2 and k1 k2, 1/|k|^4, k1 (k1^2 - k2^2) and
-    (|k|^2 - k2^2) k2."""
-    diff, k1k2 = ops.r_factors(g)
-    return (-1j * g.k2, diff, k1k2, g.inv_ksq**2, g.k1 * diff,
-            (g.ksq - g.k2**2) * g.k2)
-
-
-def stokes_toy_velocity_modes(g: Grid, t11: np.ndarray, t12: np.ndarray, t22: np.ndarray,
-                              out=None, factors=None, scratch=None) -> tuple[np.ndarray, np.ndarray]:
-    """Per mode, the Biot-Savart velocity (i k2, -i k1) psi of that vorticity,
-    psi = -N / |k|^4 with N = r_numerator, expanded so that the k1 k1 k2 term
-    of -i k1 psi is written with |k|^2 - k2^2 and stays even in k1 on the
-    Nyquist row (Grid).
-
-    Written to the pair out when given, with the factors
-    (stokes_toy_factors of g unless given) and t22 - t11 in scratch when
-    given (as ops.velocity_modes)."""
-    minus_i_k2, diff, k1k2, inv4, k1diff, k2rest = (
-        stokes_toy_factors(g) if factors is None else factors)
-    u1, u2 = (None, None) if out is None else out
+def stokes_toy_velocity_modes(factors: ops.Factors, t11: np.ndarray, t12: np.ndarray,
+                              t22: np.ndarray, out, scratch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per mode, the Biot-Savart velocity (i k2, -i k1) psi of the vorticity
+    -R(tau), psi = -N / |k|^4 (N = ops.r_numerator), in the pair out, with
+    t22 - t11 in scratch. The k1 k1 k2 term of -i k1 psi is written with
+    |k|^2 - k2^2, so it stays even in k1 on the Nyquist row (Grid)."""
+    diff, k1k2 = factors.r
+    minus_i_k2, inv4, k1diff, k2rest = factors.stokes_toy
+    u1, u2 = out
     d = np.subtract(t22, t11, out=scratch)
-    u1 = np.multiply(diff, t12, out=u1)
-    u2 = np.multiply(k1k2, d, out=u2)
+    np.multiply(diff, t12, out=u1)
+    np.multiply(k1k2, d, out=u2)
     u1 += u2
-    u1 = np.multiply(minus_i_k2, u1, out=u1)
+    np.multiply(minus_i_k2, u1, out=u1)
     u1 *= inv4                   # u1 = -1j k2 (diff t12 + k1 k2 d) inv4
-    u2 = np.multiply(k1diff, t12, out=u2)
+    np.multiply(k1diff, t12, out=u2)
     d *= k2rest
     u2 += d
-    u2 = np.multiply(1j, u2, out=u2)
+    np.multiply(1j, u2, out=u2)
     u2 *= inv4                   # u2 = 1j (k1 diff t12 + (|k|^2 - k2^2) k2 d) inv4
     return u1, u2
 
@@ -260,15 +237,10 @@ def stokes_toy_velocity_modes(g: Grid, t11: np.ndarray, t12: np.ndarray, t22: np
 def stokes_toy_velocity(tau: SymTensorField) -> VectorField:
     """Velocity of the Stokes problem -Laplace(u) + grad p = div(tau)."""
     g = tau.grid
-    u1, u2 = stokes_toy_velocity_modes(g, *(c.coeffs for c in tau.components))
-    return VectorField(ScalarField(g, u1), ScalarField(g, u2))
-
-
-def _complex(arrays) -> tuple[np.ndarray, ...]:
-    """The arrays as contiguous complex arrays: numpy would cast a real
-    factor through a fresh buffer in every product with a complex array, to
-    the same values."""
-    return tuple(np.asarray(a, dtype=np.complex128, order="C") for a in arrays)
+    u = np.empty((2,) + g.shape, dtype=np.complex128)
+    stokes_toy_velocity_modes(ops.Factors(g, g.shape[1]), *(c.coeffs for c in tau.components),
+                              u, np.empty(g.shape, dtype=np.complex128))
+    return VectorField(ScalarField(g, u[0]), ScalarField(g, u[1]))
 
 
 class Workspace:
@@ -290,7 +262,6 @@ class Workspace:
     def __init__(self, grid: Grid):
         n, shape = grid.n, grid.shape
         self.grid = grid
-        self.keep = grid.dealias_cutoff + 1  # columns the dealias mask keeps
         self.width = 0                       # columns of work that may be nonzero
         # One allocation per kind of buffer: with one per buffer, an 8-second
         # stepping_full_n256 benchmark run took 208 000 minor page faults
@@ -300,7 +271,7 @@ class Workspace:
         self.work[...] = 0.0
         # The band layout: y, u_hat, a per-mode product and an output row.
         self._band = spectra[2:].reshape(8, -1)
-        self._factors: dict[int, dict] = {}
+        self._factors: dict[int, ops.Factors] = {}
         values = np.empty((13, n, n))  # grid values
         self.u, self.q, self.q_inputs = values[:2], values[2:5], values[5:12]
         # Q's inputs are grad u, then tau. Q's scratch is one more array and
@@ -321,6 +292,7 @@ class Workspace:
         if width < self.width:
             self.work[:, width:self.width] = 0.0
         self.width = width
+        self.factors = self._factors.setdefault(width, ops.Factors(self.grid, width))
         band = [a[:n * width].reshape(n, width) for a in self._band]
         self.y, self.u_hat, (self.product, self.row) = band[:4], band[4:6], band[6:]
         # The row pass's buffer, free outside forward, as one more.
@@ -328,26 +300,6 @@ class Workspace:
         for a, row in zip(self.y, y):
             a[...] = row[:, :width]
         return self.y
-
-    @property
-    def factors(self) -> dict:
-        """The per-mode factors of rhs within the band, in the band layout."""
-        width = self.width
-        if width not in self._factors:
-            g, keep = self._band_grid(), self.keep
-            mask = np.zeros(g.ksq.shape, dtype=np.complex128)
-            mask[:, :keep] = self.grid.dealias_mask[:, :keep]
-            self._factors[width] = {
-                "ik": _complex((1j * g.deriv_k1, 1j * g.deriv_k2)),
-                "velocity": _complex(ops.velocity_factors(g)),
-                "r": _complex(ops.r_factors(g)), "mask": mask}
-        return self._factors[width]
-
-    def _band_grid(self) -> SimpleNamespace:
-        """The grid's per-mode arrays within the band, under their Grid
-        names: the factor functions take it for a Grid."""
-        return SimpleNamespace(**{name: getattr(self.grid, name)[:, :self.width] for name in
-                                  ("k1", "k2", "ksq", "inv_ksq", "deriv_k1", "deriv_k2")})
 
     def store(self, a: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Write the band-layout array a to the half spectrum out, zero past
@@ -364,27 +316,22 @@ class Workspace:
         """The grid values of the derivative of the band-layout array f
         along axis i (ops.transport), in out, or in the scratch buffer when
         out is None."""
-        np.multiply(self.factors["ik"][i], f, out=self.product)
+        np.multiply(self.factors.ik[i], f, out=self.product)
         return self.inverse(self.product, self.scratch if out is None else out)
 
     def grad_u(self, i: int, j: int, out: np.ndarray) -> np.ndarray:
         """The modes of g_ij = d_i u_j in out (band layout), from the
         velocity modes that velocity left in u_hat."""
-        return np.multiply(self.factors["ik"][i], self.u_hat[j], out=out)
+        return np.multiply(self.factors.ik[i], self.u_hat[j], out=out)
 
     def velocity(self, stokes_toy: bool) -> tuple[np.ndarray, np.ndarray]:
         """The grid values (u1, u2) of the velocity of the loaded rows: the
         Biot-Savart velocity of the vorticity row or, for the Stokes toy,
         the Stokes velocity of the tau rows. Its modes are left in u_hat."""
         if stokes_toy:
-            factors = self.factors
-            if "stokes_toy" not in factors:
-                factors["stokes_toy"] = _complex(stokes_toy_factors(self._band_grid()))
-            stokes_toy_velocity_modes(self.grid, *self.y[1:], out=self.u_hat,
-                                      factors=factors["stokes_toy"], scratch=self.product)
+            stokes_toy_velocity_modes(self.factors, *self.y[1:], self.u_hat, self.product)
         else:
-            ops.velocity_modes(self.grid, self.y[0], out=self.u_hat,
-                               factors=self.factors["velocity"])
+            ops.velocity_modes(self.factors, self.y[0], self.u_hat)
         return tuple(map(self.inverse, self.u_hat, self.u))
 
     def forward(self, values: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -392,11 +339,11 @@ class Workspace:
         into the band-layout array out: rfft along axis 1, then fft along
         axis 0 of the columns the mask keeps, the two 1-D passes rfft2
         makes; the other columns are 0."""
-        keep = self.keep
+        keep = self.grid.dealias_cutoff + 1  # the columns the dealias mask keeps
         rows = np.fft.rfft(values, axis=1, norm="forward", out=self.rows)
         out[:, keep:] = 0.0
         np.fft.fft(rows[:, :keep], axis=0, norm="forward", out=out[:, :keep])
-        return np.multiply(out, self.factors["mask"], out=out)
+        return np.multiply(out, self.factors.mask, out=out)
 
 
 def rhs(y: np.ndarray, grid: Grid, params: ModelParams,
@@ -428,8 +375,7 @@ def rhs(y: np.ndarray, grid: Grid, params: ModelParams,
     else:
         work.forward(transport(yb[0], work.tendency), row)
         if params.K != 0.0:  # K curl(div(tau))
-            r = ops.r_numerator(grid, *yb[1:], out=work.product,
-                                factors=work.factors["r"], scratch=work.spare)
+            r = ops.r_numerator(work.factors, *yb[1:], work.product, work.spare)
             r *= params.K
             row -= r
         row[0, 0] = 0.0
@@ -463,10 +409,14 @@ def rhs(y: np.ndarray, grid: Grid, params: ModelParams,
 def time_derivative(state: SimState,
                     params: ModelParams) -> tuple[ScalarField, SymTensorField]:
     """d/dt (omega, tau) at the state: rhs plus linear_symbol * stack, the one
-    place where the explicit/stiff split is undone."""
+    place where the explicit/stiff split is undone. The Stokes toy's
+    vorticity -R(tau) moves with tau: its d/dt is -R(d/dt tau)."""
     grid = state.grid
     y = stack(state.omega, state.tau)
-    return unstack(grid, rhs(y, grid, params) + linear_symbol(grid, params) * y)
+    d_omega, d_tau = unstack(grid, rhs(y, grid, params) + linear_symbol(grid, params) * y)
+    if params.variant == "stokes_toy":
+        d_omega = -ops.riesz_r(d_tau)
+    return d_omega, d_tau
 
 
 def gamma_of(state: SimState, params: ModelParams) -> ScalarField:

@@ -8,6 +8,7 @@ vorticity is omega = g12 - g21 and the rotation Omega_12 = omega / 2.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -31,35 +32,67 @@ def laplacian(f: ScalarField) -> ScalarField:
     return ScalarField(f.grid, -f.grid.ksq * f.coeffs)
 
 
-def invert_laplacian(f: ScalarField) -> ScalarField:
-    """Solve Laplace(g) = f for the zero-mean part; the mean is discarded."""
-    return ScalarField(f.grid, -f.grid.inv_ksq * f.coeffs)
-
-
-def divergence(v: VectorField) -> ScalarField:
-    return deriv(v.u1, 1) + deriv(v.u2, 2)
-
-
 def curl(v: VectorField) -> ScalarField:
     """Scalar curl d1 u2 - d2 u1."""
     return deriv(v.u2, 1) - deriv(v.u1, 2)
 
 
-def velocity_factors(g: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The per-mode factors (1/|k|^2, i k2, -i k1) of velocity_modes."""
-    return g.inv_ksq, 1j * g.k2, -1j * g.k1
+class Factors:
+    """The per-mode factors of the multiplier kernels on columns 0..width-1
+    of the grid, made on first use, each a contiguous complex array: numpy
+    would cast a real factor, or copy a strided window, through a fresh
+    buffer in every product with a complex array. None is kept past the
+    field-operator call or the model.Workspace that makes it."""
+
+    def __init__(self, grid: Grid, width: int):
+        self.grid, self.width = grid, width
+
+    def _cut(self, *names: str) -> list[np.ndarray]:
+        return [getattr(self.grid, name)[:, :self.width] for name in names]
+
+    @cached_property
+    def ik(self) -> tuple[np.ndarray, ...]:
+        """i k1 and i k2 of the derivatives (deriv)."""
+        k1, k2 = self._cut("deriv_k1", "deriv_k2")
+        return _contiguous(1j * k1, 1j * k2)
+
+    @cached_property
+    def mask(self) -> np.ndarray:
+        """The dealias mask."""
+        return _contiguous(*self._cut("dealias_mask"))[0]
+
+    @cached_property
+    def velocity(self) -> tuple[np.ndarray, ...]:
+        """1/|k|^2, i k2 and -i k1 of velocity_modes."""
+        k1, k2, inv_ksq = self._cut("k1", "k2", "inv_ksq")
+        return _contiguous(inv_ksq, 1j * k2, -1j * k1)
+
+    @cached_property
+    def r(self) -> tuple[np.ndarray, ...]:
+        """k1^2 - k2^2 and k1 k2 of r_numerator. k1^2 - k2^2 is written
+        |k|^2 - 2 k2^2, which keeps it even in k1 on the Nyquist row (Grid)."""
+        k1, k2, ksq = self._cut("k1", "k2", "ksq")
+        return _contiguous(ksq - 2.0 * k2**2, k1 * k2)
+
+    @cached_property
+    def stokes_toy(self) -> tuple[np.ndarray, ...]:
+        """-i k2, 1/|k|^4, k1 (k1^2 - k2^2) and (|k|^2 - k2^2) k2 of
+        model.stokes_toy_velocity_modes, which takes the r factors too."""
+        k1, k2, ksq, inv_ksq = self._cut("k1", "k2", "ksq", "inv_ksq")
+        return _contiguous(-1j * k2, inv_ksq**2, k1 * (ksq - 2.0 * k2**2),
+                           (ksq - k2**2) * k2)
 
 
-def velocity_modes(g: Grid, w: np.ndarray, out=None, factors=None) -> tuple[np.ndarray, np.ndarray]:
-    """Biot-Savart per mode: u_hat = (i k2, -i k1) w_hat / |k|^2.
+def _contiguous(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    return tuple(np.asarray(a, dtype=np.complex128, order="C") for a in arrays)
 
-    Written to the pair out when given, with the factors (velocity_factors
-    of g unless given): a caller that passes both, cut to the same columns
-    as w, allocates nothing (model.Workspace)."""
-    inv_ksq, i_k2, minus_i_k1 = velocity_factors(g) if factors is None else factors
-    u1, u2 = (None, None) if out is None else out
+
+def velocity_modes(factors: Factors, w: np.ndarray, out) -> tuple[np.ndarray, np.ndarray]:
+    """Biot-Savart per mode, u_hat = (i k2, -i k1) w_hat / |k|^2, in the pair out."""
+    inv_ksq, i_k2, minus_i_k1 = factors.velocity
+    u1, u2 = out
     psi = np.multiply(inv_ksq, w, out=u2)  # stream function: -Laplace(psi) = omega
-    u1 = np.multiply(i_k2, psi, out=u1)
+    np.multiply(i_k2, psi, out=u1)
     return u1, np.multiply(minus_i_k1, psi, out=psi)
 
 
@@ -74,8 +107,9 @@ def biot_savart(omega: ScalarField) -> VectorField:
         raise ValueError(
             f"biot_savart requires zero-mean vorticity, mean={omega.mean:.3e}"
         )
-    u1, u2 = velocity_modes(g, omega.coeffs)
-    return VectorField(ScalarField(g, u1), ScalarField(g, u2))
+    u = np.empty((2,) + g.shape, dtype=np.complex128)
+    velocity_modes(Factors(g, g.shape[1]), omega.coeffs, u)
+    return VectorField(ScalarField(g, u[0]), ScalarField(g, u[1]))
 
 
 @dataclass(frozen=True)
@@ -117,29 +151,16 @@ def sym_grad_of(g: VelocityGradient) -> SymTensorField:
     return SymTensorField(t11=g.g11, t12=0.5 * (g.g12 + g.g21), t22=g.g22)
 
 
-def r_factors(g: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """The per-mode factors (k1^2 - k2^2, k1 k2) of r_numerator. k1^2 - k2^2
-    is written |k|^2 - 2 k2^2, which keeps it even in k1 on the Nyquist row
-    (Grid)."""
-    return g.ksq - 2.0 * g.k2**2, g.k1 * g.k2
-
-
-def r_numerator(g: Grid, t11: np.ndarray, t12: np.ndarray, t22: np.ndarray,
-                out=None, factors=None, scratch=None) -> np.ndarray:
-    """Per mode (k1^2 - k2^2) t12 + k1 k2 (t22 - t11), shared by R and curl div.
-
-    Written to out when given, with the factors (r_factors of g unless
-    given) and t22 - t11 in scratch when given (as velocity_modes)."""
-    diff, k1k2 = r_factors(g) if factors is None else factors
-    out = np.multiply(diff, t12, out=out)
+def r_numerator(factors: Factors, t11: np.ndarray, t12: np.ndarray, t22: np.ndarray,
+                out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Per mode (k1^2 - k2^2) t12 + k1 k2 (t22 - t11), shared by R and curl
+    div, written to out, with t22 - t11 in scratch (as velocity_modes)."""
+    diff, k1k2 = factors.r
+    np.multiply(diff, t12, out=out)
     d = np.subtract(t22, t11, out=scratch)
     d *= k1k2
     out += d
     return out
-
-
-def _r_numerator(tau: SymTensorField) -> np.ndarray:
-    return r_numerator(tau.grid, *(c.coeffs for c in tau.components))
 
 
 def riesz_r(tau: SymTensorField) -> ScalarField:
@@ -147,26 +168,12 @@ def riesz_r(tau: SymTensorField) -> ScalarField:
 
     Per mode [(k1^2 - k2^2) t12 + k1 k2 (t22 - t11)] / |k|^2; zero mode -> 0.
     """
-    return ScalarField(tau.grid, _r_numerator(tau) * tau.grid.inv_ksq)
-
-
-def curl_div(tau: SymTensorField) -> ScalarField:
-    """curl(div(tau)); per mode -[(k1^2 - k2^2) t12 + k1 k2 (t22 - t11)].
-
-    Equals Laplace(R(tau)) exactly at the multiplier level.
-    """
-    return ScalarField(tau.grid, -_r_numerator(tau))
-
-
-def riesz_component(f: ScalarField, i: int) -> ScalarField:
-    """Riesz transform d_i / |D|; zero mode -> 0."""
-    if i not in (1, 2):
-        raise ValueError(f"component must be 1 or 2, got {i}")
-    g = f.grid
-    k = g.k1 if i == 1 else g.k2
-    mult = np.zeros_like(g.kmag)
-    np.divide(k, g.kmag, out=mult, where=g.kmag > 0)
-    return ScalarField(g, 1j * mult * f.coeffs)
+    g = tau.grid
+    out = np.empty(g.shape, dtype=np.complex128)
+    r_numerator(Factors(g, g.shape[1]), *(c.coeffs for c in tau.components), out,
+                np.empty_like(out))
+    out *= g.inv_ksq
+    return ScalarField(g, out)
 
 
 def dealias(field: FieldKind) -> FieldKind:
@@ -204,7 +211,7 @@ def advect(u: VectorField, f: ScalarField) -> ScalarField:
     kernel of model.rhs; the velocity's grid values are made once per
     VectorField (VectorField.values)."""
     g = f.grid
-    inverse, ik = g.inverse(g.band(f.coeffs)), (1j * g.deriv_k1, 1j * g.deriv_k2)
+    inverse, ik = g.inverse(g.band(f.coeffs)), Factors(g, g.shape[1]).ik
     minus = transport(lambda c, i, out: inverse(ik[i] * c), u.values)
     out = np.fft.rfft2(minus(f.coeffs), norm="forward")
     np.multiply(out, g.dealias_mask, out=out)

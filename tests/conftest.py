@@ -154,6 +154,31 @@ def nyquist_state(grid, seed, params):
     return make_state(0.0, omega, SymTensorField(*f[1:]), params)
 
 
+def invert_laplacian(f):
+    """Solve Laplace(g) = f for the zero-mean part; the mean is discarded."""
+    return ScalarField(f.grid, -f.grid.inv_ksq * f.coeffs)
+
+
+def curl_div(tau):
+    """curl(div(tau)); per mode -[(k1^2 - k2^2) t12 + k1 k2 (t22 - t11)],
+    with k1^2 - k2^2 written |k|^2 - 2 k2^2 (Grid). Equals Laplace(R(tau))
+    exactly at the multiplier level."""
+    g = tau.grid
+    t11, t12, t22 = (c.coeffs for c in tau.components)
+    return ScalarField(g, -((g.ksq - 2.0 * g.k2**2) * t12 + g.k1 * g.k2 * (t22 - t11)))
+
+
+def riesz_component(f, i: int):
+    """Riesz transform d_i / |D|; zero mode -> 0."""
+    if i not in (1, 2):
+        raise ValueError(f"component must be 1 or 2, got {i}")
+    g = f.grid
+    k = g.k1 if i == 1 else g.k2
+    mult = np.zeros_like(g.kmag)
+    np.divide(k, g.kmag, out=mult, where=g.kmag > 0)
+    return ScalarField(g, 1j * mult * f.coeffs)
+
+
 def rel_err(a: np.ndarray, b: np.ndarray) -> float:
     scale = max(np.max(np.abs(b)), 1e-300)
     return float(np.max(np.abs(a - b)) / scale)

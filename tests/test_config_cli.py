@@ -409,6 +409,19 @@ class TestCli:
 
         assert cli.main(["norms", str(snap), "--norm", "bogus_norm"]) == 2
 
+    def test_directory_argument_is_an_error_line(self, tmp_path, capsys):
+        for argv in (["run", str(tmp_path)], ["norms", str(tmp_path)],
+                     ["sweep", str(tmp_path), "--param", "model.mu", "--values", "1"]):
+            assert cli.main(argv) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and str(tmp_path) in err
+
+    def test_undecodable_config_is_a_config_error(self, tmp_path, capsys):
+        path = tmp_path / "latin1.cfg"
+        path.write_bytes("[grid]\n# Z\u00fcrich\nn = 16\n".encode("latin-1"))
+        assert cli.main(["run", str(path)]) == 2
+        assert "not UTF-8" in capsys.readouterr().err
+
     def test_norms_zero_snapshot(self, tmp_path, capsys):
         from oldroyd2d.grid import Grid
         from oldroyd2d.model import ModelParams, make_state

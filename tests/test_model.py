@@ -329,6 +329,20 @@ class TestStokesToy:
         u = stokes_toy_velocity(tau)
         assert u.max_divergence() <= 1e-12 * max(np.max(np.abs(u.u1.coeffs)), 1e-30)
 
+    @pytest.mark.parametrize("q_enabled", [False, True])
+    def test_time_derivative_matches_a_step(self, grid32, q_enabled):
+        # The Stokes toy's omega = -R(tau) moves with tau: its d/dt is the
+        # forward difference of one short step, to the step's O(h) gap.
+        params = ModelParams(nu=0.0, mu=0.3, alpha=1.0, beta=0.2, b=0.6,
+                             q_enabled=q_enabled, variant="stokes_toy")
+        s = rand_state(grid32, 3)
+        state, h = make_state(0.0, s.omega, s.tau, params), 1e-5
+        new = step(state, h, params, StepConfig(dt_max=h, t_end=h))
+        d_omega, d_tau = time_derivative(state, params)
+        for got, old, now in ((d_omega, state.omega, new.omega), (d_tau, state.tau, new.tau)):
+            fd = (now - old) * (1.0 / h)
+            assert (got - fd).l2() <= 1e-3 * fd.l2()
+
     def test_stokes_state_and_rhs(self, grid32):
         params = ModelParams(nu=0.0, mu=0.0, beta=0.0, alpha=1.0,
                              q_enabled=False, variant="stokes_toy")
@@ -337,7 +351,8 @@ class TestStokesToy:
         want = stokes_toy_velocity(tau)
         assert (state.u.u1 - want.u1).l2() < 1e-12
         d_omega, d_tau = time_derivative(state, params)
-        assert d_omega.l2() == 0.0  # vorticity equation dropped
+        # no vorticity equation: omega = -R(tau) moves with tau
+        assert np.array_equal(d_omega.coeffs, (-ops.riesz_r(d_tau)).coeffs)
         du = ops.sym_grad(state.u)
         adv = ops.advect_tensor(state.u, tau)
         for got, a, b_ in zip(d_tau.components, adv.components, du.components):

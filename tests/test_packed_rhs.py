@@ -15,7 +15,7 @@ from oldroyd2d import operators as ops
 from oldroyd2d.fields import ScalarField, VectorField
 from oldroyd2d.grid import Grid
 from oldroyd2d.model import (ModelParams, Workspace, commutator_r_advect, make_state, q_products,
-                             rhs, stack, unstack)
+                             rhs, stack, stokes_toy_velocity, unstack)
 
 from conftest import (full_advect, full_coeffs, full_r, full_values, full_wavevectors,
                       half_field, nyquist_state, rand_state, reference_advect,
@@ -140,6 +140,23 @@ class TestWorkspace:
             want = rhs(y, grid, params, forcing)
             assert got.tobytes() == want.tobytes()
         assert bands == [10, 16, 10]
+
+    @pytest.mark.parametrize("n", [16, 32])
+    @pytest.mark.parametrize("make", [band_state, nyquist_state], ids=["dealiased", "nyquist"])
+    @pytest.mark.parametrize("name", ["full_b", "stokes_toy"])
+    def test_field_velocity_is_the_workspace_velocity(self, name, make, n):
+        # One kernel per multiplier: the field operator and the stepper's
+        # workspace give the same velocity modes in bytes over the band.
+        grid, params = Grid(n), VARIANTS[name]
+        state = make(grid, 39, params)
+        stokes = params.variant == "stokes_toy"
+        u = stokes_toy_velocity(state.tau) if stokes else ops.biot_savart(state.omega)
+        work = Workspace(grid)
+        work.load(stack(state.omega, state.tau))
+        work.velocity(stokes)
+        assert work.width == (grid.n // 3 if make is band_state else grid.n // 2) + 1
+        for field, modes in zip(u.components, work.u_hat):
+            assert field.coeffs[:, :work.width].tobytes() == modes.tobytes()
 
 
 class TestPackUnpack:
