@@ -1,5 +1,5 @@
-"""Spectral field algebra: derivatives, inversions, Biot-Savart and the
-degree-zero operator R, all as exact Fourier multipliers.
+"""Spectral field algebra: derivatives, Biot-Savart and the degree-zero
+operator R, exact Fourier multipliers whose factors Factors makes.
 
 Velocity gradients use the convention (grad u)_{ij} = d_i u_j, so the
 vorticity is omega = g12 - g21 and the rotation Omega_12 = omega / 2.
@@ -52,7 +52,7 @@ class Factors:
 
     @cached_property
     def ik(self) -> tuple[np.ndarray, ...]:
-        """i k1 and i k2 of the derivatives (deriv)."""
+        """i k1 and i k2 of the derivatives in advect and model.Workspace."""
         k1, k2 = self._cut("deriv_k1", "deriv_k2")
         return _contiguous(1j * k1, 1j * k2)
 
