@@ -237,9 +237,10 @@ def parse_config(text: str) -> ExperimentConfig:
 
 def load_config(path) -> ExperimentConfig:
     try:
-        return parse_config(Path(path).read_text(encoding="utf-8"))
+        text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    return parse_config(text)
 
 
 def _target(name: str) -> tuple[_Section, str]:
