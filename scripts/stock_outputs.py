@@ -4,8 +4,8 @@
 Usage: python scripts/stock_outputs.py OUT [BASE]
 
 Runs stock configs (a)-(e) at n = 32, with t_end cut to at most 1 and one
-snapshot at t = 0.5, plus (b) with nu = 0.01, one directory each under
-OUT. The package is imported from the `src` directory next to this
+snapshot at t = 0.5, plus (b) with nu = 0.01 and (a) with its snapshot at
+t = 0.35, between two observation ticks, one directory each under OUT. The package is imported from the `src` directory next to this
 script's own directory, so a copy of the script in a checkout of another
 revision writes that revision's set.
 
@@ -34,6 +34,7 @@ from oldroyd2d.snapshots import load_snapshot  # noqa: E402
 
 CASES = {  # directory: (stock config, overrides)
     "stock_a": ("a_large_data_q_zero.cfg", {}),
+    "stock_a_snap0.35": ("a_large_data_q_zero.cfg", {"output.snapshot_times": "0.35"}),
     "stock_b": ("b_small_data_decay.cfg", {}),
     "stock_b_nu0.01": ("b_small_data_decay.cfg", {"model.nu": "0.01"}),
     "stock_c": ("c_max_principle_contrast.cfg", {}),

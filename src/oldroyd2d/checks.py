@@ -71,7 +71,7 @@ def check_energy_identity(quick: bool = False) -> CheckResult:
     params = ModelParams(nu=0.0, mu=0.7, K=1.3, alpha=0.9, beta=0.4,
                          q_enabled=False, variant="q_zero")
     worst = max(
-        diag.energy_identity_residual(s, params)
+        diag.energy_identity_residual(diag.Observation(s, params))
         for s in _random_states(n_samples, 901)
     )
     return CheckResult(
@@ -90,7 +90,8 @@ def check_gamma_residual(quick: bool = False) -> CheckResult:
                        b=0.6, q_enabled=True, variant="full")
     worst = 0.0
     for s in _random_states(n_samples, 902):
-        worst = max(worst, diag.gamma_residual(s, p_off), diag.gamma_residual(s, p_on))
+        worst = max(worst, diag.gamma_residual(diag.Observation(s, p_off)),
+                    diag.gamma_residual(diag.Observation(s, p_on)))
     return CheckResult(
         "Gamma equation residual",
         worst <= GAMMA_TOL,

@@ -23,7 +23,9 @@ Each section builds one spec type (`_SECTIONS`), whose constructor checks
 the values: among others `observe_every > 0`, `eps` in (0, 1),
 `n_functional_m > 0`, and `hs` holding finite exponents, one above 2 (the
 Beale-Kato-Majda check needs an H^s norm with s > 2). Random or single-mode
-initial data must fit under the grid's dealias cutoff. Overrides
+initial data must fit under the grid's dealias cutoff, and each snapshot
+time must differ from the others and not lie past t_end (both to within
+`stepping.landing_tolerance`). Overrides
 (`with_override`), `oldroyd2d sweep` values and `oldroyd2d norms --eps`
 pass the same conversions and checks as a config file; a non-string
 override value must have the key's type.
@@ -42,7 +44,7 @@ from .errors import ConfigError
 from .grid import Grid
 from .initial_data import InitialSpec, TauInitialSpec
 from .model import ModelParams
-from .stepping import StepConfig
+from .stepping import StepConfig, landing_tolerance
 
 OUTPUT_ROOT_ENV = "OLDROYD2D_OUT"
 
@@ -208,16 +210,24 @@ def _build(name: str, entries: dict, errors: list):
         return None
 
 
-def _band_errors(config: ExperimentConfig) -> list[tuple[str, str]]:
-    """(section, message) for initial data the grid's dealias cutoff would cut."""
+def _cross_errors(config: ExperimentConfig) -> list[tuple[str, str, str]]:
+    """(section, key, message) for values that another section makes
+    invalid: initial data the grid's dealias cutoff would cut, and snapshot
+    times that repeat or lie past t_end, to within the landing tolerance."""
     grid = config.grid
     errors = []
     for name, what, spec in (("initial", "initial", config.initial),
                              ("initial_tau", "tau", config.tau_initial)):
-        need = {"random_band_limited": spec.band_hi, "single_mode": spec.band_lo}.get(spec.kind)
-        if need is not None and need > grid.dealias_cutoff:
-            errors.append((name, f"{what} band exceeds dealias cutoff "
-                                 f"{grid.dealias_cutoff} at n={grid.n}"))
+        key = {"random_band_limited": "band_hi", "single_mode": "band_lo"}.get(spec.kind)
+        if key is not None and getattr(spec, key) > grid.dealias_cutoff:
+            errors.append((name, key, f"{what} band exceeds dealias cutoff "
+                                      f"{grid.dealias_cutoff} at n={grid.n}"))
+    times, t_end = sorted(config.output.snapshot_times), config.step.t_end
+    eps = landing_tolerance(t_end)
+    errors += [("output", "snapshot_times", f"snapshot time {t:g} is repeated")
+               for before, t in zip(times, times[1:]) if t - before <= eps]
+    errors += [("output", "snapshot_times", f"snapshot time {t:g} lies past t_end = {t_end:g}")
+               for t in times if t > t_end + eps]
     return errors
 
 
@@ -227,8 +237,8 @@ def parse_config(text: str) -> ExperimentConfig:
              for name, section in _SECTIONS.items()}
     if not errors:
         config = ExperimentConfig(**specs)
-        for name, message in _band_errors(config):
-            lineno = sections.get(name, {}).get("band_hi", (None, "?"))[1]
+        for name, key, message in _cross_errors(config):
+            lineno = sections.get(name, {}).get(key, (None, "?"))[1]
             errors.append(f"line {lineno}: {message}")
     if errors:
         raise ConfigError(errors)
@@ -262,10 +272,10 @@ def with_override(config: ExperimentConfig, name: str, value) -> ExperimentConfi
         typed = _typed(section.keys[key], value)
         spec = replace(getattr(config, section.attr), **{section.field(key): typed})
         new = replace(config, **{section.attr: spec})
-        band = _band_errors(new)
-        if band:
-            raise ConfigError([message for _, message in band])
-    except ValueError as exc:  # from a converter, a spec or the band check
+        cross = _cross_errors(new)
+        if cross:
+            raise ConfigError([message for *_, message in cross])
+    except ValueError as exc:  # from a converter, a spec or the cross-section check
         raise ConfigError(f"{name} = {value!r}: {exc}") from None
     return new
 

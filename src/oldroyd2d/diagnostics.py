@@ -49,31 +49,28 @@ def energy_weighted(state: SimState, params: ModelParams) -> float:
     )
 
 
-def n_functional(state: SimState, params: ModelParams, M: float,
-                 gamma: ScalarField | None = None) -> float:
+def n_functional(obs: Observation) -> float:
     """M (alpha||u||^2 + K||tau||^2) + M (alpha||grad u||^2 + K||grad tau||^2)
-    + ||Gamma||^2."""
-    if not M > 0.0:
-        raise ValueError(f"M must be positive, got {M}")
+    + ||Gamma||^2, with M the options' n_functional_m."""
+    state, params, M = obs.state, obs.params, obs.opts.n_functional_m
     u_sq = state.u.l2() ** 2
     tau_sq = state.tau.l2() ** 2
     gu_sq = sq_norm(state.u, state.grid.ksq)
     gt_sq = sq_norm(state.tau, state.grid.ksq)
-    gamma = gamma if gamma is not None else gamma_of(state, params)
     return (
         M * (params.alpha * u_sq + params.K * tau_sq)
         + M * (params.alpha * gu_sq + params.K * gt_sq)
-        + gamma.l2() ** 2
+        + obs.gamma.l2() ** 2
     )
 
 
-def energy_identity_residual(state: SimState, params: ModelParams,
-                             deriv: Derivative | None = None) -> float:
+def energy_identity_residual(obs: Observation) -> float:
     """Relative residual of d/dt E + mu K ||grad tau||^2 + beta K ||tau||^2
-    + nu alpha ||grad u||^2 = 0, with d/dt E from time_derivative."""
+    + nu alpha ||grad u||^2 = 0, with d/dt E from the observation's d/dt."""
+    state, params = obs.state, obs.params
     if not params.energy_law:
         raise ValueError("energy identity requires Q disabled and no Stokes toy")
-    d_omega, d_tau = deriv if deriv is not None else time_derivative(state, params)
+    d_omega, d_tau = obs.deriv
     de = params.alpha * velocity_inner_from_vorticity(state.omega, d_omega) \
         + params.K * inner(state.tau, d_tau)
     dissipation = (
@@ -92,11 +89,11 @@ class EnstrophyBalance(NamedTuple):
     majorant: float  # ||grad u||^2 * ||grad tau||^2
 
 
-def enstrophy_balance(state: SimState, params: ModelParams,
-                      deriv: Derivative | None = None) -> EnstrophyBalance:
-    if not params.energy_law:
+def enstrophy_balance(obs: Observation) -> EnstrophyBalance:
+    state = obs.state
+    if not obs.params.energy_law:
         raise ValueError("enstrophy balance requires Q disabled and no Stokes toy")
-    d_omega, d_tau = deriv if deriv is not None else time_derivative(state, params)
+    d_omega, d_tau = obs.deriv
     ksq = state.grid.ksq
     d_grad_u_sq = 2.0 * inner(state.omega, d_omega)
     lap_tau = state.tau.map(ops.laplacian)
@@ -106,21 +103,18 @@ def enstrophy_balance(state: SimState, params: ModelParams,
                             majorant=sq_norm(state.u, ksq) * sq_norm(state.tau, ksq))
 
 
-def gamma_residual(state: SimState, params: ModelParams,
-                   deriv: Derivative | None = None,
-                   gamma: ScalarField | None = None,
-                   interior: ScalarField | None = None) -> float:
-    """Relative L2 mismatch between d/dt Gamma from time_derivative and the
-    transformed-equation prediction. Requires nu = 0 and no Stokes toy."""
+def gamma_residual(obs: Observation) -> float:
+    """Relative L2 mismatch between d/dt Gamma from the observation's d/dt
+    and the transformed-equation prediction. Requires nu = 0 and no Stokes
+    toy."""
+    params = obs.params
     if not params.gamma_law:
         raise ValueError("Gamma residual requires nu = 0 and no Stokes toy")
-    d_omega, d_tau = deriv if deriv is not None else time_derivative(state, params)
+    d_omega, d_tau = obs.deriv
     dgamma = params.mu * d_omega - params.K * ops.riesz_r(d_tau)
-    gamma = gamma if gamma is not None else gamma_of(state, params)
-    adv = ops.advect(state.u, gamma)
-    interior = interior if interior is not None else gamma_interior(state, params)
-    res = dgamma + adv - interior
-    scale = max(dgamma.l2(), adv.l2(), interior.l2(), _TINY)
+    adv = ops.advect(obs.state.u, obs.gamma)
+    res = dgamma + adv - obs.interior
+    scale = max(dgamma.l2(), adv.l2(), obs.interior.l2(), _TINY)
     return res.l2() / scale
 
 
@@ -139,17 +133,6 @@ def commutator_ratio(u: VectorField, tau: SymTensorField, eps: float) -> float |
     if den < 1e-14:
         return None
     return num / den
-
-
-def bkm_integral(ts, vals) -> float:
-    """Trapezoidal integral of ||grad u||_inf over time."""
-    ts = np.asarray(ts, dtype=float)
-    vals = np.asarray(vals, dtype=float)
-    if ts.size == 0:
-        return 0.0
-    if np.any(np.diff(ts) <= 0):
-        raise ValueError("times must be strictly increasing")
-    return float(np.trapezoid(vals, ts))
 
 
 class DecayFit(NamedTuple):
@@ -195,10 +178,10 @@ class DiagnosticsOptions:
 
 @dataclass
 class Observation:
-    """One state as the diagnostics see it: the state, the params, the
-    options, and the terms several metrics share (Gamma, the commutator,
-    d/dt of the state and the Gamma interior terms), each made on first use
-    and then kept."""
+    """One state as the diagnostics see it, and the one input of every
+    per-state diagnostic: the state, the params, the options, and the terms
+    several metrics share (Gamma, the commutator, d/dt of the state and the
+    Gamma interior terms), each made on first use and then kept."""
 
     state: SimState
     params: ModelParams
@@ -245,11 +228,9 @@ RECORD: dict[str, Callable[[Observation], object]] = {
     "grad_u_linf": lambda o: besov.linf_norm(o.state.grad_u),
     "bkm_accum": lambda o: 0.0,  # accumulated over records by the caller
     "energy_weighted": lambda o: energy_weighted(o.state, o.params),
-    "n_value": lambda o: n_functional(o.state, o.params, o.opts.n_functional_m, o.gamma),
-    "energy_identity_residual": _where(
-        "energy_law", lambda o: energy_identity_residual(o.state, o.params, o.deriv)),
-    "gamma_residual": _where(
-        "gamma_law", lambda o: gamma_residual(o.state, o.params, o.deriv, o.gamma, o.interior)),
+    "n_value": lambda o: n_functional(o),
+    "energy_identity_residual": _where("energy_law", lambda o: energy_identity_residual(o)),
+    "gamma_residual": _where("gamma_law", lambda o: gamma_residual(o)),
     "commutator_norm": lambda o: besov.besov_norm(o.commutator, 0.0, math.inf, 1),
     # Gronwall majorant integrand for ||Gamma||_inf
     "gamma_rhs_linf": _where("gamma_law", lambda o: besov.linf_norm(o.interior)),
@@ -266,15 +247,9 @@ class DiagnosticsRecord(SimpleNamespace):
         return dict(self.__dict__)
 
 
-def compute_record(state: SimState, params: ModelParams,
-                   opts: DiagnosticsOptions = DiagnosticsOptions(),
-                   deriv: Derivative | None = None) -> DiagnosticsRecord:
-    """Every RECORD metric of one Observation of the state, with deriv as
-    its d/dt if given. bkm_accum is left 0: it accumulates over records,
-    which the caller holds."""
-    obs = Observation(state, params, opts)
-    if deriv is not None:
-        obs.deriv = deriv
+def compute_record(obs: Observation) -> DiagnosticsRecord:
+    """Every RECORD metric of the observation. bkm_accum is left 0: it
+    accumulates over records, which the caller holds."""
     return DiagnosticsRecord(**{name: metric(obs) for name, metric in RECORD.items()})
 
 

@@ -112,12 +112,14 @@ def random_state(grid: Grid, band: tuple[int, int], seed,
                  omega_amp: float = 1.0, tau_amp: float = 1.0, t: float = 0.0) -> SimState:
     """Random zero-mean vorticity and random symmetric stress, for ensembles."""
     omega = omega_amp * random_scalar(grid, band, [seed, 0])
-    tau = SymTensorField(
-        tau_amp * random_scalar(grid, band, [seed, 1], zero_mean=False),
-        tau_amp * random_scalar(grid, band, [seed, 2], zero_mean=False),
-        tau_amp * random_scalar(grid, band, [seed, 3], zero_mean=False),
-    )
-    return SimState(t=t, omega=omega, tau=tau)
+    return SimState(t=t, omega=omega, tau=_random_tensor(grid, band, seed, tau_amp))
+
+
+def _random_tensor(grid: Grid, band: tuple[int, int], seed, amplitude: float) -> SymTensorField:
+    """Symmetric stress whose components are amplitude times the random
+    fields of seeds [seed, 1], [seed, 2] and [seed, 3], mean included."""
+    return SymTensorField(*(amplitude * random_scalar(grid, band, [seed, i], zero_mean=False)
+                            for i in (1, 2, 3)))
 
 
 def taylor_green_vorticity(grid: Grid, amplitude: float) -> ScalarField:
@@ -181,12 +183,8 @@ def make_initial_data(spec: InitialSpec, tau_spec: TauInitialSpec, grid: Grid,
         )
     else:
         seed = tau_spec.seed if tau_spec.seed is not None else spec.seed
-        band = (tau_spec.band_lo, tau_spec.band_hi)
-        tau = SymTensorField(
-            tau_spec.amplitude * random_scalar(grid, band, [seed, 1], zero_mean=False),
-            tau_spec.amplitude * random_scalar(grid, band, [seed, 2], zero_mean=False),
-            tau_spec.amplitude * random_scalar(grid, band, [seed, 3], zero_mean=False),
-        )
+        tau = _random_tensor(grid, (tau_spec.band_lo, tau_spec.band_hi), seed,
+                            tau_spec.amplitude)
 
     omega = ops.dealias(omega)
     tau = ops.dealias(tau)

@@ -23,9 +23,8 @@ from . import diagnostics as diag
 from .config import ExperimentConfig, override_value, with_override
 from .errors import ConfigError, IntegrationError
 from .initial_data import make_initial_data
-from .model import time_derivative
 from .snapshots import save_snapshot
-from .stepping import integrate
+from .stepping import integrate, landing_tolerance
 
 DIAGNOSTICS_FILE = "diagnostics.ndjson"
 FLAT_RANGE = 1e-9  # relative range below which a series is not fitted as a decay
@@ -70,6 +69,7 @@ class _Observer:
         self.bkm_accum = 0.0
         self._last = None  # (t, grad_u_linf)
         self._pending_snaps = sorted(config.output.snapshot_times)
+        self._eps = landing_tolerance(config.step.t_end)  # as integrate lands on them
         self._snap_index = 0
         self.enstrophy_ledger: list[tuple[float, float]] = []
 
@@ -79,24 +79,22 @@ class _Observer:
         self.stream.write(_json_line(rec.to_dict()))
         self.stream.flush()
 
-        eps = 1e-9 * max(1.0, abs(state.t))
-        while self._pending_snaps and state.t >= self._pending_snaps[0] - eps:
+        while self._pending_snaps and state.t >= self._pending_snaps[0] - self._eps:
             self._pending_snaps.pop(0)
             path = self.out_dir / f"snapshot_{self._snap_index:03d}.bin"
             save_snapshot(state, self.config.params, path)
             self._snap_index += 1
 
     def _record(self, state) -> diag.DiagnosticsRecord:
-        params = self.config.params
-        deriv = time_derivative(state, params) if params.energy_law else None
-        rec = diag.compute_record(state, params, self.config.diag, deriv)
+        obs = diag.Observation(state, self.config.params, self.config.diag)
+        rec = diag.compute_record(obs)
         if self._last is not None and state.t > self._last[0]:
             t0, v0 = self._last
             self.bkm_accum += 0.5 * (v0 + rec.grad_u_linf) * (state.t - t0)
         rec.bkm_accum = self.bkm_accum
         self._last = (state.t, rec.grad_u_linf)
-        if params.energy_law:
-            self.enstrophy_ledger.append(diag.enstrophy_balance(state, params, deriv))
+        if obs.params.energy_law:
+            self.enstrophy_ledger.append(diag.enstrophy_balance(obs))
         return rec
 
 

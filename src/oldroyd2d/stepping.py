@@ -9,6 +9,8 @@ classical four-stage scheme.
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -163,6 +165,32 @@ def step(state: SimState, dt: float, params: ModelParams, config: StepConfig,
     return make_state(state.t + dt, *unstack(grid, ynew), params)
 
 
+def landing_tolerance(t_end: float) -> float:
+    """How near a time must be to a target of integrate, ending at t_end,
+    to count as on it: 1e-12 relative to t_end. A step that ends this near
+    the target is cut to end on it, and requested times this near each
+    other are landed on once."""
+    return 1e-12 * max(1.0, abs(t_end))
+
+
+def _targets(t0: float, t_end: float, every: float | None, land_times):
+    """The times integrate lands on after t0, in order: the cadence ticks
+    t0 + k * every (for a given every > 0) merged with the land times, one
+    per cluster within the landing tolerance above the time landed on
+    before it, and then t_end, which stands for every time near or past it."""
+    eps = landing_tolerance(t_end)
+    ticking = every is not None and every > 0
+    ticks = (t0 + k * every for k in itertools.count(1)) if ticking else ()
+    last = t0
+    for t in heapq.merge(ticks, sorted(land_times)):
+        if t >= t_end - eps:
+            break
+        if t > last + eps:
+            yield t
+            last = t
+    yield t_end
+
+
 def integrate(state0: SimState, params: ModelParams, config: StepConfig,
               observer=None, observe_every: float | None = None,
               forcing: np.ndarray | None = None, land_times=()) -> SimState:
@@ -172,62 +200,39 @@ def integrate(state0: SimState, params: ModelParams, config: StepConfig,
     cadence tick t0 + k * observe_every, and at t_end; land_times lists
     additional times to land on (the observer is called there too, e.g. for
     snapshot output). A step that would reach the next of these targets (to
-    within 1e-12 relative) is cut to end on it, and the state it makes
+    within landing_tolerance) is cut to end on it, and the state it makes
     carries the target's time exactly.
 
     Under CFL control (dt_min < dt_max), a CFL step at or below dt_min
     raises IntegrationError("step size underflow") rather than step with a
     Courant number above cfl; with dt_min == dt_max every step is that size.
 
-    The steps and CFL steps share one StepWorkspace, made before the first
-    step after an observation and dropped before the next observation.
+    The steps and CFL steps up to each target share one StepWorkspace,
+    dropped before the observer is called there.
     """
     state = state0
     t_end = config.t_end
-    eps = 1e-12 * max(1.0, abs(t_end))
+    eps = landing_tolerance(t_end)
 
     if observer is not None:
         observer(state)
     if t_end <= state.t + eps:
         return state
 
-    t0, ticks = state.t, 1
-    next_tick = math.inf
-    if observer is not None and observe_every is not None and observe_every > 0:
-        next_tick = t0 + observe_every
-    pending = sorted(t for t in land_times if state.t + eps < t < t_end - eps)
-
-    work = None
-    while state.t < t_end - eps:
-        target = min(next_tick, pending[0] if pending else t_end)
-        if target > t_end - eps:
-            target = t_end
-        if work is None:
-            work = StepWorkspace(state.grid, config.scheme)
-        dt = cfl_dt(state, config, work.rhs)
-        if dt <= config.dt_min < config.dt_max:
-            raise IntegrationError(state.t, "step size underflow")
-        t_new = state.t + dt
-        if t_new >= target - eps:  # the step reaches the target: end it there
-            dt, t_new = target - state.t, target
-        state = step(state, dt, params, config, forcing, work)
-        if state.t != t_new:
-            state = replace(state, t=t_new)
-
-        landed = False
-        if state.t >= next_tick - eps:
-            landed = True
-            while next_tick <= state.t + eps:
-                ticks += 1
-                next_tick = t0 + ticks * observe_every
-        while pending and state.t >= pending[0] - eps:
-            landed = True
-            pending.pop(0)
-        if landed and observer is not None and state.t < t_end - eps:
-            work = None
-            observer(state)  # the t_end call below covers the final landing
-
-    work = None
-    if observer is not None:
-        observer(state)
+    every = observe_every if observer is not None else None
+    for target in _targets(state.t, t_end, every, land_times):
+        work = StepWorkspace(state.grid, config.scheme)
+        while state.t < target:
+            dt = cfl_dt(state, config, work.rhs)
+            if dt <= config.dt_min < config.dt_max:
+                raise IntegrationError(state.t, "step size underflow")
+            t_new = state.t + dt
+            if t_new >= target - eps:  # the step reaches the target: end it there
+                dt, t_new = target - state.t, target
+            state = step(state, dt, params, config, forcing, work)
+            if state.t != t_new:
+                state = replace(state, t=t_new)
+        work = None
+        if observer is not None:
+            observer(state)
     return state

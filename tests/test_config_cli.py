@@ -221,6 +221,20 @@ class TestRunner:
         summary = read_ndjson(result.out_dir / "diagnostics.ndjson")[-1]["summary"]
         assert summary["t_final"] == 1.0
 
+    def test_snapshot_lands_on_its_own_time_beside_a_tick(self, tmp_path):
+        # a snapshot time 5e-11 past a tick is a target of its own: the
+        # snapshot is written there, not at the tick before it
+        from oldroyd2d.snapshots import load_snapshot
+
+        text = (MINIMAL.format(out=tmp_path / "off").replace("t_end = 0.0", "t_end = 0.3")
+                + "observe_every = 0.1\nsnapshot_times = 0.10000000005\n")
+        result = run(parse_config(text))
+        assert result.ok
+        assert [r.t for r in result.records] == [0.0, 0.1, 0.10000000005, 0.2, 0.3]
+        assert [p.name for p in result.out_dir.glob("snapshot_*.bin")] == ["snapshot_000.bin"]
+        state, _ = load_snapshot(result.out_dir / "snapshot_000.bin")
+        assert state.t == 0.10000000005
+
     def test_output_root_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("OLDROYD2D_OUT", str(tmp_path / "root"))
         cfg = parse_config(MINIMAL.format(out="rel_dir"))
@@ -447,7 +461,7 @@ class TestCli:
         params = ModelParams(beta=0.2, b=0.3)
         save_snapshot(random_state(Grid(32), (1, 8), [0]), params, snap)
         state, params = load_snapshot(snap)
-        record = diag.compute_record(state, params, diag.DiagnosticsOptions()).to_dict()
+        record = diag.compute_record(diag.Observation(state, params)).to_dict()
         names = tuple(diag.RECORD) + tuple(cli.NORMS)
         assert cli.main(["norms", str(snap), "--norm", ",".join(names)]) == 0
         lines = capsys.readouterr().out.splitlines()[1:]
@@ -477,7 +491,7 @@ class TestCli:
             monkeypatch.setattr(diag, name, counted)
         assert cli.main(["norms", str(snap), "--norm", "u_l2,gamma_linf"]) == 0
         assert calls == []
-        diag.compute_record(*load_snapshot(snap))  # a whole record makes both
+        diag.compute_record(diag.Observation(*load_snapshot(snap)))  # a whole record makes both
         assert sorted(calls) == ["commutator_r_advect", "time_derivative"]
 
 
@@ -576,6 +590,46 @@ class TestValueRules:
         cfg = parse_config(SMALL_RUN.format(out=tmp_path))
         with pytest.raises(ConfigError, match="cutoff"):
             with_override(cfg, "grid.n", "8")
+
+    @pytest.mark.parametrize("kind, key", [("random_band_limited", "band_hi"),
+                                           ("single_mode", "band_lo")])
+    def test_band_past_the_cutoff_names_its_line(self, tmp_path, kind, key):
+        # n = 16 keeps modes up to 5; the key the kind reads is 7
+        text = (MINIMAL.format(out=tmp_path) + "[initial_tau]\n"
+                f"kind = {kind}\nseed = 1\nband_lo = {7 if key == 'band_lo' else 1}\n"
+                f"band_hi = {7 if key == 'band_hi' else 8}\n")
+        lineno = next(i for i, line in enumerate(text.splitlines(), 1) if line.startswith(key))
+        with pytest.raises(ConfigError) as exc:
+            parse_config(text)
+        assert exc.value.messages == [f"line {lineno}: tau band exceeds dealias cutoff 5 at n=16"]
+
+    def test_bad_snapshot_times_name_their_line(self, tmp_path):
+        text = SMALL_RUN.format(out=tmp_path).replace(
+            "snapshot_times = 0.15", "snapshot_times = 0.2, 0.2, 0.9")
+        lineno = text.splitlines().index("snapshot_times = 0.2, 0.2, 0.9") + 1
+        with pytest.raises(ConfigError) as exc:
+            parse_config(text)
+        assert exc.value.messages == [f"line {lineno}: snapshot time 0.2 is repeated",
+                                      f"line {lineno}: snapshot time 0.9 lies past t_end = 0.3"]
+
+    @pytest.mark.parametrize("times, message", [
+        ("0.2, 0.1, 0.2", "snapshot time 0.2 is repeated"),
+        ("0.1, 0.9", "snapshot time 0.9 lies past t_end = 0.3"),
+    ], ids=["repeated", "past_t_end"])
+    def test_override_checks_snapshot_times(self, tmp_path, times, message):
+        cfg = parse_config(SMALL_RUN.format(out=tmp_path))
+        with pytest.raises(ConfigError, match=message):
+            with_override(cfg, "output.snapshot_times", times)
+        assert with_override(cfg, "output.snapshot_times", "0.1, 0.3").output.snapshot_times \
+            == (0.1, 0.3)
+
+    def test_sweep_rejects_t_end_before_a_snapshot_time(self, tmp_path, capsys):
+        path = tmp_path / "sweep.cfg"
+        path.write_text(SMALL_RUN.format(out=tmp_path / "sw"))  # a snapshot at t = 0.15
+        argv = ["sweep", str(path), "--param", "stepping.t_end", "--values", "0.3,0.1"]
+        assert cli.main(argv) == 2
+        assert "snapshot time 0.15 lies past t_end = 0.1" in capsys.readouterr().err
+        assert not (tmp_path / "sw").exists()
 
     @pytest.mark.parametrize("target, value, slug", [
         ("grid.n", "16", "grid_n_16"),

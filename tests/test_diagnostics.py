@@ -21,6 +21,11 @@ def zero_state(grid):
     return make_state(0.0, ScalarField.zeros(grid), SymTensorField.zeros(grid))
 
 
+def obs(state, params, **opts):
+    """The Observation of the state under params and DiagnosticsOptions(**opts)."""
+    return diag.Observation(state, params, diag.DiagnosticsOptions(**opts))
+
+
 class TestEnergyWeighted:
     def test_zero(self, grid16):
         assert diag.energy_weighted(zero_state(grid16), ModelParams()) == 0.0
@@ -44,7 +49,8 @@ class TestEnergyWeighted:
 
 class TestNFunctional:
     def test_zero(self, grid16):
-        assert diag.n_functional(zero_state(grid16), ModelParams(), 5.0) == 0.0
+        state = zero_state(grid16)
+        assert diag.n_functional(obs(state, ModelParams(), n_functional_m=5.0)) == 0.0
 
     def test_tau_free_reduction(self, grid32):
         params = ModelParams(mu=0.8, K=1.0, alpha=1.2)
@@ -53,26 +59,27 @@ class TestNFunctional:
         u_sq = state.u.l2() ** 2
         gu_sq = state.omega.l2() ** 2  # ||grad u|| = ||omega|| for div-free u
         want = M * params.alpha * (u_sq + gu_sq) + params.mu**2 * state.omega.l2() ** 2
-        got = diag.n_functional(state, params, M)
+        got = diag.n_functional(obs(state, params, n_functional_m=M))
         assert abs(got - want) < 1e-10 * want
 
     def test_monotone_in_m(self, grid32):
         state = rand_state(grid32, 3)
         params = ModelParams()
-        assert diag.n_functional(state, params, 20.0) > diag.n_functional(state, params, 10.0)
+        assert diag.n_functional(obs(state, params, n_functional_m=20.0)) \
+            > diag.n_functional(obs(state, params, n_functional_m=10.0))
 
     def test_m_positive_required(self, grid16):
         with pytest.raises(ValueError):
-            diag.n_functional(zero_state(grid16), ModelParams(), 0.0)
+            diag.n_functional(obs(zero_state(grid16), ModelParams(), n_functional_m=0.0))
 
 
 class TestEnergyIdentity:
     def test_zero_state(self, grid16):
-        assert diag.energy_identity_residual(zero_state(grid16), Q_ZERO) == 0.0
+        assert diag.energy_identity_residual(obs(zero_state(grid16), Q_ZERO)) == 0.0
 
     def test_random_states_machine_precision(self, grid32):
         worst = max(
-            diag.energy_identity_residual(rand_state(grid32, 10 + i), Q_ZERO)
+            diag.energy_identity_residual(obs(rand_state(grid32, 10 + i), Q_ZERO))
             for i in range(20)
         )
         assert worst <= 1e-9
@@ -80,34 +87,34 @@ class TestEnergyIdentity:
     def test_beta_zero_variant(self, grid32):
         params = ModelParams(nu=0.0, mu=0.7, K=1.3, alpha=0.9, beta=0.0,
                              q_enabled=False, variant="q_zero")
-        assert diag.energy_identity_residual(rand_state(grid32, 30), params) <= 1e-9
+        assert diag.energy_identity_residual(obs(rand_state(grid32, 30), params)) <= 1e-9
 
     def test_viscous_term_included(self, grid32):
         params = ModelParams(nu=0.2, mu=0.7, K=1.3, alpha=0.9, beta=0.1,
                              q_enabled=False, variant="q_zero")
-        assert diag.energy_identity_residual(rand_state(grid32, 31), params) <= 1e-9
+        assert diag.energy_identity_residual(obs(rand_state(grid32, 31), params)) <= 1e-9
 
     def test_holds_for_nonpositive_alpha(self, grid32):
         # the identity is sign-blind in alpha; only positivity of E is lost
         params = ModelParams(nu=0.0, mu=0.7, K=1.3, alpha=-1.1, beta=0.2,
                              q_enabled=False, variant="q_zero")
-        assert diag.energy_identity_residual(rand_state(grid32, 32), params) <= 1e-9
+        assert diag.energy_identity_residual(obs(rand_state(grid32, 32), params)) <= 1e-9
 
     def test_q_on_rejected(self, grid16):
         with pytest.raises(ValueError, match="Q"):
-            diag.energy_identity_residual(zero_state(grid16), ModelParams(q_enabled=True))
+            diag.energy_identity_residual(obs(zero_state(grid16), ModelParams(q_enabled=True)))
 
 
 class TestEnstrophyBalance:
     def test_zero_state(self, grid16):
-        bal = diag.enstrophy_balance(zero_state(grid16), Q_ZERO)
+        bal = diag.enstrophy_balance(obs(zero_state(grid16), Q_ZERO))
         assert bal.lhs == 0.0 and bal.majorant == 0.0
 
     def test_rest_state_closed_form(self, grid32):
         # u = 0: lhs = -(2 mu - 1/2) ||Lap tau||^2 - 2 beta ||grad tau||^2
         tau = rand_tensor(grid32, 4)
         state = make_state(0.0, ScalarField.zeros(grid32), tau)
-        bal = diag.enstrophy_balance(state, Q_ZERO)
+        bal = diag.enstrophy_balance(obs(state, Q_ZERO))
         want = -(2 * Q_ZERO.mu - 0.5) * sq_norm(tau, grid32.ksq**2) \
             - 2 * Q_ZERO.beta * sq_norm(tau, grid32.ksq)
         assert abs(bal.lhs - want) < 1e-9 * abs(want)
@@ -116,25 +123,26 @@ class TestEnstrophyBalance:
 
 class TestGammaResidual:
     def test_zero_state(self, grid16):
-        assert diag.gamma_residual(zero_state(grid16), Q_ZERO) == 0.0
+        assert diag.gamma_residual(obs(zero_state(grid16), Q_ZERO)) == 0.0
 
     def test_random_states(self, grid32):
         p_on = ModelParams(nu=0.0, mu=0.7, K=1.3, alpha=0.9, beta=0.4, b=0.6)
         worst = 0.0
         for i in range(20):
             s = rand_state(grid32, 40 + i)
-            worst = max(worst, diag.gamma_residual(s, Q_ZERO), diag.gamma_residual(s, p_on))
+            worst = max(worst, diag.gamma_residual(obs(s, Q_ZERO)),
+                        diag.gamma_residual(obs(s, p_on)))
         assert worst <= 1e-10
 
     def test_band_limited_refinement_invariance(self):
         # the same band-limited state gives a roundoff-level residual at any n
         for n in (32, 64):
             s = rand_state(Grid(n), 50, band=(1, 8))
-            assert diag.gamma_residual(s, Q_ZERO) <= 1e-12
+            assert diag.gamma_residual(obs(s, Q_ZERO)) <= 1e-12
 
     def test_nu_rejected(self, grid16):
         with pytest.raises(ValueError):
-            diag.gamma_residual(zero_state(grid16), ModelParams(nu=0.5))
+            diag.gamma_residual(obs(zero_state(grid16), ModelParams(nu=0.5)))
 
 
 class TestCommutatorRatio:
@@ -164,33 +172,19 @@ class TestCommutatorRatio:
 
 
 class TestBkm:
-    def test_constant_integrand(self):
-        assert diag.bkm_integral([0.0, 1.0, 2.0], [1.0, 1.0, 1.0]) == pytest.approx(2.0)
-
-    def test_empty(self):
-        assert diag.bkm_integral([], []) == 0.0
-
-    def test_linear_ramp(self):
-        ts = np.linspace(0.0, 1.0, 11)
-        assert diag.bkm_integral(ts, ts) == pytest.approx(0.5)
-
-    def test_unsorted_rejected(self):
-        with pytest.raises(ValueError):
-            diag.bkm_integral([0.0, 2.0, 1.0], [1.0, 1.0, 1.0])
-
     def test_log_check_single_mode(self, grid32):
         # u = (0, -cos x): |grad u|_inf = 1, |omega|_inf = 1
         params = ModelParams()
         state = make_state(0.0, field_from(grid32, lambda x, y: np.sin(x)),
                            SymTensorField.zeros(grid32))
-        rec = diag.compute_record(state, params, diag.DiagnosticsOptions(hs=(3.0,)))
+        rec = diag.compute_record(obs(state, params, hs=(3.0,)))
         got = diag.bkm_log_check(rec)
         u_h3 = rec.u_hs["3"]
         want = 1.0 / (1.0 * math.log(math.e + u_h3))
         assert got == pytest.approx(want, rel=1e-10)
 
     def test_log_check_zero_vorticity(self, grid16):
-        rec = diag.compute_record(zero_state(grid16), ModelParams())
+        rec = diag.compute_record(obs(zero_state(grid16), ModelParams()))
         assert diag.bkm_log_check(rec) is None
 
 
@@ -242,7 +236,7 @@ class TestRecord:
         import json
 
         state = rand_state(grid32, 7)
-        rec = diag.compute_record(state, Q_ZERO, diag.DiagnosticsOptions(hs=(2.5, 3.0)))
+        rec = diag.compute_record(obs(state, Q_ZERO, hs=(2.5, 3.0)))
         payload = rec.to_dict()
         text = json.dumps(payload)
         back = json.loads(text)
@@ -253,7 +247,7 @@ class TestRecord:
 
     def test_key_order(self, grid16):
         # the NDJSON keys of a record, in order
-        assert list(diag.compute_record(zero_state(grid16), Q_ZERO).to_dict()) == [
+        assert list(diag.compute_record(obs(zero_state(grid16), Q_ZERO)).to_dict()) == [
             "t", "u_l2", "tau_l2", "grad_u_l2", "grad_tau_l2", "lap_tau_l2",
             "omega_linf", "omega_l2", "gamma_linf", "gamma_b0inf1", "tau_bepsinf1",
             "tau_h2", "grad_u_linf", "bkm_accum", "energy_weighted", "n_value",
@@ -263,7 +257,7 @@ class TestRecord:
 
     def test_residuals_none_when_inapplicable(self, grid16):
         state = zero_state(grid16)
-        rec = diag.compute_record(state, ModelParams(nu=0.1, q_enabled=True))
+        rec = diag.compute_record(obs(state, ModelParams(nu=0.1, q_enabled=True)))
         assert rec.energy_identity_residual is None
         assert rec.gamma_residual is None
         assert rec.gamma_rhs_linf is None
