@@ -19,7 +19,8 @@ the children it waited for) are read with os.wait4. For each workload and
 seed the two sides run one after the other: the base first on odd seeds,
 the change first on even ones. With --traced, each side also runs each
 workload once with `--seed 0 --seconds 1 --trace 1`, for the per-layer
-counts.
+counts, and `memory_peaks` in a process of its own, for the tracemalloc
+peaks of the steps and of the records.
 
 For every end-to-end metric and `minor_faults`, each side's median and
 quartiles are statistics.quantiles(n=4, method="inclusive") over its runs;
@@ -80,6 +81,70 @@ def run(side: Path, workload: str, seed: int, seconds: float, trace: bool) -> tu
     result, machine = json.loads(lines[-1]), json.loads(lines[-2])["machine"]
     result["minor_faults"] = usage.ru_minflt
     return result, machine
+
+
+MEMORY_SIZES = (64, 128, 256)
+
+
+def memory_peaks(side: str) -> None:
+    """Print, as JSON, the tracemalloc peaks of the side's
+    stepping_full_n256 operation made at each n of MEMORY_SIZES (seed 0):
+    after one untimed warm-up operation, in MB of traced memory, counted
+    from before the config is parsed:
+
+    - step_peak_mb: the peak between the first and the last record;
+    - record_peak_mb: the largest peak inside one observation (record and
+      snapshot);
+    - left_by_first_record_mb: traced memory after the first observation
+      less that before it.
+    """
+    import dataclasses
+    import tracemalloc
+
+    sys.path[:0] = [str(Path(side) / "src"), str(Path(side) / "perfbench")]
+    from oldroyd2d import runner
+    from oldroyd2d.config import parse_config
+    from workloads import WORKLOADS, fill_caches
+
+    mb = 1024.0 ** -2
+    observe = runner._Observer.__call__
+    peaks: dict = {}
+
+    def traced_observe(self, state):
+        now, before = tracemalloc.get_traced_memory()
+        peaks.setdefault("steps", []).append(before)
+        tracemalloc.reset_peak()
+        observe(self, state)
+        after, peak = tracemalloc.get_traced_memory()
+        peaks.setdefault("records", []).append(peak)
+        peaks.setdefault("left", []).append(after - now)
+        tracemalloc.reset_peak()
+
+    runner._Observer.__call__ = traced_observe
+    out = {}
+    with tempfile.TemporaryDirectory(prefix="memory_peaks_") as tmp:
+        for n in MEMORY_SIZES:
+            tracemalloc.start()
+            w = dataclasses.replace(WORKLOADS["stepping_full_n256"], n=n)
+            config = parse_config(w.config_text(0, str(Path(tmp) / "op")))
+            fill_caches(config.grid)
+            for _ in range(2):  # a warm-up operation, then the one measured
+                peaks.clear()
+                runner.run(config)
+            tracemalloc.stop()
+            out[n] = {"step_peak_mb": max(peaks["steps"][1:]) * mb,
+                      "record_peak_mb": max(peaks["records"]) * mb,
+                      "left_by_first_record_mb": peaks["left"][0] * mb}
+    print(json.dumps(out))
+
+
+def memory_run(side: Path) -> dict:
+    """memory_peaks of one side, in a process of its own."""
+    code = f"import sys; sys.path.insert(0, {str(ROOT / 'scripts')!r}); " \
+        f"import bench_pairs; bench_pairs.memory_peaks({str(side)!r})"
+    out = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
+                         text=True).stdout
+    return json.loads(out.strip().splitlines()[-1])
 
 
 def flat(result: dict) -> dict:
@@ -187,6 +252,8 @@ def main(argv=None) -> int:
                 workload: {side: flat(run(dirs[side], workload, 0, 1.0, True)[0])
                            for side in SIDES}
                 for workload in workloads}
+            report["commands"]["tracemalloc"] = memory_peaks.__doc__.split("\n\n")[0]
+            report["tracemalloc"] = {side: memory_run(dirs[side]) for side in SIDES}
         report["machine"] = {**machine, "os": platform.platform()}
     Path(args.out).write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
     return 0

@@ -4,10 +4,12 @@
 Usage: python scripts/stock_outputs.py OUT [BASE]
 
 Runs stock configs (a)-(e) at n = 32, with t_end cut to at most 1 and one
-snapshot at t = 0.5, plus (b) with nu = 0.01 and (a) with its snapshot at
-t = 0.35, between two observation ticks, one directory each under OUT. The package is imported from the `src` directory next to this
-script's own directory, so a copy of the script in a checkout of another
-revision writes that revision's set.
+snapshot at t = 0.5, plus (b) with nu = 0.01, (a) with its snapshot at
+t = 0.35, between two observation ticks, and (a) restarted from its own
+snapshot at t = 0.5, which writes a snapshot at its start time; one
+directory each under OUT. The package is imported from the `src`
+directory next to this script's own directory, so a copy of the script in
+a checkout of another revision writes that revision's set.
 
 Given BASE, a set written the same way, the two trees are compared file by
 file: a file is identical in bytes, or its largest relative differences
@@ -40,6 +42,9 @@ CASES = {  # directory: (stock config, overrides)
     "stock_c": ("c_max_principle_contrast.cfg", {}),
     "stock_d": ("d_euler_sanity.cfg", {}),
     "stock_e": ("e_stokes_toy.cfg", {}),
+    # "{out}" is OUT: the restart reads the snapshot stock_a wrote before it
+    "stock_a_restart": ("a_large_data_q_zero.cfg", {
+        "initial.snapshot": "{out}/stock_a/snapshot_000.bin", "initial.kind": "from_snapshot"}),
 }
 
 
@@ -52,7 +57,7 @@ def write_set(out: Path) -> bool:
                      "output.snapshot_times": "0.5", "output.dir": str(out / name),
                      **overrides}
         for key, value in overrides.items():
-            cfg = with_override(cfg, key, value)
+            cfg = with_override(cfg, key, value.format(out=out) if isinstance(value, str) else value)
         result = run(cfg)
         ok = ok and result.ok
         print(f"{name}: {len(result.records)} records{'' if result.ok else ', FAILED'}")

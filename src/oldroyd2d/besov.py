@@ -19,6 +19,7 @@ states: the pointwise magnitude is sqrt(sum_c w_c c^2).
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
@@ -69,7 +70,8 @@ class PaddedTransform:
     The column pass of grid.inverse_rfft2 runs in place on those B + 1
     columns, and they are zeroed again before the call returns, so the
     buffer is zero between calls and no second (2n, n+1) buffer is kept.
-    Calls must not overlap (the package runs in one thread).
+    Calls must not overlap (the package runs in one thread). The buffer
+    lives as long as something holds it (padded_transform).
     """
 
     def __init__(self, grid: Grid):
@@ -88,9 +90,18 @@ class PaddedTransform:
         return out
 
 
-@lru_cache(maxsize=16)
+_PADDED: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
 def padded_transform(grid: Grid) -> PaddedTransform:
-    return PaddedTransform(grid)
+    """The grid's PaddedTransform, shared by every caller that holds it and
+    freed with the last one: a diagnostics.Observation holds it for its
+    records, block_linf_norms through its blocks, so no 2n x (n+1) buffer
+    outlives them into the steps between records."""
+    pad = _PADDED.get(grid)
+    if pad is None:
+        pad = _PADDED[grid] = PaddedTransform(grid)
+    return pad
 
 
 def _padded_max(w: np.ndarray, weights: tuple, grid: Grid) -> float:
@@ -139,6 +150,7 @@ def block_linf_norms(f: FieldKind) -> list[float]:
     window only; the values are those of linf_norm(dec.block(f, q)).
     """
     dec = decomposition_for(f.grid)
+    _pad = padded_transform(f.grid)  # held, so that every block shares one buffer
     band = field_band(f)
     w = field_window(f, band)
     norms = []

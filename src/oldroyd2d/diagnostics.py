@@ -10,8 +10,9 @@ asserts a specific constant.
 
 from __future__ import annotations
 
+import copy
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from types import SimpleNamespace
 from typing import Callable, NamedTuple
@@ -181,11 +182,24 @@ class Observation:
     """One state as the diagnostics see it, and the one input of every
     per-state diagnostic: the state, the params, the options, and the terms
     several metrics share (Gamma, the commutator, d/dt of the state and the
-    Gamma interior terms), each made on first use and then kept."""
+    Gamma interior terms), each made on first use and then kept.
+
+    `state` is a view of the state given: a SimState over shallow copies
+    (copy.copy) of its fields, which share their coefficient arrays and
+    carry the caches already made (such as the grid values a loaded
+    snapshot seeds). Every cache a diagnostic makes (velocity, its gradient,
+    grid values) lands on the view, and the grid's padded transform is held
+    here, so all of it dies with the observation and the state given is
+    left as it was."""
 
     state: SimState
     params: ModelParams
     opts: DiagnosticsOptions = DiagnosticsOptions()
+
+    def __post_init__(self):
+        s = self.state
+        self.state = replace(s, omega=copy.copy(s.omega), tau=s.tau.map(copy.copy))
+        self._padded = besov.padded_transform(s.grid)
 
     @cached_property
     def gamma(self) -> ScalarField:

@@ -237,9 +237,9 @@ def stokes_toy_velocity_modes(factors: ops.Factors, t11: np.ndarray, t12: np.nda
 def stokes_toy_velocity(tau: SymTensorField) -> VectorField:
     """Velocity of the Stokes problem -Laplace(u) + grad p = div(tau)."""
     g = tau.grid
-    u = np.empty((2,) + g.shape, dtype=np.complex128)
-    stokes_toy_velocity_modes(ops.Factors(g, g.shape[1]), *(c.coeffs for c in tau.components),
-                              u, np.empty(g.shape, dtype=np.complex128))
+    factors, t = ops.in_band(*tau.components)
+    u = np.zeros((2,) + g.shape, dtype=np.complex128)
+    stokes_toy_velocity_modes(factors, *t, u[..., :factors.width], np.empty_like(t[0]))
     return VectorField(ScalarField(g, u[0]), ScalarField(g, u[1]))
 
 

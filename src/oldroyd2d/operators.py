@@ -87,6 +87,16 @@ def _contiguous(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     return tuple(np.asarray(a, dtype=np.complex128, order="C") for a in arrays)
 
 
+def in_band(*fields: ScalarField) -> tuple[Factors, list[np.ndarray]]:
+    """The Factors of the band of the fields' coefficients (Grid.band) and
+    the coefficients' columns within it, the columns a field operator
+    computes; its output is zero past them, as model.Workspace.store
+    writes."""
+    g = fields[0].grid
+    width = g.band(*(f.coeffs for f in fields)) + 1
+    return Factors(g, width), [f.coeffs[:, :width] for f in fields]
+
+
 def velocity_modes(factors: Factors, w: np.ndarray, out) -> tuple[np.ndarray, np.ndarray]:
     """Biot-Savart per mode, u_hat = (i k2, -i k1) w_hat / |k|^2, in the pair out."""
     inv_ksq, i_k2, minus_i_k1 = factors.velocity
@@ -107,8 +117,9 @@ def biot_savart(omega: ScalarField) -> VectorField:
         raise ValueError(
             f"biot_savart requires zero-mean vorticity, mean={omega.mean:.3e}"
         )
-    u = np.empty((2,) + g.shape, dtype=np.complex128)
-    velocity_modes(Factors(g, g.shape[1]), omega.coeffs, u)
+    factors, (w,) = in_band(omega)
+    u = np.zeros((2,) + g.shape, dtype=np.complex128)
+    velocity_modes(factors, w, u[..., :factors.width])
     return VectorField(ScalarField(g, u[0]), ScalarField(g, u[1]))
 
 
@@ -169,10 +180,10 @@ def riesz_r(tau: SymTensorField) -> ScalarField:
     Per mode [(k1^2 - k2^2) t12 + k1 k2 (t22 - t11)] / |k|^2; zero mode -> 0.
     """
     g = tau.grid
-    out = np.empty(g.shape, dtype=np.complex128)
-    r_numerator(Factors(g, g.shape[1]), *(c.coeffs for c in tau.components), out,
-                np.empty_like(out))
-    out *= g.inv_ksq
+    factors, t = in_band(*tau.components)
+    out = np.zeros(g.shape, dtype=np.complex128)
+    r = r_numerator(factors, *t, out[:, :factors.width], np.empty_like(t[0]))
+    r *= g.inv_ksq[:, :factors.width]
     return ScalarField(g, out)
 
 
@@ -211,9 +222,10 @@ def advect(u: VectorField, f: ScalarField) -> ScalarField:
     kernel of model.rhs; the velocity's grid values are made once per
     VectorField (VectorField.values)."""
     g = f.grid
-    inverse, ik = g.inverse(g.band(f.coeffs)), Factors(g, g.shape[1]).ik
+    factors, (a,) = in_band(f)
+    inverse, ik = g.inverse(factors.width - 1), factors.ik
     minus = transport(lambda c, i, out: inverse(ik[i] * c), u.values)
-    out = np.fft.rfft2(minus(f.coeffs), norm="forward")
+    out = np.fft.rfft2(minus(a), norm="forward")
     np.multiply(out, g.dealias_mask, out=out)
     return ScalarField(g, np.negative(out, out=out))
 

@@ -74,7 +74,9 @@ class _Observer:
         self.enstrophy_ledger: list[tuple[float, float]] = []
 
     def __call__(self, state) -> None:
-        rec = self._record(state)
+        obs = diag.Observation(state, self.config.params, self.config.diag)
+        rec = self._record(obs)
+        view, obs = obs.state, None  # the view outlives the record's terms
         self.records.append(rec)
         self.stream.write(_json_line(rec.to_dict()))
         self.stream.flush()
@@ -82,17 +84,16 @@ class _Observer:
         while self._pending_snaps and state.t >= self._pending_snaps[0] - self._eps:
             self._pending_snaps.pop(0)
             path = self.out_dir / f"snapshot_{self._snap_index:03d}.bin"
-            save_snapshot(state, self.config.params, path)
+            save_snapshot(view, self.config.params, path)
             self._snap_index += 1
 
-    def _record(self, state) -> diag.DiagnosticsRecord:
-        obs = diag.Observation(state, self.config.params, self.config.diag)
+    def _record(self, obs: diag.Observation) -> diag.DiagnosticsRecord:
         rec = diag.compute_record(obs)
-        if self._last is not None and state.t > self._last[0]:
+        if self._last is not None and rec.t > self._last[0]:
             t0, v0 = self._last
-            self.bkm_accum += 0.5 * (v0 + rec.grad_u_linf) * (state.t - t0)
+            self.bkm_accum += 0.5 * (v0 + rec.grad_u_linf) * (rec.t - t0)
         rec.bkm_accum = self.bkm_accum
-        self._last = (state.t, rec.grad_u_linf)
+        self._last = (rec.t, rec.grad_u_linf)
         if obs.params.energy_law:
             self.enstrophy_ledger.append(diag.enstrophy_balance(obs))
         return rec
@@ -146,8 +147,11 @@ def run(config: ExperimentConfig) -> RunResult:
     """Integrate the configured experiment, writing diagnostics and snapshots."""
     out_dir = config.output.resolved_dir()
     out_dir.mkdir(parents=True, exist_ok=True)
-    state = make_initial_data(config.initial, config.tau_initial, config.grid,
-                              config.params)
+    # Popped into integrate, which then holds the initial state's one
+    # reference and frees it with its first step. A bad config or snapshot
+    # still raises here, before the diagnostics file is opened.
+    initial = [make_initial_data(config.initial, config.tau_initial, config.grid,
+                                 config.params)]
 
     path = out_dir / DIAGNOSTICS_FILE
     # A blow-up is reported by the failure line and the nonfinite keys, not
@@ -157,7 +161,7 @@ def run(config: ExperimentConfig) -> RunResult:
         obs = _Observer(config, out_dir, stream)
         try:
             integrate(
-                state, config.params, config.step,
+                initial.pop(), config.params, config.step,
                 observer=obs,
                 observe_every=config.output.observe_every,
                 land_times=config.output.snapshot_times,

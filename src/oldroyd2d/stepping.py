@@ -208,9 +208,10 @@ def integrate(state0: SimState, params: ModelParams, config: StepConfig,
     Courant number above cfl; with dt_min == dt_max every step is that size.
 
     The steps and CFL steps up to each target share one StepWorkspace,
-    dropped before the observer is called there.
+    dropped before the observer is called there. No reference to state0 is
+    kept past the first step, so a caller that holds none frees it there.
     """
-    state = state0
+    state, state0 = state0, None
     t_end = config.t_end
     eps = landing_tolerance(t_end)
 

@@ -3,12 +3,13 @@
 import json
 import sys
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from oldroyd2d import checks, cli, model
+from oldroyd2d import checks, cli, model, runner, stepping
 from oldroyd2d import diagnostics as diag
 from oldroyd2d import operators as ops
 from oldroyd2d.config import load_config, parse_config, with_override
@@ -361,6 +362,44 @@ class TestRunner:
         for record in lines[:-1]:
             assert "nonfinite" not in record
             assert max(abs(v) for v in values(record)) <= 1e100
+
+    def test_no_state_outlives_its_use(self, tmp_path, monkeypatch):
+        # each state handed to the observer is freed before the next
+        # observation, and the initial state as soon as its first step returns
+        observed, alive_at_step = [], []
+        observe, step = runner._Observer.__call__, stepping.step
+
+        def observing(self, state):
+            assert [r() for r in observed] == [None] * len(observed)
+            observed.append(weakref.ref(state))
+            observe(self, state)
+
+        def stepping_on(state, *args, **kwargs):
+            alive_at_step.append(observed[0]() is not None)
+            return step(state, *args, **kwargs)
+
+        monkeypatch.setattr(runner._Observer, "__call__", observing)
+        monkeypatch.setattr(stepping, "step", stepping_on)
+        text = (MINIMAL.format(out=tmp_path / "life")
+                .replace("t_end = 0.0", "t_end = 0.3\ndt_max = 0.05")
+                + "observe_every = 0.1\nsnapshot_times = 0.2\n[model]\nvariant = q_zero\n")
+        result = run(parse_config(text))
+        assert result.ok and len(observed) == 4
+        assert alive_at_step[0] and not any(alive_at_step[1:])
+
+    def test_restart_writes_its_source_snapshot_at_its_start(self, tmp_path):
+        # a snapshot loaded as initial data keeps its stored grid values,
+        # and the run's snapshot at its start time is written from them
+        text = (MINIMAL.replace("kind = taylor_green",
+                                "kind = random_band_limited\nband_hi = 4\nseed = 3")
+                + "snapshot_times = 0.0\n")
+        first = run(parse_config(text.format(out=tmp_path / "first")))
+        source = first.out_dir / "snapshot_000.bin"
+        restart = text.replace("kind = random_band_limited",
+                               f"kind = from_snapshot\nsnapshot = {source}")
+        result = run(parse_config(restart.format(out=tmp_path / "restart")))
+        assert first.ok and result.ok
+        assert (result.out_dir / "snapshot_000.bin").read_bytes() == source.read_bytes()
 
     @pytest.mark.parametrize("model_text, want_rhs, want_gamma", [
         ("variant = q_zero", 1, 1),

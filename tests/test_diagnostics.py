@@ -1,10 +1,12 @@
 """Diagnostic calculators: energies, residuals, ledgers, fits."""
 
 import math
+import weakref
 
 import numpy as np
 import pytest
 
+from oldroyd2d import besov
 from oldroyd2d import diagnostics as diag
 from oldroyd2d.fields import ScalarField, SymTensorField, VectorField, sq_norm
 from oldroyd2d.grid import Grid
@@ -261,3 +263,35 @@ class TestRecord:
         assert rec.energy_identity_residual is None
         assert rec.gamma_residual is None
         assert rec.gamma_rhs_linf is None
+
+
+class TestObservationView:
+    @pytest.mark.parametrize("params", [
+        Q_ZERO,
+        ModelParams(nu=0.0, mu=0.7, K=1.3, alpha=0.9, beta=0.4, b=0.3),
+        ModelParams(nu=0.1, mu=0.7, K=1.3, alpha=0.9, beta=0.4, variant="stokes_toy"),
+    ], ids=["q_zero", "full", "stokes_toy"])
+    def test_diagnostics_leave_the_state_as_it_was(self, grid32, params):
+        # every cache a record makes lands on the observation's view, which
+        # carries the caches the state already held
+        s = rand_state(grid32, 21)
+        state = make_state(0.0, s.omega, s.tau, params)
+        held = state.tau.t12.physical
+        objects = [state, state.omega, state.tau, *state.tau.components]
+        keys = [set(vars(x)) for x in objects]
+        o = obs(state, params)
+        diag.compute_record(o)
+        if params.energy_law:
+            diag.enstrophy_balance(o)
+        assert [set(vars(x)) for x in objects] == keys
+        assert o.state.tau.t12.physical is held
+        assert {"u", "grad_u"} <= set(vars(o.state))
+
+    def test_padded_transform_dies_with_the_observation(self):
+        grid = Grid(26)  # a grid of this test alone: nothing else holds its buffer
+        o = obs(rand_state(grid, 22), Q_ZERO)
+        diag.compute_record(o)
+        pad = weakref.ref(besov.padded_transform(grid))
+        assert pad() is o._padded
+        del o
+        assert pad() is None

@@ -140,8 +140,10 @@ class TestPaddedTransform:
     @pytest.mark.parametrize("n", SIZES)
     def test_wide_narrow_wide_on_one_grid(self, n):
         grid, rng = Grid(n), np.random.default_rng(10)
+        pad = besov.padded_transform(grid)  # held, so that every call shares it
         dec = besov.decomposition_for(grid)
         low = dec.block(rand_state(grid, 11, band=(1, n // 3)).omega, 0)
         white = lambda: ScalarField(grid, white_half(rng, n))  # noqa: E731
         for f in (white(), low, white(), white(), low):
             check_padded(f, n // 2)
+            assert besov.padded_transform(grid) is pad
