@@ -252,7 +252,7 @@ def main(argv=None) -> int:
                 workload: {side: flat(run(dirs[side], workload, 0, 1.0, True)[0])
                            for side in SIDES}
                 for workload in workloads}
-            report["commands"]["tracemalloc"] = memory_peaks.__doc__.split("\n\n")[0]
+            report["commands"]["tracemalloc"] = " ".join(memory_peaks.__doc__.split())
             report["tracemalloc"] = {side: memory_run(dirs[side]) for side in SIDES}
         report["machine"] = {**machine, "os": platform.platform()}
     Path(args.out).write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
