@@ -202,13 +202,6 @@ class VectorField(FieldKind):
         operators.advect transports with."""
         return self.u1.physical, self.u2.physical
 
-    def max_divergence(self) -> float:
-        """max over modes of |k . u_hat| (0 for divergence-free fields)."""
-        g = self.grid
-        return float(
-            np.max(np.abs(g.k1 * self.u1.coeffs + g.k2 * self.u2.coeffs))
-        )
-
 
 @dataclass(frozen=True)
 class SymTensorField(FieldKind):

@@ -23,7 +23,7 @@ from . import operators as ops
 from .errors import ConfigError
 from .fields import ScalarField, SymTensorField
 from .grid import Grid
-from .model import ModelParams, SimState, make_state
+from .model import ModelParams, SimState, make_state, stack, unstack
 
 OMEGA_KINDS = ("taylor_green", "random_band_limited", "single_mode", "zero", "from_snapshot")
 TAU_KINDS = ("zero", "random_band_limited", "single_mode")
@@ -141,6 +141,7 @@ def single_mode_scalar(grid: Grid, mode: int, amplitude: float) -> ScalarField:
 
 def smallness_norm(state: SimState) -> float:
     """||(u, tau)||_{H1} + ||(omega, tau)||_{B^0_{inf,1}}."""
+    _pad = besov.padded_transform(state.grid)  # held, so that both Besov norms share one buffer
     h1 = math.sqrt(
         besov.sobolev_norm(state.u, 1.0) ** 2 + besov.sobolev_norm(state.tau, 1.0) ** 2
     )
@@ -156,12 +157,14 @@ def make_initial_data(spec: InitialSpec, tau_spec: TauInitialSpec, grid: Grid,
     if spec.kind == "from_snapshot":
         from .snapshots import load_snapshot
 
-        state, snap_params = load_snapshot(spec.snapshot)
+        state, _ = load_snapshot(spec.snapshot)
         if state.grid.n != grid.n:
             raise ConfigError(
                 f"snapshot resolution n={state.grid.n} does not match configured n={grid.n}"
             )
-        return make_state(state.t, state.omega, state.tau, params)
+        if state.stokes_toy != (params is not None and params.variant == "stokes_toy"):
+            state = make_state(state.t, state.omega, state.tau, params)
+        return state  # a loaded Stokes-toy vorticity kept, with its stored grid values
 
     if spec.kind == "zero":
         omega = ScalarField.zeros(grid)
@@ -186,18 +189,13 @@ def make_initial_data(spec: InitialSpec, tau_spec: TauInitialSpec, grid: Grid,
         tau = _random_tensor(grid, (tau_spec.band_lo, tau_spec.band_hi), seed,
                             tau_spec.amplitude)
 
-    omega = ops.dealias(omega)
-    tau = ops.dealias(tau)
-    state = make_state(0.0, omega, tau, params)
-
-    if spec.delta is not None:
-        if spec.delta == 0.0:
-            return make_state(
-                0.0, ScalarField.zeros(grid), SymTensorField.zeros(grid), params
-            )
-        size = smallness_norm(state)
+    omega, tau = ops.dealias(omega), ops.dealias(tau)
+    if spec.delta == 0.0:
+        omega, tau = ScalarField.zeros(grid), SymTensorField.zeros(grid)
+    elif spec.delta is not None:
+        size = smallness_norm(make_state(0.0, omega, tau, params))
         if size <= 0.0:
             raise ConfigError("cannot rescale a zero state to a positive delta")
         c = spec.delta / size
-        state = make_state(0.0, c * state.omega, c * state.tau, params)
-    return state
+        omega, tau = c * omega, c * tau
+    return make_state(0.0, *unstack(grid, stack(omega, tau)), params)

@@ -128,36 +128,55 @@ def make_state(t: float, omega: ScalarField, tau: SymTensorField,
     return SimState(t=t, omega=omega, tau=tau, stokes_toy=stokes_toy)
 
 
-def stack(omega: ScalarField, tau: SymTensorField, out: np.ndarray | None = None) -> np.ndarray:
-    """The packed (4, n, n//2+1) stack of the coefficient arrays (omega,
-    tau11, tau12, tau22), written to out when given."""
-    return np.stack([omega.coeffs] + [c.coeffs for c in tau.components], out=out)
+def stack(omega: ScalarField, tau: SymTensorField) -> np.ndarray:
+    """A fresh packed (4, n, n//2+1) stack of the coefficient arrays (omega,
+    tau11, tau12, tau22)."""
+    return np.stack([omega.coeffs] + [c.coeffs for c in tau.components])
 
 
 def unstack(grid: Grid, y: np.ndarray) -> tuple[ScalarField, SymTensorField]:
-    """(omega, tau) holding the rows of a packed stack as they are: views,
-    so the stack must not be written afterwards."""
+    """(omega, tau) holding the rows of a packed stack as they are: views of
+    y, which is made read-only."""
+    y.setflags(write=False)
     return ScalarField(grid, y[0]), SymTensorField(*(ScalarField(grid, c) for c in y[1:]))
 
 
-def linear_symbol(grid: Grid, params: ModelParams, out: np.ndarray | None = None) -> np.ndarray:
-    """Stiff part of d/dt of the packed stack, diagonal in Fourier, written
-    to out when given.
+def packed(state: SimState) -> np.ndarray:
+    """The read-only stack whose rows the state's four coefficient arrays are
+    (unstack), as it is, or else a fresh stack of them (a Stokes-toy state)."""
+    rows = [c.coeffs for c in (state.omega, *state.tau.components)]
+    y = rows[0].base
+    if isinstance(y, np.ndarray) and y.shape == (4,) + rows[0].shape and all(
+            r.__array_interface__ == y[i].__array_interface__ for i, r in enumerate(rows)):
+        return y
+    return stack(state.omega, state.tau)
 
-    -nu |k|^2 for omega and -(beta + mu |k|^2) for each tau component. The
-    vorticity row is 0 for the Stokes toy, whose omega is diagnosed from tau.
+
+def linear_symbol(grid: Grid, params: ModelParams, out: np.ndarray | None = None) -> np.ndarray:
+    """Stiff part of d/dt of the packed stack, diagonal in Fourier, as its
+    two distinct rows (apply_symbol), written to out when given.
+
+    -nu |k|^2 for omega and -(beta + mu |k|^2), shared by the three tau
+    components. The vorticity row is 0 for the Stokes toy, whose omega is
+    diagnosed from tau.
     """
     ksq = grid.ksq
-    sym = np.empty((4,) + ksq.shape) if out is None else out
-    if params.variant == "stokes_toy":
-        sym[0] = 0.0
-    else:
-        np.multiply(-params.nu, ksq, out=sym[0])
+    sym = np.empty((2,) + ksq.shape) if out is None else out
+    np.multiply(0.0 if params.variant == "stokes_toy" else -params.nu, ksq, out=sym[0])
     tau = np.multiply(params.mu, ksq, out=sym[1])
     tau += params.beta
     np.negative(tau, out=tau)
-    sym[2:] = tau
     return sym
+
+
+def apply_symbol(f: np.ndarray, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """f * y per mode for two rows f in the layout of linear_symbol (or of
+    its integrating factors) and a packed stack y: f[0] times omega, f[1]
+    times each tau component. Written to out (which may be y) when given."""
+    out = np.empty_like(y) if out is None else out
+    np.multiply(f[0], y[0], out=out[0])
+    np.multiply(f[1], y[1:], out=out[1:])
+    return out
 
 
 def q_products(g11, g12, g21, g22, t11, t12, t22, b: float, out=None, scratch=None):
@@ -248,7 +267,8 @@ class Workspace:
     the workspace, and the per-mode factors it applies, made on first use
     at each band.
 
-    A call with it allocates nothing. It copies the columns of its input
+    A call with it allocates nothing once one has loaded as wide a band
+    (load). It copies the columns of its input
     within the band (Grid.band), n//3+1 of n//2+1 for a dealiased stack, to
     contiguous (n, width) arrays, and its per-mode products, inverse column
     passes (grid.inverse_rfft2) and output rows keep that layout: numpy
@@ -266,11 +286,10 @@ class Workspace:
         # One allocation per kind of buffer: with one per buffer, an 8-second
         # stepping_full_n256 benchmark run took 208 000 minor page faults
         # instead of 164 000 (BENCH_15.json "earlier_runs").
-        spectra = np.empty((10,) + shape, dtype=np.complex128)
-        self.work, self.rows = spectra[0], spectra[1]  # rows: the row pass of forward
-        self.work[...] = 0.0
-        # The band layout: y, u_hat, a per-mode product and an output row.
-        self._band = spectra[2:].reshape(8, -1)
+        self.work, self.rows = np.zeros((2,) + shape, dtype=np.complex128)  # rows: forward's
+        # The band layout: y, u_hat, a per-mode product and an output row, as
+        # wide as the widest band loaded: n//3+1 columns for dealiased inputs.
+        self._band = np.empty((8, 0), dtype=np.complex128)
         self._factors: dict[int, ops.Factors] = {}
         values = np.empty((13, n, n))  # grid values
         self.u, self.q, self.q_inputs = values[:2], values[2:5], values[5:12]
@@ -293,6 +312,8 @@ class Workspace:
             self.work[:, width:self.width] = 0.0
         self.width = width
         self.factors = self._factors.setdefault(width, ops.Factors(self.grid, width))
+        if self._band.shape[1] < n * width:
+            self._band = np.empty((8, n * width), dtype=np.complex128)
         band = [a[:n * width].reshape(n, width) for a in self._band]
         self.y, self.u_hat, (self.product, self.row) = band[:4], band[4:6], band[6:]
         # The row pass's buffer, free outside forward, as one more.
@@ -408,12 +429,14 @@ def rhs(y: np.ndarray, grid: Grid, params: ModelParams,
 
 def time_derivative(state: SimState,
                     params: ModelParams) -> tuple[ScalarField, SymTensorField]:
-    """d/dt (omega, tau) at the state: rhs plus linear_symbol * stack, the one
-    place where the explicit/stiff split is undone. The Stokes toy's
-    vorticity -R(tau) moves with tau: its d/dt is -R(d/dt tau)."""
-    grid = state.grid
-    y = stack(state.omega, state.tau)
-    d_omega, d_tau = unstack(grid, rhs(y, grid, params) + linear_symbol(grid, params) * y)
+    """d/dt (omega, tau) at the state: rhs plus the linear_symbol term, read
+    from the state's packed stack in place, the one place where the
+    explicit/stiff split is undone. The Stokes toy's vorticity -R(tau) moves
+    with tau: its d/dt is -R(d/dt tau)."""
+    grid, y = state.grid, packed(state)
+    d = rhs(y, grid, params)
+    d += apply_symbol(linear_symbol(grid, params), y)
+    d_omega, d_tau = unstack(grid, d)
     if params.variant == "stokes_toy":
         d_omega = -ops.riesz_r(d_tau)
     return d_omega, d_tau

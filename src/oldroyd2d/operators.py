@@ -24,10 +24,6 @@ def deriv(f: ScalarField, axis: int) -> ScalarField:
     return ScalarField(f.grid, 1j * k * f.coeffs)
 
 
-def grad(f: ScalarField) -> tuple[ScalarField, ScalarField]:
-    return deriv(f, 1), deriv(f, 2)
-
-
 def laplacian(f: ScalarField) -> ScalarField:
     return ScalarField(f.grid, -f.grid.ksq * f.coeffs)
 

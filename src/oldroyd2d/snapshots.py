@@ -5,8 +5,9 @@ seven f64 parameters (nu, mu, K, alpha, beta, b, q_code), then four
 row-major f64 physical-space arrays omega, tau11, tau12, tau22 of length
 n^2 each. q_code encodes the variant and Q (Q_CODES).
 
-Physical space is stored for portability; the spectral cache is rebuilt on
-load, and the loaded physical arrays are kept verbatim so that
+Physical space is stored for portability; the coefficients are rebuilt on
+load as the rows of one packed stack (model.unstack), and the loaded
+physical arrays are kept verbatim on those rows' fields so that
 save(load(path)) reproduces the file byte for byte. A file is outside
 input: a header that Grid or ModelParams rejects, a non-finite value or a
 vorticity with nonzero mean raises SnapshotError naming the file.
@@ -21,9 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import SnapshotError
-from .fields import ScalarField, SymTensorField
 from .grid import Grid
-from .model import ModelParams, SimState
+from .model import ModelParams, SimState, unstack
 
 MAGIC = b"OLDB2D01"
 VERSION = 1
@@ -39,14 +39,6 @@ Q_CODES = {
     4.0: ("stokes_toy", True),
 }
 _CODE_OF = {pair: code for code, pair in Q_CODES.items()}
-
-
-def _scalar_from_exact_physical(grid: Grid, values: np.ndarray) -> ScalarField:
-    f = ScalarField.from_physical(grid, values)
-    exact = np.ascontiguousarray(values, dtype=np.float64)
-    exact.setflags(write=False)
-    f.__dict__["physical"] = exact  # pre-seed the cache with the stored bytes
-    return f
 
 
 def save_snapshot(state: SimState, params: ModelParams, path) -> None:
@@ -88,11 +80,11 @@ def load_snapshot(path) -> tuple[SimState, ModelParams]:
         grid = Grid(n=n, length=length)
         params = ModelParams(nu=nu, mu=mu, K=K, alpha=alpha, beta=beta, b=b,
                              q_enabled=q_enabled, variant=variant)
-        omega, t11, t12, t22 = (
-            _scalar_from_exact_physical(grid, arr) for arr in arrays.reshape(4, n, n)
-        )
-        state = SimState(t=t, omega=omega, tau=SymTensorField(t11, t12, t22),
-                         stokes_toy=params.variant == "stokes_toy")
+        values = arrays.reshape(4, n, n)
+        omega, tau = unstack(grid, np.stack([np.fft.rfft2(v, norm="forward") for v in values]))
+        for f, v in zip((omega, *tau.components), values):
+            f.__dict__["physical"] = v  # pre-seed the cache with the stored bytes
+        state = SimState(t=t, omega=omega, tau=tau, stokes_toy=params.variant == "stokes_toy")
     except ValueError as exc:  # ConfigError included
         raise SnapshotError(f"snapshot {path}: {exc}") from None
     return state, params

@@ -18,7 +18,8 @@ import numpy as np
 
 from .errors import ConfigError, IntegrationError
 from .grid import Grid
-from .model import ModelParams, SimState, Workspace, linear_symbol, make_state, rhs, stack, unstack
+from .model import (ModelParams, SimState, Workspace, apply_symbol, linear_symbol, make_state,
+                    packed, rhs, unstack)
 
 SCHEMES = ("ifrk2", "ifrk4")
 
@@ -60,8 +61,7 @@ def cfl_dt(state: SimState, config: StepConfig, work: Workspace | None = None) -
     not given).
     """
     work = Workspace(state.grid) if work is None else work
-    rows = tuple(c.coeffs for c in (state.omega, *state.tau.components))
-    work.load(rows)
+    work.load([state.omega.coeffs] + [c.coeffs for c in state.tau.components])
     u1, u2 = work.velocity(state.stokes_toy)
     umax = float(np.max(np.hypot(u1, u2, out=work.scratch)))
     dt = config.cfl * state.grid.h / max(umax, CFL_VELOCITY_FLOOR)
@@ -76,17 +76,16 @@ def _max_norm(y: np.ndarray) -> float:
 
 
 class StepWorkspace:
-    """The buffers of step for one grid and scheme: the state's packed
-    stack, the stage input, the slope accumulators, the integrating factors
-    and the rhs Workspace. integrate owns one while it steps and drops it
-    before each observation (CONVENTIONS.md "Time stepping")."""
+    """The buffers of step for one grid and scheme: the stage input, the
+    slope accumulators, the integrating factors of the two rows of
+    linear_symbol and the rhs Workspace. integrate owns one while it steps
+    and drops it before each observation (CONVENTIONS.md "Time stepping")."""
 
     def __init__(self, grid: Grid, scheme: str):
-        shape = (4,) + grid.shape
         ifrk2 = scheme == "ifrk2"
-        self.factors = np.empty((1 if ifrk2 else 2,) + shape)  # e, h
-        stacks = np.empty((4 if ifrk2 else 5,) + shape, dtype=np.complex128)
-        self.y, self.stage, self.k = stacks[0], stacks[1], stacks[2:]
+        self.factors = np.empty((1 if ifrk2 else 2, 2) + grid.shape)  # e, h
+        stacks = np.empty((3 if ifrk2 else 4, 4) + grid.shape, dtype=np.complex128)
+        self.stage, self.k = stacks[0], stacks[1:]
         self.rhs = Workspace(grid)
 
 
@@ -94,14 +93,13 @@ def step(state: SimState, dt: float, params: ModelParams, config: StepConfig,
          forcing: np.ndarray | None = None, work: StepWorkspace | None = None) -> SimState:
     """Advance one step of size dt > 0.
 
-    The state's coefficient arrays are stacked once into the (4, n, n//2+1)
-    stack (omega, tau11, tau12, tau22) of the StepWorkspace work of its grid
-    and scheme (made here when not given), and the new state holds the rows
-    of the new stack, the one array a step allocates when given work. Each
-    stage is the whole-array expression in its comment, evaluated in that
-    order into the workspace, from the integrating
-    factors exp(c dt L) of the linear symbol L and the explicit tendencies
-    from rhs; a forcing is a packed stack too.
+    The state's packed stack (model.packed) is read in place, and the new
+    state holds the rows of the new stack, the one array a step allocates
+    when given the StepWorkspace work of its grid and scheme (made here when
+    not given). Each stage is the whole-array expression in its comment,
+    evaluated in that order into the workspace, from the integrating factors
+    exp(c dt L) of the linear symbol L (model.apply_symbol) and the explicit
+    tendencies from rhs; a forcing is a packed stack too.
 
     Raises IntegrationError at t + dt when the new stack holds a non-finite
     value, or when its coefficient max-norm (over real and imaginary parts)
@@ -112,7 +110,7 @@ def step(state: SimState, dt: float, params: ModelParams, config: StepConfig,
         raise ValueError(f"dt must be positive, got {dt}")
     grid = state.grid
     work = StepWorkspace(grid, config.scheme) if work is None else work
-    y, s, k = stack(state.omega, state.tau, out=work.y), work.stage, work.k
+    y, s, k = packed(state), work.stage, work.k
     e = work.factors[0]
     np.exp(np.multiply(dt, linear_symbol(grid, params, out=e), out=e), out=e)
 
@@ -123,9 +121,9 @@ def step(state: SimState, dt: float, params: ModelParams, config: StepConfig,
     if config.scheme == "ifrk2":
         np.multiply(dt, k[0], out=s)
         s += y
-        s *= e
+        apply_symbol(e, s, out=s)
         n_of(s, k[1])                 # k1 = N(e * (y + dt * k0))
-        k[0] *= e
+        apply_symbol(e, k[0], out=k[0])
         k[0] += k[1]
         k[0] *= 0.5 * dt              # 0.5 * dt * (e * k0 + k1)
     else:
@@ -134,25 +132,25 @@ def step(state: SimState, dt: float, params: ModelParams, config: StepConfig,
         r = s.reshape(-1).view(np.float64)[:h.size].reshape(h.shape)  # a real scratch in s
         np.multiply(0.5 * dt, k[0], out=s)
         s += y
-        s *= h
+        apply_symbol(h, s, out=s)
         n_of(s, k[1])                 # k1 = N(h * (y + 0.5 * dt * k0))
         np.multiply(0.5 * dt, k[1], out=k[2])
-        np.multiply(h, y, out=s)
+        apply_symbol(h, y, out=s)
         s += k[2]
         n_of(s, k[2])                 # k2 = N(h * y + 0.5 * dt * k1)
         k[1] += k[2]                  # k1 + k2
         np.multiply(dt, h, out=r)
-        k[2] *= r
-        np.multiply(e, y, out=s)      # overwrites r
+        apply_symbol(r, k[2], out=k[2])
+        apply_symbol(e, y, out=s)     # overwrites r
         s += k[2]
         n_of(s, k[2])                 # k3 = N(e * y + dt * h * k2), in k2's place
-        k[0] *= e
+        apply_symbol(e, k[0], out=k[0])
         h *= 2.0
-        k[1] *= h
+        apply_symbol(h, k[1], out=k[1])
         k[0] += k[1]
         k[0] += k[2]
         k[0] *= dt / 6.0              # dt / 6 * (e * k0 + 2.0 * h * (k1 + k2) + k3)
-    ynew = np.multiply(e, y)
+    ynew = apply_symbol(e, y)
     ynew += k[0]                      # e * y + the sum above
 
     peak = _max_norm(ynew)

@@ -1,12 +1,14 @@
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from oldroyd2d import operators as ops
 from oldroyd2d.fields import ScalarField, SymTensorField
 from oldroyd2d.grid import Grid
 from oldroyd2d.initial_data import random_scalar, random_state
-from oldroyd2d.model import make_state
+from oldroyd2d.model import make_state, packed
 
 
 @pytest.fixture
@@ -27,6 +29,31 @@ def grid64():
 def field_from(grid, fn):
     """Sample fn(x, y) on the grid."""
     return ScalarField.from_physical(grid, fn(grid.x, grid.y))
+
+
+def grad(f):
+    return ops.deriv(f, 1), ops.deriv(f, 2)
+
+
+def max_divergence(u):
+    """max over modes of |k . u_hat| (0 for divergence-free fields)."""
+    g = u.grid
+    return float(np.max(np.abs(g.k1 * u.u1.coeffs + g.k2 * u.u2.coeffs)))
+
+
+def assert_packed(state):
+    """The state's four coefficient arrays are the rows of one read-only
+    stack, which model.packed gives as it is."""
+    y = packed(state)
+    assert y is packed(state) and not y.flags.writeable
+    for row, f in zip(y, (state.omega, *state.tau.components)):
+        assert f.coeffs.base is y and f.coeffs.ctypes.data == row.ctypes.data
+
+
+def unpacked(state):
+    """A copy of the state whose coefficient arrays are four arrays of their own."""
+    fresh = lambda f: ScalarField(f.grid, f.coeffs.copy())
+    return replace(state, omega=fresh(state.omega), tau=state.tau.map(fresh))
 
 
 def rand_scalar(grid, seed, band=(1, 8)):

@@ -389,17 +389,20 @@ class TestRunner:
 
     def test_restart_writes_its_source_snapshot_at_its_start(self, tmp_path):
         # a snapshot loaded as initial data keeps its stored grid values,
-        # and the run's snapshot at its start time is written from them
-        text = (MINIMAL.replace("kind = taylor_green",
-                                "kind = random_band_limited\nband_hi = 4\nseed = 3")
-                + "snapshot_times = 0.0\n")
-        first = run(parse_config(text.format(out=tmp_path / "first")))
-        source = first.out_dir / "snapshot_000.bin"
-        restart = text.replace("kind = random_band_limited",
-                               f"kind = from_snapshot\nsnapshot = {source}")
-        result = run(parse_config(restart.format(out=tmp_path / "restart")))
-        assert first.ok and result.ok
-        assert (result.out_dir / "snapshot_000.bin").read_bytes() == source.read_bytes()
+        # and the run's snapshot at its start time is written from them; a
+        # Stokes-toy restart keeps its loaded vorticity too
+        for variant in model.VARIANTS:
+            text = (MINIMAL.replace("kind = taylor_green",
+                                    "kind = random_band_limited\nband_hi = 4\nseed = 3")
+                    + "snapshot_times = 0.0\n[initial_tau]\nkind = random_band_limited\n"
+                    + f"band_hi = 4\nseed = 4\n[model]\nvariant = {variant}\n")
+            first = run(parse_config(text.format(out=tmp_path / variant / "first")))
+            source = first.out_dir / "snapshot_000.bin"
+            restart = text.replace("kind = random_band_limited\nband_hi = 4\nseed = 3",
+                                   f"kind = from_snapshot\nsnapshot = {source}")
+            result = run(parse_config(restart.format(out=tmp_path / variant / "restart")))
+            assert first.ok and result.ok
+            assert (result.out_dir / "snapshot_000.bin").read_bytes() == source.read_bytes()
 
     @pytest.mark.parametrize("model_text, want_rhs, want_gamma", [
         ("variant = q_zero", 1, 1),

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from oldroyd2d import besov, cli
+from oldroyd2d import operators as ops
 from oldroyd2d.errors import ConfigError, SnapshotError
 from oldroyd2d.fields import ScalarField
 from oldroyd2d.grid import Grid
@@ -17,10 +18,10 @@ from oldroyd2d.initial_data import (
     smallness_norm,
     taylor_green_vorticity,
 )
-from oldroyd2d.model import VARIANTS, ModelParams, stokes_toy_velocity
+from oldroyd2d.model import VARIANTS, ModelParams, make_state, packed, stack, stokes_toy_velocity
 from oldroyd2d.snapshots import _HEADER, MAGIC, Q_CODES, load_snapshot, save_snapshot
 
-from conftest import nyquist_state, rand_state, rel_err
+from conftest import assert_packed, nyquist_state, rand_state, rel_err
 
 TAU_ZERO = TauInitialSpec(kind="zero")
 
@@ -89,7 +90,47 @@ class TestGenerators:
         assert np.max(np.abs(state.omega.coeffs[outside])) == 0.0
 
 
+    @pytest.mark.parametrize("spec, tau_spec", [
+        (InitialSpec(), TAU_ZERO),
+        (InitialSpec(kind="random_band_limited", seed=3, delta=0.1),
+         TauInitialSpec(kind="random_band_limited", seed=4)),
+        (InitialSpec(delta=0.0), TAU_ZERO),
+    ], ids=["taylor_green", "delta", "delta_zero"])
+    def test_initial_state_is_packed(self, grid32, spec, tau_spec):
+        assert_packed(make_initial_data(spec, tau_spec, grid32))
+        state = make_initial_data(spec, tau_spec, grid32, ModelParams(b=0.3))
+        assert_packed(state)
+        # a Stokes-toy vorticity is diagnosed apart: its stack is made afresh
+        toy = make_initial_data(spec, tau_spec, grid32, ModelParams(variant="stokes_toy"))
+        assert packed(toy) is not packed(toy)
+        assert np.array_equal(packed(toy), stack(toy.omega, toy.tau))
+
+
 class TestSnapshots:
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_loaded_state_is_packed_with_its_stored_values(self, tmp_path, grid32, variant):
+        params = ModelParams(variant=variant)
+        seed = rand_state(grid32, 29)
+        state = make_state(0.0, seed.omega, seed.tau, params)
+        path = tmp_path / "a.bin"
+        save_snapshot(state, params, path)
+        spec = InitialSpec(kind="from_snapshot", snapshot=str(path))
+        for loaded in (load_snapshot(path)[0], make_initial_data(spec, TAU_ZERO, grid32, params)):
+            assert_packed(loaded)
+            for got, want in zip((loaded.omega, *loaded.tau.components),
+                                 (state.omega, *state.tau.components)):
+                assert np.array_equal(got.physical, want.physical)
+
+    def test_snapshot_of_another_variant_starts_a_stokes_toy(self, tmp_path, grid32):
+        # a full-model snapshot as Stokes-toy initial data: omega = -R(tau)
+        state = rand_state(grid32, 28)
+        path = tmp_path / "full.bin"
+        save_snapshot(state, ModelParams(), path)
+        spec = InitialSpec(kind="from_snapshot", snapshot=str(path))
+        toy = make_initial_data(spec, TAU_ZERO, grid32, ModelParams(variant="stokes_toy"))
+        assert toy.stokes_toy
+        assert np.array_equal(toy.omega.coeffs, (-ops.riesz_r(toy.tau)).coeffs)
+
     def test_round_trip_bit_exact(self, tmp_path, grid32):
         params = ModelParams(nu=0.0, mu=0.5, K=1.1, alpha=-0.3, beta=0.2, b=0.4)
         state = rand_state(grid32, 20)

@@ -11,11 +11,11 @@ from oldroyd2d import stepping
 from oldroyd2d.errors import ConfigError, IntegrationError
 from oldroyd2d.fields import ScalarField, SymTensorField
 from oldroyd2d.grid import Grid
-from oldroyd2d.model import ModelParams, make_state, rhs, stack, unstack
+from oldroyd2d.model import ModelParams, make_state, packed, rhs, stack, unstack
 from oldroyd2d.stepping import StepConfig, StepWorkspace, cfl_dt, integrate, step
 
-from conftest import (field_from, full_coeffs, full_r, full_values, full_wavevectors,
-                      nyquist_state, rand_state)
+from conftest import (assert_packed, field_from, full_coeffs, full_r, full_values,
+                      full_wavevectors, nyquist_state, rand_state, unpacked)
 
 
 class TestStepConfig:
@@ -211,17 +211,48 @@ class TestStepWorkspace:
 
     @pytest.mark.parametrize("scheme", ["ifrk2", "ifrk4"])
     def test_reused_workspace_gives_fresh_bytes(self, grid32, scheme):
-        # a Nyquist state widens every band, and the next state narrows it
+        # a Nyquist state widens every band, and the next state narrows it;
+        # a step from a packed state gives the bytes of one from an unpacked
+        # copy of it
         params, config = self.PARAMS, StepConfig(scheme=scheme)
         work = StepWorkspace(grid32, scheme)
         for state in (rand_state(grid32, 11, band=(1, 10)), nyquist_state(grid32, 12, params),
                       rand_state(grid32, 13, band=(1, 10))):
             state = make_state(0.0, state.omega, state.tau, params)
-            for _ in range(2):  # then from a state that a step made
+            for _ in range(2):  # then from a state that a step made, which is packed
                 got = step(state, 0.01, params, config, work=work)
                 want = step(state, 0.01, params, config)
+                apart = step(unpacked(state), 0.01, params, config)
                 assert stack(got.omega, got.tau).tobytes() == stack(want.omega, want.tau).tobytes()
+                assert stack(apart.omega, apart.tau).tobytes() == stack(got.omega, got.tau).tobytes()
                 state = got
+
+    @pytest.mark.parametrize("scheme", ["ifrk2", "ifrk4"])
+    def test_step_returns_a_packed_state(self, grid32, scheme):
+        state = rand_state(grid32, 16)
+        assert packed(state) is not packed(state)  # made by hand: stacked afresh
+        out = step(state, 0.01, self.PARAMS, StepConfig(scheme=scheme))
+        assert_packed(out)
+        assert_packed(step(out, 0.01, self.PARAMS, StepConfig(scheme=scheme)))
+
+    def test_step_phase_peak(self):
+        # integrate's IFRK4 steps at n = 64 hold the workspace (stage, slopes,
+        # two rows of integrating factors, rhs buffers as wide as the band),
+        # the live states and their temporaries: 13.7 packed stacks traced,
+        # where a copy of the state, four rows of factors and full-width
+        # band buffers in the workspace made it 16.0
+        grid, params = Grid(64), self.PARAMS
+        seed = rand_state(grid, 17, band=(1, 21))
+        state = make_state(0.0, *unstack(grid, stack(seed.omega, seed.tau)), params)
+        config = StepConfig(dt_max=0.002, t_end=0.01)
+        integrate(state, params, config)  # makes the grid's per-mode arrays
+        tracemalloc.start()
+        try:
+            integrate(state, params, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 14.5 * (4 * 64 * 33 * 16)
 
     def test_integrate_drops_the_workspace_before_observing(self, grid32, monkeypatch):
         made = []
