@@ -19,11 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import besov
-from . import operators as ops
 from .errors import ConfigError
 from .fields import ScalarField, SymTensorField
 from .grid import Grid
-from .model import ModelParams, SimState, make_state, stack, unstack
+from .model import ModelParams, SimState, make_state, unstack
 
 OMEGA_KINDS = ("taylor_green", "random_band_limited", "single_mode", "zero", "from_snapshot")
 TAU_KINDS = ("zero", "random_band_limited", "single_mode")
@@ -189,13 +188,14 @@ def make_initial_data(spec: InitialSpec, tau_spec: TauInitialSpec, grid: Grid,
         tau = _random_tensor(grid, (tau_spec.band_lo, tau_spec.band_hi), seed,
                             tau_spec.amplitude)
 
-    omega, tau = ops.dealias(omega), ops.dealias(tau)
+    y = np.empty((4,) + grid.shape, dtype=np.complex128)  # the dealiased packed stack
+    for row, f in zip(y, (omega, *tau.components)):
+        np.multiply(f.coeffs, grid.dealias_mask, out=row)
     if spec.delta == 0.0:
-        omega, tau = ScalarField.zeros(grid), SymTensorField.zeros(grid)
+        y = np.zeros_like(y)
     elif spec.delta is not None:
-        size = smallness_norm(make_state(0.0, omega, tau, params))
+        size = smallness_norm(make_state(0.0, *unstack(grid, y), params))
         if size <= 0.0:
             raise ConfigError("cannot rescale a zero state to a positive delta")
-        c = spec.delta / size
-        omega, tau = c * omega, c * tau
-    return make_state(0.0, *unstack(grid, stack(omega, tau)), params)
+        y = (spec.delta / size) * y
+    return make_state(0.0, *unstack(grid, y), params)

@@ -142,24 +142,23 @@ def unstack(grid: Grid, y: np.ndarray) -> tuple[ScalarField, SymTensorField]:
 
 
 def packed(state: SimState) -> np.ndarray:
-    """The read-only stack whose rows the state's four coefficient arrays are
-    (unstack), as it is, or else a fresh stack of them (a Stokes-toy state)."""
+    """The read-only stack (unstack) whose row i is the state's array i (its
+    base, strides and first element), as it is, or else a fresh stack of the
+    four arrays (a Stokes-toy state)."""
     rows = [c.coeffs for c in (state.omega, *state.tau.components)]
     y = rows[0].base
-    if isinstance(y, np.ndarray) and y.shape == (4,) + rows[0].shape and all(
-            r.__array_interface__ == y[i].__array_interface__ for i, r in enumerate(rows)):
+    if isinstance(y, np.ndarray) and not y.flags.writeable and y.shape == (4,) + rows[0].shape \
+            and all(r.base is y and r.strides == y.strides[1:]
+                    and np.shares_memory(r[:1, :1], y[i, :1, :1]) for i, r in enumerate(rows)):
         return y
     return stack(state.omega, state.tau)
 
 
 def linear_symbol(grid: Grid, params: ModelParams, out: np.ndarray | None = None) -> np.ndarray:
-    """Stiff part of d/dt of the packed stack, diagonal in Fourier, as its
-    two distinct rows (apply_symbol), written to out when given.
-
-    -nu |k|^2 for omega and -(beta + mu |k|^2), shared by the three tau
-    components. The vorticity row is 0 for the Stokes toy, whose omega is
-    diagnosed from tau.
-    """
+    """Stiff part of d/dt of the packed stack, diagonal in Fourier, as its two
+    distinct rows (apply_symbol), written to out when given: -nu |k|^2 for
+    omega and -(beta + mu |k|^2) for every tau component. The vorticity row
+    is 0 for the Stokes toy, whose omega is diagnosed from tau."""
     ksq = grid.ksq
     sym = np.empty((2,) + ksq.shape) if out is None else out
     np.multiply(0.0 if params.variant == "stokes_toy" else -params.nu, ksq, out=sym[0])
@@ -286,7 +285,8 @@ class Workspace:
         # One allocation per kind of buffer: with one per buffer, an 8-second
         # stepping_full_n256 benchmark run took 208 000 minor page faults
         # instead of 164 000 (BENCH_15.json "earlier_runs").
-        self.work, self.rows = np.zeros((2,) + shape, dtype=np.complex128)  # rows: forward's
+        self.work, self.rows = np.empty((2,) + shape, dtype=np.complex128)  # rows: forward's
+        self.work[...] = 0.0
         # The band layout: y, u_hat, a per-mode product and an output row, as
         # wide as the widest band loaded: n//3+1 columns for dealiased inputs.
         self._band = np.empty((8, 0), dtype=np.complex128)
@@ -429,10 +429,9 @@ def rhs(y: np.ndarray, grid: Grid, params: ModelParams,
 
 def time_derivative(state: SimState,
                     params: ModelParams) -> tuple[ScalarField, SymTensorField]:
-    """d/dt (omega, tau) at the state: rhs plus the linear_symbol term, read
-    from the state's packed stack in place, the one place where the
-    explicit/stiff split is undone. The Stokes toy's vorticity -R(tau) moves
-    with tau: its d/dt is -R(d/dt tau)."""
+    """d/dt (omega, tau) at the state, from its packed stack read in place:
+    rhs plus the linear_symbol term, the one place where the explicit/stiff
+    split is undone. For the Stokes toy, d/dt omega = -R(d/dt tau)."""
     grid, y = state.grid, packed(state)
     d = rhs(y, grid, params)
     d += apply_symbol(linear_symbol(grid, params), y)

@@ -6,11 +6,10 @@ row-major f64 physical-space arrays omega, tau11, tau12, tau22 of length
 n^2 each. q_code encodes the variant and Q (Q_CODES).
 
 Physical space is stored for portability; the coefficients are rebuilt on
-load as the rows of one packed stack (model.unstack), and the loaded
-physical arrays are kept verbatim on those rows' fields so that
-save(load(path)) reproduces the file byte for byte. A file is outside
-input: a header that Grid or ModelParams rejects, a non-finite value or a
-vorticity with nonzero mean raises SnapshotError naming the file.
+load as one packed stack's rows, and the loaded physical arrays are kept
+verbatim so that save(load(path)) reproduces the file byte for byte. A file
+is outside input: a header that Grid or ModelParams rejects, a non-finite
+value or a vorticity with nonzero mean raises SnapshotError naming the file.
 """
 
 from __future__ import annotations
@@ -80,8 +79,10 @@ def load_snapshot(path) -> tuple[SimState, ModelParams]:
         grid = Grid(n=n, length=length)
         params = ModelParams(nu=nu, mu=mu, K=K, alpha=alpha, beta=beta, b=b,
                              q_enabled=q_enabled, variant=variant)
-        values = arrays.reshape(4, n, n)
-        omega, tau = unstack(grid, np.stack([np.fft.rfft2(v, norm="forward") for v in values]))
+        values, y = arrays.reshape(4, n, n), np.empty((4, n, n // 2 + 1), dtype=np.complex128)
+        for v, row in zip(values, y):
+            np.fft.rfft2(v, norm="forward", out=row)
+        omega, tau = unstack(grid, y)
         for f, v in zip((omega, *tau.components), values):
             f.__dict__["physical"] = v  # pre-seed the cache with the stored bytes
         state = SimState(t=t, omega=omega, tau=tau, stokes_toy=params.variant == "stokes_toy")
