@@ -267,15 +267,15 @@ class Workspace:
     at each band.
 
     A call with it allocates nothing once one has loaded as wide a band
-    (load). It copies the columns of its input
-    within the band (Grid.band), n//3+1 of n//2+1 for a dealiased stack, to
-    contiguous (n, width) arrays, and its per-mode products, inverse column
-    passes (grid.inverse_rfft2) and output rows keep that layout: numpy
-    buffers a strided column window through fresh arrays in every ufunc
-    call. Its forward column passes cover the n//3+1 columns the dealias
-    mask keeps. The column passes write `work`, which the row passes read
-    whole: load zeroes its columns past a band narrower than the one
-    before, so an earlier wide call leaves nothing there.
+    (load). It copies the columns of its input within the band (Grid.band),
+    n//3+1 of n//2+1 for a dealiased stack, to contiguous (n, width) arrays,
+    and its per-mode products, inverse column passes (grid.inverse_rfft2)
+    and output rows keep that layout: numpy buffers a strided column window
+    through fresh arrays in every ufunc call. Its forward column passes
+    cover the n//3+1 columns the dealias mask keeps. The column passes write
+    `work`, which the row passes read whole: load zeroes its columns past a
+    band narrower than the one before, so an earlier wide call leaves
+    nothing there.
     """
 
     def __init__(self, grid: Grid):

@@ -79,7 +79,7 @@ def load_snapshot(path) -> tuple[SimState, ModelParams]:
         grid = Grid(n=n, length=length)
         params = ModelParams(nu=nu, mu=mu, K=K, alpha=alpha, beta=beta, b=b,
                              q_enabled=q_enabled, variant=variant)
-        values, y = arrays.reshape(4, n, n), np.empty((4, n, n // 2 + 1), dtype=np.complex128)
+        values, y = arrays.reshape(4, n, n), np.empty((4,) + grid.shape, dtype=np.complex128)
         for v, row in zip(values, y):
             np.fft.rfft2(v, norm="forward", out=row)
         omega, tau = unstack(grid, y)
