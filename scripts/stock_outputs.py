@@ -5,9 +5,9 @@ Usage: python scripts/stock_outputs.py OUT [BASE]
 
 Runs stock configs (a)-(e) at n = 32, with t_end cut to at most 1 and one
 snapshot at t = 0.5, plus (b) with nu = 0.01, (a) with its snapshot at
-t = 0.35, between two observation ticks, and (a) restarted from its own
-snapshot at t = 0.5, which writes a snapshot at its start time; one
-directory each under OUT. The package is imported from the `src`
+t = 0.35, between two observation ticks, and (a) and the Stokes toy (e)
+restarted from their own snapshots at t = 0.5, each of which writes a
+snapshot at its start time; one directory each under OUT. The package is imported from the `src`
 directory next to this script's own directory, so a copy of the script in
 a checkout of another revision writes that revision's set.
 
@@ -45,6 +45,8 @@ CASES = {  # directory: (stock config, overrides)
     # "{out}" is OUT: the restart reads the snapshot stock_a wrote before it
     "stock_a_restart": ("a_large_data_q_zero.cfg", {
         "initial.snapshot": "{out}/stock_a/snapshot_000.bin", "initial.kind": "from_snapshot"}),
+    "stock_e_restart": ("e_stokes_toy.cfg", {
+        "initial.snapshot": "{out}/stock_e/snapshot_000.bin", "initial.kind": "from_snapshot"}),
 }
 
 

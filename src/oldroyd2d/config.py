@@ -19,20 +19,22 @@ Sections and keys (defaults in parentheses):
     [output]      dir (out), observe_every (0.1), snapshot_times ()
     [diagnostics] eps (0.5), hs (3), n_functional_m (10)
 
-Each section builds one spec type (`_SECTIONS`), whose constructor checks
-the values: among others `observe_every > 0`, `eps` in (0, 1),
-`n_functional_m > 0`, and `hs` holding finite exponents, one above 2 (the
-Beale-Kato-Majda check needs an H^s norm with s > 2). Random or single-mode
-initial data must fit under the grid's dealias cutoff, and each snapshot
-time must differ from the others and not lie past t_end (both to within
-`stepping.landing_tolerance`). Overrides
-(`with_override`), `oldroyd2d sweep` values and `oldroyd2d norms --eps`
-pass the same conversions and checks as a config file; a non-string
-override value must have the key's type.
+Every real value and list element must be finite. Each section builds one
+spec type (`_SECTIONS`), whose constructor checks the values: among others
+`observe_every > 0`, `eps` in (0, 1), `n_functional_m > 0`, and `hs`
+holding finite exponents, one above 2 (the Beale-Kato-Majda check needs an
+H^s norm with s > 2). Random or single-mode initial data must fit under
+the grid's dealias cutoff, and each snapshot time must differ from the
+others and not lie past t_end (both to within
+`stepping.landing_tolerance`). Overrides (`with_override`), `oldroyd2d
+sweep` values and `oldroyd2d norms --eps` pass the same conversions and
+checks as a config file; a non-string override value must have the key's
+type.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 import os
 from dataclasses import dataclass, replace
@@ -87,10 +89,17 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"expected a boolean, got {raw!r}")
 
 
-def _parse_float_list(raw: str) -> tuple:
-    if not raw.strip():
-        return ()
-    return tuple(float(part) for part in raw.split(","))
+def _finite(raw) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {value}")
+    return value
+
+
+def _parse_float_list(raw) -> tuple:  # a comma-separated string, or a tuple
+    if isinstance(raw, str):
+        raw = raw.split(",") if raw.strip() else ()
+    return tuple(map(_finite, raw))
 
 
 class _Section(NamedTuple):
@@ -105,26 +114,26 @@ class _Section(NamedTuple):
 
 
 _SECTIONS = {
-    "grid": _Section("grid", Grid, {"n": int, "length": float}, defaults={"n": 128}),
+    "grid": _Section("grid", Grid, {"n": int, "length": _finite}, defaults={"n": 128}),
     "model": _Section("params", ModelParams, {
-        "nu": float, "mu": float, "k": float, "alpha": float, "beta": float,
-        "b": float, "q_enabled": _parse_bool, "variant": str,
+        "nu": _finite, "mu": _finite, "k": _finite, "alpha": _finite, "beta": _finite,
+        "b": _finite, "q_enabled": _parse_bool, "variant": str,
     }, fields={"k": "K"}),
     "stepping": _Section("step", StepConfig, {
-        "scheme": str, "cfl": float, "dt_min": float, "dt_max": float, "t_end": float,
+        "scheme": str, "cfl": _finite, "dt_min": _finite, "dt_max": _finite, "t_end": _finite,
     }),
     "initial": _Section("initial", InitialSpec, {
-        "kind": str, "amplitude": float, "band_lo": int, "band_hi": int,
-        "seed": int, "delta": float, "snapshot": str,
+        "kind": str, "amplitude": _finite, "band_lo": int, "band_hi": int,
+        "seed": int, "delta": _finite, "snapshot": str,
     }),
     "initial_tau": _Section("tau_initial", TauInitialSpec, {
-        "kind": str, "amplitude": float, "band_lo": int, "band_hi": int, "seed": int,
+        "kind": str, "amplitude": _finite, "band_lo": int, "band_hi": int, "seed": int,
     }),
     "output": _Section("output", OutputSpec, {
-        "dir": str, "observe_every": float, "snapshot_times": _parse_float_list,
+        "dir": str, "observe_every": _finite, "snapshot_times": _parse_float_list,
     }, fields={"dir": "directory"}),
     "diagnostics": _Section("diag", DiagnosticsOptions, {
-        "eps": float, "hs": _parse_float_list, "n_functional_m": float,
+        "eps": _finite, "hs": _parse_float_list, "n_functional_m": _finite,
     }),
 }
 
@@ -132,7 +141,7 @@ _SECTIONS = {
 # What a non-string override value must be, by the key's converter
 _VALUE_TYPES = {
     int: (numbers.Integral, "an integer"),
-    float: (numbers.Real, "a real number"),
+    _finite: (numbers.Real, "a real number"),
     str: (str, "a string"),
     _parse_bool: (bool, "a boolean"),
     _parse_float_list: (tuple, "a tuple"),
@@ -147,7 +156,7 @@ def _typed(convert, value):
     kind, what = _VALUE_TYPES[convert]
     if not isinstance(value, kind) or isinstance(value, bool) != (convert is _parse_bool):
         raise ValueError(f"expected {what}, got {type(value).__name__}")
-    return convert(value) if convert in (int, float) else value
+    return value if convert in (str, _parse_bool) else convert(value)
 
 
 def _scan(text: str):

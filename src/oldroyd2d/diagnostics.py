@@ -10,7 +10,6 @@ asserts a specific constant.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -184,22 +183,20 @@ class Observation:
     several metrics share (Gamma, the commutator, d/dt of the state and the
     Gamma interior terms), each made on first use and then kept.
 
-    `state` is a view of the state given: a SimState over shallow copies
-    (copy.copy) of its fields, which share their coefficient arrays and
-    carry the caches already made (such as the grid values a loaded
-    snapshot seeds). Every cache a diagnostic makes (velocity, its gradient,
-    grid values) lands on the view, and the grid's padded transform is held
-    here, so all of it dies with the observation and the state given is
-    left as it was."""
+    `state` is a view of the state given, replace(state): a SimState over
+    the same stack and stored values (SimState.values, which a loaded
+    snapshot holds). Every cache a diagnostic makes (fields, velocity, its
+    gradient, grid values) lands on the view, and the grid's padded
+    transform is held here, so all of it dies with the observation and the
+    state given is left as it was."""
 
     state: SimState
     params: ModelParams
     opts: DiagnosticsOptions = DiagnosticsOptions()
 
     def __post_init__(self):
-        s = self.state
-        self.state = replace(s, omega=copy.copy(s.omega), tau=s.tau.map(copy.copy))
-        self._padded = besov.padded_transform(s.grid)
+        self.state = replace(self.state)
+        self._padded = besov.padded_transform(self.state.grid)
 
     @cached_property
     def gamma(self) -> ScalarField:

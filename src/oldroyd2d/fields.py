@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigError
-from .grid import Grid
+from .grid import Grid, inverse_rfft2
 
 
 def _check_shape(arr: np.ndarray, shape: tuple[int, int]) -> None:
@@ -148,7 +148,8 @@ class ScalarField(FieldKind):
 
     @cached_property
     def physical(self) -> np.ndarray:
-        out = self.grid.inverse(self.grid.band(self.coeffs))(self.coeffs)
+        a, g = self.coeffs, self.grid
+        out = inverse_rfft2(a, g.band(a) + 1, np.zeros(g.shape, complex), np.empty((g.n, g.n)))
         out.setflags(write=False)
         return out
 

@@ -165,16 +165,6 @@ class Grid:
         wide = any(a[..., lo:hi, :].any() or a[..., lo:].any() for a in arrays)
         return self.n // 2 if wide else self.n // 3
 
-    def inverse(self, band: int):
-        """A function from a coefficient array whose frequencies lie within
-        band per axis (Grid.band) to its n x n grid values,
-        irfft2(a, s=(n, n), norm="forward") in bytes. Its calls share one
-        buffer, zero here and past column band for good; one is made per
-        call, so none is kept."""
-        n = self.n
-        work = np.zeros(self.shape, dtype=np.complex128)
-        return lambda a: inverse_rfft2(a, band + 1, work, np.empty((n, n)))
-
 
 def inverse_rfft2(a: np.ndarray, width: int, work: np.ndarray, out: np.ndarray) -> np.ndarray:
     """irfftn(a, s=out.shape, norm="forward") of the 2-D half spectrum a,

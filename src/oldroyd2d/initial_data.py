@@ -14,7 +14,7 @@ terms are 1-homogeneous, so the rescaling is exact).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from . import besov
 from .errors import ConfigError
 from .fields import ScalarField, SymTensorField
 from .grid import Grid
-from .model import ModelParams, SimState, make_state, unstack
+from .model import ModelParams, SimState, make_state
 
 OMEGA_KINDS = ("taylor_green", "random_band_limited", "single_mode", "zero", "from_snapshot")
 TAU_KINDS = ("zero", "random_band_limited", "single_mode")
@@ -111,7 +111,7 @@ def random_state(grid: Grid, band: tuple[int, int], seed,
                  omega_amp: float = 1.0, tau_amp: float = 1.0, t: float = 0.0) -> SimState:
     """Random zero-mean vorticity and random symmetric stress, for ensembles."""
     omega = omega_amp * random_scalar(grid, band, [seed, 0])
-    return SimState(t=t, omega=omega, tau=_random_tensor(grid, band, seed, tau_amp))
+    return make_state(t, omega, _random_tensor(grid, band, seed, tau_amp))
 
 
 def _random_tensor(grid: Grid, band: tuple[int, int], seed, amplitude: float) -> SymTensorField:
@@ -162,7 +162,9 @@ def make_initial_data(spec: InitialSpec, tau_spec: TauInitialSpec, grid: Grid,
                 f"snapshot resolution n={state.grid.n} does not match configured n={grid.n}"
             )
         if state.stokes_toy != (params is not None and params.variant == "stokes_toy"):
-            state = make_state(state.t, state.omega, state.tau, params)
+            new = make_state(state.t, state.omega, state.tau, params)  # a toy's omega made anew
+            omega = new.omega.physical if new.stokes_toy else state.values[0]
+            state = replace(new, values=np.stack([omega, *state.values[1:]]))
         return state  # a loaded Stokes-toy vorticity kept, with its stored grid values
 
     if spec.kind == "zero":
@@ -194,8 +196,8 @@ def make_initial_data(spec: InitialSpec, tau_spec: TauInitialSpec, grid: Grid,
     if spec.delta == 0.0:
         y = np.zeros_like(y)
     elif spec.delta is not None:
-        size = smallness_norm(make_state(0.0, *unstack(grid, y), params))
+        size = smallness_norm(SimState.from_stack(0.0, y, grid, params))
         if size <= 0.0:
             raise ConfigError("cannot rescale a zero state to a positive delta")
         y = (spec.delta / size) * y
-    return make_state(0.0, *unstack(grid, y), params)
+    return SimState.from_stack(0.0, y, grid, params)

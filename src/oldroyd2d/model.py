@@ -88,31 +88,49 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class SimState:
-    """Prognostic pair (omega, tau) at time t with derived velocity cache.
+    """Prognostic pair (omega, tau) at time t as the read-only packed
+    (4, n, n//2+1) stack y of (omega, tau11, tau12, tau22), and the grid
+    values of y's rows that a loaded snapshot stored (values[i] is the
+    `physical` of row i's field). Fields and velocity are made on first use.
 
     A Stokes-toy state takes its velocity from tau (stokes_toy_velocity):
     Biot-Savart of its vorticity -R(tau) would lose the Nyquist-row term that
     the stepper's velocity keeps."""
 
     t: float
-    omega: ScalarField
-    tau: SymTensorField
+    y: np.ndarray
+    grid: Grid
     stokes_toy: bool = False
+    values: np.ndarray | None = None
 
     def __post_init__(self):
-        scale = max(self.omega.max_abs_coeff(), 1.0)
-        if abs(self.omega.coeffs[0, 0]) > 1e-12 * scale:
+        self.y.setflags(write=False)
+        scale = max(float(np.max(np.abs(self.y[0]))), 1.0)
+        if abs(self.y[0, 0, 0]) > 1e-12 * scale:
             raise ValueError("vorticity must have zero mean")
 
-    @property
-    def grid(self) -> Grid:
-        return self.omega.grid
+    @classmethod
+    def from_stack(cls, t: float, y: np.ndarray, grid: Grid,
+                   params: ModelParams | None = None) -> "SimState":
+        """The state of the stack y under the params; for the Stokes toy, row
+        0 is first set to the vorticity of the tau rows (stokes_toy_vorticity)."""
+        stokes_toy = params is not None and params.variant == "stokes_toy"
+        if stokes_toy:
+            stokes_toy_vorticity(grid, y)
+        return cls(t=t, y=y, grid=grid, stokes_toy=stokes_toy)
+
+    def _row(self, i: int) -> ScalarField:
+        f = ScalarField(self.grid, self.y[i])
+        if self.values is not None:  # the stored grid values, as they are
+            f.__dict__["physical"] = self.values[i]
+        return f
+
+    omega = cached_property(lambda self: self._row(0))
+    tau = cached_property(lambda self: SymTensorField(*map(self._row, (1, 2, 3))))
 
     @cached_property
     def u(self) -> VectorField:
-        if self.stokes_toy:
-            return stokes_toy_velocity(self.tau)
-        return ops.biot_savart(self.omega)
+        return stokes_toy_velocity(self.tau) if self.stokes_toy else ops.biot_savart(self.omega)
 
     @cached_property
     def grad_u(self) -> ops.VelocityGradient:
@@ -121,17 +139,9 @@ class SimState:
 
 def make_state(t: float, omega: ScalarField, tau: SymTensorField,
                params: ModelParams | None = None) -> SimState:
-    """Build a state; for the Stokes toy the vorticity is diagnosed from tau."""
-    stokes_toy = params is not None and params.variant == "stokes_toy"
-    if stokes_toy:  # the vorticity -R(tau) of the Stokes problem
-        omega = -ops.riesz_r(tau)
-    return SimState(t=t, omega=omega, tau=tau, stokes_toy=stokes_toy)
-
-
-def stack(omega: ScalarField, tau: SymTensorField) -> np.ndarray:
-    """A fresh packed (4, n, n//2+1) stack of the coefficient arrays (omega,
-    tau11, tau12, tau22)."""
-    return np.stack([omega.coeffs] + [c.coeffs for c in tau.components])
+    """The state of the fields' arrays, stacked (SimState.from_stack)."""
+    y = np.stack([omega.coeffs] + [c.coeffs for c in tau.components])
+    return SimState.from_stack(t, y, omega.grid, params)
 
 
 def unstack(grid: Grid, y: np.ndarray) -> tuple[ScalarField, SymTensorField]:
@@ -141,17 +151,11 @@ def unstack(grid: Grid, y: np.ndarray) -> tuple[ScalarField, SymTensorField]:
     return ScalarField(grid, y[0]), SymTensorField(*(ScalarField(grid, c) for c in y[1:]))
 
 
-def packed(state: SimState) -> np.ndarray:
-    """The read-only stack (unstack) whose row i is the state's array i (its
-    base, strides and first element), as it is, or else a fresh stack of the
-    four arrays (a Stokes-toy state)."""
-    rows = [c.coeffs for c in (state.omega, *state.tau.components)]
-    y = rows[0].base
-    if isinstance(y, np.ndarray) and not y.flags.writeable and y.shape == (4,) + rows[0].shape \
-            and all(r.base is y and r.strides == y.strides[1:]
-                    and np.shares_memory(r[:1, :1], y[i, :1, :1]) for i, r in enumerate(rows)):
-        return y
-    return stack(state.omega, state.tau)
+def stokes_toy_vorticity(grid: Grid, y: np.ndarray) -> np.ndarray:
+    """Row 0 of the packed stack y set to -R(tau rows): the Stokes toy's
+    vorticity of its tau, and so its d/dt omega of d/dt tau."""
+    r = ops.riesz_r(SymTensorField(*(ScalarField(grid, c) for c in y[1:])))
+    return np.negative(r.coeffs, out=y[0])
 
 
 def linear_symbol(grid: Grid, params: ModelParams, out: np.ndarray | None = None) -> np.ndarray:
@@ -429,16 +433,15 @@ def rhs(y: np.ndarray, grid: Grid, params: ModelParams,
 
 def time_derivative(state: SimState,
                     params: ModelParams) -> tuple[ScalarField, SymTensorField]:
-    """d/dt (omega, tau) at the state, from its packed stack read in place:
-    rhs plus the linear_symbol term, the one place where the explicit/stiff
+    """d/dt (omega, tau) at the state, from its stack read in place: rhs
+    plus the linear_symbol term, the one place where the explicit/stiff
     split is undone. For the Stokes toy, d/dt omega = -R(d/dt tau)."""
-    grid, y = state.grid, packed(state)
+    grid, y = state.grid, state.y
     d = rhs(y, grid, params)
     d += apply_symbol(linear_symbol(grid, params), y)
-    d_omega, d_tau = unstack(grid, d)
     if params.variant == "stokes_toy":
-        d_omega = -ops.riesz_r(d_tau)
-    return d_omega, d_tau
+        stokes_toy_vorticity(grid, d)
+    return unstack(grid, d)
 
 
 def gamma_of(state: SimState, params: ModelParams) -> ScalarField:

@@ -13,7 +13,7 @@ from functools import cached_property
 import numpy as np
 
 from .fields import FieldKind, ScalarField, SymTensorField, VectorField
-from .grid import Grid
+from .grid import Grid, inverse_rfft2
 
 
 def deriv(f: ScalarField, axis: int) -> ScalarField:
@@ -219,8 +219,9 @@ def advect(u: VectorField, f: ScalarField) -> ScalarField:
     VectorField (VectorField.values)."""
     g = f.grid
     factors, (a,) = in_band(f)
-    inverse, ik = g.inverse(factors.width - 1), factors.ik
-    minus = transport(lambda c, i, out: inverse(ik[i] * c), u.values)
+    work, ik = np.zeros(g.shape, dtype=np.complex128), factors.ik
+    minus = transport(lambda c, i, out: inverse_rfft2(ik[i] * c, factors.width, work,
+                                                      np.empty((g.n, g.n))), u.values)
     out = np.fft.rfft2(minus(a), norm="forward")
     np.multiply(out, g.dealias_mask, out=out)
     return ScalarField(g, np.negative(out, out=out))

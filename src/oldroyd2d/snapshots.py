@@ -6,10 +6,11 @@ row-major f64 physical-space arrays omega, tau11, tau12, tau22 of length
 n^2 each. q_code encodes the variant and Q (Q_CODES).
 
 Physical space is stored for portability; the coefficients are rebuilt on
-load as one packed stack's rows, and the loaded physical arrays are kept
-verbatim so that save(load(path)) reproduces the file byte for byte. A file
-is outside input: a header that Grid or ModelParams rejects, a non-finite
-value or a vorticity with nonzero mean raises SnapshotError naming the file.
+load as the state's stack, and the loaded physical arrays are kept verbatim
+(SimState.values) so that save(load(path)) reproduces the file byte for
+byte. A file is outside input: a header that Grid or ModelParams rejects,
+a non-finite value or a vorticity with nonzero mean raises SnapshotError
+naming the file.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 from .errors import SnapshotError
 from .grid import Grid
-from .model import ModelParams, SimState, unstack
+from .model import ModelParams, SimState
 
 MAGIC = b"OLDB2D01"
 VERSION = 1
@@ -82,10 +83,7 @@ def load_snapshot(path) -> tuple[SimState, ModelParams]:
         values, y = arrays.reshape(4, n, n), np.empty((4,) + grid.shape, dtype=np.complex128)
         for v, row in zip(values, y):
             np.fft.rfft2(v, norm="forward", out=row)
-        omega, tau = unstack(grid, y)
-        for f, v in zip((omega, *tau.components), values):
-            f.__dict__["physical"] = v  # pre-seed the cache with the stored bytes
-        state = SimState(t=t, omega=omega, tau=tau, stokes_toy=params.variant == "stokes_toy")
+        state = SimState(t, y, grid, params.variant == "stokes_toy", values)
     except ValueError as exc:  # ConfigError included
         raise SnapshotError(f"snapshot {path}: {exc}") from None
     return state, params

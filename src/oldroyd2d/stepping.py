@@ -18,8 +18,7 @@ import numpy as np
 
 from .errors import ConfigError, IntegrationError
 from .grid import Grid
-from .model import (ModelParams, SimState, Workspace, apply_symbol, linear_symbol, make_state,
-                    packed, rhs, unstack)
+from .model import ModelParams, SimState, Workspace, apply_symbol, linear_symbol, rhs
 
 SCHEMES = ("ifrk2", "ifrk4")
 
@@ -61,7 +60,7 @@ def cfl_dt(state: SimState, config: StepConfig, work: Workspace | None = None) -
     not given).
     """
     work = Workspace(state.grid) if work is None else work
-    work.load([state.omega.coeffs] + [c.coeffs for c in state.tau.components])
+    work.load(state.y)
     u1, u2 = work.velocity(state.stokes_toy)
     umax = float(np.max(np.hypot(u1, u2, out=work.scratch)))
     dt = config.cfl * state.grid.h / max(umax, CFL_VELOCITY_FLOOR)
@@ -93,8 +92,8 @@ def step(state: SimState, dt: float, params: ModelParams, config: StepConfig,
          forcing: np.ndarray | None = None, work: StepWorkspace | None = None) -> SimState:
     """Advance one step of size dt > 0.
 
-    The state's packed stack (model.packed) is read in place, and the new
-    state holds the rows of the new stack, the one array a step allocates
+    The state's packed stack is read in place, and the new state holds the
+    new stack (SimState.from_stack), the one array a step allocates
     when given the StepWorkspace work of its grid and scheme (made here when
     not given). Each stage is the whole-array expression in its comment,
     evaluated in that order into the workspace, from the integrating factors
@@ -110,7 +109,7 @@ def step(state: SimState, dt: float, params: ModelParams, config: StepConfig,
         raise ValueError(f"dt must be positive, got {dt}")
     grid = state.grid
     work = StepWorkspace(grid, config.scheme) if work is None else work
-    y, s, k = packed(state), work.stage, work.k
+    y, s, k = state.y, work.stage, work.k
     e = work.factors[0]
     np.exp(np.multiply(dt, linear_symbol(grid, params, out=e), out=e), out=e)
 
@@ -160,7 +159,7 @@ def step(state: SimState, dt: float, params: ModelParams, config: StepConfig,
     if peak > STEP_GROWTH_LIMIT * max(old, 1.0):
         raise IntegrationError(
             state.t + dt, f"coefficient max-norm grew from {old:.3g} to {peak:.3g}")
-    return make_state(state.t + dt, *unstack(grid, ynew), params)
+    return SimState.from_stack(state.t + dt, ynew, grid, params)
 
 
 def landing_tolerance(t_end: float) -> float:

@@ -8,7 +8,7 @@ from oldroyd2d import operators as ops
 from oldroyd2d.fields import ScalarField, SymTensorField
 from oldroyd2d.grid import Grid
 from oldroyd2d.initial_data import random_scalar, random_state
-from oldroyd2d.model import make_state, packed
+from oldroyd2d.model import make_state
 
 
 @pytest.fixture
@@ -42,18 +42,21 @@ def max_divergence(u):
 
 
 def assert_packed(state):
-    """The state's four coefficient arrays are the rows of one read-only
-    stack, which model.packed gives as it is."""
-    y = packed(state)
-    assert y is packed(state) and not y.flags.writeable
-    for row, f in zip(y, (state.omega, *state.tau.components)):
-        assert f.coeffs.base is y and f.coeffs.ctypes.data == row.ctypes.data
+    """The state's stack is read-only, and its fields hold the stack's rows
+    as they are."""
+    assert not state.y.flags.writeable
+    for row, f in zip(state.y, (state.omega, *state.tau.components)):
+        assert f.coeffs.ctypes.data == row.ctypes.data and f.coeffs.strides == row.strides
+
+
+def stack(omega, tau):
+    """A fresh packed stack of the coefficient arrays of (omega, tau)."""
+    return np.stack([omega.coeffs] + [c.coeffs for c in tau.components])
 
 
 def unpacked(state):
-    """A copy of the state whose coefficient arrays are four arrays of their own."""
-    fresh = lambda f: ScalarField(f.grid, f.coeffs.copy())
-    return replace(state, omega=fresh(state.omega), tau=state.tau.map(fresh))
+    """A copy of the state over a stack of its own."""
+    return replace(state, y=state.y.copy())
 
 
 def rand_scalar(grid, seed, band=(1, 8)):

@@ -589,6 +589,37 @@ class TestValueRules:
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "sw").exists()
 
+    NONFINITE = [
+        ("stepping.t_end", "nan"), ("stepping.t_end", "inf"), ("model.nu", "nan"),
+        ("model.k", "inf"), ("model.alpha", "-inf"), ("model.beta", "nan"),
+        ("grid.length", "inf"), ("output.snapshot_times", "0.5, nan"),
+    ]
+
+    @pytest.mark.parametrize("target, bad", NONFINITE)
+    def test_nonfinite_value_rejected(self, tmp_path, capsys, target, bad):
+        # a nan t_end never ended a run, an inf one ended it after the t0
+        # record, a nan snapshot time was dropped, and a non-finite model
+        # coefficient failed at the first step
+        section, key = target.split(".")
+        got = bad.split(",")[-1].strip()
+        text = f"[grid]\nn = 16\n[output]\ndir = {tmp_path / 'p'}\n[{section}]\n{key} = {bad}\n"
+        with pytest.raises(ConfigError) as exc:
+            parse_config(text)
+        assert exc.value.messages == [f"line 6: bad value for {key!r}: "
+                                      f"expected a finite number, got {got}"]
+
+        cfg = parse_config(SMALL_RUN.format(out=tmp_path / "o"))
+        value = (0.5, float(got)) if "," in bad else float(got)
+        for v in (bad, value):
+            with pytest.raises(ConfigError, match="expected a finite number"):
+                with_override(cfg, target, v)
+
+        path = tmp_path / "bad.cfg"
+        path.write_text(text)
+        assert cli.main(["run", str(path)]) == 2
+        assert "finite" in capsys.readouterr().err
+        assert not (tmp_path / "p").exists()
+
     def test_empty_hs_rejected(self, tmp_path):
         text = MINIMAL.format(out=tmp_path) + "\n[diagnostics]\nhs =\n"
         with pytest.raises(ConfigError, match=f"line {len(text.splitlines())}: hs"):

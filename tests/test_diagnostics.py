@@ -12,6 +12,7 @@ from oldroyd2d.fields import ScalarField, SymTensorField, VectorField, sq_norm
 from oldroyd2d.grid import Grid
 from oldroyd2d.model import ModelParams, make_state
 from oldroyd2d.runner import decay_summary
+from oldroyd2d.snapshots import load_snapshot, save_snapshot
 
 from conftest import field_from, rand_state, rand_tensor
 
@@ -271,12 +272,13 @@ class TestObservationView:
         ModelParams(nu=0.0, mu=0.7, K=1.3, alpha=0.9, beta=0.4, b=0.3),
         ModelParams(nu=0.1, mu=0.7, K=1.3, alpha=0.9, beta=0.4, variant="stokes_toy"),
     ], ids=["q_zero", "full", "stokes_toy"])
-    def test_diagnostics_leave_the_state_as_it_was(self, grid32, params):
+    def test_diagnostics_leave_the_state_as_it_was(self, tmp_path, grid32, params):
         # every cache a record makes lands on the observation's view, which
-        # carries the caches the state already held
+        # holds the state's stack and the grid values a snapshot stored
         s = rand_state(grid32, 21)
-        state = make_state(0.0, s.omega, s.tau, params)
-        held = state.tau.t12.physical
+        save_snapshot(make_state(0.0, s.omega, s.tau, params), params, tmp_path / "s.bin")
+        state = load_snapshot(tmp_path / "s.bin")[0]
+        state.tau.t12.physical
         objects = [state, state.omega, state.tau, *state.tau.components]
         keys = [set(vars(x)) for x in objects]
         o = obs(state, params)
@@ -284,8 +286,10 @@ class TestObservationView:
         if params.energy_law:
             diag.enstrophy_balance(o)
         assert [set(vars(x)) for x in objects] == keys
-        assert o.state.tau.t12.physical is held
-        assert {"u", "grad_u"} <= set(vars(o.state))
+        assert o.state.y is state.y
+        for f, v in zip((o.state.omega, *o.state.tau.components), state.values):
+            assert f.physical.ctypes.data == v.ctypes.data
+        assert {"u", "grad_u", "omega", "tau"} <= set(vars(o.state))
 
     def test_padded_transform_dies_with_the_observation(self):
         grid = Grid(26)  # a grid of this test alone: nothing else holds its buffer

@@ -20,14 +20,13 @@ from oldroyd2d.model import (
     make_state,
     q_form,
     rhs,
-    stack,
     stokes_toy_velocity,
     time_derivative,
 )
 from oldroyd2d.stepping import StepConfig, step
 
 from conftest import (field_from, full_coeffs, full_wavevectors, grad, half_field, max_divergence,
-                      rand_state, rand_tensor, rel_err)
+                      rand_state, rand_tensor, rel_err, stack)
 
 
 class TestModelParams:
@@ -62,7 +61,11 @@ class TestSimState:
     def test_mean_vorticity_rejected(self, grid16):
         omega = ScalarField.from_physical(grid16, np.ones((16, 16)))
         with pytest.raises(ValueError, match="zero mean"):
-            SimState(t=0.0, omega=omega, tau=SymTensorField.zeros(grid16))
+            make_state(0.0, omega, SymTensorField.zeros(grid16))
+        y = np.zeros((4,) + grid16.shape, dtype=np.complex128)
+        y[0, 0, 0] = 1.0
+        with pytest.raises(ValueError, match="zero mean"):
+            SimState(t=0.0, y=y, grid=grid16)
 
     def test_velocity_cache_consistent(self, grid32):
         state = rand_state(grid32, 1)
@@ -155,7 +158,7 @@ class TestRhs:
     def test_stiff_plus_explicit_is_full(self, grid32):
         params = ModelParams(nu=0.1, mu=0.5, K=1.2, alpha=0.9, beta=0.4, b=0.3)
         state = rand_state(grid32, 6)
-        y = stack(state.omega, state.tau)
+        y = state.y
         full = stack(*time_derivative(state, params))
         stiff = apply_symbol(linear_symbol(grid32, params), y)
         assert np.max(np.abs(full - rhs(y, grid32, params) - stiff)) < 1e-12
@@ -165,7 +168,7 @@ class TestRhs:
         relax = ModelParams(nu=0.1, mu=0.5, K=0.0, alpha=0.0, beta=0.4,
                             q_enabled=False, variant="q_zero")
         still = make_state(0.0, ScalarField.zeros(grid32), state.tau)
-        assert not np.any(rhs(stack(still.omega, still.tau), grid32, relax))
+        assert not np.any(rhs(still.y, grid32, relax))
         assert np.any(stack(*time_derivative(still, relax)))
 
     def test_vorticity_rhs_zero_mean(self, grid32):

@@ -15,11 +15,11 @@ from oldroyd2d import operators as ops
 from oldroyd2d.fields import ScalarField, VectorField
 from oldroyd2d.grid import Grid
 from oldroyd2d.model import (ModelParams, Workspace, commutator_r_advect, make_state, q_products,
-                             rhs, stack, stokes_toy_velocity, unstack)
+                             rhs, stokes_toy_velocity, unstack)
 
 from conftest import (full_advect, full_coeffs, full_r, full_values, full_wavevectors,
                       half_field, nyquist_state, rand_state, reference_advect,
-                      reference_commutator)
+                      reference_commutator, stack)
 
 TOL = 1e-13
 
@@ -87,7 +87,7 @@ class TestPackedRhs:
         grid = Grid(n)
         params = VARIANTS[name]
         state = band_state(grid, 21, params)
-        got = rhs(stack(state.omega, state.tau), grid, params)
+        got = rhs(state.y, grid, params)
         want = halves(grid, reference_rhs(state, params))
         assert max(row_errors(got, want)) <= TOL
 
@@ -95,8 +95,8 @@ class TestPackedRhs:
         params = VARIANTS["full_b"]
         state = band_state(grid32, 22, params)
         push = band_state(grid32, 23, params)
-        forcing = stack(push.omega, push.tau)
-        got = rhs(stack(state.omega, state.tau), grid32, params, forcing)
+        forcing = push.y
+        got = rhs(state.y, grid32, params, forcing)
         want = halves(grid32, reference_rhs(state, params)) + forcing
         assert max(row_errors(got, want)) <= TOL
 
@@ -109,7 +109,7 @@ class TestPackedRhs:
         grid, params = grid32, VARIANTS[name]
         state = nyquist_state(grid, 24, params)
         assert np.any(state.tau.t12.coeffs[16, 1:16]) and np.any(state.tau.t12.coeffs[1:16, 16])
-        got = rhs(stack(state.omega, state.tau), grid, params)
+        got = rhs(state.y, grid, params)
         want = reference_rhs(state, params)
         got_values = [np.fft.irfft2(a, s=(32, 32), norm="forward") for a in got]
         want_values = [full_values(a) for a in want]
@@ -127,13 +127,13 @@ class TestWorkspace:
     def test_reused_workspace_gives_fresh_bytes(self, name, forced, grid32):
         grid, params = grid32, VARIANTS[name]
         push = band_state(grid, 35, params)
-        forcing = stack(push.omega, push.tau) if forced else None
+        forcing = push.y if forced else None
         states = [band_state(grid, 36, params), nyquist_state(grid, 37, params),
                   band_state(grid, 38, params)]
         work, out = Workspace(grid), np.empty((4,) + grid.shape, dtype=np.complex128)
         bands = []
         for state in states:
-            y = stack(state.omega, state.tau)
+            y = state.y
             bands.append(grid.band(y))
             got = rhs(y, grid, params, forcing, out=out, work=work)
             assert got is out
@@ -152,7 +152,7 @@ class TestWorkspace:
         stokes = params.variant == "stokes_toy"
         u = stokes_toy_velocity(state.tau) if stokes else ops.biot_savart(state.omega)
         work = Workspace(grid)
-        work.load(stack(state.omega, state.tau))
+        work.load(state.y)
         work.velocity(stokes)
         assert work.width == (grid.n // 3 if make is band_state else grid.n // 2) + 1
         for field, modes in zip(u.components, work.u_hat):
@@ -169,7 +169,7 @@ class TestPackUnpack:
 
     def test_unpack_of_pack_restores_a_real_state(self, grid32):
         state = rand_state(grid32, 26, band=(1, 10))
-        omega, tau = unstack(grid32, stack(state.omega, state.tau))
+        omega, tau = unstack(grid32, state.y)
         assert np.array_equal(omega.coeffs, state.omega.coeffs)
         for got, want in zip(tau.components, state.tau.components):
             assert np.array_equal(got.coeffs, want.coeffs)
