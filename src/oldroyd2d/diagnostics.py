@@ -21,13 +21,14 @@ import numpy as np
 from . import besov
 from . import operators as ops
 from .errors import ConfigError
-from .fields import ScalarField, SymTensorField, VectorField, inner, mode_sum, sq_norm
+from .fields import ScalarField, SymTensorField, VectorField, inner, mode_sum, mode_sums, norm, sq_norm
 from .model import (
+    GammaTerms,
     ModelParams,
     SimState,
-    gamma_interior,
     commutator_r_advect,
     gamma_of,
+    gamma_terms,
     time_derivative,
 )
 
@@ -43,24 +44,18 @@ def velocity_inner_from_vorticity(omega: ScalarField, domega: ScalarField) -> fl
 
 
 def energy_weighted(state: SimState, params: ModelParams) -> float:
-    """(alpha ||u||^2 + K ||tau||^2) / 2."""
-    return 0.5 * (
-        params.alpha * state.u.l2() ** 2 + params.K * state.tau.l2() ** 2
-    )
+    """(alpha ||u||^2 + K ||tau||^2) / 2: the record's energy_weighted."""
+    return RECORD["energy_weighted"](Observation(state, params))
 
 
 def n_functional(obs: Observation) -> float:
     """M (alpha||u||^2 + K||tau||^2) + M (alpha||grad u||^2 + K||grad tau||^2)
     + ||Gamma||^2, with M the options' n_functional_m."""
-    state, params, M = obs.state, obs.params, obs.opts.n_functional_m
-    u_sq = state.u.l2() ** 2
-    tau_sq = state.tau.l2() ** 2
-    gu_sq = sq_norm(state.u, state.grid.ksq)
-    gt_sq = sq_norm(state.tau, state.grid.ksq)
+    params, M = obs.params, obs.opts.n_functional_m
     return (
-        M * (params.alpha * u_sq + params.K * tau_sq)
-        + M * (params.alpha * gu_sq + params.K * gt_sq)
-        + obs.gamma.l2() ** 2
+        M * (params.alpha * obs.norm("u") ** 2 + params.K * obs.norm("tau") ** 2)
+        + M * (params.alpha * obs.sq_norm("u", "grad") + params.K * obs.sq_norm("tau", "grad"))
+        + obs.norm("gamma") ** 2
     )
 
 
@@ -74,9 +69,9 @@ def energy_identity_residual(obs: Observation) -> float:
     de = params.alpha * velocity_inner_from_vorticity(state.omega, d_omega) \
         + params.K * inner(state.tau, d_tau)
     dissipation = (
-        params.mu * params.K * sq_norm(state.tau, state.grid.ksq)
-        + params.beta * params.K * state.tau.l2() ** 2
-        + params.nu * params.alpha * sq_norm(state.u, state.grid.ksq)
+        params.mu * params.K * obs.sq_norm("tau", "grad")
+        + params.beta * params.K * obs.norm("tau") ** 2
+        + params.nu * params.alpha * obs.sq_norm("u", "grad")
     )
     scale = max(abs(de), abs(dissipation), _TINY)
     return abs(de + dissipation) / scale
@@ -94,13 +89,12 @@ def enstrophy_balance(obs: Observation) -> EnstrophyBalance:
     if not obs.params.energy_law:
         raise ValueError("enstrophy balance requires Q disabled and no Stokes toy")
     d_omega, d_tau = obs.deriv
-    ksq = state.grid.ksq
     d_grad_u_sq = 2.0 * inner(state.omega, d_omega)
     lap_tau = state.tau.map(ops.laplacian)
     d_grad_tau_sq = -2.0 * inner(lap_tau, d_tau)
-    lhs = d_grad_u_sq + d_grad_tau_sq + 0.5 * sq_norm(state.tau, ksq**2)
+    lhs = d_grad_u_sq + d_grad_tau_sq + 0.5 * obs.sq_norm("tau", "lap")
     return EnstrophyBalance(lhs=lhs,
-                            majorant=sq_norm(state.u, ksq) * sq_norm(state.tau, ksq))
+                            majorant=obs.sq_norm("u", "grad") * obs.sq_norm("tau", "grad"))
 
 
 def gamma_residual(obs: Observation) -> float:
@@ -110,9 +104,9 @@ def gamma_residual(obs: Observation) -> float:
     params = obs.params
     if not params.gamma_law:
         raise ValueError("Gamma residual requires nu = 0 and no Stokes toy")
+    adv = obs.terms.advected  # made before d/dt: their buffers do not meet
     d_omega, d_tau = obs.deriv
     dgamma = params.mu * d_omega - params.K * ops.riesz_r(d_tau)
-    adv = ops.advect(obs.state.u, obs.gamma)
     res = dgamma + adv - obs.interior
     scale = max(dgamma.l2(), adv.l2(), obs.interior.l2(), _TINY)
     return res.l2() / scale
@@ -176,19 +170,33 @@ class DiagnosticsOptions:
             raise ConfigError(f"hs must hold finite exponents, one above 2, got {self.hs}")
 
 
+# The weights of the squares a record takes of each field, in one pass per
+# component (Observation.squares): None for L2, "grad" |k|^2, "lap" |k|^4,
+# and s for H^s; "hs" stands for every s of the options' hs.
+SQUARES = {
+    "u": (None, "grad", "hs"),
+    "tau": (None, "grad", "lap", 2.0, "hs"),
+    "omega": (None,),
+    "grad_u": (None,),
+    "gamma": (None,),
+}
+
+
 @dataclass
 class Observation:
     """One state as the diagnostics see it, and the one input of every
     per-state diagnostic: the state, the params, the options, and the terms
-    several metrics share (Gamma, the commutator, d/dt of the state and the
-    Gamma interior terms), each made on first use and then kept.
+    several metrics share (R(tau), Gamma, the Gamma-equation terms of
+    model.gamma_terms, d/dt of the state and the weighted squares of the
+    fields), each made on first use and then kept.
 
     `state` is a view of the state given, replace(state): a SimState over
-    the same stack and stored values (SimState.values, which a loaded
-    snapshot holds). Every cache a diagnostic makes (fields, velocity, its
-    gradient, grid values) lands on the view, and the grid's padded
-    transform is held here, so all of it dies with the observation and the
-    state given is left as it was."""
+    the same stack, stored values and first stage (SimState.first_stage,
+    which integrate hands its observer, and time_derivative reads). Every
+    cache a diagnostic makes (fields, velocity, its gradient, grid values)
+    lands on the view, and the grid's padded transform is held here, so all
+    of it dies with the observation and the state given is left as it
+    was."""
 
     state: SimState
     params: ModelParams
@@ -197,22 +205,54 @@ class Observation:
     def __post_init__(self):
         self.state = replace(self.state)
         self._padded = besov.padded_transform(self.state.grid)
+        self._squares: dict[str, dict] = {}
+
+    @cached_property
+    def r_tau(self) -> ScalarField:
+        return ops.riesz_r(self.state.tau)
 
     @cached_property
     def gamma(self) -> ScalarField:
-        return gamma_of(self.state, self.params)
+        return gamma_of(self.state, self.params, self.r_tau)
 
     @cached_property
-    def commutator(self) -> ScalarField:
-        return commutator_r_advect(self.state.u, self.state.tau)
+    def terms(self) -> GammaTerms:
+        """The commutator and, where the Gamma law holds, the interior terms
+        and u . grad Gamma (model.gamma_terms)."""
+        gamma = self.gamma if self.params.gamma_law else None
+        return gamma_terms(self.state, self.params, self.r_tau, gamma)
+
+    commutator = property(lambda self: self.terms.commutator)
+    interior = property(lambda self: self.terms.interior)
 
     @cached_property
     def deriv(self) -> Derivative:
         return time_derivative(self.state, self.params)
 
-    @cached_property
-    def interior(self) -> ScalarField:
-        return gamma_interior(self.state, self.params, self.commutator)
+    def squares(self, name: str) -> dict:
+        """{weight: per-component sums} (fields.mode_sums) of the field name
+        (a state attribute, or "gamma") for every weight SQUARES lists for
+        it, made in one pass per component on first use."""
+        if name not in self._squares:
+            grid = self.state.grid
+            keys = list(dict.fromkeys(k for key in SQUARES[name]
+                                      for k in (self.opts.hs if key == "hs" else (key,))))
+            mults = [None if k is None else grid.ksq if k == "grad" else grid.ksq**2 if k == "lap"
+                     else besov.sobolev_weight(grid, k) for k in keys]
+            sums = [mode_sums(c.coeffs, c.coeffs, mults) for c in self._field(name).components]
+            self._squares[name] = {k: [c[i] for c in sums] for i, k in enumerate(keys)}
+        return self._squares[name]
+
+    def _field(self, name: str):
+        return self.gamma if name == "gamma" else getattr(self.state, name)
+
+    def norm(self, name: str, weight=None) -> float:
+        """fields.norm of the field name under the weight (SQUARES)."""
+        return norm(self._field(name), sums=self.squares(name)[weight])
+
+    def sq_norm(self, name: str, weight) -> float:
+        """fields.sq_norm of the field name under the weight (SQUARES)."""
+        return sq_norm(self._field(name), None, sums=self.squares(name)[weight])
 
 
 def _where(law: str, metric: Callable) -> Callable:
@@ -225,28 +265,29 @@ def _where(law: str, metric: Callable) -> Callable:
 # ...) at evaluation time, so that replacing one of those is seen here.
 RECORD: dict[str, Callable[[Observation], object]] = {
     "t": lambda o: o.state.t,
-    "u_l2": lambda o: o.state.u.l2(),
-    "tau_l2": lambda o: o.state.tau.l2(),
-    "grad_u_l2": lambda o: o.state.grad_u.l2(),
-    "grad_tau_l2": lambda o: math.sqrt(sq_norm(o.state.tau, o.state.grid.ksq)),
-    "lap_tau_l2": lambda o: math.sqrt(sq_norm(o.state.tau, o.state.grid.ksq**2)),
+    "u_l2": lambda o: o.norm("u"),
+    "tau_l2": lambda o: o.norm("tau"),
+    "grad_u_l2": lambda o: o.norm("grad_u"),
+    "grad_tau_l2": lambda o: math.sqrt(o.sq_norm("tau", "grad")),
+    "lap_tau_l2": lambda o: math.sqrt(o.sq_norm("tau", "lap")),
     "omega_linf": lambda o: besov.linf_norm(o.state.omega),
-    "omega_l2": lambda o: o.state.omega.l2(),
+    "omega_l2": lambda o: o.norm("omega"),
     "gamma_linf": lambda o: besov.linf_norm(o.gamma),
     "gamma_b0inf1": lambda o: besov.besov_norm(o.gamma, 0.0, math.inf, 1),
     "tau_bepsinf1": lambda o: besov.tensor_besov_norm(o.state.tau, o.opts.eps, math.inf, 1),
-    "tau_h2": lambda o: besov.sobolev_norm(o.state.tau, 2.0),
+    "tau_h2": lambda o: o.norm("tau", 2.0),
     "grad_u_linf": lambda o: besov.linf_norm(o.state.grad_u),
     "bkm_accum": lambda o: 0.0,  # accumulated over records by the caller
-    "energy_weighted": lambda o: energy_weighted(o.state, o.params),
+    "energy_weighted": lambda o: 0.5 * (o.params.alpha * o.norm("u") ** 2
+                                        + o.params.K * o.norm("tau") ** 2),
     "n_value": lambda o: n_functional(o),
     "energy_identity_residual": _where("energy_law", lambda o: energy_identity_residual(o)),
     "gamma_residual": _where("gamma_law", lambda o: gamma_residual(o)),
     "commutator_norm": lambda o: besov.besov_norm(o.commutator, 0.0, math.inf, 1),
     # Gronwall majorant integrand for ||Gamma||_inf
     "gamma_rhs_linf": _where("gamma_law", lambda o: besov.linf_norm(o.interior)),
-    "u_hs": lambda o: {f"{s:g}": besov.sobolev_norm(o.state.u, s) for s in o.opts.hs},
-    "tau_hs": lambda o: {f"{s:g}": besov.sobolev_norm(o.state.tau, s) for s in o.opts.hs},
+    "u_hs": lambda o: {f"{s:g}": o.norm("u", s) for s in o.opts.hs},
+    "tau_hs": lambda o: {f"{s:g}": o.norm("tau", s) for s in o.opts.hs},
 }
 
 
@@ -260,7 +301,9 @@ class DiagnosticsRecord(SimpleNamespace):
 
 def compute_record(obs: Observation) -> DiagnosticsRecord:
     """Every RECORD metric of the observation. bkm_accum is left 0: it
-    accumulates over records, which the caller holds."""
+    accumulates over records, which the caller holds. The Gamma-equation
+    terms are made first, before the fields the other metrics make."""
+    obs.terms
     return DiagnosticsRecord(**{name: metric(obs) for name, metric in RECORD.items()})
 
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -95,13 +96,18 @@ class SimState:
 
     A Stokes-toy state takes its velocity from tau (stokes_toy_velocity):
     Biot-Savart of its vorticity -R(tau) would lose the Nyquist-row term that
-    the stepper's velocity keeps."""
+    the stepper's velocity keeps.
+
+    first_stage, when the stepper made it, is (params, rhs(y) under them
+    without a forcing), read-only: the first stage of the step from this
+    state, which time_derivative reads instead of evaluating rhs again."""
 
     t: float
     y: np.ndarray
     grid: Grid
     stokes_toy: bool = False
     values: np.ndarray | None = None
+    first_stage: tuple[ModelParams, np.ndarray] | None = None
 
     def __post_init__(self):
         self.y.setflags(write=False)
@@ -268,7 +274,7 @@ def stokes_toy_velocity(tau: SymTensorField) -> VectorField:
 class Workspace:
     """The buffers of rhs on one grid, reused by every call that is given
     the workspace, and the per-mode factors it applies, made on first use
-    at each band.
+    at each band. Without q, it holds no buffers for Q (gamma_terms).
 
     A call with it allocates nothing once one has loaded as wide a band
     (load). It copies the columns of its input within the band (Grid.band),
@@ -282,7 +288,7 @@ class Workspace:
     nothing there.
     """
 
-    def __init__(self, grid: Grid):
+    def __init__(self, grid: Grid, q: bool = True):
         n, shape = grid.n, grid.shape
         self.grid = grid
         self.width = 0                       # columns of work that may be nonzero
@@ -295,7 +301,7 @@ class Workspace:
         # wide as the widest band loaded: n//3+1 columns for dealiased inputs.
         self._band = np.empty((8, 0), dtype=np.complex128)
         self._factors: dict[int, ops.Factors] = {}
-        values = np.empty((13, n, n))  # grid values
+        values = np.empty((13 if q else 4, n, n))  # grid values; Q's only when q
         self.u, self.q, self.q_inputs = values[:2], values[2:5], values[5:12]
         # Q's inputs are grad u, then tau. Q's scratch is one more array and
         # the inputs g12 and g21 (q_products); once Q is made, the first
@@ -304,8 +310,8 @@ class Workspace:
         # call order; a slot of its own for each raised an 8-second
         # stepping_full_n256 run's peak_rss_mb from 87.0 to 89.5 MB
         # (BENCH_15.json "earlier_runs").
-        self.q_scratch = (values[12], values[6], values[7])
-        self.tendency, self.scratch = values[5], values[6]
+        self.q_scratch = (values[12], values[6], values[7]) if q else None
+        self.tendency, self.scratch = values[-2:] if not q else values[5:7]
 
     def load(self, y) -> np.ndarray:
         """Take the band of the packed rows y (Grid.band) as the band of the
@@ -332,6 +338,11 @@ class Workspace:
         out[:, :self.width] = a
         out[:, self.width:] = 0.0
         return out
+
+    def max_speed(self) -> float:
+        """max|u| over the grid of the velocity values that velocity (or rhs)
+        left in u."""
+        return float(np.max(np.hypot(*self.u, out=self.scratch)))
 
     def inverse(self, a: np.ndarray, out: np.ndarray) -> np.ndarray:
         """The grid values of the band-layout array a, in out."""
@@ -434,19 +445,26 @@ def rhs(y: np.ndarray, grid: Grid, params: ModelParams,
 def time_derivative(state: SimState,
                     params: ModelParams) -> tuple[ScalarField, SymTensorField]:
     """d/dt (omega, tau) at the state, from its stack read in place: rhs
-    plus the linear_symbol term, the one place where the explicit/stiff
-    split is undone. For the Stokes toy, d/dt omega = -R(d/dt tau)."""
+    (the state's first_stage when it was made under params) plus the
+    linear_symbol term, the one place where the explicit/stiff split is
+    undone. For the Stokes toy, d/dt omega = -R(d/dt tau)."""
     grid, y = state.grid, state.y
-    d = rhs(y, grid, params)
-    d += apply_symbol(linear_symbol(grid, params), y)
+    first = state.first_stage
+    if first is not None and first[0] == params:
+        d = apply_symbol(linear_symbol(grid, params), y)
+        d += first[1]
+    else:
+        d = rhs(y, grid, params)
+        d += apply_symbol(linear_symbol(grid, params), y)
     if params.variant == "stokes_toy":
         stokes_toy_vorticity(grid, d)
     return unstack(grid, d)
 
 
-def gamma_of(state: SimState, params: ModelParams) -> ScalarField:
-    """Gamma = mu * omega - K * R(tau)."""
-    return params.mu * state.omega - params.K * ops.riesz_r(state.tau)
+def gamma_of(state: SimState, params: ModelParams, r_tau: ScalarField | None = None) -> ScalarField:
+    """Gamma = mu * omega - K * R(tau), with R(tau) given or made here."""
+    r_tau = ops.riesz_r(state.tau) if r_tau is None else r_tau
+    return params.mu * state.omega - params.K * r_tau
 
 
 def commutator_r_advect(u: VectorField, tau: SymTensorField) -> ScalarField:
@@ -456,17 +474,75 @@ def commutator_r_advect(u: VectorField, tau: SymTensorField) -> ScalarField:
     return term1 - term2
 
 
-def gamma_interior(state: SimState, params: ModelParams,
-                   commutator: ScalarField | None = None) -> ScalarField:
-    """Gamma-equation source terms other than transport and damping."""
-    commutator = commutator if commutator is not None else commutator_r_advect(state.u, state.tau)
-    interior = (
-        params.K * params.beta * ops.riesz_r(state.tau)
-        - (params.K * params.alpha / 2.0) * state.omega
-        + params.K * commutator
-    )
-    if params.q_enabled:
-        q = q_form(state.grad_u, state.tau, params.b)
-        interior = interior - params.K * ops.riesz_r(q)
-    return interior
+class GammaTerms(NamedTuple):
+    """The terms of the Gamma equation that gamma_terms makes."""
 
+    commutator: ScalarField        # [R, u.grad] tau
+    interior: ScalarField | None   # the source terms of gamma_interior
+    advected: ScalarField | None   # u . grad Gamma
+
+
+def gamma_terms(state: SimState, params: ModelParams, r_tau: ScalarField,
+                gamma: ScalarField | None = None) -> GammaTerms:
+    """The commutator of the state (commutator_r_advect) and, when its Gamma
+    is given, the interior terms (gamma_interior) and u . grad Gamma
+    (operators.advect), from R(tau) = r_tau; each has the bytes of those
+    field operators, whose operations it makes in their order.
+
+    One Workspace of its own holds the band of the state's stack, makes the
+    velocity's grid values once, and transports tau, R(tau) and Gamma with
+    the kernel of rhs; Q (q_products) takes grad u and tau on the grid, the
+    stored values for tau where the state holds them."""
+    grid, with_q = state.grid, gamma is not None and params.q_enabled
+    work = Workspace(grid, q=with_q)
+    yb = work.load(state.y)
+    width = work.width
+    rt = r_tau.coeffs[:, :width]
+    transport = ops.transport(work.derivative, work.velocity(state.stokes_toy))
+    if with_q:  # Q's grid values first, so that the rows below may take u_hat's place
+        g_values = [work.inverse(work.grad_u(i, j, work.product), v)
+                    for (i, j), v in zip(((0, 0), (0, 1), (1, 0), (1, 1)), work.q_inputs)]
+        t_values = state.values[1:] if state.values is not None else \
+            [work.inverse(t, v) for t, v in zip(yb[1:], work.q_inputs[4:])]
+        q = q_products(*g_values, *t_values, params.b, out=work.q, scratch=work.q_scratch)
+    rows = (*work.u_hat, work.row)
+
+    def advected(f, out):  # u . grad f, dealiased
+        work.forward(transport(f, work.tendency), out)
+        return np.negative(out, out=out)
+
+    def riesz(t):  # R of the three rows t, in place of t[1]
+        r = ops.r_numerator(work.factors, *t, t[1], work.spare)
+        r *= grid.inv_ksq[:, :width]
+        return r
+
+    def field(a):
+        return ScalarField(grid, work.store(a, np.empty(grid.shape, dtype=np.complex128)))
+
+    for t, row in zip(yb[1:], rows):
+        advected(t, row)
+    comm = riesz(rows)                # R(u . grad tau)
+    comm -= advected(rt, rows[0])     # - u . grad(R tau)
+    commutator = field(comm)
+    if gamma is None:
+        return GammaTerms(commutator, None, None)
+
+    advected_gamma = field(advected(gamma.coeffs[:, :width], rows[0]))
+    K = params.K
+    interior = np.multiply(K * params.beta, rt, out=rows[2])
+    interior -= np.multiply(K * params.alpha / 2.0, yb[0], out=rows[0])
+    interior += np.multiply(K, comm, out=rows[0])  # K beta R(tau) - K alpha / 2 omega + K comm
+    if with_q:
+        q_rows = (rows[0], rows[1], work.product)
+        for v, row in zip(q, q_rows):
+            work.forward(v, row)
+        r = riesz(q_rows)
+        interior -= np.multiply(K, r, out=r)  # - K R(Q)
+    return GammaTerms(commutator, field(interior), advected_gamma)
+
+
+def gamma_interior(state: SimState, params: ModelParams) -> ScalarField:
+    """Gamma-equation source terms other than transport and damping:
+    K beta R(tau) - K alpha / 2 omega + K [R, u.grad] tau - K R(Q)."""
+    r_tau = ops.riesz_r(state.tau)
+    return gamma_terms(state, params, r_tau, gamma_of(state, params, r_tau)).interior

@@ -51,18 +51,20 @@ class StepConfig:
             raise ConfigError(f"t_end must be >= 0, got {self.t_end}")
 
 
-def cfl_dt(state: SimState, config: StepConfig, work: Workspace | None = None) -> float:
+def cfl_dt(state: SimState, config: StepConfig, umax: float | None = None) -> float:
     """Advective CFL step: clamp(cfl * h / max(|u|_inf, floor), dt_min, dt_max).
 
-    max|u| is taken on the grid from the velocity modes of the state (for a
-    Stokes-toy state, the Stokes velocity of its tau), with two inverse
-    transforms, in the buffers of the rhs workspace work (made here when
-    not given).
+    max|u| is umax when given: integrate passes the one of the velocity
+    that rhs made for the step's first stage, so the step makes no
+    transform of its own. Otherwise it is taken on the grid from the
+    velocity modes of the state (for a Stokes-toy state, the Stokes
+    velocity of its tau), with two inverse transforms in a Workspace.
     """
-    work = Workspace(state.grid) if work is None else work
-    work.load(state.y)
-    u1, u2 = work.velocity(state.stokes_toy)
-    umax = float(np.max(np.hypot(u1, u2, out=work.scratch)))
+    if umax is None:
+        work = Workspace(state.grid)
+        work.load(state.y)
+        work.velocity(state.stokes_toy)
+        umax = work.max_speed()
     dt = config.cfl * state.grid.h / max(umax, CFL_VELOCITY_FLOOR)
     return min(max(dt, config.dt_min), config.dt_max)
 
@@ -76,20 +78,39 @@ def _max_norm(y: np.ndarray) -> float:
 
 class StepWorkspace:
     """The buffers of step for one grid and scheme: the stage input, the
-    slope accumulators, the integrating factors of the two rows of
-    linear_symbol and the rhs Workspace. integrate owns one while it steps
-    and drops it before each observation (CONVENTIONS.md "Time stepping")."""
+    slope accumulators after the first stage, the integrating factors of the
+    two rows of linear_symbol, the rhs Workspace, and the first stage's
+    stack, made on first use. integrate owns one while it steps and drops it
+    before each observation (CONVENTIONS.md "Time stepping")."""
 
     def __init__(self, grid: Grid, scheme: str):
         ifrk2 = scheme == "ifrk2"
         self.factors = np.empty((1 if ifrk2 else 2, 2) + grid.shape)  # e, h
-        stacks = np.empty((3 if ifrk2 else 4, 4) + grid.shape, dtype=np.complex128)
+        stacks = np.empty((2 if ifrk2 else 3, 4) + grid.shape, dtype=np.complex128)
         self.stage, self.k = stacks[0], stacks[1:]
         self.rhs = Workspace(grid)
+        self._first = None
+
+    @property
+    def first(self) -> np.ndarray:
+        """The stack of the first stage: not made in a stretch whose one step
+        starts from the first stage integrate carried across an observation."""
+        if self._first is None:
+            self._first = np.empty_like(self.stage)
+        return self._first
+
+
+def first_stage(state: SimState, params: ModelParams, work: Workspace,
+                out: np.ndarray | None = None) -> tuple[np.ndarray, float]:
+    """rhs(state.y) without a forcing, in out (a new stack when None), and
+    max|u| over the grid of the velocity it made (Workspace.max_speed)."""
+    k0 = rhs(state.y, state.grid, params, out=out, work=work)
+    return k0, work.max_speed()
 
 
 def step(state: SimState, dt: float, params: ModelParams, config: StepConfig,
-         forcing: np.ndarray | None = None, work: StepWorkspace | None = None) -> SimState:
+         forcing: np.ndarray | None = None, work: StepWorkspace | None = None,
+         k0: np.ndarray | None = None) -> SimState:
     """Advance one step of size dt > 0.
 
     The state's packed stack is read in place, and the new state holds the
@@ -98,7 +119,9 @@ def step(state: SimState, dt: float, params: ModelParams, config: StepConfig,
     not given). Each stage is the whole-array expression in its comment,
     evaluated in that order into the workspace, from the integrating factors
     exp(c dt L) of the linear symbol L (model.apply_symbol) and the explicit
-    tendencies from rhs; a forcing is a packed stack too.
+    tendencies from rhs; a forcing is a packed stack too. k0, when given, is
+    rhs(state.y) without the forcing, made already (first_stage); it is
+    read, never written, and the forcing is added to it in work.first.
 
     Raises IntegrationError at t + dt when the new stack holds a non-finite
     value, or when its coefficient max-norm (over real and imaginary parts)
@@ -116,41 +139,44 @@ def step(state: SimState, dt: float, params: ModelParams, config: StepConfig,
     def n_of(yy, out):
         return rhs(yy, grid, params, forcing, out=out, work=work.rhs)
 
-    n_of(y, k[0])
+    if k0 is None:
+        k0 = n_of(y, work.first)
+    elif forcing is not None:         # rhs adds a forcing last, as here
+        k0 = np.add(k0, forcing, out=work.first)
     if config.scheme == "ifrk2":
-        np.multiply(dt, k[0], out=s)
+        np.multiply(dt, k0, out=s)
         s += y
         apply_symbol(e, s, out=s)
-        n_of(s, k[1])                 # k1 = N(e * (y + dt * k0))
-        apply_symbol(e, k[0], out=k[0])
-        k[0] += k[1]
-        k[0] *= 0.5 * dt              # 0.5 * dt * (e * k0 + k1)
+        n_of(s, k[0])                 # k1 = N(e * (y + dt * k0))
+        apply_symbol(e, k0, out=s)
+        s += k[0]
+        s *= 0.5 * dt                 # 0.5 * dt * (e * k0 + k1)
     else:
         h = work.factors[1]
         np.exp(np.multiply(0.5 * dt, linear_symbol(grid, params, out=h), out=h), out=h)
         r = s.reshape(-1).view(np.float64)[:h.size].reshape(h.shape)  # a real scratch in s
-        np.multiply(0.5 * dt, k[0], out=s)
+        np.multiply(0.5 * dt, k0, out=s)
         s += y
         apply_symbol(h, s, out=s)
-        n_of(s, k[1])                 # k1 = N(h * (y + 0.5 * dt * k0))
-        np.multiply(0.5 * dt, k[1], out=k[2])
+        n_of(s, k[0])                 # k1 = N(h * (y + 0.5 * dt * k0))
+        np.multiply(0.5 * dt, k[0], out=k[1])
         apply_symbol(h, y, out=s)
-        s += k[2]
-        n_of(s, k[2])                 # k2 = N(h * y + 0.5 * dt * k1)
-        k[1] += k[2]                  # k1 + k2
+        s += k[1]
+        n_of(s, k[1])                 # k2 = N(h * y + 0.5 * dt * k1)
+        k[0] += k[1]                  # k1 + k2
         np.multiply(dt, h, out=r)
-        apply_symbol(r, k[2], out=k[2])
+        apply_symbol(r, k[1], out=k[1])
         apply_symbol(e, y, out=s)     # overwrites r
-        s += k[2]
-        n_of(s, k[2])                 # k3 = N(e * y + dt * h * k2), in k2's place
-        apply_symbol(e, k[0], out=k[0])
+        s += k[1]
+        n_of(s, k[1])                 # k3 = N(e * y + dt * h * k2), in k2's place
+        apply_symbol(e, k0, out=s)
         h *= 2.0
-        apply_symbol(h, k[1], out=k[1])
-        k[0] += k[1]
-        k[0] += k[2]
-        k[0] *= dt / 6.0              # dt / 6 * (e * k0 + 2.0 * h * (k1 + k2) + k3)
+        apply_symbol(h, k[0], out=k[0])
+        s += k[0]
+        s += k[1]
+        s *= dt / 6.0                 # dt / 6 * (e * k0 + 2.0 * h * (k1 + k2) + k3)
     ynew = apply_symbol(e, y)
-    ynew += k[0]                      # e * y + the sum above
+    ynew += s                         # e * y + the sum above
 
     peak = _max_norm(ynew)
     if not math.isfinite(peak):
@@ -204,15 +230,24 @@ def integrate(state0: SimState, params: ModelParams, config: StepConfig,
     raises IntegrationError("step size underflow") rather than step with a
     Courant number above cfl; with dt_min == dt_max every step is that size.
 
-    The steps and CFL steps up to each target share one StepWorkspace,
-    dropped before the observer is called there. No reference to state0 is
-    kept past the first step, so a caller that holds none frees it there.
+    Each step's CFL step is read from the velocity of its first stage
+    (first_stage). The steps up to each target share one StepWorkspace,
+    dropped before the observer is called there. Where a step follows an
+    observation, the first stage of that step is made before the observer
+    is called and handed to it as the state's first_stage (read-only), which
+    its d/dt reads (time_derivative); it is the one stack carried across the
+    observation. No reference to state0 is kept past the first step, so a
+    caller that holds none frees it there.
     """
     state, state0 = state0, None
     t_end = config.t_end
     eps = landing_tolerance(t_end)
+    first = None  # (k0, max|u|) of the state, carried across an observation
 
     if observer is not None:
+        if t_end > state.t + eps:
+            first = first_stage(state, params, Workspace(state.grid))
+        state = _handed(state, params, first)
         observer(state)
     if t_end <= state.t + eps:
         return state
@@ -221,16 +256,32 @@ def integrate(state0: SimState, params: ModelParams, config: StepConfig,
     for target in _targets(state.t, t_end, every, land_times):
         work = StepWorkspace(state.grid, config.scheme)
         while state.t < target:
-            dt = cfl_dt(state, config, work.rhs)
+            k0, umax = first if first is not None else first_stage(state, params, work.rhs,
+                                                                   work.first)
+            first = None
+            dt = cfl_dt(state, config, umax)
             if dt <= config.dt_min < config.dt_max:
                 raise IntegrationError(state.t, "step size underflow")
             t_new = state.t + dt
             if t_new >= target - eps:  # the step reaches the target: end it there
                 dt, t_new = target - state.t, target
-            state = step(state, dt, params, config, forcing, work)
+            state = step(state, dt, params, config, forcing, work, k0)
             if state.t != t_new:
                 state = replace(state, t=t_new)
+        k0 = None
+        if observer is not None and target < t_end:  # a step follows
+            first = first_stage(state, params, work.rhs)
         work = None
         if observer is not None:
+            state = _handed(state, params, first)
             observer(state)
     return state
+
+
+def _handed(state: SimState, params: ModelParams, first) -> SimState:
+    """The state as integrate hands it to its observer and then steps from:
+    with the first stage of the step that follows, read-only, when one does."""
+    if first is None:
+        return state
+    first[0].setflags(write=False)
+    return replace(state, first_stage=(params, first[0]))

@@ -412,12 +412,18 @@ class TestRunner:
     ], ids=["q_zero", "full", "full_viscous", "stokes_toy"])
     def test_one_observation_evaluates_shared_terms_once(
             self, tmp_path, monkeypatch, model_text, want_rhs, want_gamma):
+        # the record's Gamma-equation terms come from one gamma_terms call,
+        # which makes the interior terms where the Gamma law holds
         counts = _count_model_calls(
-            monkeypatch, ("rhs", "gamma_interior", "commutator_r_advect"))
+            monkeypatch, ("rhs", "gamma_terms", "gamma_interior", "commutator_r_advect"))
+        made, gamma_terms = [], diag.gamma_terms
+        monkeypatch.setattr(diag, "gamma_terms",
+                            lambda *args: made.append(gamma_terms(*args)) or made[-1])
         cfg = parse_config(MINIMAL.format(out=tmp_path / "one") + "[model]\n" + model_text)
         assert len(run(cfg).records) == 1
-        assert counts == {"rhs": want_rhs, "gamma_interior": want_gamma,
-                          "commutator_r_advect": 1}
+        assert counts == {"rhs": want_rhs, "gamma_terms": 1, "gamma_interior": 0,
+                          "commutator_r_advect": 0}
+        assert [t.interior is not None for t in made] == [bool(want_gamma)]
 
 
 class TestSweep:
@@ -517,7 +523,8 @@ class TestCli:
             assert float(printed[name]) == want, name
 
     def test_norms_evaluates_only_the_names_asked_for(self, tmp_path, capsys, monkeypatch):
-        # u_l2 and gamma_linf need neither d/dt of the state nor the commutator
+        # u_l2 and gamma_linf need neither d/dt of the state nor the
+        # commutator, which gamma_terms makes
         from oldroyd2d.grid import Grid
         from oldroyd2d.initial_data import random_state
         from oldroyd2d.model import ModelParams
@@ -526,7 +533,7 @@ class TestCli:
         snap = tmp_path / "state.bin"
         save_snapshot(random_state(Grid(32), (1, 8), [0]), ModelParams(variant="q_zero"), snap)
         calls = []
-        for name in ("time_derivative", "commutator_r_advect"):
+        for name in ("time_derivative", "gamma_terms"):
             def counted(*args, _name=name, _fn=getattr(diag, name)):
                 calls.append(_name)
                 return _fn(*args)
@@ -534,7 +541,7 @@ class TestCli:
         assert cli.main(["norms", str(snap), "--norm", "u_l2,gamma_linf"]) == 0
         assert calls == []
         diag.compute_record(diag.Observation(*load_snapshot(snap)))  # a whole record makes both
-        assert sorted(calls) == ["commutator_r_advect", "time_derivative"]
+        assert sorted(calls) == ["gamma_terms", "time_derivative"]
 
 
 class TestMutationSensitivity:

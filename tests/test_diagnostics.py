@@ -1,7 +1,9 @@
 """Diagnostic calculators: energies, residuals, ledgers, fits."""
 
 import math
+import tracemalloc
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from oldroyd2d import besov
 from oldroyd2d import diagnostics as diag
 from oldroyd2d.fields import ScalarField, SymTensorField, VectorField, sq_norm
 from oldroyd2d.grid import Grid
-from oldroyd2d.model import ModelParams, make_state
+from oldroyd2d.model import ModelParams, make_state, rhs
 from oldroyd2d.runner import decay_summary
 from oldroyd2d.snapshots import load_snapshot, save_snapshot
 
@@ -299,3 +301,42 @@ class TestObservationView:
         assert pad() is o._padded
         del o
         assert pad() is None
+
+
+class TestRecordMemory:
+    @staticmethod
+    def warm_observation_peak(params, n=64):
+        """The traced peak, in packed stacks, of the first stage integrate
+        carries across an observation and of one warm observation (record
+        and enstrophy ledger) of the state that holds it."""
+        grid = Grid(n)
+        seed = rand_state(grid, 23, band=(1, n // 3))
+        state = make_state(0.0, seed.omega, seed.tau, params)
+
+        def observe():
+            k0 = rhs(state.y, grid, params)
+            k0.setflags(write=False)
+            o = obs(replace(state, first_stage=(params, k0)), params)
+            diag.compute_record(o)
+            if params.energy_law:
+                diag.enstrophy_balance(o)
+
+        observe()
+        tracemalloc.start()
+        try:
+            observe()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak / (4 * n * (n // 2 + 1) * 16)
+
+    @pytest.mark.parametrize("params, bound", [
+        (ModelParams(nu=0.0, mu=1.0, K=1.0, alpha=1.0, beta=0.0, variant="q_zero"), 8.5),
+        (ModelParams(nu=0.0, mu=0.7, K=1.3, alpha=0.9, beta=0.4, b=0.3), 10.3),
+    ], ids=["stock_a", "full"])
+    def test_warm_observation_peak(self, params, bound):
+        # the record makes its shared terms before its other fields, and
+        # takes d/dt from the carried first stage: 7.5 (stock (a) physics)
+        # and 9.6 (Q on) packed stacks traced here, the carried stack
+        # included, where the record alone, with its own rhs, peaked at 10.3
+        assert self.warm_observation_peak(params) < bound

@@ -16,6 +16,7 @@ from oldroyd2d.model import (
     commutator_r_advect,
     gamma_interior,
     gamma_of,
+    gamma_terms,
     linear_symbol,
     make_state,
     q_form,
@@ -23,10 +24,11 @@ from oldroyd2d.model import (
     stokes_toy_velocity,
     time_derivative,
 )
+from oldroyd2d.snapshots import load_snapshot, save_snapshot
 from oldroyd2d.stepping import StepConfig, step
 
 from conftest import (field_from, full_coeffs, full_wavevectors, grad, half_field, max_divergence,
-                      rand_state, rand_tensor, rel_err, stack)
+                      nyquist_state, rand_state, rand_tensor, rel_err, stack)
 
 
 class TestModelParams:
@@ -361,3 +363,62 @@ class TestStokesToy:
         adv = ops.advect_tensor(state.u, tau)
         for got, a, b_ in zip(d_tau.components, adv.components, du.components):
             assert np.max(np.abs(got.coeffs - (-a.coeffs + b_.coeffs))) < 1e-12
+
+
+class TestGammaTerms:
+    """model.gamma_terms against the field operators it replaces in a record."""
+
+    PARAMS = [
+        ModelParams(nu=0.0, mu=0.7, K=1.3, alpha=0.9, beta=0.4, q_enabled=False,
+                    variant="q_zero"),
+        ModelParams(nu=0.0, mu=0.7, K=1.3, alpha=0.9, beta=0.4, b=0.3),
+        ModelParams(nu=0.0, mu=0.8, K=1.1, alpha=-1.2, beta=0.0, b=0.0),
+    ]
+
+    @staticmethod
+    def field_interior(state, params, commutator):
+        """The interior terms as field arithmetic, in gamma_interior's order."""
+        interior = (params.K * params.beta * ops.riesz_r(state.tau)
+                    - (params.K * params.alpha / 2.0) * state.omega
+                    + params.K * commutator)
+        if params.q_enabled:
+            interior = interior - params.K * ops.riesz_r(q_form(state.grad_u, state.tau,
+                                                                 params.b))
+        return interior
+
+    @pytest.mark.parametrize("params", PARAMS, ids=["q_zero", "full", "full_b0"])
+    @pytest.mark.parametrize("kind", ["dealiased", "nyquist", "loaded"])
+    def test_bytes_of_the_field_operators(self, grid32, params, kind, tmp_path):
+        if kind == "nyquist":
+            state = nyquist_state(grid32, 3, params)
+        else:
+            seed = rand_state(grid32, 4, band=(1, 10))
+            state = make_state(0.0, seed.omega, seed.tau, params)
+        if kind == "loaded":  # Q takes the stored tau values of a loaded state
+            save_snapshot(state, params, tmp_path / "s.bin")
+            state = load_snapshot(tmp_path / "s.bin")[0]
+        r_tau = ops.riesz_r(state.tau)
+        gamma = gamma_of(state, params, r_tau)
+        got = gamma_terms(state, params, r_tau, gamma)
+        commutator = commutator_r_advect(state.u, state.tau)
+        want = (commutator, self.field_interior(state, params, commutator),
+                ops.advect(state.u, gamma))
+        for g, w in zip(got, want):  # equal values; only a zero's sign may differ
+            assert np.array_equal(g.coeffs, w.coeffs)
+        alone = gamma_terms(state, params, r_tau)
+        assert np.array_equal(alone.commutator.coeffs, commutator.coeffs)
+        assert alone.interior is None and alone.advected is None
+
+    def test_stokes_toy_commutator(self, grid32):
+        params = ModelParams(nu=0.0, mu=0.7, K=1.3, alpha=0.9, variant="stokes_toy")
+        seed = rand_state(grid32, 5)
+        state = make_state(0.0, seed.omega, seed.tau, params)
+        got = gamma_terms(state, params, ops.riesz_r(state.tau)).commutator
+        assert np.array_equal(got.coeffs, commutator_r_advect(state.u, state.tau).coeffs)
+
+    def test_gamma_interior_is_the_gamma_terms_interior(self, grid32):
+        params = self.PARAMS[1]
+        seed = rand_state(grid32, 6)
+        state = make_state(0.0, seed.omega, seed.tau, params)
+        want = self.field_interior(state, params, commutator_r_advect(state.u, state.tau))
+        assert gamma_interior(state, params).coeffs.tobytes() == want.coeffs.tobytes()

@@ -8,7 +8,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oldroyd2d import stepping
+from oldroyd2d import diagnostics as diag
+from oldroyd2d import model, stepping
 from oldroyd2d.errors import ConfigError, IntegrationError
 from oldroyd2d.fields import ScalarField, SymTensorField
 from oldroyd2d.grid import Grid
@@ -363,3 +364,91 @@ class TestIntegrate:
         d1, d2 = drift(0.02), drift(0.01)
         assert d1 < 1e-4
         assert d1 / d2 > 2.0  # at least the scheme order under halving
+
+
+class TestCarriedFirstStage:
+    """The first stage of a step that follows an observation is made before
+    the observer is called, serves as the record's d/dt and the step's first
+    stage, and every CFL step reads the velocity of its step's first stage."""
+
+    PARAMS = {
+        "q_zero": ModelParams(nu=0.0, mu=0.7, K=1.2, alpha=0.9, beta=0.3, variant="q_zero"),
+        "full": ModelParams(nu=0.0, mu=0.7, K=1.2, alpha=0.9, beta=0.3, b=0.4),
+        "stokes_toy": ModelParams(nu=0.0, mu=0.7, K=1.2, alpha=0.9, beta=0.3,
+                                  variant="stokes_toy"),
+    }
+    CONFIG = dict(dt_max=0.02, t_end=0.1)  # five steps at dt_max
+
+    def state(self, grid, params):
+        seed = rand_state(grid, 31, omega_amp=0.5, tau_amp=0.5)
+        return make_state(0.0, seed.omega, seed.tau, params)
+
+    @pytest.mark.parametrize("scheme, stages", [("ifrk2", 2), ("ifrk4", 4)])
+    @pytest.mark.parametrize("name", PARAMS)
+    def test_one_rhs_per_observation(self, grid32, monkeypatch, scheme, stages, name):
+        # a record after every step: stages x steps rhs calls and one more,
+        # the d/dt of the last record; cfl_dt makes no transform
+        params = self.PARAMS[name]
+        calls, steps, cfl_calls, in_cfl = [], [], [], []
+        rhs, step, cfl = model.rhs, stepping.step, stepping.cfl_dt
+        for module in (model, stepping):
+            monkeypatch.setattr(module, "rhs", lambda *a, **k: calls.append(1) or rhs(*a, **k))
+        monkeypatch.setattr(stepping, "step", lambda *a: steps.append(1) or step(*a))
+
+        def counted_cfl(*args):
+            cfl_calls.append(1)
+            before = len(transforms)
+            try:
+                return cfl(*args)
+            finally:
+                in_cfl.append(len(transforms) - before)
+
+        monkeypatch.setattr(stepping, "cfl_dt", counted_cfl)
+        transforms = []
+        for name_ in ("fft", "ifft", "rfft", "irfft"):
+            fn = getattr(np.fft, name_)
+            monkeypatch.setattr(np.fft, name_, lambda *a, _fn=fn, **k:
+                                transforms.append(1) or _fn(*a, **k))
+        records = []
+        config = StepConfig(scheme=scheme, **self.CONFIG)
+        integrate(self.state(grid32, params), params, config,
+                  observer=lambda s: records.append(diag.Observation(s, params).deriv),
+                  observe_every=config.dt_max)
+        assert len(steps) == 5 and len(records) == 6 and len(cfl_calls) == 5
+        assert len(calls) == stages * len(steps) + 1
+        assert transforms and in_cfl == [0] * 5
+
+    @pytest.mark.parametrize("scheme", ["ifrk2", "ifrk4"])
+    @pytest.mark.parametrize("name", PARAMS)
+    @pytest.mark.parametrize("forced", [False, True], ids=["unforced", "forced"])
+    def test_observed_run_keeps_the_bytes(self, grid32, scheme, name, forced):
+        # the same landing times with and without an observer: every step
+        # after a record starts from the first stage made for that record
+        params = self.PARAMS[name]
+        config = StepConfig(scheme=scheme, **self.CONFIG)
+        forcing = 0.1 * rand_state(grid32, 32).y if forced else None
+        ticks = [k * config.dt_max for k in range(1, 5)]
+        plain = integrate(self.state(grid32, params), params, config, forcing=forcing,
+                          land_times=ticks)
+        seen = []
+        observed = integrate(self.state(grid32, params), params, config, forcing=forcing,
+                             observer=lambda s: seen.append(s.first_stage is not None),
+                             observe_every=config.dt_max)
+        assert seen == [True] * 5 + [False]
+        assert observed.y.tobytes() == plain.y.tobytes()
+
+    @pytest.mark.parametrize("name", PARAMS)
+    def test_record_derivative_is_time_derivative(self, grid32, name):
+        params = self.PARAMS[name]
+        got, want = [], []
+
+        def observer(s):
+            got.append(diag.Observation(s, params).deriv)
+            want.append(model.time_derivative(replace(s, first_stage=None), params))
+
+        integrate(self.state(grid32, params), params, StepConfig(**self.CONFIG),
+                  observer=observer, observe_every=0.02)
+        assert len(got) == 6
+        for g, w in zip(got, want):
+            for a, b in zip((g[0], *g[1].components), (w[0], *w[1].components)):
+                assert a.coeffs.tobytes() == b.coeffs.tobytes()
