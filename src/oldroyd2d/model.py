@@ -486,8 +486,9 @@ def gamma_terms(state: SimState, params: ModelParams, r_tau: ScalarField,
                 gamma: ScalarField | None = None) -> GammaTerms:
     """The commutator of the state (commutator_r_advect) and, when its Gamma
     is given, the interior terms (gamma_interior) and u . grad Gamma
-    (operators.advect), from R(tau) = r_tau; each has the bytes of those
-    field operators, whose operations it makes in their order.
+    (operators.advect), from R(tau) = r_tau; each equals what those field
+    operators give, value for value (only a zero's sign may differ), since
+    it makes their operations in their order.
 
     One Workspace of its own holds the band of the state's stack, makes the
     velocity's grid values once, and transports tau, R(tau) and Gamma with
