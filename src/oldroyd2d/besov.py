@@ -180,17 +180,13 @@ def lebesgue_norm(f: FieldKind, p) -> float:
     raise ValueError(f"unsupported Lebesgue exponent p={p}")
 
 
-def sobolev_weight(grid: Grid, s: float) -> np.ndarray:
-    """1 + |k|^(2s) per mode, the square of the H^s multiplier; zero mode 1."""
-    w = np.ones_like(grid.ksq)
-    pos = grid.ksq > 0
-    w[pos] += grid.ksq[pos] ** s
-    return w
-
-
 def sobolev_norm(f: FieldKind, s: float) -> float:
     """H^s norm via the multiplier (1 + |k|^(2s))^(1/2); zero mode weight 1."""
-    return norm(f, sobolev_weight(f.grid, s))
+    g = f.grid
+    w = np.ones_like(g.ksq)
+    pos = g.ksq > 0
+    w[pos] += g.ksq[pos] ** s
+    return norm(f, w)
 
 
 def _raised_cosine(s: np.ndarray) -> np.ndarray:

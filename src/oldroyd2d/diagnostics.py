@@ -21,7 +21,7 @@ import numpy as np
 from . import besov
 from . import operators as ops
 from .errors import ConfigError
-from .fields import ScalarField, SymTensorField, VectorField, inner, mode_sum, mode_sums, norm, sq_norm
+from .fields import ScalarField, SymTensorField, VectorField, inner, mode_sum, sq_norm
 from .model import (
     GammaTerms,
     ModelParams,
@@ -44,18 +44,24 @@ def velocity_inner_from_vorticity(omega: ScalarField, domega: ScalarField) -> fl
 
 
 def energy_weighted(state: SimState, params: ModelParams) -> float:
-    """(alpha ||u||^2 + K ||tau||^2) / 2: the record's energy_weighted."""
-    return RECORD["energy_weighted"](Observation(state, params))
+    """(alpha ||u||^2 + K ||tau||^2) / 2."""
+    return 0.5 * (
+        params.alpha * state.u.l2() ** 2 + params.K * state.tau.l2() ** 2
+    )
 
 
 def n_functional(obs: Observation) -> float:
     """M (alpha||u||^2 + K||tau||^2) + M (alpha||grad u||^2 + K||grad tau||^2)
     + ||Gamma||^2, with M the options' n_functional_m."""
-    params, M = obs.params, obs.opts.n_functional_m
+    state, params, M = obs.state, obs.params, obs.opts.n_functional_m
+    u_sq = state.u.l2() ** 2
+    tau_sq = state.tau.l2() ** 2
+    gu_sq = sq_norm(state.u, state.grid.ksq)
+    gt_sq = sq_norm(state.tau, state.grid.ksq)
     return (
-        M * (params.alpha * obs.norm("u") ** 2 + params.K * obs.norm("tau") ** 2)
-        + M * (params.alpha * obs.sq_norm("u", "grad") + params.K * obs.sq_norm("tau", "grad"))
-        + obs.norm("gamma") ** 2
+        M * (params.alpha * u_sq + params.K * tau_sq)
+        + M * (params.alpha * gu_sq + params.K * gt_sq)
+        + obs.gamma.l2() ** 2
     )
 
 
@@ -69,9 +75,9 @@ def energy_identity_residual(obs: Observation) -> float:
     de = params.alpha * velocity_inner_from_vorticity(state.omega, d_omega) \
         + params.K * inner(state.tau, d_tau)
     dissipation = (
-        params.mu * params.K * obs.sq_norm("tau", "grad")
-        + params.beta * params.K * obs.norm("tau") ** 2
-        + params.nu * params.alpha * obs.sq_norm("u", "grad")
+        params.mu * params.K * sq_norm(state.tau, state.grid.ksq)
+        + params.beta * params.K * state.tau.l2() ** 2
+        + params.nu * params.alpha * sq_norm(state.u, state.grid.ksq)
     )
     scale = max(abs(de), abs(dissipation), _TINY)
     return abs(de + dissipation) / scale
@@ -89,12 +95,13 @@ def enstrophy_balance(obs: Observation) -> EnstrophyBalance:
     if not obs.params.energy_law:
         raise ValueError("enstrophy balance requires Q disabled and no Stokes toy")
     d_omega, d_tau = obs.deriv
+    ksq = state.grid.ksq
     d_grad_u_sq = 2.0 * inner(state.omega, d_omega)
     lap_tau = state.tau.map(ops.laplacian)
     d_grad_tau_sq = -2.0 * inner(lap_tau, d_tau)
-    lhs = d_grad_u_sq + d_grad_tau_sq + 0.5 * obs.sq_norm("tau", "lap")
+    lhs = d_grad_u_sq + d_grad_tau_sq + 0.5 * sq_norm(state.tau, ksq**2)
     return EnstrophyBalance(lhs=lhs,
-                            majorant=obs.sq_norm("u", "grad") * obs.sq_norm("tau", "grad"))
+                            majorant=sq_norm(state.u, ksq) * sq_norm(state.tau, ksq))
 
 
 def gamma_residual(obs: Observation) -> float:
@@ -170,25 +177,13 @@ class DiagnosticsOptions:
             raise ConfigError(f"hs must hold finite exponents, one above 2, got {self.hs}")
 
 
-# The weights of the squares a record takes of each field, in one pass per
-# component (Observation.squares): None for L2, "grad" |k|^2, "lap" |k|^4,
-# and s for H^s; "hs" stands for every s of the options' hs.
-SQUARES = {
-    "u": (None, "grad", "hs"),
-    "tau": (None, "grad", "lap", 2.0, "hs"),
-    "omega": (None,),
-    "grad_u": (None,),
-    "gamma": (None,),
-}
-
-
 @dataclass
 class Observation:
     """One state as the diagnostics see it, and the one input of every
     per-state diagnostic: the state, the params, the options, and the terms
     several metrics share (R(tau), Gamma, the Gamma-equation terms of
-    model.gamma_terms, d/dt of the state and the weighted squares of the
-    fields), each made on first use and then kept.
+    model.gamma_terms and d/dt of the state), each made on first use and
+    then kept.
 
     `state` is a view of the state given, replace(state): a SimState over
     the same stack, stored values and first stage (SimState.first_stage,
@@ -205,7 +200,6 @@ class Observation:
     def __post_init__(self):
         self.state = replace(self.state)
         self._padded = besov.padded_transform(self.state.grid)
-        self._squares: dict[str, dict] = {}
 
     @cached_property
     def r_tau(self) -> ScalarField:
@@ -229,31 +223,6 @@ class Observation:
     def deriv(self) -> Derivative:
         return time_derivative(self.state, self.params)
 
-    def squares(self, name: str) -> dict:
-        """{weight: per-component sums} (fields.mode_sums) of the field name
-        (a state attribute, or "gamma") for every weight SQUARES lists for
-        it, made in one pass per component on first use."""
-        if name not in self._squares:
-            grid = self.state.grid
-            keys = list(dict.fromkeys(k for key in SQUARES[name]
-                                      for k in (self.opts.hs if key == "hs" else (key,))))
-            mults = [None if k is None else grid.ksq if k == "grad" else grid.ksq**2 if k == "lap"
-                     else besov.sobolev_weight(grid, k) for k in keys]
-            sums = [mode_sums(c.coeffs, c.coeffs, mults) for c in self._field(name).components]
-            self._squares[name] = {k: [c[i] for c in sums] for i, k in enumerate(keys)}
-        return self._squares[name]
-
-    def _field(self, name: str):
-        return self.gamma if name == "gamma" else getattr(self.state, name)
-
-    def norm(self, name: str, weight=None) -> float:
-        """fields.norm of the field name under the weight (SQUARES)."""
-        return norm(self._field(name), sums=self.squares(name)[weight])
-
-    def sq_norm(self, name: str, weight) -> float:
-        """fields.sq_norm of the field name under the weight (SQUARES)."""
-        return sq_norm(self._field(name), None, sums=self.squares(name)[weight])
-
 
 def _where(law: str, metric: Callable) -> Callable:
     """metric where the ModelParams property law holds, else None."""
@@ -265,29 +234,28 @@ def _where(law: str, metric: Callable) -> Callable:
 # ...) at evaluation time, so that replacing one of those is seen here.
 RECORD: dict[str, Callable[[Observation], object]] = {
     "t": lambda o: o.state.t,
-    "u_l2": lambda o: o.norm("u"),
-    "tau_l2": lambda o: o.norm("tau"),
-    "grad_u_l2": lambda o: o.norm("grad_u"),
-    "grad_tau_l2": lambda o: math.sqrt(o.sq_norm("tau", "grad")),
-    "lap_tau_l2": lambda o: math.sqrt(o.sq_norm("tau", "lap")),
+    "u_l2": lambda o: o.state.u.l2(),
+    "tau_l2": lambda o: o.state.tau.l2(),
+    "grad_u_l2": lambda o: o.state.grad_u.l2(),
+    "grad_tau_l2": lambda o: math.sqrt(sq_norm(o.state.tau, o.state.grid.ksq)),
+    "lap_tau_l2": lambda o: math.sqrt(sq_norm(o.state.tau, o.state.grid.ksq**2)),
     "omega_linf": lambda o: besov.linf_norm(o.state.omega),
-    "omega_l2": lambda o: o.norm("omega"),
+    "omega_l2": lambda o: o.state.omega.l2(),
     "gamma_linf": lambda o: besov.linf_norm(o.gamma),
     "gamma_b0inf1": lambda o: besov.besov_norm(o.gamma, 0.0, math.inf, 1),
     "tau_bepsinf1": lambda o: besov.tensor_besov_norm(o.state.tau, o.opts.eps, math.inf, 1),
-    "tau_h2": lambda o: o.norm("tau", 2.0),
+    "tau_h2": lambda o: besov.sobolev_norm(o.state.tau, 2.0),
     "grad_u_linf": lambda o: besov.linf_norm(o.state.grad_u),
     "bkm_accum": lambda o: 0.0,  # accumulated over records by the caller
-    "energy_weighted": lambda o: 0.5 * (o.params.alpha * o.norm("u") ** 2
-                                        + o.params.K * o.norm("tau") ** 2),
+    "energy_weighted": lambda o: energy_weighted(o.state, o.params),
     "n_value": lambda o: n_functional(o),
     "energy_identity_residual": _where("energy_law", lambda o: energy_identity_residual(o)),
     "gamma_residual": _where("gamma_law", lambda o: gamma_residual(o)),
     "commutator_norm": lambda o: besov.besov_norm(o.commutator, 0.0, math.inf, 1),
     # Gronwall majorant integrand for ||Gamma||_inf
     "gamma_rhs_linf": _where("gamma_law", lambda o: besov.linf_norm(o.interior)),
-    "u_hs": lambda o: {f"{s:g}": o.norm("u", s) for s in o.opts.hs},
-    "tau_hs": lambda o: {f"{s:g}": o.norm("tau", s) for s in o.opts.hs},
+    "u_hs": lambda o: {f"{s:g}": besov.sobolev_norm(o.state.u, s) for s in o.opts.hs},
+    "tau_hs": lambda o: {f"{s:g}": besov.sobolev_norm(o.state.tau, s) for s in o.opts.hs},
 }
 
 

@@ -67,23 +67,6 @@ def hermitian_part(e: np.ndarray) -> np.ndarray:
     return 0.5 * (e + np.conj(np.concatenate((e[:1], e[:0:-1]))))
 
 
-def mode_sums(a: np.ndarray, b: np.ndarray, mults) -> list[float]:
-    """mode_sum(a, b, m) for each m of mults, from one product conj(a) b:
-    a diagnostics record takes every weighted square of a row in one pass."""
-    h = a.shape[1] - 1
-    prod = np.conj(a) * b
-    edges = prod[:, ::h]
-    np.multiply(np.conj(a[:, ::h]), hermitian_part(b[:, ::h]), out=edges)
-    edges *= 0.5
-    sums = []
-    for i, mult in enumerate(mults):
-        p = prod  # the last multiplier takes prod's place
-        if mult is not None:
-            p = np.multiply(prod, mult, out=prod if i == len(mults) - 1 else None)
-        sums.append(2.0 * float(np.sum(p.real)))
-    return sums
-
-
 def mode_sum(a: np.ndarray, b: np.ndarray, mult: np.ndarray | None = None) -> float:
     """Re sum_k mult_k conj(a_k) b_k over all n x n modes of the real fields
     whose half spectra are a and b (mult = 1 when None; mult even in k, as
@@ -91,15 +74,20 @@ def mode_sum(a: np.ndarray, b: np.ndarray, mult: np.ndarray | None = None) -> fl
     conjugate partners. Columns 0 and n/2 count once, with their Hermitian
     parts Ha, Hb (hermitian_part): summed over such a column, conj(Ha) Hb
     has the real part of conj(a) Hb."""
-    return mode_sums(a, b, (mult,))[0]
+    h = a.shape[1] - 1
+    prod = np.conj(a) * b
+    edges = prod[:, ::h]
+    np.multiply(np.conj(a[:, ::h]), hermitian_part(b[:, ::h]), out=edges)
+    edges *= 0.5
+    if mult is not None:
+        prod *= mult
+    return 2.0 * float(np.sum(prod.real))
 
 
-def _parseval_sums(f: FieldKind, mult: np.ndarray | None, sums: list | None):
-    """(w_c, sum_k mult_k |c_k|^2) for each component c of f (mode_sum), the
-    sums from the list sums when given."""
-    if sums is None:
-        sums = [mode_sum(c.coeffs, c.coeffs, mult) for c in f.components]
-    return zip(f.weights, sums)
+def _parseval_sums(f: FieldKind, mult: np.ndarray | None):
+    """(w_c, sum_k mult_k |c_k|^2) for each component c of f (mode_sum)."""
+    for c, w in zip(f.components, f.weights):
+        yield w, mode_sum(c.coeffs, c.coeffs, mult)
 
 
 def square(x: float) -> float:
@@ -111,24 +99,22 @@ def square(x: float) -> float:
         return math.inf
 
 
-def norm(f: FieldKind, mult: np.ndarray | None = None, sums: list | None = None) -> float:
+def norm(f: FieldKind, mult: np.ndarray | None = None) -> float:
     """sqrt(sum_c w_c ||m(D) c||_{L2}^2) for the multiplier with |m|^2 = mult
     per mode (m = 1 when None), each ||m(D) c|| = L * sqrt(sum_k mult_k |c_k|^2)
     by Parseval: the L2 norm, or an H^s norm, of any field kind. Taking each
     component's norm first keeps a scalar's norm exactly L * sqrt(sum); a
-    norm past the float range is inf. sums, when given, are the components'
-    sums made already (mode_sums)."""
+    norm past the float range is inf."""
     length = f.grid.length
-    return math.sqrt(sum(w * square(length * math.sqrt(s))
-                         for w, s in _parseval_sums(f, mult, sums)))
+    return math.sqrt(sum(w * square(length * math.sqrt(s)) for w, s in _parseval_sums(f, mult)))
 
 
-def sq_norm(f: FieldKind, mult: np.ndarray | None, sums: list | None = None) -> float:
+def sq_norm(f: FieldKind, mult: np.ndarray) -> float:
     """sum_c w_c ||m(D) c||_{L2}^2 with |m|^2 = mult per mode, each term
     L^2 sum_k mult_k |c_k|^2 by Parseval: mult = |k|^2 gives ||grad f||^2 and
-    |k|^4 gives ||Laplace f||^2. sums as for norm."""
+    |k|^4 gives ||Laplace f||^2."""
     area = f.grid.length**2
-    return sum(w * (s * area) for w, s in _parseval_sums(f, mult, sums))
+    return sum(w * (s * area) for w, s in _parseval_sums(f, mult))
 
 
 def inner(a: FieldKind, b: FieldKind) -> float:

@@ -89,10 +89,7 @@ def random_scalar(grid: Grid, band: tuple[int, int], seed, zero_mean: bool = Tru
     # from -hi to hi, over one mode (m1 > 0, or m1 = 0 < m2) of each
     # conjugate pair; each mode draws two normals in turn, and the mode or
     # its partner, whichever has m2 >= 0, is stored
-    # np.repeat, not np.meshgrid: under numpy 2.4 each meshgrid call leaves
-    # a few bytes alive for good (tracemalloc)
-    m = np.arange(-hi, hi + 1)
-    m1, m2 = np.repeat(m[:, None], m.size, axis=1), np.repeat(m[None, :], m.size, axis=0)
+    m1, m2 = np.meshgrid(np.arange(-hi, hi + 1), np.arange(-hi, hi + 1), indexing="ij")
     radius = np.maximum(abs(m1), abs(m2))
     keep = (lo <= radius) & (radius <= hi) & ((m1 > 0) | ((m1 == 0) & (m2 > 0)))
     m1, m2 = m1[keep], m2[keep]

@@ -87,6 +87,24 @@ class ModelParams:
         return self.K * self.alpha / (2.0 * self.mu)
 
 
+@dataclass(eq=False)
+class FirstStage:
+    """rhs(y) under params without a forcing, in the read-only stack k0: the
+    first stage of the step from the state whose stack is y. integrate makes
+    one at its start and rewrites k0 at each observation that a step
+    follows, setting y to the stack it was made from (None while it is
+    rewritten), so a state kept from an earlier observation, or given
+    another stack, no longer matches it (time_derivative)."""
+
+    params: ModelParams
+    y: np.ndarray | None
+    k0: np.ndarray
+
+    def of(self, state: "SimState", params: ModelParams) -> np.ndarray | None:
+        """k0 when it is the first stage of the state under params, else None."""
+        return self.k0 if self.y is state.y and self.params == params else None
+
+
 @dataclass(frozen=True)
 class SimState:
     """Prognostic pair (omega, tau) at time t as the read-only packed
@@ -98,16 +116,16 @@ class SimState:
     Biot-Savart of its vorticity -R(tau) would lose the Nyquist-row term that
     the stepper's velocity keeps.
 
-    first_stage, when the stepper made it, is (params, rhs(y) under them
-    without a forcing), read-only: the first stage of the step from this
-    state, which time_derivative reads instead of evaluating rhs again."""
+    first_stage, when the stepper made it, is the FirstStage it carries
+    across an observation, which time_derivative reads instead of
+    evaluating rhs again while it is the first stage of this state's y."""
 
     t: float
     y: np.ndarray
     grid: Grid
     stokes_toy: bool = False
     values: np.ndarray | None = None
-    first_stage: tuple[ModelParams, np.ndarray] | None = None
+    first_stage: FirstStage | None = None
 
     def __post_init__(self):
         self.y.setflags(write=False)
@@ -231,14 +249,6 @@ def q_products(g11, g12, g21, g22, t11, t12, t22, b: float, out=None, scratch=No
     return q11, q12, q22
 
 
-def q_form(grad_u: ops.VelocityGradient, tau: SymTensorField, b: float) -> SymTensorField:
-    """Q(grad u, tau) (q_products), dealiased."""
-    g = grad_u.grid
-    q = q_products(*(c.physical for c in grad_u.components),
-                   *(c.physical for c in tau.components), b)
-    return SymTensorField(*(ops.multiply_physical(g, v) for v in q))
-
-
 def stokes_toy_velocity_modes(factors: ops.Factors, t11: np.ndarray, t12: np.ndarray,
                               t22: np.ndarray, out, scratch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per mode, the Biot-Savart velocity (i k2, -i k1) psi of the vorticity
@@ -274,7 +284,7 @@ def stokes_toy_velocity(tau: SymTensorField) -> VectorField:
 class Workspace:
     """The buffers of rhs on one grid, reused by every call that is given
     the workspace, and the per-mode factors it applies, made on first use
-    at each band. Without q, it holds no buffers for Q (gamma_terms).
+    at each band; its buffers for Q are made on first use too (q_buffers).
 
     A call with it allocates nothing once one has loaded as wide a band
     (load). It copies the columns of its input within the band (Grid.band),
@@ -288,7 +298,7 @@ class Workspace:
     nothing there.
     """
 
-    def __init__(self, grid: Grid, q: bool = True):
+    def __init__(self, grid: Grid):
         n, shape = grid.n, grid.shape
         self.grid = grid
         self.width = 0                       # columns of work that may be nonzero
@@ -301,17 +311,26 @@ class Workspace:
         # wide as the widest band loaded: n//3+1 columns for dealiased inputs.
         self._band = np.empty((8, 0), dtype=np.complex128)
         self._factors: dict[int, ops.Factors] = {}
-        values = np.empty((13 if q else 4, n, n))  # grid values; Q's only when q
-        self.u, self.q, self.q_inputs = values[:2], values[2:5], values[5:12]
-        # Q's inputs are grad u, then tau. Q's scratch is one more array and
-        # the inputs g12 and g21 (q_products); once Q is made, the first
-        # two inputs hold a row's transport term and ops.transport's scratch.
-        # These shared slots and `spare` below are correct only in rhs's
-        # call order; a slot of its own for each raised an 8-second
-        # stepping_full_n256 run's peak_rss_mb from 87.0 to 89.5 MB
-        # (BENCH_15.json "earlier_runs").
-        self.q_scratch = (values[12], values[6], values[7]) if q else None
-        self.tendency, self.scratch = values[-2:] if not q else values[5:7]
+        values = np.empty((4, n, n))         # grid values
+        self.u, (self.tendency, self.scratch) = values[:2], values[2:]
+        self._q = None
+
+    @property
+    def q_buffers(self) -> tuple:
+        """(q, q_inputs, q_scratch): three grid values for Q, its seven
+        inputs, grad u and then tau, and its scratch (q_products), made on
+        first use in one allocation of nine. The first two inputs are the
+        transport buffers tendency and scratch, which hold a row's transport
+        term and ops.transport's scratch once Q is made; Q's scratch is one
+        more array and the inputs g12 and g21. These shared slots and
+        `spare` below are correct only in rhs's call order; a slot of its
+        own for each raised an 8-second stepping_full_n256 run's peak_rss_mb
+        from 87.0 to 89.5 MB (BENCH_15.json "earlier_runs")."""
+        if self._q is None:
+            q = np.empty((9, self.grid.n, self.grid.n))
+            inputs = (self.tendency, self.scratch, *q[:5])
+            self._q = q[5:8], inputs, (q[8], inputs[1], inputs[2])
+        return self._q
 
     def load(self, y) -> np.ndarray:
         """Take the band of the packed rows y (Grid.band) as the band of the
@@ -418,10 +437,11 @@ def rhs(y: np.ndarray, grid: Grid, params: ModelParams,
         work.store(row, out[0])
 
     if params.q_enabled:
+        q_out, q_inputs, q_scratch = work.q_buffers
         g_values = [work.inverse(work.grad_u(i, j, work.product), v)
-                    for (i, j), v in zip(((0, 0), (0, 1), (1, 0), (1, 1)), work.q_inputs)]
-        t_values = [work.inverse(t, v) for t, v in zip(yb[1:], work.q_inputs[4:])]
-        q = q_products(*g_values, *t_values, params.b, out=work.q, scratch=work.q_scratch)
+                    for (i, j), v in zip(((0, 0), (0, 1), (1, 0), (1, 1)), q_inputs)]
+        t_values = [work.inverse(t, v) for t, v in zip(yb[1:], q_inputs[4:])]
+        q = q_products(*g_values, *t_values, params.b, out=q_out, scratch=q_scratch)
     for c, t in enumerate(yb[1:]):
         values = transport(t, work.tendency)
         if params.q_enabled:
@@ -445,14 +465,15 @@ def rhs(y: np.ndarray, grid: Grid, params: ModelParams,
 def time_derivative(state: SimState,
                     params: ModelParams) -> tuple[ScalarField, SymTensorField]:
     """d/dt (omega, tau) at the state, from its stack read in place: rhs
-    (the state's first_stage when it was made under params) plus the
-    linear_symbol term, the one place where the explicit/stiff split is
-    undone. For the Stokes toy, d/dt omega = -R(d/dt tau)."""
+    (the state's first_stage where FirstStage.of finds it the state's
+    under params) plus the linear_symbol term, the one place where the
+    explicit/stiff split is undone. For the Stokes toy, d/dt omega =
+    -R(d/dt tau)."""
     grid, y = state.grid, state.y
-    first = state.first_stage
-    if first is not None and first[0] == params:
+    k0 = None if state.first_stage is None else state.first_stage.of(state, params)
+    if k0 is not None:
         d = apply_symbol(linear_symbol(grid, params), y)
-        d += first[1]
+        d += k0
     else:
         d = rhs(y, grid, params)
         d += apply_symbol(linear_symbol(grid, params), y)
@@ -495,17 +516,18 @@ def gamma_terms(state: SimState, params: ModelParams, r_tau: ScalarField,
     the kernel of rhs; Q (q_products) takes grad u and tau on the grid, the
     stored values for tau where the state holds them."""
     grid, with_q = state.grid, gamma is not None and params.q_enabled
-    work = Workspace(grid, q=with_q)
+    work = Workspace(grid)
     yb = work.load(state.y)
     width = work.width
     rt = r_tau.coeffs[:, :width]
     transport = ops.transport(work.derivative, work.velocity(state.stokes_toy))
     if with_q:  # Q's grid values first, so that the rows below may take u_hat's place
+        q_out, q_inputs, q_scratch = work.q_buffers
         g_values = [work.inverse(work.grad_u(i, j, work.product), v)
-                    for (i, j), v in zip(((0, 0), (0, 1), (1, 0), (1, 1)), work.q_inputs)]
+                    for (i, j), v in zip(((0, 0), (0, 1), (1, 0), (1, 1)), q_inputs)]
         t_values = state.values[1:] if state.values is not None else \
-            [work.inverse(t, v) for t, v in zip(yb[1:], work.q_inputs[4:])]
-        q = q_products(*g_values, *t_values, params.b, out=work.q, scratch=work.q_scratch)
+            [work.inverse(t, v) for t, v in zip(yb[1:], q_inputs[4:])]
+        q = q_products(*g_values, *t_values, params.b, out=q_out, scratch=q_scratch)
     rows = (*work.u_hat, work.row)
 
     def advected(f, out):  # u . grad f, dealiased
@@ -544,6 +566,7 @@ def gamma_terms(state: SimState, params: ModelParams, r_tau: ScalarField,
 
 def gamma_interior(state: SimState, params: ModelParams) -> ScalarField:
     """Gamma-equation source terms other than transport and damping:
-    K beta R(tau) - K alpha / 2 omega + K [R, u.grad] tau - K R(Q)."""
+    K beta R(tau) - K alpha / 2 omega + K [R, u.grad] tau - K R(Q), the
+    interior of gamma_terms. perfbench/tracing.py counts calls by this name."""
     r_tau = ops.riesz_r(state.tau)
     return gamma_terms(state, params, r_tau, gamma_of(state, params, r_tau)).interior

@@ -18,7 +18,8 @@ import numpy as np
 
 from .errors import ConfigError, IntegrationError
 from .grid import Grid
-from .model import ModelParams, SimState, Workspace, apply_symbol, linear_symbol, rhs
+from .model import (FirstStage, ModelParams, SimState, Workspace, apply_symbol, linear_symbol,
+                    rhs)
 
 SCHEMES = ("ifrk2", "ifrk4")
 
@@ -80,24 +81,18 @@ class StepWorkspace:
     """The buffers of step for one grid and scheme: the stage input, the
     slope accumulators after the first stage, the integrating factors of the
     two rows of linear_symbol, the rhs Workspace, and the first stage's
-    stack, made on first use. integrate owns one while it steps and drops it
-    before each observation (CONVENTIONS.md "Time stepping")."""
+    stack, the given one when given. integrate owns one while it steps and
+    drops it before each observation, and gives each the one first-stage
+    stack it carries across an observation (CONVENTIONS.md "Time
+    stepping")."""
 
-    def __init__(self, grid: Grid, scheme: str):
+    def __init__(self, grid: Grid, scheme: str, first: np.ndarray | None = None):
         ifrk2 = scheme == "ifrk2"
         self.factors = np.empty((1 if ifrk2 else 2, 2) + grid.shape)  # e, h
         stacks = np.empty((2 if ifrk2 else 3, 4) + grid.shape, dtype=np.complex128)
         self.stage, self.k = stacks[0], stacks[1:]
         self.rhs = Workspace(grid)
-        self._first = None
-
-    @property
-    def first(self) -> np.ndarray:
-        """The stack of the first stage: not made in a stretch whose one step
-        starts from the first stage integrate carried across an observation."""
-        if self._first is None:
-            self._first = np.empty_like(self.stage)
-        return self._first
+        self.first = np.empty_like(self.stage) if first is None else first
 
 
 def first_stage(state: SimState, params: ModelParams, work: Workspace,
@@ -106,6 +101,17 @@ def first_stage(state: SimState, params: ModelParams, work: Workspace,
     max|u| over the grid of the velocity it made (Workspace.max_speed)."""
     k0 = rhs(state.y, state.grid, params, out=out, work=work)
     return k0, work.max_speed()
+
+
+def _carry(carried: FirstStage, state: SimState, params: ModelParams,
+           work: Workspace) -> tuple[SimState, float]:
+    """The state holding carried as its first stage, made in carried.k0
+    (first_stage) and then read-only, and max|u| of the velocity it made."""
+    carried.y = None
+    umax = first_stage(state, params, work, carried.k0)[1]
+    carried.k0.setflags(write=False)
+    carried.y = state.y
+    return replace(state, first_stage=carried), umax
 
 
 def step(state: SimState, dt: float, params: ModelParams, config: StepConfig,
@@ -120,8 +126,8 @@ def step(state: SimState, dt: float, params: ModelParams, config: StepConfig,
     evaluated in that order into the workspace, from the integrating factors
     exp(c dt L) of the linear symbol L (model.apply_symbol) and the explicit
     tendencies from rhs; a forcing is a packed stack too. k0, when given, is
-    rhs(state.y) without the forcing, made already (first_stage); it is
-    read, never written, and the forcing is added to it in work.first.
+    rhs(state.y) without the forcing, made already (first_stage), in
+    work.first or elsewhere; a forcing is added to it in work.first.
 
     Raises IntegrationError at t + dt when the new stack holds a non-finite
     value, or when its coefficient max-norm (over real and imaginary parts)
@@ -234,32 +240,34 @@ def integrate(state0: SimState, params: ModelParams, config: StepConfig,
     (first_stage). The steps up to each target share one StepWorkspace,
     dropped before the observer is called there. Where a step follows an
     observation, the first stage of that step is made before the observer
-    is called and handed to it as the state's first_stage (read-only), which
-    its d/dt reads (time_derivative); it is the one stack carried across the
-    observation. No reference to state0 is kept past the first step, so a
-    caller that holds none frees it there.
+    is called and handed to it as the state's first_stage, which its d/dt
+    reads (time_derivative). Its stack is the StepWorkspaces' first-stage
+    stack, allocated once, before any workspace: the one stack carried
+    across an observation (FirstStage). No reference to state0 is kept
+    past the first step, so a caller that holds none frees it there.
     """
     state, state0 = state0, None
     t_end = config.t_end
     eps = landing_tolerance(t_end)
-    first = None  # (k0, max|u|) of the state, carried across an observation
-
+    carried = FirstStage(params, None, np.empty_like(state.y))
+    umax = None  # max|u| of the state's carried first stage, when it has one
+    if observer is not None and t_end > state.t + eps:
+        state, umax = _carry(carried, state, params, Workspace(state.grid))
     if observer is not None:
-        if t_end > state.t + eps:
-            first = first_stage(state, params, Workspace(state.grid))
-        state = _handed(state, params, first)
         observer(state)
     if t_end <= state.t + eps:
         return state
 
     every = observe_every if observer is not None else None
     for target in _targets(state.t, t_end, every, land_times):
-        work = StepWorkspace(state.grid, config.scheme)
+        work = StepWorkspace(state.grid, config.scheme, carried.k0)
         while state.t < target:
-            k0, umax = first if first is not None else first_stage(state, params, work.rhs,
-                                                                   work.first)
-            first = None
-            dt = cfl_dt(state, config, umax)
+            if umax is None:
+                k0, umax = first_stage(state, params, work.rhs, work.first)
+            else:  # the carried first stage, which the steps may write from here
+                k0, carried.y = work.first, None
+                k0.setflags(write=True)
+            dt, umax = cfl_dt(state, config, umax), None
             if dt <= config.dt_min < config.dt_max:
                 raise IntegrationError(state.t, "step size underflow")
             t_new = state.t + dt
@@ -270,18 +278,10 @@ def integrate(state0: SimState, params: ModelParams, config: StepConfig,
                 state = replace(state, t=t_new)
         k0 = None
         if observer is not None and target < t_end:  # a step follows
-            first = first_stage(state, params, work.rhs)
+            state, umax = _carry(carried, state, params, work.rhs)
+        elif target == t_end:  # nothing is carried past t_end
+            carried = None
         work = None
         if observer is not None:
-            state = _handed(state, params, first)
             observer(state)
     return state
-
-
-def _handed(state: SimState, params: ModelParams, first) -> SimState:
-    """The state as integrate hands it to its observer and then steps from:
-    with the first stage of the step that follows, read-only, when one does."""
-    if first is None:
-        return state
-    first[0].setflags(write=False)
-    return replace(state, first_stage=(params, first[0]))

@@ -8,7 +8,7 @@ from oldroyd2d import operators as ops
 from oldroyd2d.fields import ScalarField, SymTensorField
 from oldroyd2d.grid import Grid
 from oldroyd2d.initial_data import random_scalar, random_state
-from oldroyd2d.model import make_state
+from oldroyd2d.model import make_state, q_products
 
 
 @pytest.fixture
@@ -47,6 +47,15 @@ def assert_packed(state):
     assert not state.y.flags.writeable
     for row, f in zip(state.y, (state.omega, *state.tau.components)):
         assert f.coeffs.ctypes.data == row.ctypes.data and f.coeffs.strides == row.strides
+
+
+def q_form(grad_u, tau, b):
+    """Q(grad u, tau) of model.q_products on the fields' grid values, dealiased:
+    the field-operator form of the Q that rhs makes."""
+    g = grad_u.grid
+    q = q_products(*(c.physical for c in grad_u.components),
+                   *(c.physical for c in tau.components), b)
+    return SymTensorField(*(ops.multiply_physical(g, v) for v in q))
 
 
 def stack(omega, tau):

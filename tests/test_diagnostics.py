@@ -12,7 +12,7 @@ from oldroyd2d import besov
 from oldroyd2d import diagnostics as diag
 from oldroyd2d.fields import ScalarField, SymTensorField, VectorField, sq_norm
 from oldroyd2d.grid import Grid
-from oldroyd2d.model import ModelParams, make_state, rhs
+from oldroyd2d.model import FirstStage, ModelParams, make_state, rhs
 from oldroyd2d.runner import decay_summary
 from oldroyd2d.snapshots import load_snapshot, save_snapshot
 
@@ -316,7 +316,7 @@ class TestRecordMemory:
         def observe():
             k0 = rhs(state.y, grid, params)
             k0.setflags(write=False)
-            o = obs(replace(state, first_stage=(params, k0)), params)
+            o = obs(replace(state, first_stage=FirstStage(params, state.y, k0)), params)
             diag.compute_record(o)
             if params.energy_law:
                 diag.enstrophy_balance(o)

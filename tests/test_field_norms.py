@@ -18,9 +18,9 @@ from oldroyd2d import operators as ops
 from oldroyd2d.fields import ScalarField, inner, mode_sum, sq_norm
 from oldroyd2d.grid import Grid
 from oldroyd2d.initial_data import random_state
-from oldroyd2d.model import ModelParams, q_form, stokes_toy_velocity
+from oldroyd2d.model import ModelParams, stokes_toy_velocity
 
-from conftest import curl_div, nyquist_state, riesz_component
+from conftest import curl_div, nyquist_state, q_form, riesz_component
 
 
 KINDS = ("scalar", "vector", "velocity_gradient", "tensor")

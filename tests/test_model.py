@@ -19,7 +19,6 @@ from oldroyd2d.model import (
     gamma_terms,
     linear_symbol,
     make_state,
-    q_form,
     rhs,
     stokes_toy_velocity,
     time_derivative,
@@ -28,7 +27,7 @@ from oldroyd2d.snapshots import load_snapshot, save_snapshot
 from oldroyd2d.stepping import StepConfig, step
 
 from conftest import (field_from, full_coeffs, full_wavevectors, grad, half_field, max_divergence,
-                      nyquist_state, rand_state, rand_tensor, rel_err, stack)
+                      nyquist_state, q_form, rand_state, rand_tensor, rel_err, stack)
 
 
 class TestModelParams:
@@ -192,7 +191,9 @@ def predicted_dgamma(state, params):
     -u.grad Gamma + K beta R tau - (K alpha/2) omega + K [R, u.grad] tau - K R(Q)."""
     if params.nu != 0.0:
         raise ValueError("the Gamma equation requires nu = 0")
-    return -1.0 * ops.advect(state.u, gamma_of(state, params)) + gamma_interior(state, params)
+    r_tau = ops.riesz_r(state.tau)
+    gamma = gamma_of(state, params, r_tau)
+    return -1.0 * ops.advect(state.u, gamma) + gamma_terms(state, params, r_tau, gamma).interior
 
 
 class TestGamma:

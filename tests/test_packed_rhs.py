@@ -141,6 +141,26 @@ class TestWorkspace:
             assert got.tobytes() == want.tobytes()
         assert bands == [10, 16, 10]
 
+    def test_q_buffers_are_made_on_first_use(self, grid32):
+        # a Workspace that rhs uses without Q makes no buffers for it; one
+        # that Q runs in makes them once, and calls with and without Q then
+        # share the workspace and give the bytes of a fresh one
+        grid = grid32
+        work, out = Workspace(grid), np.empty((4,) + grid.shape, dtype=np.complex128)
+        for name in ("q_zero", "stokes_toy"):
+            state = band_state(grid, 40, VARIANTS[name])
+            rhs(state.y, grid, VARIANTS[name], out=out, work=work)
+        assert work._q is None
+        made = None
+        for name in ("full_b", "q_zero", "stokes_toy_q", "stokes_toy", "full_b"):
+            params = VARIANTS[name]
+            state = nyquist_state(grid, 41, params)
+            got = rhs(state.y, grid, params, out=out, work=work)
+            assert got.tobytes() == rhs(state.y, grid, params).tobytes()
+            made = made or work._q
+            assert work._q is made
+        assert made is not None
+
     @pytest.mark.parametrize("n", [16, 32])
     @pytest.mark.parametrize("make", [band_state, nyquist_state], ids=["dealiased", "nyquist"])
     @pytest.mark.parametrize("name", ["full_b", "stokes_toy"])

@@ -452,3 +452,67 @@ class TestCarriedFirstStage:
         for g, w in zip(got, want):
             for a, b in zip((g[0], *g[1].components), (w[0], *w[1].components)):
                 assert a.coeffs.tobytes() == b.coeffs.tobytes()
+
+    def kept_states(self, grid, params, scheme="ifrk4"):
+        """The states integrate hands its observer, a record after every step."""
+        kept = []
+        integrate(self.state(grid, params), params, StepConfig(scheme=scheme, **self.CONFIG),
+                  observer=kept.append, observe_every=0.02)
+        return kept
+
+    @staticmethod
+    def fresh_derivative(state, params):
+        d = model.time_derivative(replace(state, first_stage=None), params)
+        return np.stack([d[0].coeffs, *(c.coeffs for c in d[1].components)])
+
+    @staticmethod
+    def derivative(state, params):
+        d = model.time_derivative(state, params)
+        return np.stack([d[0].coeffs, *(c.coeffs for c in d[1].components)])
+
+    @pytest.mark.parametrize("scheme", ["ifrk2", "ifrk4"])
+    def test_one_first_stage_stack_per_integrate(self, grid32, monkeypatch, scheme):
+        # every observation that a step follows carries the same stack, and
+        # every stretch's workspace makes its first stages in it
+        firsts = []
+
+        class Tracked(StepWorkspace):
+            def __init__(self, *args):
+                super().__init__(*args)
+                firsts.append(self.first)
+
+        monkeypatch.setattr(stepping, "StepWorkspace", Tracked)
+        kept = self.kept_states(grid32, self.PARAMS["full"], scheme)
+        carried = {id(s.first_stage.k0) for s in kept[:-1]}
+        assert len(carried) == 1 and kept[-1].first_stage is None
+        assert len(firsts) == 5 and {id(f) for f in firsts} == carried
+
+    @pytest.mark.parametrize("name", PARAMS)
+    def test_a_kept_state_does_not_read_a_later_first_stage(self, grid32, name):
+        # integrate rewrites the carried stack at each observation: a state
+        # kept from an earlier one no longer takes its d/dt from it
+        params = self.PARAMS[name]
+        kept = self.kept_states(grid32, params)
+        for s in kept:
+            assert s.first_stage is None or s.first_stage.of(s, params) is None
+            assert self.derivative(s, params).tobytes() == \
+                self.fresh_derivative(s, params).tobytes()
+
+    def test_another_stack_does_not_read_the_first_stage(self, grid32):
+        # replace(state, y=...) keeps first_stage, which is not that stack's
+        params = self.PARAMS["full"]
+        seen = []
+
+        def observer(s):
+            if s.first_stage is not None:
+                other = replace(s, y=s.y.copy() * 2)
+                assert other.first_stage is s.first_stage
+                assert s.first_stage.of(s, params) is not None
+                assert other.first_stage.of(other, params) is None
+                assert s.first_stage.of(s, replace(params, beta=0.5)) is None
+                seen.append(self.derivative(other, params).tobytes()
+                            == self.fresh_derivative(other, params).tobytes())
+
+        integrate(self.state(grid32, params), params, StepConfig(**self.CONFIG),
+                  observer=observer, observe_every=0.02)
+        assert seen == [True] * 5
