@@ -5,13 +5,14 @@ Usage: python scripts/stock_outputs.py OUT [BASE]
 
 Runs stock configs (a)-(e) at n = 32, with t_end cut to at most 1 and one
 snapshot at t = 0.5, plus (b) with nu = 0.01, (a) with its snapshot at
-t = 0.35, between two observation ticks, (a) observed after every step
-(observe_every = its dt_max, so every step starts from the first stage
-made for the record before it), and (a) and the Stokes toy (e) restarted
-from their own snapshots at t = 0.5, each of which writes a snapshot at
-its start time; one directory each under OUT. The package is imported from the `src`
-directory next to this script's own directory, so a copy of the script in
-a checkout of another revision writes that revision's set.
+t = 0.35, between two observation ticks, (a), (b) (Q on) and the Stokes
+toy (e) observed after every step (observe_every = their dt_max, so every
+record reads the first stage the step before it left), and (a) and (e)
+restarted from their own snapshots at t = 0.5, each of which writes a
+snapshot at its start time; one directory each under OUT. The package is
+imported from the `src` directory next to this script's own directory, so
+a copy of the script in a checkout of another revision writes that
+revision's set.
 
 Given BASE, a set written the same way, the two trees are compared file by
 file: a file is identical in bytes, or its largest relative differences
@@ -42,9 +43,11 @@ CASES = {  # directory: (stock config, overrides)
     "stock_a_every_step": ("a_large_data_q_zero.cfg", {"output.observe_every": "0.02"}),  # dt_max
     "stock_b": ("b_small_data_decay.cfg", {}),
     "stock_b_nu0.01": ("b_small_data_decay.cfg", {"model.nu": "0.01"}),
+    "stock_b_every_step": ("b_small_data_decay.cfg", {"output.observe_every": "0.05"}),  # dt_max
     "stock_c": ("c_max_principle_contrast.cfg", {}),
     "stock_d": ("d_euler_sanity.cfg", {}),
     "stock_e": ("e_stokes_toy.cfg", {}),
+    "stock_e_every_step": ("e_stokes_toy.cfg", {"output.observe_every": "0.02"}),  # dt_max
     # "{out}" is OUT: the restart reads the snapshot stock_a wrote before it
     "stock_a_restart": ("a_large_data_q_zero.cfg", {
         "initial.snapshot": "{out}/stock_a/snapshot_000.bin", "initial.kind": "from_snapshot"}),

@@ -89,20 +89,30 @@ class ModelParams:
 
 @dataclass(eq=False)
 class FirstStage:
-    """rhs(y) under params without a forcing, in the read-only stack k0: the
-    first stage of the step from the state whose stack is y. integrate makes
-    one at its start and rewrites k0 at each observation that a step
-    follows, setting y to the stack it was made from (None while it is
-    rewritten), so a state kept from an earlier observation, or given
-    another stack, no longer matches it (time_derivative)."""
+    """rhs(y) under params without a forcing, in the read-only stack k0, and
+    max|u| over the grid of the velocity it made: the first stage of the
+    step from the state whose stack is y. make writes it; y is None while
+    the stack holds anything else, so a state kept from an earlier step, or
+    given another stack, no longer matches it (time_derivative)."""
 
-    params: ModelParams
+    params: ModelParams | None
     y: np.ndarray | None
     k0: np.ndarray
+    umax: float = 0.0
 
     def of(self, state: "SimState", params: ModelParams) -> np.ndarray | None:
         """k0 when it is the first stage of the state under params, else None."""
         return self.k0 if self.y is state.y and self.params == params else None
+
+    def make(self, state: "SimState", params: ModelParams, work: "Workspace") -> np.ndarray:
+        """Write the first stage of the state under params to k0, with the
+        buffers of work (Workspace.max_speed gives umax), and return k0."""
+        self.y = None
+        self.k0.setflags(write=True)
+        rhs(state.y, state.grid, params, out=self.k0, work=work)
+        self.k0.setflags(write=False)
+        self.params, self.y, self.umax = params, state.y, work.max_speed()
+        return self.k0
 
 
 @dataclass(frozen=True)
@@ -116,9 +126,9 @@ class SimState:
     Biot-Savart of its vorticity -R(tau) would lose the Nyquist-row term that
     the stepper's velocity keeps.
 
-    first_stage, when the stepper made it, is the FirstStage it carries
-    across an observation, which time_derivative reads instead of
-    evaluating rhs again while it is the first stage of this state's y."""
+    first_stage, when the stepper made it, is the run's FirstStage, which
+    time_derivative reads instead of evaluating rhs again while it is the
+    first stage of this state's y."""
 
     t: float
     y: np.ndarray
@@ -134,14 +144,14 @@ class SimState:
             raise ValueError("vorticity must have zero mean")
 
     @classmethod
-    def from_stack(cls, t: float, y: np.ndarray, grid: Grid,
-                   params: ModelParams | None = None) -> "SimState":
+    def from_stack(cls, t: float, y: np.ndarray, grid: Grid, params: ModelParams | None = None,
+                   first_stage: FirstStage | None = None) -> "SimState":
         """The state of the stack y under the params; for the Stokes toy, row
         0 is first set to the vorticity of the tau rows (stokes_toy_vorticity)."""
         stokes_toy = params is not None and params.variant == "stokes_toy"
         if stokes_toy:
             stokes_toy_vorticity(grid, y)
-        return cls(t=t, y=y, grid=grid, stokes_toy=stokes_toy)
+        return cls(t=t, y=y, grid=grid, stokes_toy=stokes_toy, first_stage=first_stage)
 
     def _row(self, i: int) -> ScalarField:
         f = ScalarField(self.grid, self.y[i])
@@ -284,7 +294,7 @@ def stokes_toy_velocity(tau: SymTensorField) -> VectorField:
 class Workspace:
     """The buffers of rhs on one grid, reused by every call that is given
     the workspace, and the per-mode factors it applies, made on first use
-    at each band; its buffers for Q are made on first use too (q_buffers).
+    at each band; its buffers for Q are made on first use too (q).
 
     A call with it allocates nothing once one has loaded as wide a band
     (load). It copies the columns of its input within the band (Grid.band),
@@ -315,22 +325,30 @@ class Workspace:
         self.u, (self.tendency, self.scratch) = values[:2], values[2:]
         self._q = None
 
-    @property
-    def q_buffers(self) -> tuple:
-        """(q, q_inputs, q_scratch): three grid values for Q, its seven
-        inputs, grad u and then tau, and its scratch (q_products), made on
-        first use in one allocation of nine. The first two inputs are the
-        transport buffers tendency and scratch, which hold a row's transport
-        term and ops.transport's scratch once Q is made; Q's scratch is one
-        more array and the inputs g12 and g21. These shared slots and
-        `spare` below are correct only in rhs's call order; a slot of its
-        own for each raised an 8-second stepping_full_n256 run's peak_rss_mb
-        from 87.0 to 89.5 MB (BENCH_15.json "earlier_runs")."""
+    def q(self, b: float, t_values=None) -> tuple:
+        """The grid values (q11, q12, q22) of Q (q_products) from grad u of
+        the velocity modes that velocity left in u_hat and from tau: the
+        grid values t_values when given, else those of the loaded tau rows.
+
+        Its buffers, made on first use in one allocation of nine, are its
+        three outputs, its seven inputs, grad u and then tau, and its
+        scratch. The first two inputs are the transport buffers tendency and
+        scratch, which hold a row's transport term and ops.transport's
+        scratch once Q is made; Q's scratch is one more array and the inputs
+        g12 and g21. These shared slots and `spare` below are correct only in
+        rhs's call order; a slot of its own for each raised an 8-second
+        stepping_full_n256 run's peak_rss_mb from 87.0 to 89.5 MB
+        (BENCH_15.json "earlier_runs")."""
         if self._q is None:
             q = np.empty((9, self.grid.n, self.grid.n))
             inputs = (self.tendency, self.scratch, *q[:5])
             self._q = q[5:8], inputs, (q[8], inputs[1], inputs[2])
-        return self._q
+        out, inputs, scratch = self._q
+        g_values = [self.inverse(self.grad_u(i, j, self.product), v)
+                    for (i, j), v in zip(((0, 0), (0, 1), (1, 0), (1, 1)), inputs)]
+        if t_values is None:
+            t_values = [self.inverse(t, v) for t, v in zip(self.y[1:], inputs[4:])]
+        return q_products(*g_values, *t_values, b, out=out, scratch=scratch)
 
     def load(self, y) -> np.ndarray:
         """Take the band of the packed rows y (Grid.band) as the band of the
@@ -437,11 +455,7 @@ def rhs(y: np.ndarray, grid: Grid, params: ModelParams,
         work.store(row, out[0])
 
     if params.q_enabled:
-        q_out, q_inputs, q_scratch = work.q_buffers
-        g_values = [work.inverse(work.grad_u(i, j, work.product), v)
-                    for (i, j), v in zip(((0, 0), (0, 1), (1, 0), (1, 1)), q_inputs)]
-        t_values = [work.inverse(t, v) for t, v in zip(yb[1:], q_inputs[4:])]
-        q = q_products(*g_values, *t_values, params.b, out=q_out, scratch=q_scratch)
+        q = work.q(params.b)
     for c, t in enumerate(yb[1:]):
         values = transport(t, work.tendency)
         if params.q_enabled:
@@ -522,12 +536,7 @@ def gamma_terms(state: SimState, params: ModelParams, r_tau: ScalarField,
     rt = r_tau.coeffs[:, :width]
     transport = ops.transport(work.derivative, work.velocity(state.stokes_toy))
     if with_q:  # Q's grid values first, so that the rows below may take u_hat's place
-        q_out, q_inputs, q_scratch = work.q_buffers
-        g_values = [work.inverse(work.grad_u(i, j, work.product), v)
-                    for (i, j), v in zip(((0, 0), (0, 1), (1, 0), (1, 1)), q_inputs)]
-        t_values = state.values[1:] if state.values is not None else \
-            [work.inverse(t, v) for t, v in zip(yb[1:], q_inputs[4:])]
-        q = q_products(*g_values, *t_values, params.b, out=q_out, scratch=q_scratch)
+        q = work.q(params.b, None if state.values is None else state.values[1:])
     rows = (*work.u_hat, work.row)
 
     def advected(f, out):  # u . grad f, dealiased

@@ -188,11 +188,6 @@ def dealias(field: FieldKind) -> FieldKind:
     return field.map(lambda f: ScalarField(f.grid, f.coeffs * f.grid.dealias_mask))
 
 
-def multiply_physical(grid: Grid, values: np.ndarray) -> ScalarField:
-    """Wrap a physical-space product and dealias it."""
-    return dealias(ScalarField.from_physical(grid, values))
-
-
 def transport(derivative, u: tuple[np.ndarray, np.ndarray]):
     """The function from a half spectrum f to the grid values of the
     transport term -u . grad f, written to out when given: derivative(f, i,

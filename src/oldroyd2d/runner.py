@@ -148,10 +148,17 @@ def run(config: ExperimentConfig) -> RunResult:
     out_dir = config.output.resolved_dir()
     out_dir.mkdir(parents=True, exist_ok=True)
     # Popped into integrate, which then holds the initial state's one
-    # reference and frees it with its first step. A bad config or snapshot
+    # reference and frees it with its first step. A bad config or snapshot,
+    # or a t_end or snapshot time before the start time (a restart's),
     # still raises here, before the diagnostics file is opened.
     initial = [make_initial_data(config.initial, config.tau_initial, config.grid,
                                  config.params)]
+    t0, eps = initial[0].t, landing_tolerance(config.step.t_end)
+    for key, times in (("stepping.t_end", (config.step.t_end,)),
+                       ("output.snapshot_times", config.output.snapshot_times)):
+        for t in times:
+            if t < t0 - eps:
+                raise ConfigError(f"{key}: {t!r} lies before the start time {t0!r}")
 
     path = out_dir / DIAGNOSTICS_FILE
     # A blow-up is reported by the failure line and the nonfinite keys, not

@@ -52,20 +52,10 @@ class StepConfig:
             raise ConfigError(f"t_end must be >= 0, got {self.t_end}")
 
 
-def cfl_dt(state: SimState, config: StepConfig, umax: float | None = None) -> float:
-    """Advective CFL step: clamp(cfl * h / max(|u|_inf, floor), dt_min, dt_max).
-
-    max|u| is umax when given: integrate passes the one of the velocity
-    that rhs made for the step's first stage, so the step makes no
-    transform of its own. Otherwise it is taken on the grid from the
-    velocity modes of the state (for a Stokes-toy state, the Stokes
-    velocity of its tau), with two inverse transforms in a Workspace.
-    """
-    if umax is None:
-        work = Workspace(state.grid)
-        work.load(state.y)
-        work.velocity(state.stokes_toy)
-        umax = work.max_speed()
+def cfl_dt(state: SimState, config: StepConfig, umax: float) -> float:
+    """Advective CFL step: clamp(cfl * h / max(umax, floor), dt_min, dt_max),
+    where umax is max|u| over the grid of the state's velocity: integrate
+    passes the one of its first stage (FirstStage.umax)."""
     dt = config.cfl * state.grid.h / max(umax, CFL_VELOCITY_FLOOR)
     return min(max(dt, config.dt_min), config.dt_max)
 
@@ -80,43 +70,22 @@ def _max_norm(y: np.ndarray) -> float:
 class StepWorkspace:
     """The buffers of step for one grid and scheme: the stage input, the
     slope accumulators after the first stage, the integrating factors of the
-    two rows of linear_symbol, the rhs Workspace, and the first stage's
-    stack, the given one when given. integrate owns one while it steps and
-    drops it before each observation, and gives each the one first-stage
-    stack it carries across an observation (CONVENTIONS.md "Time
-    stepping")."""
+    two rows of linear_symbol, the rhs Workspace, and the FirstStage that
+    step reads and writes, the given one when given. integrate owns one
+    while it steps and drops it before each observation, and gives each the
+    run's one FirstStage (CONVENTIONS.md "Time stepping")."""
 
-    def __init__(self, grid: Grid, scheme: str, first: np.ndarray | None = None):
+    def __init__(self, grid: Grid, scheme: str, first: FirstStage | None = None):
         ifrk2 = scheme == "ifrk2"
         self.factors = np.empty((1 if ifrk2 else 2, 2) + grid.shape)  # e, h
         stacks = np.empty((2 if ifrk2 else 3, 4) + grid.shape, dtype=np.complex128)
         self.stage, self.k = stacks[0], stacks[1:]
         self.rhs = Workspace(grid)
-        self.first = np.empty_like(self.stage) if first is None else first
-
-
-def first_stage(state: SimState, params: ModelParams, work: Workspace,
-                out: np.ndarray | None = None) -> tuple[np.ndarray, float]:
-    """rhs(state.y) without a forcing, in out (a new stack when None), and
-    max|u| over the grid of the velocity it made (Workspace.max_speed)."""
-    k0 = rhs(state.y, state.grid, params, out=out, work=work)
-    return k0, work.max_speed()
-
-
-def _carry(carried: FirstStage, state: SimState, params: ModelParams,
-           work: Workspace) -> tuple[SimState, float]:
-    """The state holding carried as its first stage, made in carried.k0
-    (first_stage) and then read-only, and max|u| of the velocity it made."""
-    carried.y = None
-    umax = first_stage(state, params, work, carried.k0)[1]
-    carried.k0.setflags(write=False)
-    carried.y = state.y
-    return replace(state, first_stage=carried), umax
+        self.first = FirstStage(None, None, np.empty_like(self.stage)) if first is None else first
 
 
 def step(state: SimState, dt: float, params: ModelParams, config: StepConfig,
-         forcing: np.ndarray | None = None, work: StepWorkspace | None = None,
-         k0: np.ndarray | None = None) -> SimState:
+         forcing: np.ndarray | None = None, work: StepWorkspace | None = None) -> SimState:
     """Advance one step of size dt > 0.
 
     The state's packed stack is read in place, and the new state holds the
@@ -125,9 +94,12 @@ def step(state: SimState, dt: float, params: ModelParams, config: StepConfig,
     not given). Each stage is the whole-array expression in its comment,
     evaluated in that order into the workspace, from the integrating factors
     exp(c dt L) of the linear symbol L (model.apply_symbol) and the explicit
-    tendencies from rhs; a forcing is a packed stack too. k0, when given, is
-    rhs(state.y) without the forcing, made already (first_stage), in
-    work.first or elsewhere; a forcing is added to it in work.first.
+    tendencies from rhs; a forcing is a packed stack too. The first stage
+    k0 is rhs(state.y) without the forcing, read from work.first when it is
+    the state's (FirstStage.of) and made there otherwise; a forcing is added
+    to it in place. The new state carries work.first, made for its stack
+    (first same as last): the next step's first stage and the d/dt of a
+    record of the new state (time_derivative).
 
     Raises IntegrationError at t + dt when the new stack holds a non-finite
     value, or when its coefficient max-norm (over real and imaginary parts)
@@ -138,17 +110,20 @@ def step(state: SimState, dt: float, params: ModelParams, config: StepConfig,
         raise ValueError(f"dt must be positive, got {dt}")
     grid = state.grid
     work = StepWorkspace(grid, config.scheme) if work is None else work
-    y, s, k = state.y, work.stage, work.k
+    y, s, k, first = state.y, work.stage, work.k, work.first
     e = work.factors[0]
     np.exp(np.multiply(dt, linear_symbol(grid, params, out=e), out=e), out=e)
 
     def n_of(yy, out):
         return rhs(yy, grid, params, forcing, out=out, work=work.rhs)
 
+    k0 = first.of(state, params)
     if k0 is None:
-        k0 = n_of(y, work.first)
-    elif forcing is not None:         # rhs adds a forcing last, as here
-        k0 = np.add(k0, forcing, out=work.first)
+        k0 = first.make(state, params, work.rhs)
+    if forcing is not None:           # rhs adds a forcing last, as here
+        first.y = None
+        k0.setflags(write=True)
+        k0 += forcing
     if config.scheme == "ifrk2":
         np.multiply(dt, k0, out=s)
         s += y
@@ -191,7 +166,9 @@ def step(state: SimState, dt: float, params: ModelParams, config: StepConfig,
     if peak > STEP_GROWTH_LIMIT * max(old, 1.0):
         raise IntegrationError(
             state.t + dt, f"coefficient max-norm grew from {old:.3g} to {peak:.3g}")
-    return SimState.from_stack(state.t + dt, ynew, grid, params)
+    new = SimState.from_stack(state.t + dt, ynew, grid, params, first)
+    first.make(new, params, work.rhs)
+    return new
 
 
 def landing_tolerance(t_end: float) -> float:
@@ -237,22 +214,22 @@ def integrate(state0: SimState, params: ModelParams, config: StepConfig,
     Courant number above cfl; with dt_min == dt_max every step is that size.
 
     Each step's CFL step is read from the velocity of its first stage
-    (first_stage). The steps up to each target share one StepWorkspace,
-    dropped before the observer is called there. Where a step follows an
-    observation, the first stage of that step is made before the observer
-    is called and handed to it as the state's first_stage, which its d/dt
-    reads (time_derivative). Its stack is the StepWorkspaces' first-stage
-    stack, allocated once, before any workspace: the one stack carried
-    across an observation (FirstStage). No reference to state0 is kept
-    past the first step, so a caller that holds none frees it there.
+    (FirstStage.umax). The run has one FirstStage, its stack allocated
+    before any StepWorkspace: integrate makes it for state0 when a step
+    follows, and each step leaves it made for the state it returns (step),
+    so every state after t0 that the observer is handed, and the returned
+    one, carries its first stage, which its d/dt reads (time_derivative).
+    The steps up to each target share one StepWorkspace, dropped before the
+    observer is called there. No reference to state0 is kept past the
+    first step, so a caller that holds none frees it there.
     """
     state, state0 = state0, None
     t_end = config.t_end
     eps = landing_tolerance(t_end)
-    carried = FirstStage(params, None, np.empty_like(state.y))
-    umax = None  # max|u| of the state's carried first stage, when it has one
-    if observer is not None and t_end > state.t + eps:
-        state, umax = _carry(carried, state, params, Workspace(state.grid))
+    first = FirstStage(params, None, np.empty_like(state.y))
+    if t_end > state.t + eps:  # a step follows
+        first.make(state, params, Workspace(state.grid))
+        state = replace(state, first_stage=first)
     if observer is not None:
         observer(state)
     if t_end <= state.t + eps:
@@ -260,27 +237,17 @@ def integrate(state0: SimState, params: ModelParams, config: StepConfig,
 
     every = observe_every if observer is not None else None
     for target in _targets(state.t, t_end, every, land_times):
-        work = StepWorkspace(state.grid, config.scheme, carried.k0)
+        work = StepWorkspace(state.grid, config.scheme, first)
         while state.t < target:
-            if umax is None:
-                k0, umax = first_stage(state, params, work.rhs, work.first)
-            else:  # the carried first stage, which the steps may write from here
-                k0, carried.y = work.first, None
-                k0.setflags(write=True)
-            dt, umax = cfl_dt(state, config, umax), None
+            dt = cfl_dt(state, config, first.umax)
             if dt <= config.dt_min < config.dt_max:
                 raise IntegrationError(state.t, "step size underflow")
             t_new = state.t + dt
             if t_new >= target - eps:  # the step reaches the target: end it there
                 dt, t_new = target - state.t, target
-            state = step(state, dt, params, config, forcing, work, k0)
+            state = step(state, dt, params, config, forcing, work)
             if state.t != t_new:
                 state = replace(state, t=t_new)
-        k0 = None
-        if observer is not None and target < t_end:  # a step follows
-            state, umax = _carry(carried, state, params, work.rhs)
-        elif target == t_end:  # nothing is carried past t_end
-            carried = None
         work = None
         if observer is not None:
             observer(state)

@@ -8,7 +8,7 @@ from oldroyd2d import operators as ops
 from oldroyd2d.fields import ScalarField, SymTensorField
 from oldroyd2d.grid import Grid
 from oldroyd2d.initial_data import random_scalar, random_state
-from oldroyd2d.model import make_state, q_products
+from oldroyd2d.model import FirstStage, ModelParams, Workspace, make_state, q_products
 
 
 @pytest.fixture
@@ -35,6 +35,14 @@ def grad(f):
     return ops.deriv(f, 1), ops.deriv(f, 2)
 
 
+def stage_speed(state, params=ModelParams()):
+    """max|u| of the state's first stage under params (FirstStage.make):
+    the speed that integrate gives stepping.cfl_dt."""
+    first = FirstStage(None, None, np.empty_like(state.y))
+    first.make(state, params, Workspace(state.grid))
+    return first.umax
+
+
 def max_divergence(u):
     """max over modes of |k . u_hat| (0 for divergence-free fields)."""
     g = u.grid
@@ -55,7 +63,7 @@ def q_form(grad_u, tau, b):
     g = grad_u.grid
     q = q_products(*(c.physical for c in grad_u.components),
                    *(c.physical for c in tau.components), b)
-    return SymTensorField(*(ops.multiply_physical(g, v) for v in q))
+    return SymTensorField(*(ops.dealias(ScalarField.from_physical(g, v)) for v in q))
 
 
 def stack(omega, tau):

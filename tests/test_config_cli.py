@@ -478,6 +478,28 @@ class TestCli:
             err = capsys.readouterr().err
             assert err.startswith("error: ") and str(tmp_path) in err
 
+    @pytest.mark.parametrize("t_end, snapshot_times, named", [
+        ("0.3", "", "stepping.t_end: 0.3"),
+        ("1.0", "snapshot_times = 0.2, 0.7", "output.snapshot_times: 0.2"),
+    ], ids=["t_end", "snapshot_times"])
+    def test_restart_times_before_its_start_are_config_errors(
+            self, tmp_path, capsys, t_end, snapshot_times, named):
+        # a run from a snapshot at t = 0.5 cannot end or write a snapshot
+        # before t = 0.5: a config error line, and no diagnostics file
+        source = tmp_path / "source"
+        first = MINIMAL.replace("t_end = 0.0", "t_end = 0.5") + "snapshot_times = 0.5\n"
+        assert run(parse_config(first.format(out=source))).ok
+        out = tmp_path / "restart"
+        path = tmp_path / "restart.cfg"
+        path.write_text(f"[grid]\nn = 16\n[stepping]\nt_end = {t_end}\n"
+                        f"[initial]\nkind = from_snapshot\n"
+                        f"snapshot = {source / 'snapshot_000.bin'}\n"
+                        f"[output]\ndir = {out}\n{snapshot_times}\n")
+        assert cli.main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and named in err and "0.5" in err
+        assert not (out / runner.DIAGNOSTICS_FILE).exists()
+
     def test_undecodable_config_is_a_config_error(self, tmp_path, capsys):
         path = tmp_path / "latin1.cfg"
         path.write_bytes("[grid]\n# Z\u00fcrich\nn = 16\n".encode("latin-1"))

@@ -20,7 +20,7 @@ from oldroyd2d.grid import Grid, inverse_rfft2
 from oldroyd2d.model import ModelParams, make_state, rhs
 from oldroyd2d.stepping import StepConfig, cfl_dt
 
-from conftest import full_coeffs, padded_values, rand_state
+from conftest import full_coeffs, padded_values, rand_state, stage_speed
 
 SIZES = (8, 32, 64)
 
@@ -122,10 +122,10 @@ class TestGridTransform:
         y = state.y
         config = StepConfig(cfl=0.5, dt_max=10.0, dt_min=1e-12)
         assert grid.band(y) == 10
-        pruned, dt = rhs(y, grid, params), cfl_dt(state, config)
+        pruned, dt = rhs(y, grid, params), cfl_dt(state, config, stage_speed(state, params))
         monkeypatch.setattr(Grid, "band", lambda self, *arrays: self.n // 2)
         assert same_bytes(rhs(y, grid, params), pruned)
-        assert cfl_dt(state, config) == dt
+        assert cfl_dt(state, config, stage_speed(state, params)) == dt
 
 
 class TestPaddedTransform:

@@ -17,7 +17,7 @@ from oldroyd2d.model import ModelParams, SimState, make_state, rhs, unstack
 from oldroyd2d.stepping import StepConfig, StepWorkspace, cfl_dt, integrate, step
 
 from conftest import (assert_packed, field_from, full_coeffs, full_r, full_values,
-                      full_wavevectors, nyquist_state, rand_state, unpacked)
+                      full_wavevectors, nyquist_state, rand_state, stage_speed, unpacked)
 
 
 class TestStepConfig:
@@ -40,17 +40,17 @@ class TestCflDt:
         state = make_state(0.0, field_from(grid, lambda x, y: np.sin(x)),
                            SymTensorField.zeros(grid))
         config = StepConfig(cfl=0.5, dt_max=10.0, dt_min=1e-12, t_end=1.0)
-        assert abs(cfl_dt(state, config) - math.pi / 128) < 1e-12
+        assert abs(cfl_dt(state, config, stage_speed(state)) - math.pi / 128) < 1e-12
 
     def test_zero_velocity_hits_dt_max(self, grid32):
         state = make_state(0.0, ScalarField.zeros(grid32), SymTensorField.zeros(grid32))
         config = StepConfig(dt_max=0.123, t_end=1.0)
-        assert cfl_dt(state, config) == 0.123
+        assert cfl_dt(state, config, stage_speed(state)) == 0.123
 
     def test_clamping(self, grid32):
         state = rand_state(grid32, 1, omega_amp=100.0)
         config = StepConfig(dt_min=0.05, dt_max=0.06, t_end=1.0)
-        assert cfl_dt(state, config) == 0.05
+        assert cfl_dt(state, config, stage_speed(state)) == 0.05
 
 
 @pytest.mark.parametrize("params", [
@@ -72,7 +72,7 @@ def test_cfl_dt_matches_full_layout_velocity(params, n):
     assert abs(float(np.max(np.hypot(*state.u.values))) - umax) <= 1e-15 * umax
     config = StepConfig(cfl=0.5, dt_max=1e6, dt_min=1e-300, t_end=1.0)
     want = config.cfl * state.grid.h / umax
-    assert abs(cfl_dt(state, config) - want) <= 1e-15 * want
+    assert abs(cfl_dt(state, config, stage_speed(state, params)) - want) <= 1e-15 * want
 
 
 class TestStep:
@@ -339,7 +339,7 @@ class TestIntegrate:
         # the CFL step at t = 0 is about 2e-3, below dt_min = 0.01
         state = rand_state(grid32, 9, omega_amp=100.0)
         config = StepConfig(cfl=0.1, dt_min=0.01, dt_max=0.05, t_end=0.1)
-        assert cfl_dt(state, config) == 0.01
+        assert cfl_dt(state, config, stage_speed(state)) == 0.01
         with pytest.raises(IntegrationError, match="step size underflow") as exc:
             integrate(state, ModelParams(), config)
         assert exc.value.t == 0.0
@@ -367,9 +367,10 @@ class TestIntegrate:
 
 
 class TestCarriedFirstStage:
-    """The first stage of a step that follows an observation is made before
-    the observer is called, serves as the record's d/dt and the step's first
-    stage, and every CFL step reads the velocity of its step's first stage."""
+    """First same as last: integrate makes the first stage at t0 when a step
+    follows, and each step leaves the first stage of the state it returns,
+    which serves as the record's d/dt and the next step's first stage;
+    every CFL step reads the velocity of its step's first stage."""
 
     PARAMS = {
         "q_zero": ModelParams(nu=0.0, mu=0.7, K=1.2, alpha=0.9, beta=0.3, variant="q_zero"),
@@ -434,7 +435,7 @@ class TestCarriedFirstStage:
         observed = integrate(self.state(grid32, params), params, config, forcing=forcing,
                              observer=lambda s: seen.append(s.first_stage is not None),
                              observe_every=config.dt_max)
-        assert seen == [True] * 5 + [False]
+        assert seen == [True] * 6
         assert observed.y.tobytes() == plain.y.tobytes()
 
     @pytest.mark.parametrize("name", PARAMS)
@@ -472,8 +473,9 @@ class TestCarriedFirstStage:
 
     @pytest.mark.parametrize("scheme", ["ifrk2", "ifrk4"])
     def test_one_first_stage_stack_per_integrate(self, grid32, monkeypatch, scheme):
-        # every observation that a step follows carries the same stack, and
-        # every stretch's workspace makes its first stages in it
+        # every observed state, the one at t_end included, carries the same
+        # FirstStage and stack, and every stretch's workspace makes its
+        # first stages in it
         firsts = []
 
         class Tracked(StepWorkspace):
@@ -483,18 +485,19 @@ class TestCarriedFirstStage:
 
         monkeypatch.setattr(stepping, "StepWorkspace", Tracked)
         kept = self.kept_states(grid32, self.PARAMS["full"], scheme)
-        carried = {id(s.first_stage.k0) for s in kept[:-1]}
-        assert len(carried) == 1 and kept[-1].first_stage is None
-        assert len(firsts) == 5 and {id(f) for f in firsts} == carried
+        assert len({id(s.first_stage) for s in kept}) == 1
+        assert len({id(s.first_stage.k0) for s in kept}) == 1
+        assert len(firsts) == 5 and all(f is kept[0].first_stage for f in firsts)
 
     @pytest.mark.parametrize("name", PARAMS)
     def test_a_kept_state_does_not_read_a_later_first_stage(self, grid32, name):
-        # integrate rewrites the carried stack at each observation: a state
-        # kept from an earlier one no longer takes its d/dt from it
+        # every step rewrites the run's stack: a state kept from an earlier
+        # observation no longer takes its d/dt from it, and the last one,
+        # the state integrate returns, does
         params = self.PARAMS[name]
         kept = self.kept_states(grid32, params)
+        assert [s.first_stage.of(s, params) is not None for s in kept] == [False] * 5 + [True]
         for s in kept:
-            assert s.first_stage is None or s.first_stage.of(s, params) is None
             assert self.derivative(s, params).tobytes() == \
                 self.fresh_derivative(s, params).tobytes()
 
@@ -504,15 +507,43 @@ class TestCarriedFirstStage:
         seen = []
 
         def observer(s):
-            if s.first_stage is not None:
-                other = replace(s, y=s.y.copy() * 2)
-                assert other.first_stage is s.first_stage
-                assert s.first_stage.of(s, params) is not None
-                assert other.first_stage.of(other, params) is None
-                assert s.first_stage.of(s, replace(params, beta=0.5)) is None
-                seen.append(self.derivative(other, params).tobytes()
-                            == self.fresh_derivative(other, params).tobytes())
+            other = replace(s, y=s.y.copy() * 2)
+            assert other.first_stage is s.first_stage
+            assert s.first_stage.of(s, params) is not None
+            assert other.first_stage.of(other, params) is None
+            assert s.first_stage.of(s, replace(params, beta=0.5)) is None
+            seen.append(self.derivative(other, params).tobytes()
+                        == self.fresh_derivative(other, params).tobytes())
 
         integrate(self.state(grid32, params), params, StepConfig(**self.CONFIG),
                   observer=observer, observe_every=0.02)
-        assert seen == [True] * 5
+        assert seen == [True] * 6
+
+    @pytest.mark.parametrize("scheme, stages", [("ifrk2", 2), ("ifrk4", 4)])
+    @pytest.mark.parametrize("observed", [False, True], ids=["unobserved", "observed"])
+    def test_rhs_calls_observed_or_not(self, grid32, monkeypatch, scheme, stages, observed):
+        # the t0 stage, then stages x steps: each step makes its later
+        # stages and the first stage of the state it returns
+        params = self.PARAMS["full"]
+        calls = []
+        rhs = model.rhs
+        for module in (model, stepping):
+            monkeypatch.setattr(module, "rhs", lambda *a, **k: calls.append(1) or rhs(*a, **k))
+        config = StepConfig(scheme=scheme, **self.CONFIG)
+        kwargs = dict(observer=lambda s: None, observe_every=0.04) if observed else {}
+        out = integrate(self.state(grid32, params), params, config, **kwargs)
+        assert out.t == config.t_end
+        assert len(calls) == stages * 5 + 1
+
+    @pytest.mark.parametrize("scheme", ["ifrk2", "ifrk4"])
+    def test_stokes_toy_step_carries_the_rhs_of_its_stack(self, grid32, scheme):
+        # from_stack sets the new stack's vorticity row from its tau rows
+        # before the step makes that stack's first stage
+        params = self.PARAMS["stokes_toy"]
+        state = self.state(grid32, params)
+        for _ in range(2):
+            state = step(state, 0.02, params, StepConfig(scheme=scheme))
+            k0 = state.first_stage.of(state, params)
+            assert not k0.flags.writeable
+            assert k0.tobytes() == rhs(state.y, grid32, params).tobytes()
+            assert state.first_stage.umax == stage_speed(state, params)
