@@ -12,8 +12,9 @@ between grid points; _padded_max is the one place that pads, for every
 field kind (linf_norm) and every dyadic block (block_linf_norms), each in
 the window of the frequencies it may hold (PaddedTransform).
 
-Every norm takes any field kind, with the component weights fields.py
-states: the pointwise magnitude is sqrt(sum_c w_c c^2).
+The one Besov norm is B^s_{inf,1}, the space of the paper's estimates.
+Every norm but lebesgue_norm takes any field kind, with the component
+weights fields.py states: the pointwise magnitude is sqrt(sum_c w_c c^2).
 """
 
 from __future__ import annotations
@@ -162,16 +163,8 @@ def block_linf_norms(f: FieldKind) -> list[float]:
     return norms
 
 
-def lebesgue_norm(f: FieldKind, p) -> float:
-    """L^p norm for p in {1, 2, 4, inf}; p in {1, 4} for a ScalarField only.
-
-    p = 2 is exact via Parseval; p in {1, 4} use grid quadrature; p = inf
-    uses the padded maximum.
-    """
-    if p == 2:
-        return f.l2()
-    if p == math.inf:
-        return linf_norm(f)
+def lebesgue_norm(f: ScalarField, p) -> float:
+    """L^p norm of a ScalarField for p in {1, 4}, by grid quadrature."""
     h2 = f.grid.h**2
     if p == 1:
         return float(np.sum(np.abs(f.physical)) * h2)
@@ -281,44 +274,20 @@ def decomposition_for(grid: Grid) -> DyadicDecomposition:
     return DyadicDecomposition.build(grid)
 
 
-def _check_besov_args(s: float, p, r) -> None:
-    if p not in (1, 2, math.inf):
-        raise ValueError(f"unsupported Besov integrability p={p}")
-    if r not in (1, 2, math.inf):
-        raise ValueError(f"unsupported Besov summability r={r}")
-    if not (-1.0 <= s <= 2.0):
-        raise ValueError(f"Besov regularity s={s} outside [-1, 2]")
-
-
-def _aggregate(terms: list[float], r) -> float:
-    if r == 1:
-        return float(sum(terms))
-    if r == 2:
-        return float(math.sqrt(sum(t * t for t in terms)))
-    return float(max(terms)) if terms else 0.0
-
-
-def _besov(f: FieldKind, s: float, p, r) -> float:
+def _besov(f: FieldKind, s: float) -> float:
     # Shared by besov_norm and tensor_besov_norm, which perfbench times by
     # name: neither calls the other, so no time is counted twice.
-    _check_besov_args(s, p, r)
+    if not (-1.0 <= s <= 2.0):
+        raise ValueError(f"Besov regularity s={s} outside [-1, 2]")
     dec = decomposition_for(f.grid)
-    if p == math.inf:
-        norms = block_linf_norms(f)
-    else:
-        norms = [lebesgue_norm(dec.block(f, q), p) for q in dec.qs]
-    terms = [(2.0**(q * s)) * v for q, v in zip(dec.qs, norms)]
-    return _aggregate(terms, r)
+    return float(sum([(2.0**(q * s)) * v for q, v in zip(dec.qs, block_linf_norms(f))]))
 
 
-def besov_norm(f: FieldKind, s: float, p, r) -> float:
-    """B^s_{p,r} norm: l^r over q of 2^(qs) ||Delta_q f||_{L^p}; p = 1 for a
-    ScalarField only."""
-    return _besov(f, s, p, r)
+def besov_norm(f: FieldKind, s: float) -> float:
+    """B^s_{inf,1} norm: the sum over q of 2^(qs) ||Delta_q f||_{L^inf}."""
+    return _besov(f, s)
 
 
-def tensor_besov_norm(tau: FieldKind, s: float, p, r) -> float:
-    """besov_norm restricted to p in {2, inf}, the tensor ledger norm."""
-    if p == 1:
-        raise ValueError("tensor Besov norms support p in {2, inf} only")
-    return _besov(tau, s, p, r)
+def tensor_besov_norm(tau: FieldKind, s: float) -> float:
+    """besov_norm of a tensor, the tensor ledger norm."""
+    return _besov(tau, s)

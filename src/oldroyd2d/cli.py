@@ -6,13 +6,13 @@ Subcommands:
     sweep <config> --param X --values a,b,c
     norms <snapshot> [--norm names]   print norms of a snapshot
 
-Exit codes: 0 ok, 1 run or check failure, 2 configuration error.
+Exit codes: 0 ok, 1 run or check failure, 2 configuration error,
+130 interrupted (SIGINT).
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
 from . import besov
@@ -27,6 +27,7 @@ from .snapshots import load_snapshot
 EXIT_OK = 0
 EXIT_RUN_FAILURE = 1
 EXIT_CONFIG_ERROR = 2
+EXIT_INTERRUPTED = 130  # 128 + SIGINT, by the shell convention
 
 
 def _cmd_run(args) -> int:
@@ -74,7 +75,7 @@ DEFAULT_NORMS = (
 
 NORMS = {  # the names a diagnostics record lacks, of a diag.Observation
     "gamma_l2": lambda o: o.gamma.l2(),
-    "omega_b0inf1": lambda o: besov.besov_norm(o.state.omega, 0.0, math.inf, 1),
+    "omega_b0inf1": lambda o: besov.besov_norm(o.state.omega, 0.0),
     "tau_h1": lambda o: besov.sobolev_norm(o.state.tau, 1.0),
     "u_h1": lambda o: besov.sobolev_norm(o.state.u, 1.0),
     "u_h2": lambda o: besov.sobolev_norm(o.state.u, 2.0),
@@ -145,6 +146,9 @@ def main(argv=None) -> int:
     except (SnapshotError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUN_FAILURE
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

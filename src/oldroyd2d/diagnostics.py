@@ -127,9 +127,9 @@ def commutator_ratio(u: VectorField, tau: SymTensorField, eps: float) -> float |
     if not (0.0 < eps < 1.0):
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
     omega = ops.curl(u)
-    num = besov.besov_norm(commutator_r_advect(u, tau), 0.0, math.inf, 1)
+    num = besov.besov_norm(commutator_r_advect(u, tau), 0.0)
     den = (besov.linf_norm(omega) + omega.l2()) * (
-        besov.tensor_besov_norm(tau, eps, math.inf, 1) + tau.l2()
+        besov.tensor_besov_norm(tau, eps) + tau.l2()
     )
     if den < 1e-14:
         return None
@@ -242,8 +242,8 @@ RECORD: dict[str, Callable[[Observation], object]] = {
     "omega_linf": lambda o: besov.linf_norm(o.state.omega),
     "omega_l2": lambda o: o.state.omega.l2(),
     "gamma_linf": lambda o: besov.linf_norm(o.gamma),
-    "gamma_b0inf1": lambda o: besov.besov_norm(o.gamma, 0.0, math.inf, 1),
-    "tau_bepsinf1": lambda o: besov.tensor_besov_norm(o.state.tau, o.opts.eps, math.inf, 1),
+    "gamma_b0inf1": lambda o: besov.besov_norm(o.gamma, 0.0),
+    "tau_bepsinf1": lambda o: besov.tensor_besov_norm(o.state.tau, o.opts.eps),
     "tau_h2": lambda o: besov.sobolev_norm(o.state.tau, 2.0),
     "grad_u_linf": lambda o: besov.linf_norm(o.state.grad_u),
     "bkm_accum": lambda o: 0.0,  # accumulated over records by the caller
@@ -251,7 +251,7 @@ RECORD: dict[str, Callable[[Observation], object]] = {
     "n_value": lambda o: n_functional(o),
     "energy_identity_residual": _where("energy_law", lambda o: energy_identity_residual(o)),
     "gamma_residual": _where("gamma_law", lambda o: gamma_residual(o)),
-    "commutator_norm": lambda o: besov.besov_norm(o.commutator, 0.0, math.inf, 1),
+    "commutator_norm": lambda o: besov.besov_norm(o.commutator, 0.0),
     # Gronwall majorant integrand for ||Gamma||_inf
     "gamma_rhs_linf": _where("gamma_law", lambda o: besov.linf_norm(o.interior)),
     "u_hs": lambda o: {f"{s:g}": besov.sobolev_norm(o.state.u, s) for s in o.opts.hs},
@@ -275,18 +275,13 @@ def compute_record(obs: Observation) -> DiagnosticsRecord:
     return DiagnosticsRecord(**{name: metric(obs) for name, metric in RECORD.items()})
 
 
-def bkm_log_check(record: DiagnosticsRecord, s: float | None = None) -> float | None:
-    """||grad u||_inf / (||omega||_inf * log(e + ||u||_{H^s})).
-
-    Returns None when the vorticity vanishes. s defaults to the largest
-    recorded Sobolev exponent above 2.
-    """
+def bkm_log_check(record: DiagnosticsRecord) -> float | None:
+    """||grad u||_inf / (||omega||_inf * log(e + ||u||_{H^s})), s the largest
+    recorded Sobolev exponent above 2; None when the vorticity vanishes."""
     if record.omega_linf <= _TINY:
         return None
-    if s is None:
-        candidates = [float(k) for k in record.u_hs if float(k) > 2.0]
-        if not candidates:
-            raise ValueError("no recorded H^s norm with s > 2")
-        s = max(candidates)
-    u_hs = record.u_hs[f"{s:g}"]
+    candidates = [float(k) for k in record.u_hs if float(k) > 2.0]
+    if not candidates:
+        raise ValueError("no recorded H^s norm with s > 2")
+    u_hs = record.u_hs[f"{max(candidates):g}"]
     return record.grad_u_linf / (record.omega_linf * math.log(math.e + u_hs))

@@ -89,7 +89,7 @@ def random_scalar(grid: Grid, band: tuple[int, int], seed, zero_mean: bool = Tru
     # from -hi to hi, over one mode (m1 > 0, or m1 = 0 < m2) of each
     # conjugate pair; each mode draws two normals in turn, and the mode or
     # its partner, whichever has m2 >= 0, is stored
-    m1, m2 = np.meshgrid(np.arange(-hi, hi + 1), np.arange(-hi, hi + 1), indexing="ij")
+    m1, m2 = np.indices((2 * hi + 1, 2 * hi + 1)) - hi
     radius = np.maximum(abs(m1), abs(m2))
     keep = (lo <= radius) & (radius <= hi) & ((m1 > 0) | ((m1 == 0) & (m2 > 0)))
     m1, m2 = m1[keep], m2[keep]
@@ -144,9 +144,7 @@ def smallness_norm(state: SimState) -> float:
     h1 = math.sqrt(
         besov.sobolev_norm(state.u, 1.0) ** 2 + besov.sobolev_norm(state.tau, 1.0) ** 2
     )
-    b0 = besov.besov_norm(state.omega, 0.0, math.inf, 1) + besov.tensor_besov_norm(
-        state.tau, 0.0, math.inf, 1
-    )
+    b0 = besov.besov_norm(state.omega, 0.0) + besov.tensor_besov_norm(state.tau, 0.0)
     return h1 + b0
 
 

@@ -2,11 +2,11 @@
 
 Diagnostics are written as NDJSON, one object per observation, with keys
 exactly as in diagnostics.RECORD; a final line holds a single
-"summary" object, or "failure" when any exception aborts integration,
-observation or the summary, with partial output preserved. Every line is
-strict JSON: a non-finite float is written as null and its dotted key is
-listed under "nonfinite" on that line. Reruns of the same config are
-byte-identical.
+"summary" object, or "failure" when any exception or an interrupt (SIGINT)
+aborts integration, observation or the summary, with partial output
+preserved. Every line is strict JSON: a non-finite float is written as null
+and its dotted key is listed under "nonfinite" on that line. Reruns of the
+same config are byte-identical.
 """
 
 from __future__ import annotations
@@ -174,6 +174,12 @@ def run(config: ExperimentConfig) -> RunResult:
                 land_times=config.output.snapshot_times,
             )
             summary = _summarize(config, obs)
+        except KeyboardInterrupt:
+            # The run ends with a failure line at the last record's t, and
+            # the interrupt goes on up, so that a sweep stops there.
+            t = obs.records[-1].t if obs.records else None
+            stream.write(_json_line({"failure": {"t": t, "error": "interrupted (SIGINT)"}}))
+            raise
         except Exception as exc:
             # Any exception ends the run with a failure line: at the failing
             # step's t for an IntegrationError, else at the last record's t.

@@ -1,3 +1,4 @@
+from collections import Counter
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -24,6 +25,32 @@ def grid32():
 @pytest.fixture
 def grid64():
     return Grid(64)
+
+
+@pytest.fixture
+def count_transforms(monkeypatch):
+    """count_transforms(fn, n): a Counter of the 2-D transforms that fn()
+    makes on a grid of n points per axis. numpy.fft makes a 2-D transform
+    as a column pass and a row pass, and each row-pass call counts as one
+    transform: an irfft as "inverse", or as "padded" when its output is 2n
+    wide, and an rfft (also rfft2's row pass) as "forward"."""
+    counts, width = Counter(), [0]
+    for name, kind in (("irfft", "inverse"), ("rfft", "forward")):
+        def counted(a, *args, _fn=getattr(np.fft, name), _kind=kind, **kwargs):
+            out = _fn(a, *args, **kwargs)
+            counts["padded" if _kind == "inverse" and out.shape[-1] == width[0] else _kind] += 1
+            return out
+
+        for module in (np.fft, np.fft._pocketfft):  # rfft2 calls the latter's rfft
+            monkeypatch.setattr(module, name, counted)
+
+    def count(fn, n):
+        counts.clear()
+        width[0] = 2 * n
+        fn()
+        return dict(counts)
+
+    return count
 
 
 def field_from(grid, fn):

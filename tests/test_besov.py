@@ -16,8 +16,6 @@ from oldroyd2d.initial_data import random_scalar
 from conftest import (field_from, full_coeffs, grad, pad_coeffs, padded_values, rand_scalar,
                       reference_linf_norm, riesz_component)
 
-INF = math.inf
-
 
 class TestDecomposition:
     def test_partition_of_unity(self):
@@ -86,28 +84,20 @@ class TestDecomposition:
 
 class TestBesovNorm:
     def test_zero_field(self, grid32):
-        assert besov.besov_norm(ScalarField.zeros(grid32), 0.0, INF, 1) == 0.0
+        assert besov.besov_norm(ScalarField.zeros(grid32), 0.0) == 0.0
 
     def test_single_dyadic_mode_regression(self, grid64):
         # A sin(2^q x) sits in exactly one block, so B^0_{inf,1} = A exactly
         for q, amp in [(1, 1.0), (3, 2.5)]:
             f = field_from(grid64, lambda x, y, q=q: amp * np.sin(2.0**q * x))
-            val = besov.besov_norm(f, 0.0, INF, 1)
+            val = besov.besov_norm(f, 0.0)
             assert abs(val - amp) < 1e-12
             assert 0.9 * amp <= val <= 1.2 * amp
-
-    def test_l1_dominates_linf_aggregation(self, grid32):
-        f = rand_scalar(grid32, 7)
-        assert besov.besov_norm(f, 0.0, INF, 1) >= besov.besov_norm(f, 0.0, INF, INF)
 
     def test_unsupported_arguments(self, grid16):
         f = ScalarField.zeros(grid16)
         with pytest.raises(ValueError):
-            besov.besov_norm(f, 0.0, 3, 1)
-        with pytest.raises(ValueError):
-            besov.besov_norm(f, 0.0, INF, 7)
-        with pytest.raises(ValueError):
-            besov.besov_norm(f, 2.5, INF, 1)
+            besov.besov_norm(f, 2.5)
 
 
 class TestLebesgueSobolev:

@@ -268,6 +268,43 @@ class TestRunner:
         assert lines[-2]["t"] == pytest.approx(0.15)  # the snapshot time
         assert lines[-1] == {"failure": {"t": lines[-2]["t"], "error": "OSError: disk full"}}
 
+    def test_interrupt_ends_with_a_failure_line_and_exit_130(self, tmp_path, monkeypatch,
+                                                              capsys):
+        # SIGINT, in process: the third record is interrupted
+        compute_record, calls = diag.compute_record, []
+
+        def interrupted(obs):
+            calls.append(obs.state.t)
+            if len(calls) == 3:
+                raise KeyboardInterrupt
+            return compute_record(obs)
+
+        monkeypatch.setattr(diag, "compute_record", interrupted)
+        cfg = parse_config(SMALL_RUN.format(out=tmp_path / "int"))
+        with pytest.raises(KeyboardInterrupt):
+            run(cfg)
+        lines = read_ndjson(tmp_path / "int" / "diagnostics.ndjson")
+        assert [line["t"] for line in lines[:-1]] == calls[:2]
+        assert lines[-1] == {"failure": {"t": calls[1], "error": "interrupted (SIGINT)"}}
+
+        calls.clear()
+        path = tmp_path / "int.cfg"
+        path.write_text(SMALL_RUN.format(out=tmp_path / "int_cli"))
+        assert cli.main(["run", str(path)]) == cli.EXIT_INTERRUPTED == 130
+        assert "interrupted" in capsys.readouterr().err
+        assert read_ndjson(tmp_path / "int_cli" / "diagnostics.ndjson")[-1] == lines[-1]
+
+    def test_interrupt_stops_a_sweep(self, tmp_path, monkeypatch):
+        def interrupted(obs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(diag, "compute_record", interrupted)
+        cfg = parse_config(SMALL_RUN.format(out=tmp_path / "sw"))
+        with pytest.raises(KeyboardInterrupt):
+            sweep(cfg, "initial.amplitude", [0.5, 0.25])
+        lines = read_ndjson(tmp_path / "sw" / "initial_amplitude_0.5" / "diagnostics.ndjson")
+        assert lines == [{"failure": {"t": None, "error": "interrupted (SIGINT)"}}]
+        assert not (tmp_path / "sw" / "initial_amplitude_0.25").exists()
 
     def test_step_size_underflow_is_a_failure_line(self, tmp_path, capsys):
         # CFL control with a floor far above the CFL step of the data

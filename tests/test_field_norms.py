@@ -87,7 +87,7 @@ def _old_linf(kind, f):
 
 
 def _old_besov_inf1(kind, f, s):
-    """besov.besov_norm / tensor_besov_norm at p = inf, r = 1."""
+    """besov.besov_norm / tensor_besov_norm, B^s_{inf,1}."""
     dec = besov.decomposition_for(f.grid)
     terms = []
     for q in dec.qs:
@@ -130,8 +130,7 @@ class TestOnePathMatchesOldFormulas:
     @pytest.mark.parametrize("s", [0.0, 0.5])
     def test_besov_inf1(self, kind, seed, s):
         f = _field(kind, seed)
-        new = (besov.besov_norm(f, s, math.inf, 1) if kind == "scalar"
-               else besov.tensor_besov_norm(f, s, math.inf, 1))
+        new = besov.besov_norm(f, s) if kind == "scalar" else besov.tensor_besov_norm(f, s)
         _check(new, _old_besov_inf1(kind, f, s))
 
 

@@ -4,15 +4,18 @@ import math
 import tracemalloc
 import weakref
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from oldroyd2d import diagnostics as diag
 from oldroyd2d import model, stepping
+from oldroyd2d.config import load_config
 from oldroyd2d.errors import ConfigError, IntegrationError
 from oldroyd2d.fields import ScalarField, SymTensorField
 from oldroyd2d.grid import Grid
+from oldroyd2d.initial_data import make_initial_data
 from oldroyd2d.model import ModelParams, SimState, make_state, rhs, unstack
 from oldroyd2d.stepping import StepConfig, StepWorkspace, cfl_dt, integrate, step
 
@@ -547,3 +550,44 @@ class TestCarriedFirstStage:
             assert not k0.flags.writeable
             assert k0.tobytes() == rhs(state.y, grid32, params).tobytes()
             assert state.first_stage.umax == stage_speed(state, params)
+
+
+class TestTransformCounts:
+    """The 2-D transforms that each layer makes, pinned as counts: a change
+    that adds transform work fails here, whatever the clock says."""
+
+    CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+    STOCK = {"a": "a_large_data_q_zero.cfg", "b": "b_small_data_decay.cfg",
+             "e": "e_stokes_toy.cfg"}
+    # one rhs at n = 64, per stock physics
+    RHS = {"a": {"inverse": 10, "forward": 4}, "b": {"inverse": 17, "forward": 4},
+           "e": {"inverse": 8, "forward": 3}}
+
+    def stock(self, name, n):
+        config = load_config(self.CONFIGS / self.STOCK[name])
+        state = make_initial_data(config.initial, config.tau_initial, Grid(n), config.params)
+        return config, state
+
+    @pytest.mark.parametrize("name", STOCK)
+    def test_rhs(self, count_transforms, name):
+        config, state = self.stock(name, 64)
+        counts = count_transforms(lambda: rhs(state.y, state.grid, config.params), 64)
+        assert counts == self.RHS[name]
+
+    @pytest.mark.parametrize("scheme, stages", [("ifrk2", 2), ("ifrk4", 4)])
+    @pytest.mark.parametrize("name", STOCK)
+    def test_warm_step(self, count_transforms, name, scheme, stages):
+        # a warm step reads its first stage from the step before it
+        config, state = self.stock(name, 64)
+        step_config = replace(config.step, scheme=scheme)
+        work = StepWorkspace(state.grid, scheme)
+        state = step(state, 0.001, config.params, step_config, work=work)
+        counts = count_transforms(
+            lambda: step(state, 0.001, config.params, step_config, work=work), 64)
+        assert counts == {kind: stages * c for kind, c in self.RHS[name].items()}
+
+    def test_record(self, count_transforms):
+        config, state = self.stock("a", 128)
+        counts = count_transforms(
+            lambda: diag.compute_record(diag.Observation(state, config.params, config.diag)), 128)
+        assert counts == {"padded": 42, "inverse": 22, "forward": 9}
