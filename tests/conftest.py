@@ -29,8 +29,8 @@ def grid64():
 
 @pytest.fixture
 def count_transforms(monkeypatch):
-    """count_transforms(fn, n): a Counter of the 2-D transforms that fn()
-    makes on a grid of n points per axis. numpy.fft makes a 2-D transform
+    """count_transforms(fn, n): the count of each kind of 2-D transform that
+    fn() makes on a grid of n points per axis, as a dict. numpy.fft makes a 2-D transform
     as a column pass and a row pass, and each row-pass call counts as one
     transform: an irfft as "inverse", or as "padded" when its output is 2n
     wide, and an rfft (also rfft2's row pass) as "forward"."""

@@ -368,14 +368,14 @@ def test_stored_snapshot_norms(capsys):
         assert abs(float(printed[name]) - want) <= 1e-13 * want, name
 
 
-def _grown(make, calls=2000):
-    """Bytes that calls warm calls of make leave alive, by tracemalloc."""
+def _grown(make):
+    """Bytes that 2 000 warm calls of make leave alive, by tracemalloc."""
     for _ in range(200):
         make()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        for _ in range(calls):
+        for _ in range(2000):
             make()
         return tracemalloc.get_traced_memory()[0] - before
     finally:
