@@ -9,7 +9,9 @@ t = 0.35, between two observation ticks, (a), (b) (Q on) and the Stokes
 toy (e) observed after every step (observe_every = their dt_max, so every
 record reads the first stage the step before it left), and (a) and (e)
 restarted from their own snapshots at t = 0.5, each of which writes a
-snapshot at its start time; one directory each under OUT. The package is
+snapshot at its start time, and (a) at n = 202 up to t = 0.4, whose padded
+length 404 = 4 x 101 is not a power of two (pocketfft makes its complex
+transforms by Bluestein's algorithm); one directory each under OUT. The package is
 imported from the `src` directory next to this script's own directory, so
 a copy of the script in a checkout of another revision writes that
 revision's set.
@@ -48,6 +50,8 @@ CASES = {  # directory: (stock config, overrides)
     "stock_d": ("d_euler_sanity.cfg", {}),
     "stock_e": ("e_stokes_toy.cfg", {}),
     "stock_e_every_step": ("e_stokes_toy.cfg", {"output.observe_every": "0.02"}),  # dt_max
+    "stock_a_n202": ("a_large_data_q_zero.cfg", {
+        "grid.n": "202", "stepping.t_end": "0.4", "output.snapshot_times": "0.2"}),
     # "{out}" is OUT: the restart reads the snapshot stock_a wrote before it
     "stock_a_restart": ("a_large_data_q_zero.cfg", {
         "initial.snapshot": "{out}/stock_a/snapshot_000.bin", "initial.kind": "from_snapshot"}),

@@ -27,7 +27,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .fields import FieldKind, ScalarField, hermitian_part, norm
-from .grid import Grid, inverse_rfft2
+from .grid import Grid
 
 
 def centre(a: np.ndarray, band: int, out: np.ndarray | None = None) -> np.ndarray:
@@ -60,35 +60,116 @@ def field_window(f: FieldKind, band: int) -> np.ndarray:
     return w
 
 
+SLACK = 1e-6  # relative margin of a row bound over the rounding of a row's transform
+BATCH_SHARE = 8  # a row batch is 2n // BATCH_SHARE padded rows
+FLOOR = 2.0**-800  # a padded maximum below this skips no row (row bounds may underflow)
+MAX_COMPONENTS = 4  # the most components of any field kind (VelocityGradient)
+
+
 class PaddedTransform:
-    """The zero-padded 2n x 2n transform of one grid, through one reused buffer.
+    """The zero-padded 2n x 2n transform of one grid, and its padded maxima.
 
     Zero-padding a spectrum to 2n points per axis keeps its frequencies and
     puts zeros around them. A field whose frequencies lie within |m| <= B
     per axis is given as its padded spectrum's window (field_window), rows
-    -B..B and columns 0..B in rfft2 layout, which is copied as it is into
-    rows 0..B and 2n-B..2n-1 of columns 0..B of a (2n, n+1) half buffer.
-    The column pass of grid.inverse_rfft2 runs in place on those B + 1
-    columns, and they are zeroed again before the call returns, so the
-    buffer is zero between calls and no second (2n, n+1) buffer is kept.
-    Calls must not overlap (the package runs in one thread). The buffer
-    lives as long as something holds it (padded_transform).
+    -B..B and columns 0..B in rfft2 layout. The column pass (columns) copies
+    each component's window, as it is, into rows 0..B and 2n-B..2n-1 of a
+    zeroed (2n, B+1) slice and runs ifft along those rows, the column pass
+    of grid.inverse_rfft2 on the B + 1 columns that may be nonzero. The row
+    pass is irfft of length 2n of a row, which numpy pads with zeros to
+    n + 1 columns: the 1-D transform of irfftn's row pass. It runs on
+    batches of rows gathered into two buffers held for one batch of every
+    component. Calls must not overlap (the package runs in one thread). The
+    buffers live as long as something holds the transform (padded_transform).
     """
 
     def __init__(self, grid: Grid):
         n = grid.n
-        self.n = n
-        self.half = np.zeros((2 * n, n + 1), dtype=np.complex128)
+        self.size = 2 * n
+        self.batch = max(1, self.size // BATCH_SHARE)
+        self.lanes = MAX_COMPONENTS * self.batch
+        self._spectra = np.empty(self.lanes * (n // 2 + 1), dtype=np.complex128)
+        self._values = np.empty(self.lanes * self.size)
+
+    def columns(self, w: np.ndarray) -> np.ndarray:
+        """The column pass of the stacked windows w: a (C, 2n, B+1) stack,
+        made in place one component at a time, so that numpy's copy of an
+        input that overlaps its output is one component's."""
+        band = w.shape[-1] - 1
+        cols = np.zeros((len(w), self.size, band + 1), dtype=np.complex128)
+        cols[:, : band + 1] = w[:, band:]
+        cols[:, self.size - band :] = w[:, :band]
+        for c in cols:
+            np.fft.ifft(c, axis=0, norm="forward", out=c)
+        return cols
 
     def physical(self, w: np.ndarray, out: np.ndarray) -> np.ndarray:
         """The padded 2n x 2n grid values of the field whose padded window
         is w, written to out."""
-        band, b = w.shape[1] - 1, self.half
-        b[: band + 1, : band + 1] = w[band:]
-        b[2 * self.n - band :, : band + 1] = w[:band]
-        inverse_rfft2(b, band + 1, b, out)
-        b[:, : band + 1] = 0.0
-        return out
+        return np.fft.irfft(self.columns(w[None])[0], n=self.size, axis=1, norm="forward",
+                            out=out)
+
+    def _rows_max(self, cols: np.ndarray, rows: np.ndarray, weights: tuple) -> float:
+        """max over the padded rows `rows` of sum_c w_c c^2, for the column
+        pass cols (columns): each component's weighted square is summed in
+        place, in component order."""
+        shape = (len(cols), len(rows))
+        spectra = self._spectra[: math.prod(shape) * cols.shape[2]].reshape(*shape, -1)
+        np.take(cols, rows, axis=1, out=spectra, mode="clip")
+        values = self._values[: math.prod(shape) * self.size].reshape(*shape, -1)
+        np.fft.irfft(spectra, n=self.size, axis=2, norm="forward", out=values)
+        np.multiply(values, values, out=values)
+        mag = values[0]
+        for i, (p, wt) in enumerate(zip(values, weights)):
+            if wt != 1.0:
+                p *= wt
+            if i:
+                mag += p
+        return mag.max()
+
+    def max_square(self, w: np.ndarray, weights: tuple) -> float:
+        """max over the padded grid of sum_c w_c c^2 for the stacked windows
+        w, in bytes that of every row, from the rows whose bound reaches it.
+
+        Row j of component c after the column pass, r(j, 0..B), transforms
+        to values at most B_c(j) = |Re r(j, 0)| + 2 sum_m |r(j, m)| (irfft
+        reads no Im r(j, 0); column n is zero, as B <= n/2). Rows are
+        transformed in batches, largest bound (1 + SLACK) sum_c w_c B_c(j)^2
+        first, and after each batch only the rows whose bound exceeds the
+        largest value M so far: no other row holds a larger value. Every
+        row is transformed when a bound is not finite or M is below FLOOR,
+        and one row when every row is the same in bytes (B = 0 on a
+        constant field).
+        """
+        cols = self.columns(w)
+        if cols.shape[2] == 1 and (cols == cols[:, :1]).all():
+            order, bounds = np.zeros(1, dtype=np.intp), np.zeros(1)  # alike rows transform alike
+        else:
+            bounds = _row_bounds(cols, weights)
+            order = np.argsort(bounds)[::-1]  # largest first, a non-finite one first of all
+            bounds = bounds[order]
+        every = not math.isfinite(bounds[0])
+        maxima, start, count = [], 0, min(self.batch, len(order))
+        while count:
+            maxima.append(self._rows_max(cols, order[start : start + count], weights))
+            start += count
+            left = bounds[start : start + self.lanes // len(cols)]
+            largest = max(maxima)
+            if every or not largest >= FLOOR:
+                count = len(left)
+            else:
+                count = int(np.count_nonzero(left > largest))
+        return float(np.max(maxima))
+
+
+def _row_bounds(cols: np.ndarray, weights: tuple) -> np.ndarray:
+    """(1 + SLACK) sum_c w_c B_c(j)^2 for every padded row j of the column
+    pass cols (PaddedTransform.max_square)."""
+    b = np.abs(cols)[..., 1:].sum(axis=2)  # np.abs copies a strided complex input
+    b *= 2.0
+    b += np.abs(cols[..., 0].real)
+    b *= b
+    return np.dot(weights, b) * (1.0 + SLACK)
 
 
 _PADDED: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
@@ -97,8 +178,8 @@ _PADDED: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 def padded_transform(grid: Grid) -> PaddedTransform:
     """The grid's PaddedTransform, shared by every caller that holds it and
     freed with the last one: a diagnostics.Observation holds it for its
-    records, block_linf_norms through its blocks, so no 2n x (n+1) buffer
-    outlives them into the steps between records."""
+    records, block_linf_norms through its blocks, so no buffer outlives
+    them into the steps between records."""
     pad = _PADDED.get(grid)
     if pad is None:
         pad = _PADDED[grid] = PaddedTransform(grid)
@@ -107,28 +188,21 @@ def padded_transform(grid: Grid) -> PaddedTransform:
 
 def _padded_max(w: np.ndarray, weights: tuple, grid: Grid) -> float:
     """Padded max of sqrt(sum_c w_c c^2) for the stacked centred windows w
-    of the components, which it scales in place.
+    of the components, which it scales in place (PaddedTransform.max_square).
 
     The squares are taken of coefficients scaled by the power of two that
     brings their largest modulus into [1/2, 1): the scaling is exact, and a
     field near the ends of the float range (a blow-up) neither overflows nor
-    underflows when squared. Each component's weighted square is summed in
-    place into one buffer per call.
+    underflows when squared. A zero window is a zero field, and no row is
+    transformed.
     """
     peak = float(np.max(np.abs(w)))
-    exponent = max(math.frexp(peak)[1], -1000)  # 0 for a zero or non-finite peak
+    if peak == 0.0:
+        return 0.0
+    exponent = max(math.frexp(peak)[1], -1000)  # 0 for a non-finite peak
     w *= math.ldexp(1.0, -exponent)
-    pad = padded_transform(grid)
-    mag = np.empty((2 * grid.n, 2 * grid.n))
-    values = np.empty_like(mag) if len(w) > 1 else None
-    for i, (c, wt) in enumerate(zip(w, weights)):
-        p = pad.physical(c, values if i else mag)
-        np.multiply(p, p, out=p)
-        if wt != 1.0:
-            p *= wt
-        if i:
-            mag += p
-    return float(np.ldexp(math.sqrt(float(np.max(mag))), exponent))
+    square = padded_transform(grid).max_square(w, weights)
+    return float(np.ldexp(math.sqrt(square), exponent))
 
 
 def field_band(f: FieldKind) -> int:

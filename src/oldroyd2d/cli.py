@@ -7,19 +7,20 @@ Subcommands:
     norms <snapshot> [--norm names]   print norms of a snapshot
 
 Exit codes: 0 ok, 1 run or check failure, 2 configuration error,
-130 interrupted (SIGINT).
+130 interrupted (SIGINT), 143 terminated (SIGTERM).
 """
 
 from __future__ import annotations
 
 import argparse
+import signal
 import sys
 
 from . import besov
 from . import checks as checks_mod
 from . import diagnostics as diag
 from .config import load_config
-from .errors import ConfigError, SnapshotError
+from .errors import ConfigError, SnapshotError, Terminated
 from .runner import run as run_experiment
 from .runner import sweep as run_sweep
 from .snapshots import load_snapshot
@@ -28,6 +29,7 @@ EXIT_OK = 0
 EXIT_RUN_FAILURE = 1
 EXIT_CONFIG_ERROR = 2
 EXIT_INTERRUPTED = 130  # 128 + SIGINT, by the shell convention
+EXIT_TERMINATED = 143  # 128 + SIGTERM
 
 
 def _cmd_run(args) -> int:
@@ -134,9 +136,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _terminate(signum, frame):
+    raise Terminated
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    previous = signal.signal(signal.SIGTERM, _terminate)
     try:
         return args.fn(args)
     except ConfigError as exc:
@@ -149,6 +156,11 @@ def main(argv=None) -> int:
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)
         return EXIT_INTERRUPTED
+    except Terminated:
+        print("terminated", file=sys.stderr)
+        return EXIT_TERMINATED
+    finally:
+        signal.signal(signal.SIGTERM, previous)
 
 
 if __name__ == "__main__":

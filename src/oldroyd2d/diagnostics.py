@@ -43,24 +43,23 @@ def velocity_inner_from_vorticity(omega: ScalarField, domega: ScalarField) -> fl
     return mode_sum(omega.coeffs, domega.coeffs, g.inv_ksq) * g.length**2
 
 
+def weighted_energy(params: ModelParams, u_l2: float, tau_l2: float) -> float:
+    """(alpha ||u||^2 + K ||tau||^2) / 2 from the two L2 norms."""
+    return 0.5 * (params.alpha * u_l2 ** 2 + params.K * tau_l2 ** 2)
+
+
 def energy_weighted(state: SimState, params: ModelParams) -> float:
     """(alpha ||u||^2 + K ||tau||^2) / 2."""
-    return 0.5 * (
-        params.alpha * state.u.l2() ** 2 + params.K * state.tau.l2() ** 2
-    )
+    return weighted_energy(params, state.u.l2(), state.tau.l2())
 
 
 def n_functional(obs: Observation) -> float:
     """M (alpha||u||^2 + K||tau||^2) + M (alpha||grad u||^2 + K||grad tau||^2)
     + ||Gamma||^2, with M the options' n_functional_m."""
-    state, params, M = obs.state, obs.params, obs.opts.n_functional_m
-    u_sq = state.u.l2() ** 2
-    tau_sq = state.tau.l2() ** 2
-    gu_sq = sq_norm(state.u, state.grid.ksq)
-    gt_sq = sq_norm(state.tau, state.grid.ksq)
+    params, M = obs.params, obs.opts.n_functional_m
     return (
-        M * (params.alpha * u_sq + params.K * tau_sq)
-        + M * (params.alpha * gu_sq + params.K * gt_sq)
+        M * (params.alpha * obs.u_l2 ** 2 + params.K * obs.tau_l2 ** 2)
+        + M * (params.alpha * obs.grad_u_sq + params.K * obs.grad_tau_sq)
         + obs.gamma.l2() ** 2
     )
 
@@ -75,9 +74,9 @@ def energy_identity_residual(obs: Observation) -> float:
     de = params.alpha * velocity_inner_from_vorticity(state.omega, d_omega) \
         + params.K * inner(state.tau, d_tau)
     dissipation = (
-        params.mu * params.K * sq_norm(state.tau, state.grid.ksq)
-        + params.beta * params.K * state.tau.l2() ** 2
-        + params.nu * params.alpha * sq_norm(state.u, state.grid.ksq)
+        params.mu * params.K * obs.grad_tau_sq
+        + params.beta * params.K * obs.tau_l2 ** 2
+        + params.nu * params.alpha * obs.grad_u_sq
     )
     scale = max(abs(de), abs(dissipation), _TINY)
     return abs(de + dissipation) / scale
@@ -95,13 +94,11 @@ def enstrophy_balance(obs: Observation) -> EnstrophyBalance:
     if not obs.params.energy_law:
         raise ValueError("enstrophy balance requires Q disabled and no Stokes toy")
     d_omega, d_tau = obs.deriv
-    ksq = state.grid.ksq
     d_grad_u_sq = 2.0 * inner(state.omega, d_omega)
     lap_tau = state.tau.map(ops.laplacian)
     d_grad_tau_sq = -2.0 * inner(lap_tau, d_tau)
-    lhs = d_grad_u_sq + d_grad_tau_sq + 0.5 * sq_norm(state.tau, ksq**2)
-    return EnstrophyBalance(lhs=lhs,
-                            majorant=sq_norm(state.u, ksq) * sq_norm(state.tau, ksq))
+    lhs = d_grad_u_sq + d_grad_tau_sq + 0.5 * obs.lap_tau_sq
+    return EnstrophyBalance(lhs=lhs, majorant=obs.grad_u_sq * obs.grad_tau_sq)
 
 
 def gamma_residual(obs: Observation) -> float:
@@ -182,8 +179,9 @@ class Observation:
     """One state as the diagnostics see it, and the one input of every
     per-state diagnostic: the state, the params, the options, and the terms
     several metrics share (R(tau), Gamma, the Gamma-equation terms of
-    model.gamma_terms and d/dt of the state), each made on first use and
-    then kept.
+    model.gamma_terms, d/dt of the state, and the Parseval sums that the
+    record, the energy law and the enstrophy ledger share), each made on
+    first use and then kept.
 
     `state` is a view of the state given, replace(state): a SimState over
     the same stack, stored values and first stage (SimState.first_stage,
@@ -200,6 +198,27 @@ class Observation:
     def __post_init__(self):
         self.state = replace(self.state)
         self._padded = besov.padded_transform(self.state.grid)
+
+    @cached_property
+    def u_l2(self) -> float:
+        return self.state.u.l2()
+
+    @cached_property
+    def tau_l2(self) -> float:
+        return self.state.tau.l2()
+
+    @cached_property
+    def grad_u_sq(self) -> float:
+        """||grad u||^2 as sq_norm(u, |k|^2)."""
+        return sq_norm(self.state.u, self.state.grid.ksq)
+
+    @cached_property
+    def grad_tau_sq(self) -> float:
+        return sq_norm(self.state.tau, self.state.grid.ksq)
+
+    @cached_property
+    def lap_tau_sq(self) -> float:
+        return sq_norm(self.state.tau, self.state.grid.ksq**2)
 
     @cached_property
     def r_tau(self) -> ScalarField:
@@ -234,11 +253,11 @@ def _where(law: str, metric: Callable) -> Callable:
 # ...) at evaluation time, so that replacing one of those is seen here.
 RECORD: dict[str, Callable[[Observation], object]] = {
     "t": lambda o: o.state.t,
-    "u_l2": lambda o: o.state.u.l2(),
-    "tau_l2": lambda o: o.state.tau.l2(),
+    "u_l2": lambda o: o.u_l2,
+    "tau_l2": lambda o: o.tau_l2,
     "grad_u_l2": lambda o: o.state.grad_u.l2(),
-    "grad_tau_l2": lambda o: math.sqrt(sq_norm(o.state.tau, o.state.grid.ksq)),
-    "lap_tau_l2": lambda o: math.sqrt(sq_norm(o.state.tau, o.state.grid.ksq**2)),
+    "grad_tau_l2": lambda o: math.sqrt(o.grad_tau_sq),
+    "lap_tau_l2": lambda o: math.sqrt(o.lap_tau_sq),
     "omega_linf": lambda o: besov.linf_norm(o.state.omega),
     "omega_l2": lambda o: o.state.omega.l2(),
     "gamma_linf": lambda o: besov.linf_norm(o.gamma),
@@ -247,7 +266,7 @@ RECORD: dict[str, Callable[[Observation], object]] = {
     "tau_h2": lambda o: besov.sobolev_norm(o.state.tau, 2.0),
     "grad_u_linf": lambda o: besov.linf_norm(o.state.grad_u),
     "bkm_accum": lambda o: 0.0,  # accumulated over records by the caller
-    "energy_weighted": lambda o: energy_weighted(o.state, o.params),
+    "energy_weighted": lambda o: weighted_energy(o.params, o.u_l2, o.tau_l2),
     "n_value": lambda o: n_functional(o),
     "energy_identity_residual": _where("energy_law", lambda o: energy_identity_residual(o)),
     "gamma_residual": _where("gamma_law", lambda o: gamma_residual(o)),

@@ -25,3 +25,9 @@ class IntegrationError(RuntimeError):
 
 class SnapshotError(ValueError):
     """Snapshot file is malformed, truncated, or has an unsupported version."""
+
+
+class Terminated(BaseException):
+    """SIGTERM, raised by the handler that cli.main installs. Like
+    KeyboardInterrupt for SIGINT, it is no Exception, so that only the
+    handlers that name it catch it."""

@@ -2,8 +2,8 @@
 
 Diagnostics are written as NDJSON, one object per observation, with keys
 exactly as in diagnostics.RECORD; a final line holds a single
-"summary" object, or "failure" when any exception or an interrupt (SIGINT)
-aborts integration, observation or the summary, with partial output
+"summary" object, or "failure" when any exception or an interrupt (SIGINT,
+or SIGTERM under cli.main) aborts integration, observation or the summary, with partial output
 preserved. Every line is strict JSON: a non-finite float is written as null
 and its dotted key is listed under "nonfinite" on that line. Reruns of the
 same config are byte-identical.
@@ -21,7 +21,7 @@ import numpy as np
 
 from . import diagnostics as diag
 from .config import ExperimentConfig, override_value, with_override
-from .errors import ConfigError, IntegrationError
+from .errors import ConfigError, IntegrationError, Terminated
 from .initial_data import make_initial_data
 from .snapshots import save_snapshot
 from .stepping import integrate, landing_tolerance
@@ -174,11 +174,12 @@ def run(config: ExperimentConfig) -> RunResult:
                 land_times=config.output.snapshot_times,
             )
             summary = _summarize(config, obs)
-        except KeyboardInterrupt:
+        except (KeyboardInterrupt, Terminated) as exc:
             # The run ends with a failure line at the last record's t, and
             # the interrupt goes on up, so that a sweep stops there.
             t = obs.records[-1].t if obs.records else None
-            stream.write(_json_line({"failure": {"t": t, "error": "interrupted (SIGINT)"}}))
+            name = "SIGTERM" if isinstance(exc, Terminated) else "SIGINT"
+            stream.write(_json_line({"failure": {"t": t, "error": f"interrupted ({name})"}}))
             raise
         except Exception as exc:
             # Any exception ends the run with a failure line: at the failing

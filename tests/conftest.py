@@ -1,3 +1,4 @@
+import math
 from collections import Counter
 from dataclasses import replace
 from types import SimpleNamespace
@@ -33,12 +34,18 @@ def count_transforms(monkeypatch):
     fn() makes on a grid of n points per axis, as a dict. numpy.fft makes a 2-D transform
     as a column pass and a row pass, and each row-pass call counts as one
     transform: an irfft as "inverse", or as "padded" when its output is 2n
-    wide, and an rfft (also rfft2's row pass) as "forward"."""
+    wide, and an rfft (also rfft2's row pass) as "forward". A padded
+    maximum transforms its rows in batches, several calls, so "padded_rows"
+    counts the work: the lanes of every padded call's output, one per row
+    of one component."""
     counts, width = Counter(), [0]
     for name, kind in (("irfft", "inverse"), ("rfft", "forward")):
         def counted(a, *args, _fn=getattr(np.fft, name), _kind=kind, **kwargs):
             out = _fn(a, *args, **kwargs)
-            counts["padded" if _kind == "inverse" and out.shape[-1] == width[0] else _kind] += 1
+            padded = _kind == "inverse" and out.shape[-1] == width[0]
+            counts["padded" if padded else _kind] += 1
+            if padded:
+                counts["padded_rows"] += out.size // width[0]
             return out
 
         for module in (np.fft, np.fft._pocketfft):  # rfft2 calls the latter's rfft
@@ -184,6 +191,28 @@ def padded_values(coeffs: np.ndarray) -> np.ndarray:
     neg = -np.arange(m) % m
     herm = 0.5 * (big + np.conj(big[neg][:, neg]))
     return np.fft.irfft2(herm[:, : m // 2 + 1], s=(m, m), norm="forward")
+
+
+def full_grid_padded_max(w: np.ndarray, weights: tuple, grid) -> float:
+    """besov._padded_max as it was before its row pass was pruned, the
+    reference in bytes: the same scaling of the stacked windows w (a copy),
+    then every padded row, the 2n x 2n grid of each component by irfftn of
+    its zero-padded half spectrum, and each weighted square summed in
+    component order."""
+    n, band = grid.n, w.shape[2] - 1
+    peak = float(np.max(np.abs(w)))
+    exponent = max(math.frexp(peak)[1], -1000)
+    w = w * math.ldexp(1.0, -exponent)
+    mag = None
+    for c, wt in zip(w, weights):
+        b = np.zeros((2 * n, n + 1), dtype=np.complex128)
+        b[: band + 1, : band + 1], b[2 * n - band :, : band + 1] = c[band:], c[:band]
+        p = np.fft.irfftn(b, s=(2 * n, 2 * n), axes=(0, 1), norm="forward")
+        np.multiply(p, p, out=p)
+        if wt != 1.0:
+            p *= wt
+        mag = p if mag is None else mag + p
+    return float(np.ldexp(math.sqrt(float(np.max(mag))), exponent))
 
 
 def reference_linf_norm(f) -> float:

@@ -13,8 +13,8 @@ from oldroyd2d.fields import ScalarField, SymTensorField, VectorField
 from oldroyd2d.grid import Grid
 from oldroyd2d.initial_data import random_scalar
 
-from conftest import (field_from, full_coeffs, grad, pad_coeffs, padded_values, rand_scalar,
-                      reference_linf_norm, riesz_component)
+from conftest import (field_from, full_coeffs, full_grid_padded_max, grad, pad_coeffs,
+                      padded_values, rand_scalar, reference_linf_norm, riesz_component)
 
 
 class TestDecomposition:
@@ -256,13 +256,32 @@ def _whole_array_norms(f):
             for b in [f] + [dec.block(f, q) for q in dec.qs]]
 
 
+def _windows(f):
+    """The windows that linf_norm and block_linf_norms pad: the field's, and
+    each block's, formed as block_linf_norms forms it."""
+    dec, band = besov.decomposition_for(f.grid), besov.field_band(f)
+    w = besov.field_window(f, band)
+    out = [w]
+    for q in dec.qs:
+        mult = dec.window(q, band)
+        size = mult.shape[1] - 1
+        out.append(mult * w[:, band - size : band + size + 1, : size + 1])
+    return out
+
+
+def _every_row_norms(f):
+    """_all_norms(f) from every padded row (conftest.full_grid_padded_max)."""
+    return [full_grid_padded_max(w, f.weights, f.grid) for w in _windows(f)]
+
+
 def _check_windowed(f):
-    """In bytes against the whole-array path, and to roundoff against
-    conftest.reference_linf_norm, from the full-layout spectra of the grid
-    values."""
+    """In bytes against the whole-array path and against every padded row,
+    and to roundoff against conftest.reference_linf_norm, from the
+    full-layout spectra of the grid values."""
     dec = besov.decomposition_for(f.grid)
     got = _all_norms(f)
     assert _bytes(got) == _bytes(_whole_array_norms(f)), type(f).__name__
+    assert _bytes(got) == _bytes(_every_row_norms(f)), type(f).__name__
     want = [reference_linf_norm(b) for b in [f] + [dec.block(f, q) for q in dec.qs]]
     assert np.max(np.abs(np.subtract(got, want))) <= 1e-14 * want[0], type(f).__name__
 
@@ -300,15 +319,15 @@ class TestWindowedBlocks:
 
     @pytest.mark.parametrize("n", [16, 32, 64])
     def test_wide_narrow_wide_on_one_grid(self, n):
-        # a value left in the half buffer by a wider call would show in the
-        # narrower call after it; the buffer is held, so that every call
-        # shares it
+        # a value left in a held buffer by a wider call would show in the
+        # narrower call after it; the buffers are held, so that every call
+        # shares them
         grid = Grid(n)
         pad = besov.padded_transform(grid)
         wide, narrow = _banded(grid, 1, n // 2), _banded(grid, 2, 3)
         for f in (wide, narrow, wide, _banded(grid, 3, n // 3), narrow, narrow, wide):
             _check_windowed(f)
-            assert besov.padded_transform(grid) is pad and not pad.half.any()
+            assert besov.padded_transform(grid) is pad
 
     def test_block_supports(self):
         # each multiplier is zero outside its window, and its window is the
@@ -323,3 +342,97 @@ class TestWindowedBlocks:
                 assert not np.any(mult[m > s]) and np.any(mult[m == s])
             assert dec.supports[:5] == (0, 1, 3, 7, 15)
         assert dec.supports == (0, 1, 3, 7, 15, 31, 64)
+
+
+PRUNED_SIZES = (8, 26, 48, 106)  # 2n = 212 = 4 x 53
+BLUESTEIN = 202  # pocketfft makes the complex transform of length 404 by Bluestein's algorithm
+KINDS = (ScalarField, VectorField, ops.VelocityGradient, SymTensorField)
+SHAPES = ("zero", "constant", "single_mode", "banded", "nyquist", "nonfinite")
+
+
+def _of_kind(kind, components):
+    """The field of the given kind from its scalar components."""
+    return components[0] if kind is ScalarField else kind(*components)
+
+
+def _component(grid, rng, shape, scale):
+    """Half-spectrum coefficients of one kind of content, times scale."""
+    n = grid.n
+    c = np.zeros(grid.shape, dtype=np.complex128)
+    if shape == "constant":
+        c[0, 0] = rng.standard_normal()
+    elif shape == "single_mode":
+        c[rng.integers(n), rng.integers(n // 2 + 1)] = rng.standard_normal(2) @ (1, 1j)
+    elif shape in ("banded", "nonfinite"):
+        c = _banded(grid, int(rng.integers(1 << 30)), int(rng.integers(n // 3 + 1))).coeffs.copy()
+        if shape == "nonfinite":
+            c[rng.integers(n), rng.integers(n // 2 + 1)] = rng.choice([np.nan, np.inf, -np.inf])
+    elif shape == "nyquist":  # every slot, Nyquist row and column included
+        c = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+    return c * scale
+
+
+class TestPrunedRows:
+    """The padded maxima from the rows whose bound reaches them, against
+    every padded row (conftest.full_grid_padded_max), in bytes."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.sampled_from(PRUNED_SIZES), kind=st.sampled_from(KINDS),
+           shapes=st.lists(st.sampled_from(SHAPES), min_size=4, max_size=4),
+           exponents=st.lists(st.integers(-300, 300), min_size=4, max_size=4),
+           seed=st.integers(0, 2**32 - 1))
+    def test_every_kind_and_content_matches_every_row(self, n, kind, shapes, exponents, seed):
+        grid, rng = Grid(n), np.random.default_rng(seed)
+        with np.errstate(all="ignore"):
+            f = _of_kind(kind, [ScalarField(grid, _component(grid, rng, shape, 10.0**e))
+                                for shape, e in zip(shapes, exponents[: len(kind.weights)])])
+            assert _bytes(_all_norms(f)) == _bytes(_every_row_norms(f))
+
+    @pytest.mark.parametrize("n", PRUNED_SIZES + (BLUESTEIN,))
+    def test_row_bounds_hold(self, n):
+        # no padded value of a row exceeds its bound, whose SLACK is orders
+        # of magnitude above the rounding of the row's transform
+        grid, rng = Grid(n), np.random.default_rng(n)
+        pad = besov.padded_transform(grid)
+        for kind in KINDS:
+            shapes = rng.choice(["banded", "nyquist", "single_mode"], size=len(kind.weights))
+            f = _of_kind(kind, [ScalarField(grid, _component(grid, rng, s, 1.0)) for s in shapes])
+            w = besov.field_window(f, besov.field_band(f))
+            w /= np.max(np.abs(w))
+            mag = sum(wt * pad.physical(c, np.empty((2 * n, 2 * n))) ** 2
+                      for c, wt in zip(w, f.weights))
+            bounds = besov._row_bounds(pad.columns(w), f.weights)
+            assert np.all(mag.max(axis=1) * (1.0 + 1e3 * np.finfo(float).eps * n) <= bounds)
+
+    @pytest.mark.parametrize("n", PRUNED_SIZES)
+    def test_zero_windows_transform_no_row(self, count_transforms, n):
+        grid = Grid(n)
+        for kind in KINDS:
+            zero = kind.zeros(grid)
+            counts = count_transforms(lambda: (besov.linf_norm(zero), besov.block_linf_norms(zero)), n)
+            assert counts == {}
+        # block -1 of a mean-free field, as of Gamma and of the commutator
+        f = random_scalar(grid, (1, n // 3), [n])
+        dec = besov.decomposition_for(grid)
+        assert dec.supports[0] == 0 and f.mean == 0.0
+        w = _windows(f)[1]
+        assert count_transforms(lambda: besov._padded_max(w, f.weights, grid), n) == {}
+        assert besov.block_linf_norms(f)[0] == 0.0
+
+    @pytest.mark.parametrize("n", PRUNED_SIZES + (BLUESTEIN,))
+    def test_alike_rows_transform_one_row(self, count_transforms, n):
+        # block -1 of a field with a mean (S = 0): its column pass is one
+        # value down every row, so one row is transformed; at the Bluestein
+        # length it is not one value, and every row is transformed
+        grid, rng = Grid(n), np.random.default_rng(n)
+        rows = 2 * n if n == BLUESTEIN else 1
+        for kind in KINDS:
+            f = _of_kind(kind, [ScalarField(grid, _component(grid, rng, "banded", 1.0))
+                                for _ in kind.weights])
+            f = f.map(lambda c: ScalarField(grid, c.coeffs + (grid.ksq == 0) * rng.standard_normal()))
+            w = _windows(f)[1]
+            assert w.shape[1:] == (1, 1)
+            got = []
+            counts = count_transforms(lambda: got.append(besov._padded_max(w.copy(), f.weights, grid)), n)
+            assert counts["padded_rows"] == rows * len(kind.weights)
+            assert _bytes(got) == _bytes([full_grid_padded_max(w, f.weights, grid)])

@@ -1,7 +1,11 @@
 """Config parsing, CLI subcommands, determinism, sweep, mutation check."""
 
 import json
+import os
+import signal
+import subprocess
 import sys
+import time
 import warnings
 import weakref
 from pathlib import Path
@@ -305,6 +309,39 @@ class TestRunner:
         lines = read_ndjson(tmp_path / "sw" / "initial_amplitude_0.5" / "diagnostics.ndjson")
         assert lines == [{"failure": {"t": None, "error": "interrupted (SIGINT)"}}]
         assert not (tmp_path / "sw" / "initial_amplitude_0.25").exists()
+
+    @pytest.mark.parametrize("sig, code, name", [
+        (signal.SIGINT, 130, "SIGINT"), (signal.SIGTERM, 143, "SIGTERM"),
+    ])
+    def test_signal_to_a_running_cli_ends_with_a_failure_line(self, tmp_path, sig, code, name):
+        # a real `oldroyd2d run`, signalled once it has written a record
+        path = tmp_path / "long.cfg"
+        path.write_text(SMALL_RUN.format(out=tmp_path / "long").replace(
+            "t_end = 0.3", "t_end = 1000.0"))
+        out = tmp_path / "long" / "diagnostics.ndjson"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(Path(cli.__file__).parent.parent), os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "oldroyd2d.cli", "run", str(path)], env=env,
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+            # a shell without job control starts background jobs ignoring SIGINT
+            preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL))
+        try:
+            deadline = time.monotonic() + 60.0
+            while not (out.exists() and out.read_text().count("\n") >= 2):
+                assert proc.poll() is None and time.monotonic() < deadline
+                time.sleep(0.05)
+            proc.send_signal(sig)
+            assert proc.wait(timeout=60) == code
+        finally:
+            proc.kill()
+            proc.wait()
+        assert proc.stderr.read().decode().strip().endswith(
+            "interrupted" if sig == signal.SIGINT else "terminated")
+        proc.stderr.close()
+        lines = read_ndjson(out)
+        assert len(lines) >= 3 and all("t" in line for line in lines[:-1])
+        assert lines[-1] == {"failure": {"t": lines[-2]["t"], "error": f"interrupted ({name})"}}
 
     def test_step_size_underflow_is_a_failure_line(self, tmp_path, capsys):
         # CFL control with a floor far above the CFL step of the data

@@ -4,14 +4,17 @@ import math
 import tracemalloc
 import weakref
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from oldroyd2d import besov
+from oldroyd2d import besov, fields
 from oldroyd2d import diagnostics as diag
+from oldroyd2d.config import load_config
 from oldroyd2d.fields import ScalarField, SymTensorField, VectorField, sq_norm
 from oldroyd2d.grid import Grid
+from oldroyd2d.initial_data import make_initial_data
 from oldroyd2d.model import FirstStage, ModelParams, make_state, rhs
 from oldroyd2d.runner import decay_summary
 from oldroyd2d.snapshots import load_snapshot, save_snapshot
@@ -266,6 +269,32 @@ class TestRecord:
         assert rec.energy_identity_residual is None
         assert rec.gamma_residual is None
         assert rec.gamma_rhs_linf is None
+
+
+    def test_each_parseval_sum_once_per_observation(self, monkeypatch):
+        # the record and the enstrophy ledger of stock (a) at n = 128 share
+        # the observation's L2 norms of u and tau and its gradient and
+        # Laplacian squares: 39 mode_sum calls, where they made 68
+        config = load_config(Path(__file__).resolve().parent.parent / "configs"
+                             / "a_large_data_q_zero.cfg")
+        state = make_initial_data(config.initial, config.tau_initial, Grid(128), config.params)
+        calls, mode_sum = [], fields.mode_sum
+
+        def counted(*args):
+            calls.append(1)
+            return mode_sum(*args)
+
+        for module in (fields, diag):
+            monkeypatch.setattr(module, "mode_sum", counted)
+        o = diag.Observation(state, config.params, config.diag)
+        rec = diag.compute_record(o)
+        diag.enstrophy_balance(o)
+        assert len(calls) == 39
+        ksq = state.grid.ksq
+        assert (rec.u_l2, rec.tau_l2) == (state.u.l2(), state.tau.l2())
+        assert rec.grad_tau_l2 == math.sqrt(sq_norm(state.tau, ksq))
+        assert rec.lap_tau_l2 == math.sqrt(sq_norm(state.tau, ksq**2))
+        assert o.grad_u_sq == sq_norm(state.u, ksq)
 
 
 class TestObservationView:

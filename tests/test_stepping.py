@@ -586,8 +586,20 @@ class TestTransformCounts:
             lambda: step(state, 0.001, config.params, step_config, work=work), 64)
         assert counts == {kind: stages * c for kind, c in self.RHS[name].items()}
 
-    def test_record(self, count_transforms):
+    # A record of stock (a) at n = 128, at t = 0 and after integrate to
+    # t = 0.5 (whose state carries its first stage, so the record makes no
+    # rhs): its padded maxima transform only the padded rows whose bound
+    # reaches the largest value found before them, in batches, where each
+    # of 42 padded transforms made all 2n rows (42 x 256 = 10,752 rows)
+    @pytest.mark.parametrize("t_end, want", [
+        (0.0, {"padded": 52, "padded_rows": 3914, "inverse": 22, "forward": 9}),
+        (0.5, {"padded": 58, "padded_rows": 4225, "inverse": 12, "forward": 5}),
+    ])
+    def test_record(self, count_transforms, t_end, want):
         config, state = self.stock("a", 128)
+        if t_end:
+            state = integrate(state, config.params, replace(config.step, t_end=t_end))
         counts = count_transforms(
             lambda: diag.compute_record(diag.Observation(state, config.params, config.diag)), 128)
-        assert counts == {"padded": 42, "inverse": 22, "forward": 9}
+        assert counts == want
+        assert counts["padded_rows"] <= 0.45 * 42 * 256
