@@ -61,9 +61,10 @@ def field_window(f: FieldKind, band: int) -> np.ndarray:
 
 
 SLACK = 1e-6  # relative margin of a row bound over the rounding of a row's transform
-BATCH_SHARE = 8  # a row batch is 2n // BATCH_SHARE padded rows
+BATCH_SHARE = 8  # the first row batch is 2n // BATCH_SHARE padded rows
 FLOOR = 2.0**-800  # a padded maximum below this skips no row (row bounds may underflow)
-MAX_COMPONENTS = 4  # the most components of any field kind (VelocityGradient)
+MAX_COMPONENTS = 4  # the most components of any field kind (VelocityGradient):
+# a batch holds at most MAX_COMPONENTS * 2n // BATCH_SHARE = n lanes
 
 
 class PaddedTransform:
@@ -86,7 +87,7 @@ class PaddedTransform:
     def __init__(self, grid: Grid):
         n = grid.n
         self.size = 2 * n
-        self.batch = max(1, self.size // BATCH_SHARE)
+        self.batch = self.size // BATCH_SHARE
         self.lanes = MAX_COMPONENTS * self.batch
         self._spectra = np.empty(self.lanes * (n // 2 + 1), dtype=np.complex128)
         self._values = np.empty(self.lanes * self.size)

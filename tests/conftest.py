@@ -194,11 +194,10 @@ def padded_values(coeffs: np.ndarray) -> np.ndarray:
 
 
 def full_grid_padded_max(w: np.ndarray, weights: tuple, grid) -> float:
-    """besov._padded_max as it was before its row pass was pruned, the
-    reference in bytes: the same scaling of the stacked windows w (a copy),
-    then every padded row, the 2n x 2n grid of each component by irfftn of
-    its zero-padded half spectrum, and each weighted square summed in
-    component order."""
+    """The padded maximum from every padded row, the reference in bytes for
+    besov._padded_max: the same scaling of the stacked windows w (a copy),
+    the 2n x 2n grid of each component by irfftn of its zero-padded half
+    spectrum, and each weighted square summed in component order."""
     n, band = grid.n, w.shape[2] - 1
     peak = float(np.max(np.abs(w)))
     exponent = max(math.frexp(peak)[1], -1000)

@@ -274,7 +274,7 @@ class TestRecord:
     def test_each_parseval_sum_once_per_observation(self, monkeypatch):
         # the record and the enstrophy ledger of stock (a) at n = 128 share
         # the observation's L2 norms of u and tau and its gradient and
-        # Laplacian squares: 39 mode_sum calls, where they made 68
+        # Laplacian squares, each summed once
         config = load_config(Path(__file__).resolve().parent.parent / "configs"
                              / "a_large_data_q_zero.cfg")
         state = make_initial_data(config.initial, config.tau_initial, Grid(128), config.params)

@@ -588,9 +588,9 @@ class TestTransformCounts:
 
     # A record of stock (a) at n = 128, at t = 0 and after integrate to
     # t = 0.5 (whose state carries its first stage, so the record makes no
-    # rhs): its padded maxima transform only the padded rows whose bound
-    # reaches the largest value found before them, in batches, where each
-    # of 42 padded transforms made all 2n rows (42 x 256 = 10,752 rows)
+    # rhs): its padded maxima transform, in batches, only the padded rows
+    # whose bound reaches the largest value found before them, at most 45%
+    # of the 42 x 256 rows of its 42 padded grids
     @pytest.mark.parametrize("t_end, want", [
         (0.0, {"padded": 52, "padded_rows": 3914, "inverse": 22, "forward": 9}),
         (0.5, {"padded": 58, "padded_rows": 4225, "inverse": 12, "forward": 5}),
