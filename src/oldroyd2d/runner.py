@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import signal
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -58,6 +59,9 @@ def _json_line(obj: dict) -> str:
     return json.dumps(line, allow_nan=False) + "\n"
 
 
+_HELD_SIGNALS = (signal.SIGINT, signal.SIGTERM)
+
+
 class _Observer:
     """Writes one record per observation and snapshots at configured times."""
 
@@ -77,9 +81,17 @@ class _Observer:
         obs = diag.Observation(state, self.config.params, self.config.diag)
         rec = self._record(obs)
         view, obs = obs.state, None  # the view outlives the record's terms
-        self.records.append(rec)
-        self.stream.write(_json_line(rec.to_dict()))
-        self.stream.flush()
+        line = _json_line(rec.to_dict())
+        # SIGINT and SIGTERM wait until the line is written and the record
+        # counted, so that an interrupt's failure line names the t of the
+        # last line in the file.
+        try:
+            signal.pthread_sigmask(signal.SIG_BLOCK, _HELD_SIGNALS)
+            self.stream.write(line)
+            self.stream.flush()
+            self.records.append(rec)
+        finally:
+            signal.pthread_sigmask(signal.SIG_UNBLOCK, _HELD_SIGNALS)
 
         while self._pending_snaps and state.t >= self._pending_snaps[0] - self._eps:
             self._pending_snaps.pop(0)

@@ -1,5 +1,6 @@
 """Config parsing, CLI subcommands, determinism, sweep, mutation check."""
 
+import io
 import json
 import os
 import signal
@@ -17,8 +18,9 @@ from oldroyd2d import checks, cli, model, runner, stepping
 from oldroyd2d import diagnostics as diag
 from oldroyd2d import operators as ops
 from oldroyd2d.config import load_config, parse_config, with_override
-from oldroyd2d.errors import ConfigError
+from oldroyd2d.errors import ConfigError, Terminated
 from oldroyd2d.fields import ScalarField
+from oldroyd2d.initial_data import make_initial_data
 from oldroyd2d.runner import read_ndjson, run, sweep
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -342,6 +344,28 @@ class TestRunner:
         lines = read_ndjson(out)
         assert len(lines) >= 3 and all("t" in line for line in lines[:-1])
         assert lines[-1] == {"failure": {"t": lines[-2]["t"], "error": f"interrupted ({name})"}}
+
+    def test_a_signal_while_a_record_is_written_waits_for_it(self, tmp_path):
+        # SIGTERM sent as the record's line is written: the observer ends
+        # with the line in the stream and the record counted, so that the
+        # failure line's t is that of the last line
+        class SignallingStream(io.StringIO):
+            def write(self, text):
+                os.kill(os.getpid(), signal.SIGTERM)
+                return super().write(text)
+
+        cfg = parse_config(SMALL_RUN.format(out=tmp_path))
+        state = make_initial_data(cfg.initial, cfg.tau_initial, cfg.grid, cfg.params)
+        stream = SignallingStream()
+        obs = runner._Observer(cfg, tmp_path, stream)
+        previous = signal.signal(signal.SIGTERM, cli._terminate)
+        try:
+            with pytest.raises(Terminated):
+                obs(state)
+        finally:
+            signal.signal(signal.SIGTERM, previous)
+        assert [json.loads(line)["t"] for line in stream.getvalue().splitlines()] == [0.0]
+        assert [r.t for r in obs.records] == [0.0]
 
     def test_step_size_underflow_is_a_failure_line(self, tmp_path, capsys):
         # CFL control with a floor far above the CFL step of the data
