@@ -11,7 +11,10 @@ record reads the first stage the step before it left), and (a) and (e)
 restarted from their own snapshots at t = 0.5, each of which writes a
 snapshot at its start time, and (a) at n = 202 up to t = 0.4, whose padded
 length 404 = 4 x 101 is not a power of two (pocketfft makes its complex
-transforms by Bluestein's algorithm); one directory each under OUT. The package is
+transforms by Bluestein's algorithm); one directory each under OUT. One more
+directory, manufactured_n32, holds the final state of the forced run of
+`checks.manufactured_error(32)` as a snapshot: its forcing is the only one
+of the set, and the stepper's stacks take its width. The package is
 imported from the `src` directory next to this script's own directory, so
 a copy of the script in a checkout of another revision writes that
 revision's set.
@@ -35,9 +38,10 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
+from oldroyd2d import checks  # noqa: E402
 from oldroyd2d.config import load_config, with_override  # noqa: E402
 from oldroyd2d.runner import run  # noqa: E402
-from oldroyd2d.snapshots import load_snapshot  # noqa: E402
+from oldroyd2d.snapshots import load_snapshot, save_snapshot  # noqa: E402
 
 CASES = {  # directory: (stock config, overrides)
     "stock_a": ("a_large_data_q_zero.cfg", {}),
@@ -73,7 +77,29 @@ def write_set(out: Path) -> bool:
         result = run(cfg)
         ok = ok and result.ok
         print(f"{name}: {len(result.records)} records{'' if result.ok else ', FAILED'}")
+    error, final = manufactured_run(32)
+    (out / "manufactured_n32").mkdir(parents=True)
+    save_snapshot(final, checks.MMS_PARAMS, out / "manufactured_n32" / "snapshot_final.bin")
+    print(f"manufactured_n32: relative error {error:.6e}")
     return ok
+
+
+def manufactured_run(n: int):
+    """checks.manufactured_error(n) and the final state of its forced run,
+    which that function returns no handle to: its call of integrate is
+    wrapped while it runs."""
+    finals, integrate = [], checks.integrate
+
+    def kept(*args, **kwargs):
+        finals.append(integrate(*args, **kwargs))
+        return finals[-1]
+
+    checks.integrate = kept
+    try:
+        error = checks.manufactured_error(n)
+    finally:
+        checks.integrate = integrate
+    return error, finals[0]
 
 
 def _rel(a, b) -> float:

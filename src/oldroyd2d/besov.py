@@ -173,17 +173,25 @@ def _row_bounds(cols: np.ndarray, weights: tuple) -> np.ndarray:
     return np.dot(weights, b) * (1.0 + SLACK)
 
 
-_PADDED: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+# Weak references without a callback: a WeakValueDictionary's removal
+# callback is Python code run when a transform dies, once per record, and a
+# SIGINT or SIGTERM raised there is reported and dropped by CPython.
+_PADDED: dict[Grid, weakref.ref] = {}
 
 
 def padded_transform(grid: Grid) -> PaddedTransform:
     """The grid's PaddedTransform, shared by every caller that holds it and
     freed with the last one: a diagnostics.Observation holds it for its
     records, block_linf_norms through its blocks, so no buffer outlives
-    them into the steps between records."""
-    pad = _PADDED.get(grid)
+    them into the steps between records. A lookup that finds none drops
+    the entries whose transform has died."""
+    ref = _PADDED.get(grid)
+    pad = None if ref is None else ref()
     if pad is None:
-        pad = _PADDED[grid] = PaddedTransform(grid)
+        for key in [key for key, ref in _PADDED.items() if ref() is None]:
+            del _PADDED[key]
+        pad = PaddedTransform(grid)
+        _PADDED[grid] = weakref.ref(pad)
     return pad
 
 

@@ -91,9 +91,12 @@ class ModelParams:
 class FirstStage:
     """rhs(y) under params without a forcing, in the read-only stack k0, and
     max|u| over the grid of the velocity it made: the first stage of the
-    step from the state whose stack is y. make writes it; y is None while
-    the stack holds anything else, so a state kept from an earlier step, or
-    given another stack, no longer matches it (time_derivative)."""
+    step from the state whose stack is y. k0 is in rhs's band layout, the
+    first w columns of the half spectrum, where w = k0.shape[-1] is the
+    stepper's width for the run (stepping.StepWorkspace). make writes it;
+    y is None while the stack holds anything else, so a state kept from an
+    earlier step, or given another stack, no longer matches it
+    (time_derivative)."""
 
     params: ModelParams | None
     y: np.ndarray | None
@@ -104,12 +107,17 @@ class FirstStage:
         """k0 when it is the first stage of the state under params, else None."""
         return self.k0 if self.y is state.y and self.params == params else None
 
-    def make(self, state: "SimState", params: ModelParams, work: "Workspace") -> np.ndarray:
+    def make(self, state: "SimState", params: ModelParams, work: "Workspace",
+             band: np.ndarray | None = None) -> np.ndarray:
         """Write the first stage of the state under params to k0, with the
-        buffers of work (Workspace.max_speed gives umax), and return k0."""
+        buffers of work (Workspace.max_speed gives umax), and return k0. rhs
+        reads band, the first w columns of the state's stack, when given (the
+        stepper holds them as a contiguous stack), else those columns of
+        state.y in place."""
         self.y = None
         self.k0.setflags(write=True)
-        rhs(state.y, state.grid, params, out=self.k0, work=work)
+        band = state.y[..., :self.k0.shape[-1]] if band is None else band
+        rhs(band, state.grid, params, out=self.k0, work=work)
         self.k0.setflags(write=False)
         self.params, self.y, self.umax = params, state.y, work.max_speed()
         return self.k0
@@ -194,10 +202,11 @@ def stokes_toy_vorticity(grid: Grid, y: np.ndarray) -> np.ndarray:
 
 def linear_symbol(grid: Grid, params: ModelParams, out: np.ndarray | None = None) -> np.ndarray:
     """Stiff part of d/dt of the packed stack, diagonal in Fourier, as its two
-    distinct rows (apply_symbol), written to out when given: -nu |k|^2 for
-    omega and -(beta + mu |k|^2) for every tau component. The vorticity row
-    is 0 for the Stokes toy, whose omega is diagnosed from tau."""
-    ksq = grid.ksq
+    distinct rows (apply_symbol), written to out when given, on out's
+    columns (the stepper's band layout): -nu |k|^2 for omega and
+    -(beta + mu |k|^2) for every tau component. The vorticity row is 0 for
+    the Stokes toy, whose omega is diagnosed from tau."""
+    ksq = grid.ksq if out is None else grid.ksq[:, :out.shape[-1]]
     sym = np.empty((2,) + ksq.shape) if out is None else out
     np.multiply(0.0 if params.variant == "stokes_toy" else -params.nu, ksq, out=sym[0])
     tau = np.multiply(params.mu, ksq, out=sym[1])
@@ -291,21 +300,35 @@ def stokes_toy_velocity(tau: SymTensorField) -> VectorField:
     return VectorField(ScalarField(g, u[0]), ScalarField(g, u[1]))
 
 
+def _band_views(pool: np.ndarray, n: int, width: int) -> tuple[np.ndarray, list[np.ndarray]]:
+    """pool, made anew with as many rows when they are too short, and its
+    rows as (n, width) arrays."""
+    if pool.shape[1] < n * width:
+        pool = np.empty((len(pool), n * width), dtype=np.complex128)
+    return pool, [a[:n * width].reshape(n, width) for a in pool]
+
+
 class Workspace:
     """The buffers of rhs on one grid, reused by every call that is given
     the workspace, and the per-mode factors it applies, made on first use
     at each band; its buffers for Q are made on first use too (q).
 
-    A call with it allocates nothing once one has loaded as wide a band
-    (load). It copies the columns of its input within the band (Grid.band),
-    n//3+1 of n//2+1 for a dealiased stack, to contiguous (n, width) arrays,
-    and its per-mode products, inverse column passes (grid.inverse_rfft2)
-    and output rows keep that layout: numpy buffers a strided column window
-    through fresh arrays in every ufunc call. Its forward column passes
-    cover the n//3+1 columns the dealias mask keeps. The column passes write
-    `work`, which the row passes read whole: load zeroes its columns past a
-    band narrower than the one before, so an earlier wide call leaves
-    nothing there.
+    rhs works in the band layout: each row a contiguous (n, width) array of
+    columns 0..width-1 of a half spectrum, where the band width is n//3+1
+    for a dealiased stack (Grid.band). Its per-mode products, inverse column
+    passes (grid.inverse_rfft2) and output rows keep that layout: numpy
+    buffers a strided column window through fresh arrays in every ufunc
+    call. Its forward column passes cover the n//3+1 columns the dealias
+    mask keeps. The stepper's stacks are in the band layout already
+    (stepping.StepWorkspace), so its calls read their rows in place and
+    write each output row straight into out (load). A call on a half
+    spectrum finds its band, and a narrower band is copied in and out
+    through band buffers of their own, made on first such call. The
+    column passes write `work`, which the row passes read whole: a band
+    narrower than the one before zeroes its columns past the band, so an
+    earlier wide call leaves nothing there.
+
+    A call with it allocates nothing once one has taken as wide a band.
     """
 
     def __init__(self, grid: Grid):
@@ -317,9 +340,11 @@ class Workspace:
         # instead of 164 000 (BENCH_15.json "earlier_runs").
         self.work, self.rows = np.empty((2,) + shape, dtype=np.complex128)  # rows: forward's
         self.work[...] = 0.0
-        # The band layout: y, u_hat, a per-mode product and an output row, as
-        # wide as the widest band loaded: n//3+1 columns for dealiased inputs.
-        self._band = np.empty((8, 0), dtype=np.complex128)
+        # The band layout: u_hat and a per-mode product, as wide as the
+        # widest band taken; and load's copies of a half spectrum's band,
+        # its rows and an output row.
+        self._band = np.empty((3, 0), dtype=np.complex128)
+        self._copies = np.empty((5, 0), dtype=np.complex128)
         self._factors: dict[int, ops.Factors] = {}
         values = np.empty((4, n, n))         # grid values
         self.u, (self.tendency, self.scratch) = values[:2], values[2:]
@@ -350,24 +375,29 @@ class Workspace:
             t_values = [self.inverse(t, v) for t, v in zip(self.y[1:], inputs[4:])]
         return q_products(*g_values, *t_values, b, out=out, scratch=scratch)
 
-    def load(self, y) -> np.ndarray:
-        """Take the band of the packed rows y (Grid.band) as the band of the
-        calls that follow, and return their columns within it, copied to
-        the band layout."""
-        n, width = self.grid.n, self.grid.band(*y) + 1
+    def load(self, y) -> list[np.ndarray] | np.ndarray:
+        """Take the band of the packed rows y as the band of the calls that
+        follow, and return their columns within it in the band layout. Rows
+        narrower than a half spectrum are in that layout: their width is
+        the band, and they are read in place. A half spectrum's band is
+        Grid.band's; its columns within a narrower band are copied."""
+        n, width = self.grid.n, y.shape[-1]
+        if width == n // 2 + 1:
+            width = self.grid.band(*y) + 1
         if width < self.width:
             self.work[:, width:self.width] = 0.0
         self.width = width
         self.factors = self._factors.setdefault(width, ops.Factors(self.grid, width))
-        if self._band.shape[1] < n * width:
-            self._band = np.empty((8, n * width), dtype=np.complex128)
-        band = [a[:n * width].reshape(n, width) for a in self._band]
-        self.y, self.u_hat, (self.product, self.row) = band[:4], band[4:6], band[6:]
+        self._band, (*self.u_hat, self.product) = _band_views(self._band, n, width)
         # The row pass's buffer, free outside forward, as one more.
         self.spare = self.rows.reshape(-1)[:n * width].reshape(n, width)
-        for a, row in zip(self.y, y):
-            a[...] = row[:, :width]
-        return self.y
+        if width < y.shape[-1]:
+            self._copies, (*copies, self.row) = _band_views(self._copies, n, width)
+            for a, row in zip(copies, y):
+                a[...] = row[:, :width]
+            y = copies
+        self.y = y
+        return y
 
     def store(self, a: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Write the band-layout array a to the half spectrum out, zero past
@@ -423,40 +453,49 @@ def rhs(y: np.ndarray, grid: Grid, params: ModelParams,
         forcing: np.ndarray | None = None, out: np.ndarray | None = None,
         work: Workspace | None = None) -> np.ndarray:
     """Explicit tendency of a packed stack (omega, tau11, tau12, tau22), as a
-    packed stack, written to out (which must not overlap y) when given.
+    packed stack of the same layout, written to out (which must not overlap
+    y) when given: a half spectrum, or the band layout of Workspace, its
+    first columns, as the stepper holds its stacks.
 
     This is d/dt of the state without the stiff part linear_symbol * y,
     which the integrating factor carries; time_derivative gives the full
     d/dt. Every quadratic product is dealiased; advection and Q are summed
     in physical space, so each row takes one forward transform. For the
     Stokes toy the vorticity row is 0 and the velocity comes from the tau
-    rows. A packed forcing stack is added as it is. Every array transformed
-    back is a per-mode multiple of rows of y, so one check of y sets the
-    band of every inverse transform (Grid.band). The buffers are those of
-    the Workspace work, made here when not given; the output is the same in
-    bytes either way.
+    rows. A packed forcing stack, in the layout of y, is added as it is.
+    Every array transformed back is a per-mode multiple of rows of y, so
+    the band of y sets the band of every inverse transform (Workspace.load).
+    Output columns past the band are zero. The buffers are those of the
+    Workspace work, made here when not given; the output is the same in
+    bytes either way, and in either layout.
     """
     work = Workspace(grid) if work is None else work
     out = np.empty_like(y) if out is None else out
     yb = work.load(y)
-    row = work.row
+    # Each output row is made in out itself when out is in the band layout,
+    # else in the row buffer, which store copies to out.
+    in_place = out.shape[-1] == work.width
+    rows = out if in_place else (work.row,) * 4
 
     stokes = params.variant == "stokes_toy"
     transport = ops.transport(work.derivative, work.velocity(stokes))
     if stokes:
         out[0] = 0.0
     else:
+        row = rows[0]
         work.forward(transport(yb[0], work.tendency), row)
         if params.K != 0.0:  # K curl(div(tau))
             r = ops.r_numerator(work.factors, *yb[1:], work.product, work.spare)
             r *= params.K
             row -= r
         row[0, 0] = 0.0
-        work.store(row, out[0])
+        if not in_place:
+            work.store(row, out[0])
 
     if params.q_enabled:
         q = work.q(params.b)
     for c, t in enumerate(yb[1:]):
+        row = rows[1 + c]
         values = transport(t, work.tendency)
         if params.q_enabled:
             values += q[c]
@@ -469,7 +508,8 @@ def rhs(y: np.ndarray, grid: Grid, params: ModelParams,
             else:
                 du = work.grad_u(c // 2, c // 2, work.product)
             row += np.multiply(params.alpha, du, out=du)
-        work.store(row, out[1 + c])
+        if not in_place:
+            work.store(row, out[1 + c])
 
     if forcing is not None:
         out += forcing
@@ -481,13 +521,15 @@ def time_derivative(state: SimState,
     """d/dt (omega, tau) at the state, from its stack read in place: rhs
     (the state's first_stage where FirstStage.of finds it the state's
     under params) plus the linear_symbol term, the one place where the
-    explicit/stiff split is undone. For the Stokes toy, d/dt omega =
-    -R(d/dt tau)."""
+    explicit/stiff split is undone. A first stage's band-layout k0 is added
+    on its columns, and 0.0 past them, as rhs's zero columns are. For the
+    Stokes toy, d/dt omega = -R(d/dt tau)."""
     grid, y = state.grid, state.y
     k0 = None if state.first_stage is None else state.first_stage.of(state, params)
     if k0 is not None:
         d = apply_symbol(linear_symbol(grid, params), y)
-        d += k0
+        d[..., :k0.shape[-1]] += k0
+        d[..., k0.shape[-1]:] += 0.0
     else:
         d = rhs(y, grid, params)
         d += apply_symbol(linear_symbol(grid, params), y)
@@ -537,7 +579,7 @@ def gamma_terms(state: SimState, params: ModelParams, r_tau: ScalarField,
     transport = ops.transport(work.derivative, work.velocity(state.stokes_toy))
     if with_q:  # Q's grid values first, so that the rows below may take u_hat's place
         q = work.q(params.b, None if state.values is None else state.values[1:])
-    rows = (*work.u_hat, work.row)
+    rows = (*work.u_hat, np.empty_like(work.product))
 
     def advected(f, out):  # u . grad f, dealiased
         work.forward(transport(f, work.tendency), out)

@@ -67,39 +67,57 @@ def _max_norm(y: np.ndarray) -> float:
     return max(float(np.max(v)), -float(np.min(v)))
 
 
+def band_width(state: SimState, forcing: np.ndarray | None = None) -> int:
+    """The columns w of the stepper's stacks for steps from the state under
+    the forcing: Grid.band of both, plus 1. No step widens it
+    (CONVENTIONS.md "Time stepping")."""
+    return state.grid.band(*((state.y,) if forcing is None else (state.y, forcing))) + 1
+
+
 class StepWorkspace:
-    """The buffers of step for one grid and scheme: the stage input, the
-    slope accumulators after the first stage, the integrating factors of the
-    two rows of linear_symbol, the rhs Workspace, and the FirstStage that
-    step reads and writes, the given one when given. integrate owns one
-    while it steps and drops it before each observation, and gives each the
+    """The buffers of step for one grid and scheme, in rhs's band layout
+    (model.Workspace), w columns wide: the stage input, the slope
+    accumulators after the first stage, the integrating factors of the two
+    rows of linear_symbol, the rhs Workspace, and the FirstStage that step
+    reads and writes. w is the given first stage's width, else the given
+    width, else the whole half spectrum's n//2+1. integrate owns one while
+    it steps and drops it before each observation, and gives each the
     run's one FirstStage (CONVENTIONS.md "Time stepping")."""
 
-    def __init__(self, grid: Grid, scheme: str, first: FirstStage | None = None):
+    def __init__(self, grid: Grid, scheme: str, first: FirstStage | None = None,
+                 width: int | None = None):
+        if first is None:
+            width = grid.n // 2 + 1 if width is None else width
+            first = FirstStage(None, None, np.empty((4, grid.n, width), dtype=np.complex128))
+        self.first, self.width = first, first.k0.shape[-1]
+        shape = (grid.n, self.width)
         ifrk2 = scheme == "ifrk2"
-        self.factors = np.empty((1 if ifrk2 else 2, 2) + grid.shape)  # e, h
-        stacks = np.empty((2 if ifrk2 else 3, 4) + grid.shape, dtype=np.complex128)
+        self.factors = np.empty((1 if ifrk2 else 2, 2) + shape)  # e, h
+        stacks = np.empty((2 if ifrk2 else 3, 4) + shape, dtype=np.complex128)
         self.stage, self.k = stacks[0], stacks[1:]
         self.rhs = Workspace(grid)
-        self.first = FirstStage(None, None, np.empty_like(self.stage)) if first is None else first
 
 
 def step(state: SimState, dt: float, params: ModelParams, config: StepConfig,
          forcing: np.ndarray | None = None, work: StepWorkspace | None = None) -> SimState:
     """Advance one step of size dt > 0.
 
-    The state's packed stack is read in place, and the new state holds the
-    new stack (SimState.from_stack), the one array a step allocates
-    when given the StepWorkspace work of its grid and scheme (made here when
-    not given). Each stage is the whole-array expression in its comment,
-    evaluated in that order into the workspace, from the integrating factors
-    exp(c dt L) of the linear symbol L (model.apply_symbol) and the explicit
-    tendencies from rhs; a forcing is a packed stack too. The first stage
-    k0 is rhs(state.y) without the forcing, read from work.first when it is
-    the state's (FirstStage.of) and made there otherwise; a forcing is added
-    to it in place. The new state carries work.first, made for its stack
-    (first same as last): the next step's first stage and the d/dt of a
-    record of the new state (time_derivative).
+    The stages work on the first w columns of the packed stacks, in rhs's
+    band layout, where w is the width of the StepWorkspace work of the
+    grid and scheme (made here, band_width wide, when not given), which
+    must hold the band of the state and of the forcing: the state's stack
+    is read in place there, and so is a forcing, a packed stack too. Each
+    stage is the whole-array expression in its comment, evaluated in that
+    order into the workspace, from the integrating factors exp(c dt L) of
+    the linear symbol L (model.apply_symbol) and the explicit tendencies
+    from rhs. The new band stack is written into work.k[0] once no stage
+    reads it, and then into the new state's stack (SimState.from_stack),
+    zero past w: the one array a step allocates. The first stage k0 is
+    rhs(state.y) without the forcing, read from work.first when it is the
+    state's (FirstStage.of) and made there otherwise; a forcing is added to
+    it in place. The new state carries work.first, made for its stack from
+    k[0] (first same as last): the next step's first stage and the d/dt of
+    a record of the new state (time_derivative).
 
     Raises IntegrationError at t + dt when the new stack holds a non-finite
     value, or when its coefficient max-norm (over real and imaginary parts)
@@ -109,8 +127,11 @@ def step(state: SimState, dt: float, params: ModelParams, config: StepConfig,
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
     grid = state.grid
-    work = StepWorkspace(grid, config.scheme) if work is None else work
-    y, s, k, first = state.y, work.stage, work.k, work.first
+    if work is None:
+        work = StepWorkspace(grid, config.scheme, width=band_width(state, forcing))
+    w, s, k, first = work.width, work.stage, work.k, work.first
+    y = state.y[..., :w]
+    forcing = None if forcing is None else forcing[..., :w]
     e = work.factors[0]
     np.exp(np.multiply(dt, linear_symbol(grid, params, out=e), out=e), out=e)
 
@@ -156,18 +177,23 @@ def step(state: SimState, dt: float, params: ModelParams, config: StepConfig,
         s += k[0]
         s += k[1]
         s *= dt / 6.0                 # dt / 6 * (e * k0 + 2.0 * h * (k1 + k2) + k3)
-    ynew = apply_symbol(e, y)
-    ynew += s                         # e * y + the sum above
+    band = apply_symbol(e, y, out=k[0])
+    band += s                         # e * y + the sum above
 
-    peak = _max_norm(ynew)
+    peak = _max_norm(band)
     if not math.isfinite(peak):
         raise IntegrationError(state.t + dt, "non-finite field values")
     old = _max_norm(y)
     if peak > STEP_GROWTH_LIMIT * max(old, 1.0):
         raise IntegrationError(
             state.t + dt, f"coefficient max-norm grew from {old:.3g} to {peak:.3g}")
+    ynew = np.empty(state.y.shape, dtype=np.complex128)
+    ynew[..., :w] = band
+    ynew[..., w:] = 0.0
     new = SimState.from_stack(state.t + dt, ynew, grid, params, first)
-    first.make(new, params, work.rhs)
+    if new.stokes_toy:                # from_stack set the vorticity row
+        band[0] = ynew[0, :, :w]
+    first.make(new, params, work.rhs, band)
     return new
 
 
@@ -220,13 +246,15 @@ def integrate(state0: SimState, params: ModelParams, config: StepConfig,
     so every state after t0 that the observer is handed, and the returned
     one, carries its first stage, which its d/dt reads (time_derivative).
     The steps up to each target share one StepWorkspace, dropped before the
-    observer is called there. No reference to state0 is kept past the
-    first step, so a caller that holds none frees it there.
+    observer is called there. The run's stacks are band_width(state0,
+    forcing) columns wide. No reference to state0 is kept past the first
+    step, so a caller that holds none frees it there.
     """
     state, state0 = state0, None
     t_end = config.t_end
     eps = landing_tolerance(t_end)
-    first = FirstStage(params, None, np.empty_like(state.y))
+    width = band_width(state, forcing)
+    first = FirstStage(params, None, np.empty((4, state.grid.n, width), dtype=np.complex128))
     if t_end > state.t + eps:  # a step follows
         first.make(state, params, Workspace(state.grid))
         state = replace(state, first_stage=first)

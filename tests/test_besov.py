@@ -1,6 +1,7 @@
 """Littlewood-Paley decomposition and norm calculators."""
 
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -436,3 +437,22 @@ class TestPrunedRows:
             counts = count_transforms(lambda: got.append(besov._padded_max(w.copy(), f.weights, grid)), n)
             assert counts["padded_rows"] == rows * len(kind.weights)
             assert _bytes(got) == _bytes([full_grid_padded_max(w, f.weights, grid)])
+
+
+class TestPaddedTransformCache:
+    def test_shared_while_held_and_freed_with_its_holder(self):
+        # grids of this test alone: nothing else holds their transforms
+        grid, other = Grid(34), Grid(38)
+        pad = besov.padded_transform(grid)
+        assert besov.padded_transform(grid) is pad
+        # a callback is Python code run where the transform dies, where a
+        # signal's exception would be reported and dropped
+        assert weakref.getweakrefs(pad)
+        assert all(ref.__callback__ is None for ref in weakref.getweakrefs(pad))
+        held = weakref.ref(pad)
+        del pad
+        assert held() is None
+        assert grid in besov._PADDED  # stale until a lookup misses
+        fresh = besov.padded_transform(other)
+        assert grid not in besov._PADDED
+        assert besov._PADDED[other]() is fresh

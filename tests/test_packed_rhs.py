@@ -179,6 +179,32 @@ class TestWorkspace:
             assert field.coeffs[:, :work.width].tobytes() == modes.tobytes()
 
 
+class TestBandLayout:
+    """rhs of a stack in the band layout, the first w columns of the half
+    spectrum as a contiguous (4, n, w) stack, as the stepper holds its
+    stacks, is in bytes the first w columns of rhs of the half spectrum,
+    which is zero past them; so with a forcing, given in the same layout."""
+
+    @pytest.mark.parametrize("forced", [False, True], ids=["free", "forced"])
+    @pytest.mark.parametrize("make", [band_state, nyquist_state], ids=["dealiased", "nyquist"])
+    @pytest.mark.parametrize("name", ["full_b", "q_zero", "stokes_toy"])
+    def test_band_rhs_is_the_half_spectrum_rhs(self, grid32, name, make, forced):
+        grid, params = grid32, VARIANTS[name]
+        state = make(grid, 42, params)
+        forcing = band_state(grid, 43, params).y if forced else None
+        w = grid.band(state.y) + 1
+        assert w == (grid.n // 3 if make is band_state else grid.n // 2) + 1
+        want = rhs(state.y, grid, params, forcing)
+        work = Workspace(grid)
+        rhs(nyquist_state(grid, 44, params).y, grid, params, work=work)  # leaves a wide band
+        band = np.ascontiguousarray(state.y[..., :w])
+        f = None if forcing is None else np.ascontiguousarray(forcing[..., :w])
+        got = rhs(band, grid, params, f, work=work)
+        assert got.shape == (4, grid.n, w)
+        assert got.tobytes() == want[..., :w].tobytes()
+        assert not want[..., w:].any()
+
+
 class TestPackUnpack:
     def test_pack_of_unpack_is_bit_exact(self, grid32):
         rng = np.random.default_rng(25)

@@ -17,7 +17,8 @@ from oldroyd2d.fields import ScalarField, SymTensorField
 from oldroyd2d.grid import Grid
 from oldroyd2d.initial_data import make_initial_data
 from oldroyd2d.model import ModelParams, SimState, make_state, rhs, unstack
-from oldroyd2d.stepping import StepConfig, StepWorkspace, cfl_dt, integrate, step
+from oldroyd2d.stepping import (StepConfig, StepWorkspace, band_width, cfl_dt, integrate,
+                                step)
 
 from conftest import (assert_packed, field_from, full_coeffs, full_r, full_values,
                       full_wavevectors, nyquist_state, rand_state, stage_speed, unpacked)
@@ -142,8 +143,9 @@ class TestStep:
         assert isinstance(out.tau, SymTensorField)
 
 
-def _componentwise_step(state, dt, params, scheme):
-    """One IFRK2/IFRK4 step written per packed row of (omega, tau11, tau12, tau22)."""
+def _componentwise_step(state, dt, params, scheme, forcing=None):
+    """One IFRK2/IFRK4 step written per packed row of (omega, tau11, tau12,
+    tau22), on the half spectrum, under the packed forcing when given."""
     grid = state.grid
     ksq = grid.ksq
     sym_w = -params.nu * ksq
@@ -151,7 +153,7 @@ def _componentwise_step(state, dt, params, scheme):
     exps = [np.exp(dt * sym_w)] + [np.exp(dt * sym_t)] * 3
 
     def n_of(y):
-        return list(rhs(np.stack(y), grid, params))
+        return list(rhs(np.stack(y), grid, params, forcing))
 
     y = list(state.y)
     k1 = n_of(y)
@@ -191,6 +193,30 @@ class TestStackedStages:
         want = _componentwise_step(state, 0.05, params, scheme)
         assert got.t == want.t
         assert np.array_equal(got.y, want.y)
+
+    @pytest.mark.parametrize("scheme", ["ifrk2", "ifrk4"])
+    @pytest.mark.parametrize("params", [
+        ModelParams(nu=0.02, mu=0.5, K=1.0, alpha=0.8, beta=0.1, variant="q_zero"),
+        ModelParams(nu=0.0, mu=0.7, K=1.2, alpha=0.9, beta=0.3, b=0.4),
+        ModelParams(nu=0.05, mu=0.3, alpha=1.0, beta=0.2, variant="stokes_toy"),
+    ], ids=["q_zero", "full_b", "stokes_toy"])
+    def test_a_wider_forcing_sets_the_width(self, grid32, params, scheme):
+        # a dealiased state under a forcing with Nyquist content: the run's
+        # stacks take the forcing's width n//2+1, and three steps give the
+        # bytes of three half-spectrum reference steps
+        seed = rand_state(grid32, 5)
+        state = make_state(0.0, seed.omega, seed.tau, params)
+        forcing = 0.1 * nyquist_state(grid32, 6, params).y
+        assert band_width(state) == 11 and band_width(state, forcing) == 17
+        dt = 1.0 / 32.0
+        config = StepConfig(scheme=scheme, dt_min=dt, dt_max=dt, t_end=3 * dt)
+        got = integrate(state, params, config, forcing=forcing)
+        assert got.first_stage.k0.shape == (4, 32, 17)
+        want = state
+        for _ in range(3):
+            want = _componentwise_step(want, dt, params, scheme, forcing)
+        assert got.t == want.t
+        assert got.y.tobytes() == want.y.tobytes()
 
 
 class TestStepWorkspace:
@@ -254,10 +280,12 @@ class TestStepWorkspace:
 
     def test_step_phase_peak(self):
         # integrate's IFRK4 steps at n = 64 hold the workspace (stage, slopes,
-        # two rows of integrating factors, rhs buffers as wide as the band),
-        # the live states and their temporaries: 13.7 packed stacks traced,
-        # where a copy of the state, four rows of factors and full-width
-        # band buffers in the workspace made it 16.0
+        # two rows of integrating factors, and u_hat and a product for rhs,
+        # all in the band layout, n//3+1 columns wide), the live states and
+        # their temporaries: 10.7 packed stacks traced, where half-spectrum
+        # stage, slopes and factors, and rhs's copies of its input and
+        # output rows, made it 13.7, and a copy of the state, four rows of
+        # factors and full-width band buffers 16.0
         grid, params = Grid(64), self.PARAMS
         seed = rand_state(grid, 17, band=(1, 21))
         state = make_state(0.0, seed.omega, seed.tau, params)
@@ -269,7 +297,28 @@ class TestStepWorkspace:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 14.5 * (4 * 64 * 33 * 16)
+        assert peak < 11.35 * (4 * 64 * 33 * 16)
+
+    @pytest.mark.parametrize("scheme", ["ifrk2", "ifrk4"])
+    def test_stacks_are_band_wide(self, grid32, monkeypatch, scheme):
+        # integrate's workspace stacks, factors and first stage are
+        # w = Grid.band + 1 columns wide, contiguous, for a dealiased state
+        made = []
+
+        class Tracked(StepWorkspace):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(self)
+
+        monkeypatch.setattr(stepping, "StepWorkspace", Tracked)
+        state = rand_state(grid32, 18, band=(1, 10))
+        out = integrate(state, self.PARAMS, StepConfig(scheme=scheme, dt_max=0.01, t_end=0.02))
+        assert band_width(state) == band_width(out) == 11
+        assert made and out.first_stage is made[0].first
+        for work in made:
+            assert work.width == 11 and work.factors.shape[-2:] == (32, 11)
+            for a in (work.stage, *work.k, work.first.k0):
+                assert a.shape == (4, 32, 11) and a.flags.c_contiguous
 
     def test_integrate_drops_the_workspace_before_observing(self, grid32, monkeypatch):
         made = []
@@ -548,7 +597,7 @@ class TestCarriedFirstStage:
             state = step(state, 0.02, params, StepConfig(scheme=scheme))
             k0 = state.first_stage.of(state, params)
             assert not k0.flags.writeable
-            assert k0.tobytes() == rhs(state.y, grid32, params).tobytes()
+            assert k0.tobytes() == rhs(state.y, grid32, params)[..., :k0.shape[-1]].tobytes()
             assert state.first_stage.umax == stage_speed(state, params)
 
 
