@@ -11,7 +11,10 @@ record reads the first stage the step before it left), and (a) and (e)
 restarted from their own snapshots at t = 0.5, each of which writes a
 snapshot at its start time, and (a) at n = 202 up to t = 0.4, whose padded
 length 404 = 4 x 101 is not a power of two (pocketfft makes its complex
-transforms by Bluestein's algorithm); one directory each under OUT. One more
+transforms by Bluestein's algorithm), and two cases that take no step:
+(b) with t_end = 0 and (a) restarted at t = 0.5 with t_end = 0.5, whose
+one record takes d/dt from rhs of the state's own band, n//3 and n//2
+wide; one directory each under OUT. One more
 directory, manufactured_n32, holds the final state of the forced run of
 `checks.manufactured_error(32)` as a snapshot: its forcing is the only one
 of the set, and the stepper's stacks take its width. The package is
@@ -61,6 +64,14 @@ CASES = {  # directory: (stock config, overrides)
         "initial.snapshot": "{out}/stock_a/snapshot_000.bin", "initial.kind": "from_snapshot"}),
     "stock_e_restart": ("e_stokes_toy.cfg", {
         "initial.snapshot": "{out}/stock_e/snapshot_000.bin", "initial.kind": "from_snapshot"}),
+    # one record and no step: d/dt and Q come from time_derivative's own rhs
+    # and from gamma_terms, not from a first stage the stepper left
+    "stock_b_t0": ("b_small_data_decay.cfg", {
+        "stepping.t_end": "0", "output.snapshot_times": "0"}),
+    # the same from a start whose band is n//2
+    "stock_a_restart_t0.5": ("a_large_data_q_zero.cfg", {
+        "initial.snapshot": "{out}/stock_a/snapshot_000.bin", "initial.kind": "from_snapshot",
+        "stepping.t_end": "0.5"}),
 }
 
 

@@ -300,33 +300,23 @@ def stokes_toy_velocity(tau: SymTensorField) -> VectorField:
     return VectorField(ScalarField(g, u[0]), ScalarField(g, u[1]))
 
 
-def _band_views(pool: np.ndarray, n: int, width: int) -> tuple[np.ndarray, list[np.ndarray]]:
-    """pool, made anew with as many rows when they are too short, and its
-    rows as (n, width) arrays."""
-    if pool.shape[1] < n * width:
-        pool = np.empty((len(pool), n * width), dtype=np.complex128)
-    return pool, [a[:n * width].reshape(n, width) for a in pool]
-
-
 class Workspace:
     """The buffers of rhs on one grid, reused by every call that is given
     the workspace, and the per-mode factors it applies, made on first use
     at each band; its buffers for Q are made on first use too (q).
 
-    rhs works in the band layout: each row a contiguous (n, width) array of
-    columns 0..width-1 of a half spectrum, where the band width is n//3+1
-    for a dealiased stack (Grid.band). Its per-mode products, inverse column
-    passes (grid.inverse_rfft2) and output rows keep that layout: numpy
-    buffers a strided column window through fresh arrays in every ufunc
-    call. Its forward column passes cover the n//3+1 columns the dealias
-    mask keeps. The stepper's stacks are in the band layout already
-    (stepping.StepWorkspace), so its calls read their rows in place and
-    write each output row straight into out (load). A call on a half
-    spectrum finds its band, and a narrower band is copied in and out
-    through band buffers of their own, made on first such call. The
-    column passes write `work`, which the row passes read whole: a band
-    narrower than the one before zeroes its columns past the band, so an
-    earlier wide call leaves nothing there.
+    rhs works in the band layout: each row an (n, w) array of columns
+    0..w-1 of a half spectrum, zero past them, where the band width w is
+    the input's last axis (load). A caller passes its band, Grid.band + 1
+    columns: n//3+1 for a dealiased stack; a whole half spectrum is a band
+    of n//2+1 columns. The rows are read in place, and every output row is
+    written straight into out. Its per-mode products and inverse column
+    passes (grid.inverse_rfft2) keep that layout, in contiguous buffers of
+    their own: numpy buffers a strided column window through fresh arrays
+    in every ufunc call. Its forward column passes cover the n//3+1 columns
+    the dealias mask keeps. The column passes write `work`, which the row
+    passes read whole: a band narrower than the one before zeroes its
+    columns past the band, so an earlier wide call leaves nothing there.
 
     A call with it allocates nothing once one has taken as wide a band.
     """
@@ -341,10 +331,8 @@ class Workspace:
         self.work, self.rows = np.empty((2,) + shape, dtype=np.complex128)  # rows: forward's
         self.work[...] = 0.0
         # The band layout: u_hat and a per-mode product, as wide as the
-        # widest band taken; and load's copies of a half spectrum's band,
-        # its rows and an output row.
+        # widest band taken.
         self._band = np.empty((3, 0), dtype=np.complex128)
-        self._copies = np.empty((5, 0), dtype=np.complex128)
         self._factors: dict[int, ops.Factors] = {}
         values = np.empty((4, n, n))         # grid values
         self.u, (self.tendency, self.scratch) = values[:2], values[2:]
@@ -375,36 +363,20 @@ class Workspace:
             t_values = [self.inverse(t, v) for t, v in zip(self.y[1:], inputs[4:])]
         return q_products(*g_values, *t_values, b, out=out, scratch=scratch)
 
-    def load(self, y) -> list[np.ndarray] | np.ndarray:
-        """Take the band of the packed rows y as the band of the calls that
-        follow, and return their columns within it in the band layout. Rows
-        narrower than a half spectrum are in that layout: their width is
-        the band, and they are read in place. A half spectrum's band is
-        Grid.band's; its columns within a narrower band are copied."""
+    def load(self, y: np.ndarray) -> None:
+        """Take the packed rows y, read in place, as the input of the calls
+        that follow, and their width as its band."""
         n, width = self.grid.n, y.shape[-1]
-        if width == n // 2 + 1:
-            width = self.grid.band(*y) + 1
         if width < self.width:
             self.work[:, width:self.width] = 0.0
         self.width = width
         self.factors = self._factors.setdefault(width, ops.Factors(self.grid, width))
-        self._band, (*self.u_hat, self.product) = _band_views(self._band, n, width)
+        if self._band.shape[1] < n * width:
+            self._band = np.empty((3, n * width), dtype=np.complex128)
+        *self.u_hat, self.product = (a[:n * width].reshape(n, width) for a in self._band)
         # The row pass's buffer, free outside forward, as one more.
         self.spare = self.rows.reshape(-1)[:n * width].reshape(n, width)
-        if width < y.shape[-1]:
-            self._copies, (*copies, self.row) = _band_views(self._copies, n, width)
-            for a, row in zip(copies, y):
-                a[...] = row[:, :width]
-            y = copies
         self.y = y
-        return y
-
-    def store(self, a: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Write the band-layout array a to the half spectrum out, zero past
-        the band."""
-        out[:, :self.width] = a
-        out[:, self.width:] = 0.0
-        return out
 
     def max_speed(self) -> float:
         """max|u| over the grid of the velocity values that velocity (or rhs)
@@ -452,10 +424,13 @@ class Workspace:
 def rhs(y: np.ndarray, grid: Grid, params: ModelParams,
         forcing: np.ndarray | None = None, out: np.ndarray | None = None,
         work: Workspace | None = None) -> np.ndarray:
-    """Explicit tendency of a packed stack (omega, tau11, tau12, tau22), as a
-    packed stack of the same layout, written to out (which must not overlap
-    y) when given: a half spectrum, or the band layout of Workspace, its
-    first columns, as the stepper holds its stacks.
+    """Explicit tendency of a packed stack (omega, tau11, tau12, tau22) in
+    the band layout of Workspace, its first w columns, where w is y's
+    width, as a packed stack of that layout, written to out (which must
+    not overlap y) when given. A whole half spectrum is the band of
+    n//2+1 columns; a caller whose stack is dealiased passes its first
+    Grid.band + 1 columns, whose rhs is in bytes the first columns of the
+    half spectrum's, zero past them.
 
     This is d/dt of the state without the stiff part linear_symbol * y,
     which the integrating factor carries; time_derivative gives the full
@@ -464,42 +439,33 @@ def rhs(y: np.ndarray, grid: Grid, params: ModelParams,
     Stokes toy the vorticity row is 0 and the velocity comes from the tau
     rows. A packed forcing stack, in the layout of y, is added as it is.
     Every array transformed back is a per-mode multiple of rows of y, so
-    the band of y sets the band of every inverse transform (Workspace.load).
-    Output columns past the band are zero. The buffers are those of the
-    Workspace work, made here when not given; the output is the same in
-    bytes either way, and in either layout.
+    the width of y sets the band of every inverse transform. The buffers
+    are those of the Workspace work, made here when not given; the output
+    is the same in bytes either way.
     """
     work = Workspace(grid) if work is None else work
     out = np.empty_like(y) if out is None else out
-    yb = work.load(y)
-    # Each output row is made in out itself when out is in the band layout,
-    # else in the row buffer, which store copies to out.
-    in_place = out.shape[-1] == work.width
-    rows = out if in_place else (work.row,) * 4
+    work.load(y)
 
     stokes = params.variant == "stokes_toy"
     transport = ops.transport(work.derivative, work.velocity(stokes))
     if stokes:
         out[0] = 0.0
     else:
-        row = rows[0]
-        work.forward(transport(yb[0], work.tendency), row)
+        row = work.forward(transport(y[0], work.tendency), out[0])
         if params.K != 0.0:  # K curl(div(tau))
-            r = ops.r_numerator(work.factors, *yb[1:], work.product, work.spare)
+            r = ops.r_numerator(work.factors, *y[1:], work.product, work.spare)
             r *= params.K
             row -= r
         row[0, 0] = 0.0
-        if not in_place:
-            work.store(row, out[0])
 
     if params.q_enabled:
         q = work.q(params.b)
-    for c, t in enumerate(yb[1:]):
-        row = rows[1 + c]
+    for c, t in enumerate(y[1:]):
         values = transport(t, work.tendency)
         if params.q_enabled:
             values += q[c]
-        work.forward(values, row)
+        row = work.forward(values, out[1 + c])
         if params.alpha != 0.0:  # alpha Du: g11, 0.5 * (g12 + g21), g22
             if c == 1:
                 du = np.add(work.grad_u(0, 1, work.product), work.grad_u(1, 0, work.spare),
@@ -508,8 +474,6 @@ def rhs(y: np.ndarray, grid: Grid, params: ModelParams,
             else:
                 du = work.grad_u(c // 2, c // 2, work.product)
             row += np.multiply(params.alpha, du, out=du)
-        if not in_place:
-            work.store(row, out[1 + c])
 
     if forcing is not None:
         out += forcing
@@ -518,21 +482,20 @@ def rhs(y: np.ndarray, grid: Grid, params: ModelParams,
 
 def time_derivative(state: SimState,
                     params: ModelParams) -> tuple[ScalarField, SymTensorField]:
-    """d/dt (omega, tau) at the state, from its stack read in place: rhs
-    (the state's first_stage where FirstStage.of finds it the state's
-    under params) plus the linear_symbol term, the one place where the
-    explicit/stiff split is undone. A first stage's band-layout k0 is added
-    on its columns, and 0.0 past them, as rhs's zero columns are. For the
-    Stokes toy, d/dt omega = -R(d/dt tau)."""
+    """d/dt (omega, tau) at the state: the linear_symbol term of its stack
+    plus rhs, the one place where the explicit/stiff split is undone. rhs
+    is the state's first_stage where FirstStage.of finds it the state's
+    under params, else rhs of the stack's band (Grid.band + 1 columns, read
+    in place); it is added on its w columns, and 0.0 past them, where rhs
+    of the half spectrum is zero. For the Stokes toy, d/dt omega =
+    -R(d/dt tau)."""
     grid, y = state.grid, state.y
     k0 = None if state.first_stage is None else state.first_stage.of(state, params)
-    if k0 is not None:
-        d = apply_symbol(linear_symbol(grid, params), y)
-        d[..., :k0.shape[-1]] += k0
-        d[..., k0.shape[-1]:] += 0.0
-    else:
-        d = rhs(y, grid, params)
-        d += apply_symbol(linear_symbol(grid, params), y)
+    if k0 is None:
+        k0 = rhs(y[..., :grid.band(y) + 1], grid, params)
+    d = apply_symbol(linear_symbol(grid, params), y)
+    d[..., :k0.shape[-1]] += k0
+    d[..., k0.shape[-1]:] += 0.0
     if params.variant == "stokes_toy":
         stokes_toy_vorticity(grid, d)
     return unstack(grid, d)
@@ -567,14 +530,17 @@ def gamma_terms(state: SimState, params: ModelParams, r_tau: ScalarField,
     operators give, value for value (only a zero's sign may differ), since
     it makes their operations in their order.
 
-    One Workspace of its own holds the band of the state's stack, makes the
-    velocity's grid values once, and transports tau, R(tau) and Gamma with
-    the kernel of rhs; Q (q_products) takes grad u and tau on the grid, the
-    stored values for tau where the state holds them."""
+    One Workspace of its own loads the band of the state's stack
+    (Grid.band + 1 columns, read in place), makes the velocity's grid
+    values once, and transports tau, R(tau) and Gamma with the kernel of
+    rhs; Q (q_products) takes grad u and tau on the grid, the stored values
+    for tau where the state holds them. Each field it returns is a zeroed
+    half spectrum with the band written in."""
     grid, with_q = state.grid, gamma is not None and params.q_enabled
+    width = grid.band(state.y) + 1
+    yb = state.y[..., :width]
     work = Workspace(grid)
-    yb = work.load(state.y)
-    width = work.width
+    work.load(yb)
     rt = r_tau.coeffs[:, :width]
     transport = ops.transport(work.derivative, work.velocity(state.stokes_toy))
     if with_q:  # Q's grid values first, so that the rows below may take u_hat's place
@@ -591,7 +557,9 @@ def gamma_terms(state: SimState, params: ModelParams, r_tau: ScalarField,
         return r
 
     def field(a):
-        return ScalarField(grid, work.store(a, np.empty(grid.shape, dtype=np.complex128)))
+        f = np.zeros(grid.shape, dtype=np.complex128)
+        f[:, :width] = a
+        return ScalarField(grid, f)
 
     for t, row in zip(yb[1:], rows):
         advected(t, row)

@@ -151,10 +151,7 @@ def velocity_gradient(u: VectorField) -> VelocityGradient:
 
 def sym_grad(u: VectorField) -> SymTensorField:
     """Symmetric velocity gradient Du = (grad u + grad u^T) / 2."""
-    return sym_grad_of(velocity_gradient(u))
-
-
-def sym_grad_of(g: VelocityGradient) -> SymTensorField:
+    g = velocity_gradient(u)
     return SymTensorField(t11=g.g11, t12=0.5 * (g.g12 + g.g21), t22=g.g22)
 
 

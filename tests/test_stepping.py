@@ -492,16 +492,20 @@ class TestCarriedFirstStage:
 
     @pytest.mark.parametrize("name", PARAMS)
     def test_record_derivative_is_time_derivative(self, grid32, name):
+        # from a dealiased start and from one whose band is n//2, where
+        # time_derivative's own rhs takes the whole half spectrum
         params = self.PARAMS[name]
-        got, want = [], []
+        got, want, widths = [], [], []
 
         def observer(s):
             got.append(diag.Observation(s, params).deriv)
             want.append(model.time_derivative(replace(s, first_stage=None), params))
+            widths.append(s.first_stage.k0.shape[-1])
 
-        integrate(self.state(grid32, params), params, StepConfig(**self.CONFIG),
-                  observer=observer, observe_every=0.02)
-        assert len(got) == 6
+        for start in (self.state(grid32, params), nyquist_state(grid32, 32, params)):
+            integrate(start, params, StepConfig(**self.CONFIG),
+                      observer=observer, observe_every=0.02)
+        assert widths == [grid32.n // 3 + 1] * 6 + [grid32.n // 2 + 1] * 6
         for g, w in zip(got, want):
             for a, b in zip((g[0], *g[1].components), (w[0], *w[1].components)):
                 assert a.coeffs.tobytes() == b.coeffs.tobytes()
