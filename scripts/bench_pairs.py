@@ -26,7 +26,8 @@ For every end-to-end metric and `minor_faults`, each side's median and
 quartiles are statistics.quantiles(n=4, method="inclusive") over its runs;
 `median_pair_ratio` is the median over pairs of change/base, and
 `change_wins` counts the pairs whose change value is lower (`ties` the
-equal ones). The base side is called "parent" in the output.
+equal ones). The base side is called "parent" in the output, which also
+holds each side's `source_lines`, the total of `wc -l src/oldroyd2d/*.py`.
 """
 
 from __future__ import annotations
@@ -61,6 +62,11 @@ def checkout(rev: str, into: Path) -> tuple[Path, str]:
     with tarfile.open(fileobj=io.BytesIO(data)) as tar:
         tar.extractall(into, filter="data")
     return into, sha
+
+
+def source_lines(side: Path) -> int:
+    """The total that `wc -l src/oldroyd2d/*.py` prints in the side's directory."""
+    return sum(p.read_bytes().count(b"\n") for p in (side / "src" / "oldroyd2d").glob("*.py"))
 
 
 def run(side: Path, workload: str, seed: int, seconds: float, trace: bool) -> tuple[dict, dict]:
@@ -204,6 +210,7 @@ def main(argv=None) -> int:
         machine = None
         report = {"label": args.label,
                   "base": revs["parent"], "change": revs["change"], "machine": None,
+                  "source_lines": {side: source_lines(dirs[side]) for side in SIDES},
                   "commands": {
                       "pairs": {
                           "description": (
@@ -219,6 +226,7 @@ def main(argv=None) -> int:
                           "checkouts": {side: f"git archive of {revs[side]}"
                                         if not revs[side].startswith("directory")
                                         else revs[side] for side in SIDES}},
+                      "source_lines": "wc -l <checkout>/src/oldroyd2d/*.py, the total",
                       "driver": "python3 scripts/bench_pairs.py " + " ".join(
                           sys.argv[1:] if argv is None else argv),
                       "assemble": ("medians and quartiles are statistics.quantiles(n=4, "

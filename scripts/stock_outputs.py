@@ -4,7 +4,7 @@
 Usage: python scripts/stock_outputs.py OUT [BASE]
 
 Runs stock configs (a)-(e) at n = 32, with t_end cut to at most 1 and one
-snapshot at t = 0.5, plus (b) with nu = 0.01, (a) with its snapshot at
+snapshot at t = 0.5 (case_config), plus (b) with nu = 0.01, (a) with its snapshot at
 t = 0.35, between two observation ticks, (a), (b) (Q on) and the Stokes
 toy (e) observed after every step (observe_every = their dt_max, so every
 record reads the first stage the step before it left), and (a) and (e)
@@ -79,13 +79,7 @@ def write_set(out: Path) -> bool:
     """Run every case into out/<case>; True when all of them succeed."""
     ok = True
     for name, (cfg_name, overrides) in CASES.items():
-        cfg = load_config(ROOT / "configs" / cfg_name)
-        overrides = {"grid.n": "32", "stepping.t_end": min(cfg.step.t_end, 1.0),
-                     "output.snapshot_times": "0.5", "output.dir": str(out / name),
-                     **overrides}
-        for key, value in overrides.items():
-            cfg = with_override(cfg, key, value.format(out=out) if isinstance(value, str) else value)
-        result = run(cfg)
+        result = run(case_config(out, name, cfg_name, overrides))
         ok = ok and result.ok
         print(f"{name}: {len(result.records)} records{'' if result.ok else ', FAILED'}")
     error, final = manufactured_run(32)
@@ -93,6 +87,22 @@ def write_set(out: Path) -> bool:
     save_snapshot(final, checks.MMS_PARAMS, out / "manufactured_n32" / "snapshot_final.bin")
     print(f"manufactured_n32: relative error {error:.6e}")
     return ok
+
+
+def case_config(out: Path, name: str, cfg_name: str, overrides: dict):
+    """The config of one case: the stock config at n = 32, its t_end cut to
+    at most 1, one snapshot at t = 0.5 when the case's t_end reaches it,
+    and its output in out/<name>, with the case's overrides applied over
+    these ("{out}" in a string value is out)."""
+    cfg = load_config(ROOT / "configs" / cfg_name)
+    t_end = min(cfg.step.t_end, 1.0)
+    defaults = {"grid.n": "32", "stepping.t_end": t_end}
+    if float(overrides.get("stepping.t_end", t_end)) >= 0.5:
+        defaults["output.snapshot_times"] = "0.5"
+    defaults["output.dir"] = str(out / name)
+    for key, value in {**defaults, **overrides}.items():
+        cfg = with_override(cfg, key, value.format(out=out) if isinstance(value, str) else value)
+    return cfg
 
 
 def manufactured_run(n: int):

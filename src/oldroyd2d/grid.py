@@ -177,6 +177,5 @@ def inverse_rfft2(a: np.ndarray, width: int, work: np.ndarray, out: np.ndarray) 
     to zeros, so out is irfftn's in bytes; the column pass skips the zero
     columns (FFT pruning, Markel 1971).
     """
-    if width:
-        np.fft.ifft(a[:, :width], axis=0, norm="forward", out=work[:, :width])
+    np.fft.ifft(a[:, :width], axis=0, norm="forward", out=work[:, :width])
     return np.fft.irfft(work, n=out.shape[1], axis=1, norm="forward", out=out)

@@ -301,39 +301,38 @@ def stokes_toy_velocity(tau: SymTensorField) -> VectorField:
 
 
 class Workspace:
-    """The buffers of rhs on one grid, reused by every call that is given
-    the workspace, and the per-mode factors it applies, made on first use
-    at each band; its buffers for Q are made on first use too (q).
+    """The buffers of rhs on one grid at one band width, reused by every
+    call that is given the workspace, and the per-mode factors it applies,
+    all made here; its buffers for Q are made on first use (q).
 
     rhs works in the band layout: each row an (n, w) array of columns
-    0..w-1 of a half spectrum, zero past them, where the band width w is
-    the input's last axis (load). A caller passes its band, Grid.band + 1
-    columns: n//3+1 for a dealiased stack; a whole half spectrum is a band
-    of n//2+1 columns. The rows are read in place, and every output row is
-    written straight into out. Its per-mode products and inverse column
-    passes (grid.inverse_rfft2) keep that layout, in contiguous buffers of
-    their own: numpy buffers a strided column window through fresh arrays
-    in every ufunc call. Its forward column passes cover the n//3+1 columns
-    the dealias mask keeps. The column passes write `work`, which the row
-    passes read whole: a band narrower than the one before zeroes its
-    columns past the band, so an earlier wide call leaves nothing there.
+    0..w-1 of a half spectrum, zero past them, where w is the workspace's
+    width, the last axis of every input (load). A caller passes its band,
+    Grid.band + 1 columns: n//3+1 for a dealiased stack; a whole half
+    spectrum is a band of n//2+1 columns. The rows are read in place, and
+    every output row is written straight into out. Its per-mode products
+    and inverse column passes (grid.inverse_rfft2) keep that layout, in
+    contiguous buffers of their own: numpy buffers a strided column window
+    through fresh arrays in every ufunc call. Its forward column passes
+    cover the n//3+1 columns the dealias mask keeps. The column passes
+    write columns 0..w-1 of `work`, which the row passes read whole; its
+    other columns stay zero.
 
-    A call with it allocates nothing once one has taken as wide a band.
+    A call with it allocates nothing.
     """
 
-    def __init__(self, grid: Grid):
+    def __init__(self, grid: Grid, width: int):
         n, shape = grid.n, grid.shape
-        self.grid = grid
-        self.width = 0                       # columns of work that may be nonzero
+        self.grid, self.width = grid, width
+        self.factors = ops.Factors(grid, width)
         # One allocation per kind of buffer: with one per buffer, an 8-second
         # stepping_full_n256 benchmark run took 208 000 minor page faults
         # instead of 164 000 (BENCH_15.json "earlier_runs").
         self.work, self.rows = np.empty((2,) + shape, dtype=np.complex128)  # rows: forward's
         self.work[...] = 0.0
-        # The band layout: u_hat and a per-mode product, as wide as the
-        # widest band taken.
-        self._band = np.empty((3, 0), dtype=np.complex128)
-        self._factors: dict[int, ops.Factors] = {}
+        *self.u_hat, self.product = np.empty((3, n, width), dtype=np.complex128)  # band layout
+        # The row pass's buffer, free outside forward, as one more.
+        self.spare = self.rows.reshape(-1)[:n * width].reshape(n, width)
         values = np.empty((4, n, n))         # grid values
         self.u, (self.tendency, self.scratch) = values[:2], values[2:]
         self._q = None
@@ -348,7 +347,7 @@ class Workspace:
         scratch. The first two inputs are the transport buffers tendency and
         scratch, which hold a row's transport term and ops.transport's
         scratch once Q is made; Q's scratch is one more array and the inputs
-        g12 and g21. These shared slots and `spare` below are correct only in
+        g12 and g21. These shared slots and `spare` are correct only in
         rhs's call order; a slot of its own for each raised an 8-second
         stepping_full_n256 run's peak_rss_mb from 87.0 to 89.5 MB
         (BENCH_15.json "earlier_runs")."""
@@ -364,18 +363,8 @@ class Workspace:
         return q_products(*g_values, *t_values, b, out=out, scratch=scratch)
 
     def load(self, y: np.ndarray) -> None:
-        """Take the packed rows y, read in place, as the input of the calls
-        that follow, and their width as its band."""
-        n, width = self.grid.n, y.shape[-1]
-        if width < self.width:
-            self.work[:, width:self.width] = 0.0
-        self.width = width
-        self.factors = self._factors.setdefault(width, ops.Factors(self.grid, width))
-        if self._band.shape[1] < n * width:
-            self._band = np.empty((3, n * width), dtype=np.complex128)
-        *self.u_hat, self.product = (a[:n * width].reshape(n, width) for a in self._band)
-        # The row pass's buffer, free outside forward, as one more.
-        self.spare = self.rows.reshape(-1)[:n * width].reshape(n, width)
+        """Take the packed rows y, read in place and as wide as the
+        workspace, as the input of the calls that follow."""
         self.y = y
 
     def max_speed(self) -> float:
@@ -440,10 +429,10 @@ def rhs(y: np.ndarray, grid: Grid, params: ModelParams,
     rows. A packed forcing stack, in the layout of y, is added as it is.
     Every array transformed back is a per-mode multiple of rows of y, so
     the width of y sets the band of every inverse transform. The buffers
-    are those of the Workspace work, made here when not given; the output
-    is the same in bytes either way.
+    are those of the Workspace work, made at y's width, here when not
+    given; the output is the same in bytes either way.
     """
-    work = Workspace(grid) if work is None else work
+    work = Workspace(grid, y.shape[-1]) if work is None else work
     out = np.empty_like(y) if out is None else out
     work.load(y)
 
@@ -539,7 +528,7 @@ def gamma_terms(state: SimState, params: ModelParams, r_tau: ScalarField,
     grid, with_q = state.grid, gamma is not None and params.q_enabled
     width = grid.band(state.y) + 1
     yb = state.y[..., :width]
-    work = Workspace(grid)
+    work = Workspace(grid, width)
     work.load(yb)
     rt = r_tau.coeffs[:, :width]
     transport = ops.transport(work.derivative, work.velocity(state.stokes_toy))

@@ -86,8 +86,7 @@ def _contiguous(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
 def in_band(*fields: ScalarField) -> tuple[Factors, list[np.ndarray]]:
     """The Factors of the band of the fields' coefficients (Grid.band) and
     the coefficients' columns within it, the columns a field operator
-    computes; its output is zero past them, as model.Workspace.store
-    writes."""
+    computes; its output is zero past them."""
     g = fields[0].grid
     width = g.band(*(f.coeffs for f in fields)) + 1
     return Factors(g, width), [f.coeffs[:, :width] for f in fields]

@@ -95,7 +95,7 @@ class StepWorkspace:
         self.factors = np.empty((1 if ifrk2 else 2, 2) + shape)  # e, h
         stacks = np.empty((2 if ifrk2 else 3, 4) + shape, dtype=np.complex128)
         self.stage, self.k = stacks[0], stacks[1:]
-        self.rhs = Workspace(grid)
+        self.rhs = Workspace(grid, self.width)
 
 
 def step(state: SimState, dt: float, params: ModelParams, config: StepConfig,
@@ -256,7 +256,7 @@ def integrate(state0: SimState, params: ModelParams, config: StepConfig,
     width = band_width(state, forcing)
     first = FirstStage(params, None, np.empty((4, state.grid.n, width), dtype=np.complex128))
     if t_end > state.t + eps:  # a step follows
-        first.make(state, params, Workspace(state.grid))
+        first.make(state, params, Workspace(state.grid, width))
         state = replace(state, first_stage=first)
     if observer is not None:
         observer(state)

@@ -73,7 +73,7 @@ def stage_speed(state, params=ModelParams()):
     """max|u| of the state's first stage under params (FirstStage.make):
     the speed that integrate gives stepping.cfl_dt."""
     first = FirstStage(None, None, np.empty_like(state.y))
-    first.make(state, params, Workspace(state.grid))
+    first.make(state, params, Workspace(state.grid, state.y.shape[-1]))
     return first.umax
 
 

@@ -117,38 +117,38 @@ class TestPackedRhs:
 
 
 class TestWorkspace:
-    """A Workspace reused across calls whose band narrows and widens again
-    gives the bytes of a fresh one: a column of the inverse transform's
-    buffer or of the output left by a wide call must not show in a
-    narrow one."""
+    """A Workspace reused across calls gives the bytes of a fresh one: a
+    column of the inverse transform's buffer or of the output left by one
+    state must not show in the next one."""
 
     @pytest.mark.parametrize("forced", [False, True], ids=["free", "forced"])
     @pytest.mark.parametrize("name", ["full_b", "q_zero", "stokes_toy_q"])
     def test_reused_workspace_gives_fresh_bytes(self, name, forced, grid32):
+        # one workspace per width, each reused across two states of that width
         grid, params = grid32, VARIANTS[name]
         push = band_state(grid, 35, params)
         forcing = push.y if forced else None
-        states = [band_state(grid, 36, params), nyquist_state(grid, 37, params),
-                  band_state(grid, 38, params)]
-        work = Workspace(grid)
-        bands = []
-        for state in states:
-            bands.append(grid.band(state.y))
-            y = state.y[..., :bands[-1] + 1]
-            out = np.empty(y.shape, dtype=np.complex128)
-            f = None if forcing is None else forcing[..., :y.shape[-1]]
-            got = rhs(y, grid, params, f, out=out, work=work)
-            assert got is out
-            want = rhs(y, grid, params, f)
-            assert got.tobytes() == want.tobytes()
-        assert bands == [10, 16, 10]
+        by_width = {11: [band_state(grid, 36, params), band_state(grid, 38, params)],
+                    17: [nyquist_state(grid, 37, params), nyquist_state(grid, 39, params)]}
+        for width, states in by_width.items():
+            work = Workspace(grid, width)
+            for state in states:
+                assert grid.band(state.y) + 1 == width
+                y = state.y[..., :width]
+                out = np.empty(y.shape, dtype=np.complex128)
+                f = None if forcing is None else forcing[..., :width]
+                got = rhs(y, grid, params, f, out=out, work=work)
+                assert got is out
+                want = rhs(y, grid, params, f)
+                assert got.tobytes() == want.tobytes()
 
     def test_q_buffers_are_made_on_first_use(self, grid32):
         # a Workspace that rhs uses without Q makes no buffers for it; one
         # that Q runs in makes them once, and calls with and without Q then
         # share the workspace and give the bytes of a fresh one
         grid = grid32
-        work, out = Workspace(grid), np.empty((4,) + grid.shape, dtype=np.complex128)
+        work = Workspace(grid, grid.n // 2 + 1)
+        out = np.empty((4,) + grid.shape, dtype=np.complex128)
         for name in ("q_zero", "stokes_toy"):
             state = band_state(grid, 40, VARIANTS[name])
             rhs(state.y, grid, VARIANTS[name], out=out, work=work)
@@ -173,8 +173,9 @@ class TestWorkspace:
         state = make(grid, 39, params)
         stokes = params.variant == "stokes_toy"
         u = stokes_toy_velocity(state.tau) if stokes else ops.biot_savart(state.omega)
-        work = Workspace(grid)
-        work.load(state.y[..., :grid.band(state.y) + 1])
+        width = grid.band(state.y) + 1
+        work = Workspace(grid, width)
+        work.load(state.y[..., :width])
         work.velocity(stokes)
         assert work.width == (grid.n // 3 if make is band_state else grid.n // 2) + 1
         for field, modes in zip(u.components, work.u_hat):
@@ -197,8 +198,7 @@ class TestBandLayout:
         w = grid.band(state.y) + 1
         assert w == (grid.n // 3 if make is band_state else grid.n // 2) + 1
         want = rhs(state.y, grid, params, forcing)
-        work = Workspace(grid)
-        rhs(nyquist_state(grid, 44, params).y, grid, params, work=work)  # leaves a wide band
+        work = Workspace(grid, w)
         band = np.ascontiguousarray(state.y[..., :w])
         f = None if forcing is None else np.ascontiguousarray(forcing[..., :w])
         got = rhs(band, grid, params, f, work=work)

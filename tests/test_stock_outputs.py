@@ -98,3 +98,16 @@ def test_relative_difference_of_json_values(stock_outputs):
     assert rel(1.0, 1.0) == 0.0 and rel(None, None) == 0.0
     assert rel(2.0, 1.0) == 0.5
     assert rel(None, 1.0) == math.inf and rel("a", "b") == math.inf
+
+
+def test_a_case_that_ends_before_the_default_snapshot_time_takes_none(tmp_path, stock_outputs,
+                                                                       monkeypatch):
+    # only t_end is overridden: the default snapshot at t = 0.5 lies past it
+    case = ("b_small_data_decay.cfg", {"stepping.t_end": "0"})
+    monkeypatch.setattr(stock_outputs, "CASES", {"b_t0": case})
+    assert stock_outputs.write_set(tmp_path)
+    cfg = stock_outputs.case_config(tmp_path, "b_t0", *case)
+    assert cfg.step.t_end == 0.0 and not cfg.output.snapshot_times
+    lines = (tmp_path / "b_t0" / "diagnostics.ndjson").read_text().splitlines()
+    assert [r["t"] for r in map(json.loads, lines) if "t" in r] == [0.0]
+    assert not list((tmp_path / "b_t0").glob("snapshot_*"))
