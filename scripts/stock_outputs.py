@@ -4,10 +4,11 @@
 Usage: python scripts/stock_outputs.py OUT [BASE]
 
 Runs stock configs (a)-(e) at n = 32, with t_end cut to at most 1 and one
-snapshot at t = 0.5 (case_config), plus (b) with nu = 0.01, (a) with its snapshot at
-t = 0.35, between two observation ticks, (a), (b) (Q on) and the Stokes
-toy (e) observed after every step (observe_every = their dt_max, so every
-record reads the first stage the step before it left), and (a) and (e)
+snapshot at t = 0.5 when t_end reaches it (case_config), plus (b) with
+nu = 0.01, (a) with its snapshot at t = 0.35, between two observation
+ticks, (a), (b) (Q on) and the Stokes toy (e) observed after every step
+(observe_every = their dt_max, so every record reads the first stage the
+step before it left), and (a) and (e)
 restarted from their own snapshots at t = 0.5, each of which writes a
 snapshot at its start time, and (a) at n = 202 up to t = 0.4, whose padded
 length 404 = 4 x 101 is not a power of two (pocketfft makes its complex
@@ -96,10 +97,9 @@ def case_config(out: Path, name: str, cfg_name: str, overrides: dict):
     these ("{out}" in a string value is out)."""
     cfg = load_config(ROOT / "configs" / cfg_name)
     t_end = min(cfg.step.t_end, 1.0)
-    defaults = {"grid.n": "32", "stepping.t_end": t_end}
+    defaults = {"grid.n": "32", "stepping.t_end": t_end, "output.dir": str(out / name)}
     if float(overrides.get("stepping.t_end", t_end)) >= 0.5:
         defaults["output.snapshot_times"] = "0.5"
-    defaults["output.dir"] = str(out / name)
     for key, value in {**defaults, **overrides}.items():
         cfg = with_override(cfg, key, value.format(out=out) if isinstance(value, str) else value)
     return cfg
